@@ -644,12 +644,21 @@ FleetPoint run_fleet_point(int servers, bool kill_one, int clients,
   std::vector<double> latencies_ms;
   latencies_ms.reserve(static_cast<std::size_t>(total));
 
-  // The killer fires once half the load is in: enough backlog on the dying
-  // server to make the strand-and-failover path do real work.
+  // The killer stalls server 0 once half the load is in and kills it as
+  // soon as work is stranded in its queue, so the strand-and-failover path
+  // always does real work.  (Killed unstalled, an idle server 0 died with an
+  // empty queue.)  The deadline only guards against a hang.
   std::thread killer;
   if (kill_one) {
     killer = std::thread([&] {
       while (submitted.load(std::memory_order_relaxed) < total / 2) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      fl.stall_server(0);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(1);
+      while (fl.stats().servers[0].stats.backlog_macs == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
       fl.kill_server(0);
@@ -715,6 +724,8 @@ FleetPoint run_fleet_point(int servers, bool kill_one, int clients,
            "fleet sweep books do not balance");
   AF_CHECK(stats.resolved_ok == total,
            "fleet sweep: a request failed instead of failing over");
+  AF_CHECK(!kill_one || stats.failovers > 0,
+           "fleet sweep: the kill stranded no work, so nothing failed over");
 
   std::sort(latencies_ms.begin(), latencies_ms.end());
   auto quantile = [&](double q) {

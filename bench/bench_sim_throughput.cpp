@@ -22,6 +22,7 @@
 #include "arch/array.h"
 #include "arch/latency.h"
 #include "engine/engine.h"
+#include "gemm/multiply.h"
 #include "gemm/reference.h"
 #include "mem/tile_scheduler.h"
 #include "hw/builders/multiplier.h"
@@ -135,16 +136,23 @@ BENCHMARK(BM_EngineRunGemm)
     ->Args({1, 1})
     ->Args({1, 0});
 
-void BM_ReferenceGemm(benchmark::State& state) {
+// The golden-model GEMM and the served-output kernel on the same operands.
+void BM_Gemm(benchmark::State& state,
+             gemm::Mat64 (*gemm_fn)(const gemm::Mat32&, const gemm::Mat32&)) {
   const std::int64_t n = state.range(0);
   Rng rng(2);
   const gemm::Mat32 a = gemm::random_matrix(rng, 32, n, -100, 100);
   const gemm::Mat32 b = gemm::random_matrix(rng, n, n, -100, 100);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gemm::reference_gemm(a, b));
+    benchmark::DoNotOptimize(gemm_fn(a, b));
   }
+  state.counters["MACs/s"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * 32 * n * n),
+      benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_ReferenceGemm)->Arg(64)->Arg(128);
+BENCHMARK_CAPTURE(BM_Gemm, reference_gemm, &gemm::reference_gemm)
+    ->Arg(64)->Arg(128);
+BENCHMARK_CAPTURE(BM_Gemm, multiply, &gemm::multiply)->Arg(64)->Arg(128);
 
 void BM_AnalyticLatencyModel(benchmark::State& state) {
   const arch::ArrayConfig cfg = config_for(128);

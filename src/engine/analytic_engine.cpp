@@ -7,6 +7,7 @@
 #include "arch/activity.h"
 #include "arch/sparse.h"
 #include "engine/cost_cache.h"
+#include "gemm/multiply.h"
 #include "util/status.h"
 
 namespace af::engine {
@@ -44,12 +45,13 @@ RunResult AnalyticEngine::run_gemm(const GemmRequest& request) {
     result.cost = analytic_estimate(shape, k);
   }
   result.measured = false;
-  // The product is computed only on demand — and by the reference GEMM, not
-  // the simulator.  reference_gemm is bit-identical to the array (that is
-  // the simulator's own correctness oracle), so a caller cannot tell the
-  // backends apart by their outputs, only by their speed.
+  // The product is computed only on demand — and by gemm::multiply, not the
+  // simulator.  multiply is checked bit-exactly against reference_gemm,
+  // which is bit-identical to the array (that is the simulator's own
+  // correctness oracle), so a caller cannot tell the backends apart by
+  // their outputs, only by their speed.
   if (request.want_output) {
-    result.out = gemm::reference_gemm(*request.a, *request.b);
+    result.out = gemm::multiply(*request.a, *request.b);
   }
   return result;
 }

@@ -5,8 +5,9 @@
 // (tests/arch_equivalence_test.cpp, tests/engine_test.cpp), so this
 // backend's CostEstimates are exactly the numbers the "cycle" backend
 // measures — at a tiny fraction of the cost.  The output matrix is
-// computed via gemm::reference_gemm only when the request asks for it;
-// cost-only traffic never touches the operands.
+// computed via gemm::multiply (checked bit-exactly against
+// gemm::reference_gemm) only when the request asks for it; cost-only
+// traffic never touches the operands.
 
 #pragma once
 

@@ -25,7 +25,8 @@
 //              equations pinned cycle-for-cycle and counter-for-counter
 //              against the simulator by tests/arch_equivalence_test.cpp and
 //              tests/engine_test.cpp); the output matrix is computed via
-//              gemm::reference_gemm ONLY when the request asks for it.
+//              gemm::multiply (checked bit-exactly against
+//              gemm::reference_gemm) ONLY when the request asks for it.
 //              Orders of magnitude faster, bit-identical outputs, and —
 //              because the closed forms are exact — identical cycles,
 //              counters and energy too.

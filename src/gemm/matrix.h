@@ -21,10 +21,8 @@ class Matrix {
  public:
   Matrix() = default;
   Matrix(std::int64_t rows, std::int64_t cols, T fill = T{0})
-      : rows_(rows), cols_(cols),
-        data_(static_cast<std::size_t>(rows * cols), fill) {
-    AF_CHECK(rows >= 0 && cols >= 0, "matrix dims must be non-negative");
-  }
+      : rows_(checked_dim(rows, cols)), cols_(cols),
+        data_(static_cast<std::size_t>(rows * cols), fill) {}
 
   std::int64_t rows() const { return rows_; }
   std::int64_t cols() const { return cols_; }
@@ -41,6 +39,8 @@ class Matrix {
   }
 
   const std::vector<T>& data() const { return data_; }
+  // Row-major storage, for kernels that write the whole matrix in place.
+  T* mutable_data() { return data_.data(); }
 
   bool operator==(const Matrix& o) const {
     return rows_ == o.rows_ && cols_ == o.cols_ && data_ == o.data_;
@@ -74,6 +74,13 @@ class Matrix {
   }
 
  private:
+  // Runs in the member initializer, so bad dims throw before data_ is
+  // allocated.
+  static std::int64_t checked_dim(std::int64_t rows, std::int64_t cols) {
+    AF_CHECK(rows >= 0 && cols >= 0, "matrix dims must be non-negative");
+    return rows;
+  }
+
   std::int64_t rows_ = 0;
   std::int64_t cols_ = 0;
   std::vector<T> data_;

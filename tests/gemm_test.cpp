@@ -1,8 +1,9 @@
-// GEMM substrate: matrices, reference multiply, tiling, quantization.
+// GEMM substrate: matrices, reference and fast multiply, tiling, quantization.
 
 #include <gtest/gtest.h>
 
 #include "gemm/matrix.h"
+#include "gemm/multiply.h"
 #include "gemm/quantize.h"
 #include "gemm/reference.h"
 #include "gemm/tiling.h"
@@ -18,6 +19,11 @@ TEST(MatrixTest, ConstructionAndAccess) {
   EXPECT_EQ(m.at(1, 2), 7);
   m.at(0, 0) = -5;
   EXPECT_EQ(m.at(0, 0), -5);
+}
+
+TEST(MatrixTest, NegativeDimsRejectedBeforeAllocating) {
+  EXPECT_THROW(Mat32(-1, 5), Error);
+  EXPECT_THROW(Mat32(5, -1), Error);
 }
 
 TEST(MatrixTest, PaddedGrowsWithZeros) {
@@ -78,20 +84,50 @@ TEST(ReferenceGemmTest, SmallKnownProduct) {
   EXPECT_EQ(x.at(1, 1), 154);
 }
 
-TEST(ReferenceGemmTest, InnerDimensionChecked) {
-  EXPECT_THROW(reference_gemm(Mat32(2, 3), Mat32(4, 2)), Error);
+// The oracle and the served-output kernel must honour the same contract.
+using GemmFn = Mat64 (*)(const Mat32&, const Mat32&);
+
+class GemmContractTest : public ::testing::TestWithParam<GemmFn> {};
+
+TEST_P(GemmContractTest, InnerDimensionChecked) {
+  EXPECT_THROW(GetParam()(Mat32(2, 3), Mat32(4, 2)), Error);
 }
 
-TEST(ReferenceGemmTest, ModularAccumulationWraps) {
+TEST_P(GemmContractTest, ModularAccumulationWraps) {
   // 2^31-ish products accumulated enough times wrap the 64-bit accumulator
   // deterministically rather than saturating.
   Mat32 a(1, 4, std::numeric_limits<std::int32_t>::max());
   Mat32 b(4, 1, std::numeric_limits<std::int32_t>::max());
-  const Mat64 x = reference_gemm(a, b);
+  const Mat64 x = GetParam()(a, b);
   const std::uint64_t p =
       static_cast<std::uint64_t>(std::int64_t{std::numeric_limits<std::int32_t>::max()} *
                                  std::numeric_limits<std::int32_t>::max());
   EXPECT_EQ(static_cast<std::uint64_t>(x.at(0, 0)), p * 4u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, GemmContractTest,
+                         ::testing::Values(&reference_gemm, &multiply),
+                         [](const ::testing::TestParamInfo<GemmFn>& info) {
+                           return info.param == &multiply
+                                      ? std::string("multiply")
+                                      : std::string("reference_gemm");
+                         });
+
+TEST(MultiplyTest, MatchesReferenceExactly) {
+  // Two transformer shapes (a decode QKV projection, a prefill attention
+  // context), then random widths 1..70, which cover every remainder of the
+  // vectorized inner loop.  The full int32 range makes accumulations wrap.
+  Rng rng(12);
+  std::vector<GemmShape> shapes = {{192, 64, 1}, {32, 512, 272}};
+  for (int i = 0; i < 300; ++i) {
+    shapes.push_back({rng.next_in(1, 70), rng.next_in(1, 70), rng.next_in(1, 70)});
+  }
+  for (const GemmShape& s : shapes) {
+    const Mat32 a = random_matrix(rng, s.t, s.n, INT32_MIN, INT32_MAX);
+    const Mat32 b = random_matrix(rng, s.n, s.m, INT32_MIN, INT32_MAX);
+    ASSERT_EQ(first_mismatch(multiply(a, b), reference_gemm(a, b)), "")
+        << s.t << "x" << s.n << "x" << s.m;
+  }
 }
 
 TEST(MacModTest, MatchesWideArithmetic) {
