@@ -9,7 +9,7 @@
 
 #include <iostream>
 
-#include "arch/clocking.h"
+#include "engine/engine.h"
 #include "nn/models.h"
 #include "nn/runner.h"
 #include "sim/report.h"
@@ -19,9 +19,10 @@
 using namespace af;
 
 int main() {
-  const arch::CalibratedClockModel clock = arch::CalibratedClockModel::date23();
   const arch::ArrayConfig cfg = arch::ArrayConfig::square(128);
-  const nn::InferenceRunner runner(cfg, clock);
+  // The builder's default clock is the paper's calibration (date23).
+  const nn::InferenceRunner runner(
+      engine::EngineBuilder().config(cfg).build("analytic"));
   const nn::ModelReport report = runner.run(nn::convnext_tiny());
 
   std::cout << "Reproduces paper Fig. 7 (DATE 2023).\nArray: "

@@ -7,7 +7,7 @@
 
 #include <iostream>
 
-#include "arch/clocking.h"
+#include "engine/engine.h"
 #include "nn/models.h"
 #include "nn/runner.h"
 #include "sim/report.h"
@@ -17,7 +17,6 @@
 using namespace af;
 
 int main() {
-  const arch::CalibratedClockModel clock = arch::CalibratedClockModel::date23();
   std::cout << "Reproduces paper Fig. 8 (DATE 2023).\n\n";
   sim::CsvReport csv({"array", "model", "conv_time_us", "arrayflex_time_us",
                       "normalized", "savings", "k1_layers", "k2_layers",
@@ -25,7 +24,9 @@ int main() {
 
   for (const int side : {128, 256}) {
     const arch::ArrayConfig cfg = arch::ArrayConfig::square(side);
-    const nn::InferenceRunner runner(cfg, clock);
+    // The builder's default clock is the paper's calibration (date23).
+    const nn::InferenceRunner runner(
+        engine::EngineBuilder().config(cfg).build("analytic"));
     std::cout << sim::banner(format("%dx%d PEs", side, side));
     Table table({"model", "conventional", "ArrayFlex", "normalized",
                  "savings", "modes k1/k2/k4"});

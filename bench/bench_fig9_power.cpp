@@ -10,6 +10,7 @@
 
 #include "arch/clocking.h"
 #include "arch/power_model.h"
+#include "engine/engine.h"
 #include "nn/models.h"
 #include "nn/runner.h"
 #include "sim/report.h"
@@ -46,7 +47,9 @@ int main() {
                       "power_savings", "energy_ratio", "edp_gain"});
   for (const int side : {128, 256}) {
     const arch::ArrayConfig cfg = arch::ArrayConfig::square(side);
-    const nn::InferenceRunner runner(cfg, clock);
+    // The builder's default clock is `clock` above (date23).
+    const nn::InferenceRunner runner(
+        engine::EngineBuilder().config(cfg).build("analytic"));
     std::cout << sim::banner(format("%dx%d PEs: full-run average power", side, side));
     Table table({"model", "conventional", "ArrayFlex", "savings",
                  "per-mode mW (k1/k2/k4)", "EDP gain"});

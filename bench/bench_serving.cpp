@@ -520,11 +520,9 @@ OverloadPoint run_overload(const std::string& policy, double capacity_rps,
   opts.queue_capacity = 1 << 15;
   opts.backend = "analytic";
   opts.overload_policy = policy;
-  opts.overload_depth_per_shard = 16.0;
-  opts.overload_wait_p99_ms = 5.0;
-  // Wide histogram: the block policy's backlogged p99 reaches seconds and
-  // must not clip at the serving default of 100 ms.
-  opts.latency_hist_max_ms = 10000.0;
+  opts.overload_at = {.depth = 16.0, .wait_p99_ms = 5.0};
+  // The block policy's backlogged p99 reaches seconds; the default
+  // latency_hist_max_ms (10 s) keeps it from clipping.
   serve::Server server(arch::ArrayConfig::square(16), opts);
 
   Rng weight_rng(1123);

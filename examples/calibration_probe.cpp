@@ -8,6 +8,7 @@
 #include "arch/clocking.h"
 #include "arch/optimizer.h"
 #include "arch/power_model.h"
+#include "engine/engine.h"
 #include "hw/energy_characterization.h"
 #include "nn/models.h"
 #include "nn/runner.h"
@@ -85,7 +86,9 @@ int main() {
   // Full-model aggregates at both array sizes.
   for (int side : {128, 256}) {
     arch::ArrayConfig c = arch::ArrayConfig::square(side);
-    nn::InferenceRunner runner(c, cal);
+    // The builder's default clock is `cal` (date23).
+    nn::InferenceRunner runner(
+        engine::EngineBuilder().config(c).build("analytic"));
     std::printf("\n%dx%d SA:\n", side, side);
     for (const nn::Model& model : nn::paper_models()) {
       const nn::ModelReport r = runner.run(model);

@@ -410,7 +410,8 @@ const std::map<std::string, BackendEntry>& registry() {
   static const std::map<std::string, BackendEntry> entries = {
       {"analytic",
        {"closed-form Eqs. 1-4 latency + activity model + utilization-aware "
-        "power; outputs via reference GEMM only on request",
+        "power; outputs via gemm::multiply (checked bit-exactly against "
+        "reference_gemm) only on request",
         [](const EngineBuilder& b) -> std::shared_ptr<Engine> {
           return std::make_shared<AnalyticEngine>(
               b.peek_config(), b.peek_clock(), b.peek_energy(),

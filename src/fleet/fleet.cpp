@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "util/hysteresis.h"
 #include "util/status.h"
 
 namespace af::fleet {
@@ -84,8 +85,9 @@ struct Fleet::Node {
   // shared_ptr under `mutex` and call the server unlocked.
   std::shared_ptr<serve::Server> server;
   ServerHealth health = ServerHealth::kHealthy;
-  int fail_streak = 0;
-  int ok_streak = 0;
+  // On while the probes are failing: update(!ok, ok) per probe, so it flips
+  // after unhealthy_after failures and back after healthy_after successes.
+  util::Latch probe_failing;
   std::int64_t placed = 0;
   std::int64_t probe_failures = 0;
   std::deque<Pending> pending;
@@ -115,6 +117,8 @@ Fleet::Fleet(std::vector<FleetServerSpec> specs, FleetOptions options)
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     auto node = std::make_unique<Node>();
     node->index = static_cast<int>(i);
+    node->probe_failing =
+        util::Latch(options_.unhealthy_after, options_.healthy_after);
     node->server =
         std::make_shared<serve::Server>(specs_[i].config, specs_[i].options);
     nodes_.push_back(std::move(node));
@@ -819,24 +823,13 @@ void Fleet::prober_loop() {
             node.health == ServerHealth::kDraining) {
           continue;  // lifecycle moved on while we probed
         }
-        if (ok) {
-          node.ok_streak += 1;
-          node.fail_streak = 0;
-          if (node.health == ServerHealth::kUnhealthy &&
-              node.ok_streak >= options_.healthy_after) {
-            node.health = ServerHealth::kHealthy;
-            flipped_up = true;
-          }
-        } else {
-          node.fail_streak += 1;
-          node.ok_streak = 0;
-          node.probe_failures += 1;
-          if (node.health == ServerHealth::kHealthy &&
-              node.fail_streak >= options_.unhealthy_after) {
-            node.health = ServerHealth::kUnhealthy;
-            flipped_down = true;
-          }
-        }
+        if (!ok) node.probe_failures += 1;
+        const bool was_unhealthy = node.health == ServerHealth::kUnhealthy;
+        const bool unhealthy = node.probe_failing.update(!ok, ok);
+        node.health =
+            unhealthy ? ServerHealth::kUnhealthy : ServerHealth::kHealthy;
+        flipped_down = unhealthy && !was_unhealthy;
+        flipped_up = !unhealthy && was_unhealthy;
       }
       if (!ok) probe_failures_.fetch_add(1, std::memory_order_relaxed);
       if (flipped_down) {
@@ -929,8 +922,7 @@ void Fleet::restart_server(int server) {
   node.server = std::make_shared<serve::Server>(
       specs_[static_cast<std::size_t>(server)].config,
       specs_[static_cast<std::size_t>(server)].options);
-  node.fail_streak = 0;
-  node.ok_streak = 0;
+  node.probe_failing.reset();
   node.health = ServerHealth::kHealthy;
 }
 

@@ -3,7 +3,7 @@
 //   clients ──submit──▶ Fleet ──place──▶ serve::Server[0..N)   (possibly
 //                        │ (Router: "affinity" | "hash" | "p2c")  heterogeneous)
 //                        ├─ prober thread: tiny cost-only probes per server;
-//                        │  fail/ok streaks drive healthy <-> unhealthy
+//                        │  a util::Latch drives healthy <-> unhealthy
 //                        ├─ per-server collector thread: waits the server
 //                        │  futures, resolves tickets, fails over, hedges
 //                        └─ failpoints: kill_server (crash), stall_server,
@@ -65,8 +65,8 @@
 namespace af::fleet {
 
 // One server slot's build recipe.  Fleets may be heterogeneous: different
-// array geometries, backends, dispatchers, autoscale and overload policies
-// per slot.
+// array geometries, backends, dispatchers, shard bounds, pressure limits
+// (grow_at / shrink_at / overload_at) and overload policies per slot.
 struct FleetServerSpec {
   arch::ArrayConfig config = arch::ArrayConfig::square(16);
   serve::ServerOptions options;

@@ -55,21 +55,6 @@ InferenceRunner::InferenceRunner(std::shared_ptr<engine::Engine> engine)
   }
 }
 
-InferenceRunner::InferenceRunner(const arch::ArrayConfig& config,
-                                 const arch::ClockModel& clock,
-                                 const arch::EnergyParams& energy,
-                                 util::ThreadPool* shared_pool)
-    : InferenceRunner(engine::EngineBuilder()
-                          .config(config)
-                          // Non-owning view: this constructor's legacy
-                          // contract is that the caller's clock outlives
-                          // the runner.
-                          .clock(std::shared_ptr<const arch::ClockModel>(
-                              std::shared_ptr<const void>(), &clock))
-                          .energy(energy)
-                          .shared_pool(shared_pool)
-                          .build("analytic")) {}
-
 InferenceRunner::~InferenceRunner() = default;
 
 LayerReport InferenceRunner::evaluate_layer(const Layer& layer) const {

@@ -30,10 +30,6 @@
 #include "nn/mapper.h"
 #include "nn/models.h"
 
-namespace af::util {
-class ThreadPool;
-}
-
 namespace af::mem {
 class TileScheduler;
 }
@@ -95,21 +91,9 @@ struct ModelReport {
 
 class InferenceRunner {
  public:
-  // Primary constructor: the runner shares the engine (and thereby its
-  // config, clock, energy params and worker pool).
+  // The runner shares the engine (and thereby its config, clock, energy
+  // params and worker pool); build one with engine::EngineBuilder.
   explicit InferenceRunner(std::shared_ptr<engine::Engine> engine);
-
-  // Legacy wiring kept for call sites predating the engine facade: builds
-  // an analytic engine over the pieces.  `clock` is NOT owned and must
-  // outlive the runner (the pre-facade contract); prefer the engine
-  // constructor, which owns its clock.  `shared_pool` (optional,
-  // non-owning) injects one pool instead of a private one — see the
-  // shared-pool contract in arch/array.h.
-  InferenceRunner(const arch::ArrayConfig& config,
-                  const arch::ClockModel& clock,
-                  const arch::EnergyParams& energy =
-                      arch::EnergyParams::generic28nm(),
-                  util::ThreadPool* shared_pool = nullptr);
   ~InferenceRunner();
 
   LayerReport evaluate_layer(const Layer& layer) const;

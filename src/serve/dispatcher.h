@@ -171,13 +171,12 @@ class Dispatcher {
   // Lock-free backlog-cost HINT: summed Request::drr_cost (MACs) queued
   // across all shards, from the queues' relaxed approx_cost mirrors.  The
   // simulated-hardware-pressure twin of approx_depth — feeds the
-  // backlog_cost autoscale signal and the fleet router's load reports.
+  // Pressure::backlog_macs term and the fleet router's load reports.
   virtual std::int64_t approx_cost() const = 0;
 
   // Lock-free backlog-bytes HINT: summed Request::drr_bytes (projected
   // DRAM traffic) queued across all shards — the bandwidth-pressure twin
-  // of approx_cost, feeding the backlog_bytes autoscale signal and the
-  // byte-threshold overload check.
+  // of approx_cost, feeding the Pressure::backlog_bytes term.
   virtual std::int64_t approx_bytes() const = 0;
 
   // Removes and returns EVERYTHING still queued, across all shards.  The

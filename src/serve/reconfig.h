@@ -24,8 +24,8 @@
 //             spam between prefills no longer drags the array through a
 //             drain pair per interleave.
 //
-// The struct is a pure state machine (mirrors AutoscalePolicy /
-// OverloadDetector): decide() consumes one request's per-mode cost sweep
+// The struct is a pure state machine (like util::Streak / util::Latch in
+// util/hysteresis.h): decide() consumes one request's per-mode cost sweep
 // and the drain price, returns the mode to stamp, and mutates only its own
 // counters — unit-testable on synthetic streams without threads, clocks or
 // engines.  The Server serializes calls under its admission mutex; batch

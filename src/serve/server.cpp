@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <thread>
@@ -49,6 +50,29 @@ std::int64_t slice_macs(const nn::Model& model, std::size_t first,
   return macs;
 }
 
+std::array<double, 4> terms(const Pressure& p) {
+  return {p.depth, p.wait_p99_ms, p.backlog_macs, p.backlog_bytes};
+}
+
+constexpr const char* kTermNames[] = {"depth", "wait_p99_ms", "backlog_macs",
+                                      "backlog_bytes"};
+
+// Every term a number >= 0 (0 = off).  A consumer that runs needs at least
+// one term on: an all-off grow or overload limit never fires, an all-off
+// shrink limit always does.
+void check_pressure(const char* name, const Pressure& at, bool active) {
+  const std::array<double, 4> t = terms(at);
+  bool any_on = false;
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    AF_CHECK(t[i] >= 0.0, name << "." << kTermNames[i]
+                               << " must be a non-negative number (0 = off), "
+                                  "got "
+                               << t[i]);
+    any_on = any_on || t[i] > 0.0;
+  }
+  AF_CHECK(!active || any_on, name << " has every term off (0)");
+}
+
 }  // namespace
 
 OverloadPolicy parse_overload_policy(const std::string& name) {
@@ -84,100 +108,22 @@ std::string overload_policy_description(const std::string& name) {
   return {};  // unreachable
 }
 
-bool OverloadDetector::update(double depth_per_shard_now,
-                              double wait_p99_ms_now,
-                              double backlog_bytes_per_shard_now) {
-  // The byte trip participates only when configured (threshold > 0).
-  const bool bytes_hot = backlog_bytes_per_shard > 0.0 &&
-                         backlog_bytes_per_shard_now >= backlog_bytes_per_shard;
-  const bool hot = depth_per_shard_now >= depth_per_shard ||
-                   wait_p99_ms_now >= wait_p99_ms || bytes_hot;
-  // Exit only once ALL signals sit below half their enter thresholds —
-  // the band between is the dead zone, so a load hovering at the trip
-  // point cannot flap admission decisions tick to tick.
-  const bool cool = depth_per_shard_now <= 0.5 * depth_per_shard &&
-                    wait_p99_ms_now <= 0.5 * wait_p99_ms &&
-                    (backlog_bytes_per_shard == 0.0 ||
-                     backlog_bytes_per_shard_now <=
-                         0.5 * backlog_bytes_per_shard);
-  if (!overloaded) {
-    if (hot) {
-      exit_streak = 0;
-      if (++enter_streak >= enter_patience) {
-        overloaded = true;
-        enter_streak = 0;
-      }
-    } else {
-      enter_streak = 0;
-    }
-  } else {
-    if (cool) {
-      enter_streak = 0;
-      if (++exit_streak >= exit_patience) {
-        overloaded = false;
-        exit_streak = 0;
-      }
-    } else {
-      exit_streak = 0;
-    }
+bool hot(const Pressure& p, const Pressure& at) {
+  const std::array<double, 4> v = terms(p);
+  const std::array<double, 4> limit = terms(at);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (limit[i] > 0.0 && v[i] >= limit[i]) return true;
   }
-  return overloaded;
+  return false;
 }
 
-AutoscaleSignal parse_autoscale_signal(const std::string& name) {
-  if (name == "wait_p99") return AutoscaleSignal::kWaitP99;
-  if (name == "backlog_cost") return AutoscaleSignal::kBacklogCost;
-  if (name == "backlog_bytes") return AutoscaleSignal::kBacklogBytes;
-  AF_CHECK(false, "unknown autoscale signal \""
-                      << name
-                      << "\" (registered: \"backlog_bytes\", \"backlog_cost\", "
-                         "\"wait_p99\")");
-  return AutoscaleSignal::kWaitP99;  // unreachable
-}
-
-int AutoscalePolicy::decide(int live, double depth_per_shard,
-                            double wait_p99_ms,
-                            double backlog_macs_per_shard,
-                            double backlog_bytes_per_shard) {
-  // The depth term participates under every signal; the latency term is
-  // the wall-clock wait, the queued simulated work, or the queued DRAM
-  // traffic, per `signal`.
-  bool lat_hot = false;
-  bool lat_cool = false;
-  switch (signal) {
-    case AutoscaleSignal::kBacklogCost:
-      lat_hot = backlog_macs_per_shard >= grow_backlog_macs_per_shard;
-      lat_cool = backlog_macs_per_shard <= shrink_backlog_macs_per_shard;
-      break;
-    case AutoscaleSignal::kBacklogBytes:
-      lat_hot = backlog_bytes_per_shard >= grow_backlog_bytes_per_shard;
-      lat_cool = backlog_bytes_per_shard <= shrink_backlog_bytes_per_shard;
-      break;
-    case AutoscaleSignal::kWaitP99:
-      lat_hot = wait_p99_ms >= grow_wait_p99_ms;
-      lat_cool = wait_p99_ms <= shrink_wait_p99_ms;
-      break;
+bool cool(const Pressure& p, const Pressure& at) {
+  const std::array<double, 4> v = terms(p);
+  const std::array<double, 4> limit = terms(at);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (limit[i] > 0.0 && v[i] > limit[i]) return false;
   }
-  const bool pressure = depth_per_shard >= grow_depth_per_shard || lat_hot;
-  const bool idle = depth_per_shard <= shrink_depth_per_shard && lat_cool;
-  if (pressure) {
-    shrink_streak = 0;
-    if (++grow_streak >= grow_patience) {
-      grow_streak = 0;
-      if (live < max_shards) return live + 1;
-    }
-  } else if (idle) {
-    grow_streak = 0;
-    if (++shrink_streak >= shrink_patience) {
-      shrink_streak = 0;
-      if (live > min_shards) return live - 1;
-    }
-  } else {
-    // Dead zone between the bands: both streaks reset, nothing moves.
-    grow_streak = 0;
-    shrink_streak = 0;
-  }
-  return live;
+  return true;
 }
 
 std::int64_t ServerStats::audit_runs() const {
@@ -245,18 +191,25 @@ Server::Server(const arch::ArrayConfig& shard_config, ServerOptions options)
            "max_shards, got min="
                << min_shards_ << " num=" << options_.num_shards
                << " max=" << max_shards_);
-  AF_CHECK(options_.autoscale_interval_ms > 0.0,
-           "autoscale_interval_ms must be positive");
+  AF_CHECK(options_.control_interval_ms > 0.0,
+           "control_interval_ms must be positive");
   AF_CHECK(options_.grow_patience >= 1 && options_.shrink_patience >= 1,
            "autoscale patience must be at least one tick");
   overload_policy_ = parse_overload_policy(options_.overload_policy);
-  AF_CHECK(options_.overload_depth_per_shard > 0.0,
-           "overload_depth_per_shard must be positive");
-  AF_CHECK(options_.overload_wait_p99_ms > 0.0,
-           "overload_wait_p99_ms must be positive");
-  AF_CHECK(options_.overload_enter_patience >= 1 &&
-               options_.overload_exit_patience >= 1,
-           "overload patience must be at least one tick");
+  check_pressure("grow_at", options_.grow_at, autoscale_enabled_);
+  check_pressure("shrink_at", options_.shrink_at, autoscale_enabled_);
+  check_pressure("overload_at", options_.overload_at,
+                 overload_policy_ != OverloadPolicy::kBlock);
+  const std::array<double, 4> grow = terms(options_.grow_at);
+  const std::array<double, 4> shrink = terms(options_.shrink_at);
+  for (std::size_t i = 0; i < grow.size(); ++i) {
+    AF_CHECK(grow[i] == 0.0 || shrink[i] == 0.0 || shrink[i] < grow[i],
+             "shrink_at." << kTermNames[i] << " (" << shrink[i]
+                          << ") must sit below grow_at." << kTermNames[i]
+                          << " (" << grow[i] << ")");
+  }
+  grow_ = util::Streak(options_.grow_patience);
+  shrink_ = util::Streak(options_.shrink_patience);
   AF_CHECK(options_.max_retries >= 0, "max_retries must be non-negative");
   AF_CHECK(options_.retry_backoff_base_ms >= 0.0 &&
                options_.retry_backoff_max_ms >= 0.0,
@@ -265,19 +218,11 @@ Server::Server(const arch::ArrayConfig& shard_config, ServerOptions options)
            "quarantine_after_faults must be non-negative");
   AF_CHECK(options_.quarantine_probe_interval_ms > 0.0,
            "quarantine_probe_interval_ms must be positive");
-  AF_CHECK(options_.overload_backlog_bytes_per_shard >= 0.0,
-           "overload_backlog_bytes_per_shard must be non-negative");
   AF_CHECK(options_.degrade_spad_fraction > 0.0 &&
                options_.degrade_spad_fraction <= 1.0,
            "degrade_spad_fraction must be in (0, 1]");
   AF_CHECK(options_.max_batch_bytes >= 0,
            "max_batch_bytes must be non-negative");
-  detector_.depth_per_shard = options_.overload_depth_per_shard;
-  detector_.wait_p99_ms = options_.overload_wait_p99_ms;
-  detector_.backlog_bytes_per_shard =
-      options_.overload_backlog_bytes_per_shard;
-  detector_.enter_patience = options_.overload_enter_patience;
-  detector_.exit_patience = options_.overload_exit_patience;
   // The control thread exists for either consumer of the pressure window:
   // the autoscaler, or a non-"block" overload policy.
   control_enabled_ =
@@ -331,29 +276,6 @@ Server::Server(const arch::ArrayConfig& shard_config, ServerOptions options)
   dispatch.live_shards = options_.num_shards;
   dispatch.can_scale = autoscale_enabled_;
   dispatcher_ = make_dispatcher(options_.dispatcher, dispatch);
-
-  policy_.min_shards = min_shards_;
-  policy_.max_shards = max_shards_;
-  policy_.grow_depth_per_shard = options_.grow_depth_per_shard;
-  policy_.grow_wait_p99_ms = options_.grow_wait_p99_ms;
-  policy_.shrink_depth_per_shard = options_.shrink_depth_per_shard;
-  policy_.shrink_wait_p99_ms = options_.shrink_wait_p99_ms;
-  policy_.grow_patience = options_.grow_patience;
-  policy_.shrink_patience = options_.shrink_patience;
-  policy_.signal = parse_autoscale_signal(options_.autoscale_signal);
-  AF_CHECK(options_.grow_backlog_macs_per_shard > 0.0 &&
-               options_.shrink_backlog_macs_per_shard >= 0.0,
-           "backlog_cost autoscale thresholds must be positive");
-  policy_.grow_backlog_macs_per_shard = options_.grow_backlog_macs_per_shard;
-  policy_.shrink_backlog_macs_per_shard =
-      options_.shrink_backlog_macs_per_shard;
-  AF_CHECK(options_.grow_backlog_bytes_per_shard > 0.0 &&
-               options_.shrink_backlog_bytes_per_shard >= 0.0,
-           "backlog_bytes autoscale thresholds must be positive");
-  policy_.grow_backlog_bytes_per_shard =
-      options_.grow_backlog_bytes_per_shard;
-  policy_.shrink_backlog_bytes_per_shard =
-      options_.shrink_backlog_bytes_per_shard;
 
   shards_.reserve(static_cast<std::size_t>(max_shards_));
   for (int i = 0; i < max_shards_; ++i) {
@@ -476,52 +398,50 @@ void Server::start_worker(Shard& shard) {
 void Server::control_loop() {
   std::unique_lock<std::mutex> lock(scale_mutex_);
   const auto interval = std::chrono::duration<double, std::milli>(
-      options_.autoscale_interval_ms);
+      options_.control_interval_ms);
+  // The latch exits only once every enabled term sits below half its
+  // limit — the band between is the dead zone, so a load hovering at the
+  // trip point cannot flap admission decisions tick to tick.
+  const Pressure& at = options_.overload_at;
+  const Pressure exit_at{0.5 * at.depth, 0.5 * at.wait_p99_ms,
+                         0.5 * at.backlog_macs, 0.5 * at.backlog_bytes};
   while (!scale_cv_.wait_for(lock, interval,
                              [this] { return shut_down_.load(); })) {
     const int live = live_shards_.load();
-    const double depth = static_cast<double>(dispatcher_->depth());
     // One drain per tick feeds BOTH consumers — drain() empties the
-    // window, so detector and autoscaler must share the sample.
-    const LatencyWindow::Stats waits = wait_window_.drain();
-    const double depth_per_shard = depth / static_cast<double>(live);
-    const double bytes_per_shard =
-        static_cast<double>(dispatcher_->approx_bytes()) /
-        static_cast<double>(live);
+    // window, so the latch and the autoscaler must share the sample.
+    const Pressure p = sample(static_cast<double>(dispatcher_->depth()),
+                              wait_window_.drain().p99_ms);
     if (overload_policy_ != OverloadPolicy::kBlock) {
-      overloaded_.store(
-          detector_.update(depth_per_shard, waits.p99_ms, bytes_per_shard));
+      overloaded_.store(overload_.update(hot(p, at), cool(p, exit_at)));
     }
     if (autoscale_enabled_) {
-      const double backlog_per_shard =
-          static_cast<double>(dispatcher_->approx_cost()) /
-          static_cast<double>(live);
-      const int want = policy_.decide(live, depth_per_shard, waits.p99_ms,
-                                      backlog_per_shard, bytes_per_shard);
-      if (want > live) {
-        grow_to(want);
-      } else if (want < live) {
-        shrink_to(want);
+      // Both streaks tick every time, so each band's tick resets the other
+      // streak and the dead zone between them resets both.
+      const bool pressured = hot(p, options_.grow_at);
+      const bool grow = grow_.tick(pressured);
+      const bool shrink =
+          shrink_.tick(!pressured && cool(p, options_.shrink_at));
+      if (grow && live < max_shards_) {
+        grow_to(live + 1);
+      } else if (shrink && live > min_shards_) {
+        shrink_to(live - 1);
       }
     }
   }
 }
 
+Pressure Server::sample(double depth, double wait_p99_ms) const {
+  const double live = static_cast<double>(std::max(1, live_shards_.load()));
+  return {depth / live, wait_p99_ms,
+          static_cast<double>(dispatcher_->approx_cost()) / live,
+          static_cast<double>(dispatcher_->approx_bytes()) / live};
+}
+
 bool Server::under_pressure() const {
   if (overloaded_.load(std::memory_order_relaxed)) return true;
-  const int live = std::max(1, live_shards_.load());
-  if (static_cast<double>(dispatcher_->approx_depth()) >=
-      options_.overload_depth_per_shard * static_cast<double>(live)) {
-    return true;
-  }
-  // Bandwidth pressure: queued projected DRAM traffic past the byte
-  // threshold trips admission control even at modest request counts (a few
-  // giant GEMMs can saturate the memory system long before the depth
-  // check fires).  Off when the threshold is 0.
-  return options_.overload_backlog_bytes_per_shard > 0.0 &&
-         static_cast<double>(dispatcher_->approx_bytes()) >=
-             options_.overload_backlog_bytes_per_shard *
-                 static_cast<double>(live);
+  return hot(sample(static_cast<double>(dispatcher_->approx_depth()), 0.0),
+             options_.overload_at);
 }
 
 void Server::grow_to(int want) {
@@ -1332,7 +1252,7 @@ void Server::execute_gemm_batch(Shard& shard, Batch& batch) {
     GemmResult& result = results[i];
     result.latency_ms = ms_between(r.enqueue_time, Clock::now());
     // The wait window's consumers are the control thread's autoscaler and
-    // overload detector; when neither runs nothing drains it, so sampling
+    // overload latch; when neither runs nothing drains it, so sampling
     // would grow it without bound (and cost a shared mutex per request
     // for nothing).
     if (control_enabled_) wait_window_.sample(result.queue_ms);

@@ -27,17 +27,17 @@
 // differ in lock contention on the hot path.
 //
 // Autoscaling: with min_shards < max_shards the server runs a
-// queue-pressure autoscaler — a control thread sampling dispatcher depth
-// and the p99 enqueue->dispatch wait every autoscale_interval_ms, growing
-// the live shard set when either breaches the grow thresholds for
-// grow_patience consecutive ticks and shrinking it when both sit below the
-// shrink thresholds for shrink_patience ticks (hysteresis: the two
-// patience counters reset each other, so a square-wave load cannot flap
-// the pool).  Growing a shard acquires its engine through the server's
-// EngineBuilder; shrinking drains the shard's deque back into the steal
-// pool, joins the worker mid-flight work included, then releases the
-// engine — no accepted request is ever dropped or double-served across a
-// scale event (pinned by tests/serve_test.cpp).
+// queue-pressure autoscaler — a control thread building one Pressure
+// sample every control_interval_ms, growing the live shard set when the
+// sample is hot() against grow_at for grow_patience consecutive ticks and
+// shrinking it when it is cool() against shrink_at for shrink_patience
+// ticks (hysteresis: two util::Streaks that reset each other, so a
+// square-wave load cannot flap the pool).  Growing a shard acquires its
+// engine through the server's EngineBuilder; shrinking drains the shard's
+// deque back into the steal pool, joins the worker mid-flight work
+// included, then releases the engine — no accepted request is ever
+// dropped or double-served across a scale event (pinned by
+// tests/serve_test.cpp).
 //
 // Audit mode: with audit_fraction > 0 (and a non-measuring backend), each
 // shard deterministically replays that fraction of its fused GEMM runs on
@@ -81,6 +81,7 @@
 #include "serve/request.h"
 #include "serve/scheduler.h"
 #include "serve/tenant_stats.h"
+#include "util/hysteresis.h"
 #include "util/status.h"
 
 namespace af::util {
@@ -88,6 +89,23 @@ class ThreadPool;
 }
 
 namespace af::serve {
+
+// One queue-pressure sample, every term per live shard: dispatcher depth
+// (requests), the p99 enqueue->dispatch wait over the last control window
+// (ms), queued simulated work (MACs) and queued projected DRAM traffic
+// (bytes).  The same struct is each consumer's threshold set, compared
+// through hot()/cool(); a limit of 0 switches its term off.
+struct Pressure {
+  double depth = 0.0;
+  double wait_p99_ms = 0.0;
+  double backlog_macs = 0.0;
+  double backlog_bytes = 0.0;
+};
+
+// True when any enabled term of `p` is at or above its limit in `at`.
+bool hot(const Pressure& p, const Pressure& at);
+// True when every enabled term of `p` is at or below its limit in `at`.
+bool cool(const Pressure& p, const Pressure& at);
 
 struct ServerOptions {
   int num_shards = 2;
@@ -155,46 +173,26 @@ struct ServerOptions {
   // INITIAL live count.
   int min_shards = 0;
   int max_shards = 0;
-  // Autoscaler control-tick period.
-  double autoscale_interval_ms = 10.0;
-  // Grow when (dispatcher depth / live shards) >= grow_depth_per_shard OR
-  // the window's p99 queue wait >= grow_wait_p99_ms, for grow_patience
-  // consecutive ticks.
-  double grow_depth_per_shard = 4.0;
-  double grow_wait_p99_ms = 5.0;
-  // Shrink when depth/live <= shrink_depth_per_shard AND p99 wait <=
-  // shrink_wait_p99_ms, for shrink_patience consecutive ticks.  The gap
-  // between the grow and shrink bands is the hysteresis dead zone.
-  double shrink_depth_per_shard = 0.5;
-  double shrink_wait_p99_ms = 1.0;
+  // Period of the control thread, which builds one Pressure sample per tick
+  // and feeds it to both the autoscaler and the overload latch.
+  double control_interval_ms = 10.0;
+  // Grow one shard when hot(sample, grow_at) for grow_patience consecutive
+  // ticks.  The default listens to queue depth and the wall-clock p99 wait.
+  // A "cycle" pool, whose waits reflect simulation speed rather than
+  // hardware pressure, scales on queued MACs instead ({4, 0, 4e6, 0}); a
+  // bandwidth-bound pool on queued DRAM bytes ({4, 0, 0, 16e6}).
+  Pressure grow_at{4.0, 5.0, 0.0, 0.0};
+  // Shrink one shard when the sample is not hot against grow_at and is
+  // cool(sample, shrink_at) for shrink_patience consecutive ticks.  The gap
+  // between the two bands is the hysteresis dead zone, so every term
+  // enabled in both must sit strictly lower here.
+  Pressure shrink_at{0.5, 1.0, 0.0, 0.0};
   int grow_patience = 2;
   int shrink_patience = 8;
-  // Which latency-pressure signal the autoscaler (and its thresholds
-  // above) listens to, alongside the depth-per-shard term both use:
-  //   "wait_p99"      wall-clock p99 enqueue->dispatch wait (the default).
-  //   "backlog_cost"  queued simulated work (MACs per live shard, from the
-  //                   dispatcher's backlog-cost mirror) — scales "cycle"
-  //                   backend pools on hardware pressure, which wall-clock
-  //                   waits misrepresent when simulation is the bottleneck.
-  //   "backlog_bytes" queued projected DRAM traffic (bytes per live shard,
-  //                   from the dispatcher's backlog-bytes mirror) — scales
-  //                   bandwidth-bound pools: with the memory hierarchy
-  //                   enabled a compute-light backlog can still saturate
-  //                   the DRAM pins, which MAC counts misrepresent.
-  std::string autoscale_signal = "wait_p99";
-  // backlog_cost thresholds (queued MACs per live shard), the analogue of
-  // the grow/shrink wait-p99 pair.
-  double grow_backlog_macs_per_shard = 4e6;
-  double shrink_backlog_macs_per_shard = 0.25e6;
-  // backlog_bytes thresholds (queued projected DRAM bytes per live shard).
-  double grow_backlog_bytes_per_shard = 16e6;
-  double shrink_backlog_bytes_per_shard = 1e6;
 
   // --- robustness: overload policy, retry, quarantine (PR 6) ---------------
-  // What admission does when the server is overloaded (queue depth per live
-  // shard >= overload_depth_per_shard, or the windowed p99 enqueue->
-  // dispatch wait >= overload_wait_p99_ms with hysteresis — see
-  // OverloadDetector).  Registry names, drift-checked against the README:
+  // What admission does when the server is overloaded (see overload_at).
+  // Registry names, drift-checked against the README:
   //   "block"    today's behaviour (the oracle): submit blocks on the full
   //              queue until space frees — latency unbounded under
   //              sustained overload.
@@ -206,17 +204,15 @@ struct ServerOptions {
   //              pressure lasts; full fidelity resumes when the window
   //              clears.
   std::string overload_policy = "block";
-  double overload_depth_per_shard = 16.0;
-  double overload_wait_p99_ms = 50.0;
-  // Optional third overload trip: queued projected DRAM bytes per live
-  // shard (0 = off).  With the memory hierarchy enabled, an overload can
-  // be bandwidth-borne — shallow queues of huge-footprint GEMMs — which
-  // the depth and wait signals both under-report.  Participates in the
-  // windowed detector AND the instantaneous admission check.
-  double overload_backlog_bytes_per_shard = 0.0;
-  // Hysteresis patience (control ticks) for the windowed-p99 signal.
-  int overload_enter_patience = 1;
-  int overload_exit_patience = 2;
+  // Overload limits.  The control thread's latch turns on at the first tick
+  // with hot(sample, overload_at) and off after two consecutive ticks
+  // cool() against half of overload_at; admission also trips on hot() over
+  // the dispatcher's lock-free mirrors (wait term 0 — the window belongs to
+  // the control thread), so a burst cannot outrun the tick.  The backlog
+  // terms are off by default; with the memory hierarchy enabled, an
+  // overload can be bandwidth-borne — shallow queues of huge-footprint
+  // GEMMs — which depth and wait both under-report.
+  Pressure overload_at{16.0, 50.0, 0.0, 0.0};
   // Default engine-fault retry budget per request (SubmitOptions can
   // override): a request whose shard engine threw kEngineFault is
   // resubmitted to a different shard up to this many times with capped
@@ -256,76 +252,6 @@ OverloadPolicy parse_overload_policy(const std::string& name);
 std::vector<std::string> overload_policy_names();
 // One-line human description per policy (the README matrix source).
 std::string overload_policy_description(const std::string& name);
-
-// Pure hysteresis state machine of the windowed overload signal, separated
-// from the server so enter/exit behaviour is unit-testable on synthetic
-// pressure traces (mirrors AutoscalePolicy).  One update() per control
-// tick; the EXIT thresholds are half the enter thresholds, so the band
-// between them is the dead zone that stops a borderline load from
-// flapping admission decisions.
-struct OverloadDetector {
-  double depth_per_shard = 16.0;
-  double wait_p99_ms = 50.0;
-  // Optional byte-pressure trip (queued projected DRAM bytes per live
-  // shard); 0 disables the term entirely.
-  double backlog_bytes_per_shard = 0.0;
-  int enter_patience = 1;
-  int exit_patience = 2;
-
-  // Feeds one tick's pressure sample; returns the new overloaded state.
-  bool update(double depth_per_shard_now, double wait_p99_ms_now,
-              double backlog_bytes_per_shard_now = 0.0);
-
-  bool overloaded = false;
-  int enter_streak = 0;
-  int exit_streak = 0;
-};
-
-// Which pressure signal AutoscalePolicy pairs with queue depth: the
-// wall-clock p99 wait (classic), the queued simulated work in MACs
-// (hardware pressure — what a "cycle" pool is actually behind on), or the
-// queued projected DRAM traffic in bytes (bandwidth pressure — what a
-// memory-bound pool is actually behind on).
-enum class AutoscaleSignal { kWaitP99, kBacklogCost, kBacklogBytes };
-AutoscaleSignal parse_autoscale_signal(const std::string& name);
-
-// Pure hysteresis policy of the queue-pressure autoscaler, separated from
-// the server so the no-flapping property is unit-testable on synthetic
-// load traces (square waves) without threads or clocks.  One decide() call
-// per control tick; streak state lives in the struct.
-struct AutoscalePolicy {
-  int min_shards = 1;
-  int max_shards = 1;
-  double grow_depth_per_shard = 4.0;
-  double grow_wait_p99_ms = 5.0;
-  double shrink_depth_per_shard = 0.5;
-  double shrink_wait_p99_ms = 1.0;
-  int grow_patience = 2;
-  int shrink_patience = 8;
-  AutoscaleSignal signal = AutoscaleSignal::kWaitP99;
-  // backlog_cost thresholds (queued MACs per live shard), used in place of
-  // the wait-p99 pair when signal == kBacklogCost.
-  double grow_backlog_macs_per_shard = 4e6;
-  double shrink_backlog_macs_per_shard = 0.25e6;
-  // backlog_bytes thresholds (queued projected DRAM bytes per live shard),
-  // used when signal == kBacklogBytes.
-  double grow_backlog_bytes_per_shard = 16e6;
-  double shrink_backlog_bytes_per_shard = 1e6;
-
-  // Desired live-shard count after observing this tick's pressure sample.
-  // Grows/shrinks by at most one shard per decision (gradual scaling), and
-  // only after the respective streak survives `patience` ticks unbroken —
-  // any tick outside a band resets the opposite streak, so an oscillating
-  // signal with period < patience never moves the pool.  The latency term
-  // is wait_p99_ms, backlog_macs_per_shard or backlog_bytes_per_shard
-  // depending on `signal`; the depth term participates either way.
-  int decide(int live, double depth_per_shard, double wait_p99_ms,
-             double backlog_macs_per_shard = 0.0,
-             double backlog_bytes_per_shard = 0.0);
-
-  int grow_streak = 0;
-  int shrink_streak = 0;
-};
 
 // Per-submission knobs for the robustness-aware entry points.  The legacy
 // positional overloads delegate here with everything defaulted, so the two
@@ -580,10 +506,13 @@ class Server {
   // a tiny GEMM; on success the shard rejoins the routing pool.  Returns
   // true when the shard is healthy again.
   bool probe_quarantined(Shard& shard);
-  // The submit-path overload trip: the detector's windowed verdict OR an
-  // instantaneous queue-depth check (so a burst trips admission before the
-  // next control tick can see it).
+  // The submit-path overload trip: the latch's windowed verdict OR hot()
+  // on the dispatcher's lock-free mirrors (so a burst trips admission
+  // before the next control tick can see it).
   bool under_pressure() const;
+  // The queue's Pressure now: `depth` and the dispatcher's backlog mirrors
+  // divided by the live shard count, plus the given window p99.
+  Pressure sample(double depth, double wait_p99_ms) const;
   // Mode bookkeeping before a GEMM batch runs in mode k: counts the switch
   // and bills the drain (time at the new mode's clock, leakage energy) to
   // the shard when it was configured differently, publishes the new mode
@@ -601,9 +530,9 @@ class Server {
   // override built lazily (and cached) on the shard.
   engine::Engine* engine_for(Shard& shard, const Batch& batch);
 
-  // Control thread: one loop drains the wait window each tick and feeds
-  // BOTH the autoscaler policy and the overload detector.  Runs whenever
-  // autoscaling is enabled OR the overload policy is not "block".
+  // Control thread: one Pressure sample per tick (the wait window drained
+  // once) feeds BOTH the autoscaler streaks and the overload latch.  Runs
+  // whenever autoscaling is enabled OR the overload policy is not "block".
   void control_loop();
   void grow_to(int want);
   void shrink_to(int want);
@@ -640,8 +569,9 @@ class Server {
   std::vector<std::unique_ptr<Shard>> shards_;  // max_shards_ slots
 
   std::atomic<int> live_shards_{0};
-  AutoscalePolicy policy_;
-  std::thread autoscaler_;             // the control thread (see control_loop)
+  util::Streak grow_;                  // control-thread private, like
+  util::Streak shrink_;                // overload_ below
+  std::thread autoscaler_;            // the control thread (see control_loop)
   bool control_enabled_ = false;       // autoscale or non-block policy
   std::mutex scale_mutex_;             // serializes scale transitions
   std::condition_variable scale_cv_;   // wakes the control thread for shutdown
@@ -649,8 +579,9 @@ class Server {
   std::atomic<std::int64_t> scale_downs_{0};
 
   OverloadPolicy overload_policy_ = OverloadPolicy::kBlock;
-  OverloadDetector detector_;          // control-thread private state
-  std::atomic<bool> overloaded_{false};  // detector's published verdict
+  // Control-thread private: on at the first hot tick, off after two cool.
+  util::Latch overload_{1, 2};
+  std::atomic<bool> overloaded_{false};  // the latch's published state
 
   // Admission-time pipeline-mode policy for optimizer-choice GEMMs.  The
   // mutex serializes concurrent submitters through the policy's stream

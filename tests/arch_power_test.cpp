@@ -7,6 +7,7 @@
 #include "arch/array.h"
 #include "arch/energy.h"
 #include "arch/power_model.h"
+#include "engine/engine.h"
 #include "gemm/matrix.h"
 #include "nn/models.h"
 #include "nn/runner.h"
@@ -118,9 +119,9 @@ class Fig9Bands : public ::testing::TestWithParam<BandCase> {};
 
 TEST_P(Fig9Bands, AggregateSavingsLandNearPaperBands) {
   const auto [side, lo, hi, edp_lo, edp_hi] = GetParam();
-  const CalibratedClockModel clock = CalibratedClockModel::date23();
-  const ArrayConfig cfg = ArrayConfig::square(side);
-  const nn::InferenceRunner runner(cfg, clock);
+  const nn::InferenceRunner runner(engine::EngineBuilder()
+                                       .config(ArrayConfig::square(side))
+                                       .build("analytic"));
   for (const nn::Model& model : nn::paper_models()) {
     const nn::ModelReport report = runner.run(model);
     const EfficiencyComparison e = report.totals();
@@ -146,8 +147,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Fig9PerMode, PowerBarsOrderedByDepth) {
   // The per-mode breakdown of Fig. 9: within one application, deeper modes
   // draw less power.
-  const CalibratedClockModel clock = CalibratedClockModel::date23();
-  const nn::InferenceRunner runner(ArrayConfig::square(128), clock);
+  const nn::InferenceRunner runner(engine::EngineBuilder()
+                                       .config(ArrayConfig::square(128))
+                                       .build("analytic"));
   const nn::ModelReport report = runner.run(nn::convnext_tiny());
   const auto by_mode = report.power_by_mode_mw();
   ASSERT_TRUE(by_mode.count(1));

@@ -17,8 +17,6 @@
 #include "engine/engine.h"
 #include "mem/tile_scheduler.h"
 #include "gemm/reference.h"
-#include "nn/models.h"
-#include "nn/runner.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -582,33 +580,6 @@ TEST(EngineTest, CustomClockChangesPricingIdenticallyOnBothBackends) {
                                "paper_fit k=" + std::to_string(k));
     EXPECT_EQ(fast.period_ps, clock->period_ps(k));
   }
-}
-
-// ---- migration pin: the runner rides the engine ---------------------------
-
-TEST(EngineTest, RunnerOnEngineMatchesLegacyWiringBitExactly) {
-  const arch::ArrayConfig cfg = arch::ArrayConfig::square(16);
-  const arch::CalibratedClockModel clock = arch::CalibratedClockModel::date23();
-  const nn::InferenceRunner legacy(cfg, clock);
-
-  EngineBuilder builder;
-  builder.config(cfg);
-  const nn::InferenceRunner on_engine(builder.build("analytic"));
-
-  const nn::Model model = nn::mobilenet_v1();
-  const nn::ModelReport a = legacy.run(model);
-  const nn::ModelReport b = on_engine.run(model);
-  ASSERT_EQ(a.layers.size(), b.layers.size());
-  for (std::size_t i = 0; i < a.layers.size(); ++i) {
-    EXPECT_EQ(a.layers[i].arrayflex.k, b.layers[i].arrayflex.k);
-    EXPECT_EQ(a.layers[i].arrayflex.time_ps, b.layers[i].arrayflex.time_ps);
-    EXPECT_EQ(a.layers[i].arrayflex_power.energy_pj,
-              b.layers[i].arrayflex_power.energy_pj);
-  }
-  EXPECT_EQ(a.arrayflex_time_ps, b.arrayflex_time_ps);
-  EXPECT_EQ(a.arrayflex_energy_pj, b.arrayflex_energy_pj);
-  EXPECT_EQ(a.conventional_time_ps, b.conventional_time_ps);
-  EXPECT_EQ(a.conventional_energy_pj, b.conventional_energy_pj);
 }
 
 }  // namespace

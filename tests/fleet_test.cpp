@@ -23,6 +23,7 @@
 #include "gemm/reference.h"
 #include "nn/models.h"
 #include "serve/server.h"
+#include "util/hysteresis.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -540,6 +541,30 @@ TEST_F(FleetTest, ProberMarksAStalledServerUnhealthyThenRecoversIt) {
   EXPECT_GE(stats.recoveries, 1);
 }
 
+TEST(FleetProberLatchTest, FailureAndSuccessStreaksFlipHealth) {
+  // The prober's per-server state on a synthetic probe trace, updated as
+  // the prober does: update(!ok, ok), on = unhealthy.  Defaults: 3
+  // consecutive failures to pull a server, 2 consecutive successes to
+  // re-admit it; any opposite result starts the pending streak over.
+  const FleetOptions defaults;
+  util::Latch unhealthy(defaults.unhealthy_after, defaults.healthy_after);
+  std::vector<bool> trace;
+  for (const bool ok : {false, false, true, false, false, false, true, false,
+                        true, true, false}) {
+    trace.push_back(unhealthy.update(!ok, ok));
+  }
+  EXPECT_EQ(trace, (std::vector<bool>{false, false, false, false, false, true,
+                                      true, true, true, false, false}));
+  // restart_server clears the history: a fresh server needs the full
+  // failure streak again.
+  unhealthy.update(true, false);
+  unhealthy.update(true, false);
+  unhealthy.reset();
+  EXPECT_FALSE(unhealthy.update(true, false));
+  EXPECT_FALSE(unhealthy.update(true, false));
+  EXPECT_TRUE(unhealthy.update(true, false));
+}
+
 TEST_F(FleetTest, OverloadComposesRejectAcrossTheFleet) {
   // One tiny stalled server: its queue fills, per-server admission
   // rejects, and with nothing else routable the fleet-level "reject"
@@ -649,7 +674,7 @@ TEST_F(FleetTest, FleetChaosStressLosesNothingAndDoubleServesNothing) {
   spec.options.num_shards = 2;
   spec.options.min_shards = 1;
   spec.options.max_shards = 2;
-  spec.options.autoscale_interval_ms = 2.0;
+  spec.options.control_interval_ms = 2.0;
   spec.options.dispatcher = "stealing";
   spec.options.max_batch = 4;
   spec.options.backend = "chaos";

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "arch/array.h"
 #include "arch/clocking.h"
 #include "arch/latency.h"
 #include "arch/optimizer.h"
+#include "engine/engine.h"
 #include "gemm/quantize.h"
 #include "gemm/reference.h"
 #include "nn/mapper.h"
@@ -130,8 +132,11 @@ TEST(IntegrationTest, EndToEndConvNeXtUnderStaClock) {
   // The Fig. 7/8 pipeline still reproduces the headline result (ArrayFlex
   // saves total execution time) when every clock number comes from our own
   // gate-level timing instead of the paper's table.
-  const arch::StaClockModel clock(500.0);
-  const nn::InferenceRunner runner(arch::ArrayConfig::square(128), clock);
+  const nn::InferenceRunner runner(
+      engine::EngineBuilder()
+          .config(arch::ArrayConfig::square(128))
+          .clock(std::make_shared<arch::StaClockModel>(500.0))
+          .build("analytic"));
   const nn::ModelReport r = runner.run(nn::convnext_tiny());
   const double savings = r.totals().latency_savings();
   EXPECT_GT(savings, 0.05);

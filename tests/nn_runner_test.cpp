@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include "arch/clocking.h"
+#include <memory>
+
+#include "engine/engine.h"
 #include "nn/models.h"
 #include "nn/runner.h"
 #include "util/rng.h"
@@ -69,14 +71,19 @@ Model random_model(Rng& rng, int layers) {
   return m;
 }
 
+// An analytic engine at the builder defaults (the paper's date23 clock).
+std::shared_ptr<engine::Engine> analytic(const arch::ArrayConfig& config,
+                                         util::ThreadPool* pool = nullptr) {
+  return engine::EngineBuilder().config(config).shared_pool(pool).build(
+      "analytic");
+}
+
 class RunnerTest : public ::testing::Test {
  protected:
   RunnerTest()
-      : clock_(arch::CalibratedClockModel::date23()),
-        runner128_(arch::ArrayConfig::square(128), clock_),
-        runner256_(arch::ArrayConfig::square(256), clock_) {}
+      : runner128_(analytic(arch::ArrayConfig::square(128))),
+        runner256_(analytic(arch::ArrayConfig::square(256))) {}
 
-  arch::CalibratedClockModel clock_;
   InferenceRunner runner128_;
   InferenceRunner runner256_;
 };
@@ -202,10 +209,11 @@ TEST_F(RunnerTest, ThreadedRunBitIdenticalToSerial) {
     const Model model = random_model(rng, 24);
     arch::ArrayConfig config = arch::ArrayConfig::square(128);
     config.sim.num_threads = 1;
-    const ModelReport serial = InferenceRunner(config, clock_).run(model);
+    const ModelReport serial = InferenceRunner(analytic(config)).run(model);
     for (const int threads : {1, 2, 8}) {
       config.sim.num_threads = threads;
-      const ModelReport threaded = InferenceRunner(config, clock_).run(model);
+      const ModelReport threaded =
+          InferenceRunner(analytic(config)).run(model);
       expect_reports_identical(serial, threaded);
     }
   }
@@ -214,8 +222,7 @@ TEST_F(RunnerTest, ThreadedRunBitIdenticalToSerial) {
 TEST_F(RunnerTest, SharedPoolInjectionMatchesPrivatePool) {
   util::ThreadPool pool(4);
   const arch::ArrayConfig config = arch::ArrayConfig::square(128);
-  const InferenceRunner shared(config, clock_,
-                               arch::EnergyParams::generic28nm(), &pool);
+  const InferenceRunner shared(analytic(config, &pool));
   const Model model = convnext_tiny();
   expect_reports_identical(runner128_.run(model), shared.run(model));
 }

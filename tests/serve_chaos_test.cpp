@@ -238,31 +238,35 @@ TEST(RequestQueueRobustnessTest, ReaperRemovesOnlyOverdueRequests) {
   EXPECT_TRUE(q.remove_expired(Clock::now()).empty());
 }
 
-// ---- overload detector ----------------------------------------------------
+// ---- overload latch -------------------------------------------------------
 
-TEST(OverloadDetectorTest, EntersAfterPatienceAndExitsInTheDeadZoneNever) {
-  OverloadDetector d;
-  d.depth_per_shard = 10.0;
-  d.wait_p99_ms = 50.0;
-  d.enter_patience = 2;
-  d.exit_patience = 3;
+TEST(OverloadLatchTest, EntersAfterPatienceAndExitsInTheDeadZoneNever) {
+  // The server's overload tick on synthetic samples: on when hot against
+  // the limits, off when cool against half of them (patience 2 / 3 here).
+  const Pressure at{.depth = 10.0, .wait_p99_ms = 50.0};
+  const Pressure exit_at{.depth = 5.0, .wait_p99_ms = 25.0};
+  util::Latch latch(2, 3);
+  const auto update = [&](double depth, double wait_p99_ms) {
+    const Pressure p{.depth = depth, .wait_p99_ms = wait_p99_ms};
+    return latch.update(hot(p, at), cool(p, exit_at));
+  };
 
-  EXPECT_FALSE(d.update(12.0, 0.0));  // first hot tick: not yet
-  EXPECT_TRUE(d.update(0.0, 60.0));   // second hot tick (either signal)
+  EXPECT_FALSE(update(12.0, 0.0));  // first hot tick: not yet
+  EXPECT_TRUE(update(0.0, 60.0));   // second hot tick (either signal)
   // The dead zone (between half and full thresholds) holds the state.
   for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(d.update(7.0, 30.0)) << i;
+    EXPECT_TRUE(update(7.0, 30.0)) << i;
   }
   // Exit needs BOTH signals below half threshold for exit_patience ticks.
-  EXPECT_TRUE(d.update(1.0, 1.0));
-  EXPECT_TRUE(d.update(1.0, 1.0));
-  EXPECT_FALSE(d.update(1.0, 1.0));
+  EXPECT_TRUE(update(1.0, 1.0));
+  EXPECT_TRUE(update(1.0, 1.0));
+  EXPECT_FALSE(update(1.0, 1.0));
   // A single hot tick mid-exit resets the streak.
-  EXPECT_FALSE(d.update(12.0, 0.0));
-  EXPECT_TRUE(d.update(12.0, 0.0));
-  EXPECT_TRUE(d.update(1.0, 1.0));
-  EXPECT_TRUE(d.update(1.0, 1.0));
-  EXPECT_TRUE(d.update(11.0, 0.0));  // streak broken: still overloaded
+  EXPECT_FALSE(update(12.0, 0.0));
+  EXPECT_TRUE(update(12.0, 0.0));
+  EXPECT_TRUE(update(1.0, 1.0));
+  EXPECT_TRUE(update(1.0, 1.0));
+  EXPECT_TRUE(update(11.0, 0.0));  // streak broken: still overloaded
 }
 
 TEST(OverloadPolicyTest, RegistryNamesParseAndDescribe) {
@@ -381,8 +385,7 @@ TEST_F(ServeChaosTest, RejectPolicyShedsUnderPressureAndServesTheRest) {
   opts.chaos.delay_rate = 1.0;  // every run sleeps — a slow engine
   opts.chaos.delay_ms = 20.0;
   opts.overload_policy = "reject";
-  opts.overload_depth_per_shard = 1.0;
-  opts.overload_wait_p99_ms = 1e9;  // only the instantaneous depth trips
+  opts.overload_at = {.depth = 1.0};  // only the instantaneous depth trips
   Server server(shard16(), opts);
 
   Rng rng(5);
@@ -420,8 +423,7 @@ TEST_F(ServeChaosTest, DegradePolicyServesCostOnlyUnderPressureThenRecovers) {
   opts.chaos.delay_rate = 1.0;
   opts.chaos.delay_ms = 20.0;
   opts.overload_policy = "degrade";
-  opts.overload_depth_per_shard = 1.0;
-  opts.overload_wait_p99_ms = 1e9;
+  opts.overload_at = {.depth = 1.0};
   Server server(shard16(), opts);
 
   Rng rng(6);
@@ -692,7 +694,7 @@ TEST_F(ServeChaosTest, ChaosStressLosesNothingAndDoubleServesNothing) {
   opts.num_shards = 2;
   opts.min_shards = 1;
   opts.max_shards = 4;
-  opts.autoscale_interval_ms = 2.0;
+  opts.control_interval_ms = 2.0;
   opts.dispatcher = "stealing";
   opts.max_batch = 4;
   opts.backend = "chaos";

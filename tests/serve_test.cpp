@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -693,8 +695,8 @@ TEST_F(ServeTest, ShardedInferenceBitIdenticalToDirectRun) {
   InferenceResult result = server.submit_inference("tenant-i", model).get();
   EXPECT_EQ(result.num_slices, 3);
 
-  const arch::CalibratedClockModel clock = arch::CalibratedClockModel::date23();
-  const nn::InferenceRunner direct(shard16(), clock);
+  const nn::InferenceRunner direct(
+      engine::EngineBuilder().config(shard16()).build("analytic"));
   const nn::ModelReport want = direct.run(*model);
 
   ASSERT_EQ(result.report.layers.size(), want.layers.size());
@@ -1136,12 +1138,30 @@ TEST(LatencyWindowTest, NearestRankP99RoundsUpOnSmallWindows) {
   EXPECT_EQ(window.drain().p99_ms, 198.0);
 }
 
-TEST(AutoscalePolicyTest, SquareWaveLoadDoesNotFlap) {
-  AutoscalePolicy policy;
-  policy.min_shards = 1;
-  policy.max_shards = 4;
-  policy.grow_patience = 3;
-  policy.shrink_patience = 3;
+// The autoscaler's control tick exactly as Server::control_loop runs it on
+// synthetic Pressure samples: both streaks tick every time, the grow
+// streak on hot(grow_at), the shrink streak on cool(shrink_at) outside
+// the grow band, and a firing streak moves the pool one shard within
+// [1, 4].
+struct ScalerTrace {
+  Pressure grow_at;
+  Pressure shrink_at;
+  util::Streak grow{3};
+  util::Streak shrink{3};
+
+  int tick(int live, const Pressure& p) {
+    const bool pressured = hot(p, grow_at);
+    const bool up = grow.tick(pressured);
+    const bool down = shrink.tick(!pressured && cool(p, shrink_at));
+    if (up && live < 4) return live + 1;
+    if (down && live > 1) return live - 1;
+    return live;
+  }
+};
+
+TEST(AutoscaleHysteresisTest, SquareWaveLoadDoesNotFlap) {
+  const ServerOptions defaults;  // depth and wait terms on
+  ScalerTrace scaler{defaults.grow_at, defaults.shrink_at};
 
   // A square wave faster than either patience: pressure, idle, pressure,
   // idle...  Each flank resets the opposite streak, so the pool must not
@@ -1149,14 +1169,14 @@ TEST(AutoscalePolicyTest, SquareWaveLoadDoesNotFlap) {
   int live = 2;
   for (int tick = 0; tick < 100; ++tick) {
     const double depth = (tick % 2 == 0) ? 100.0 : 0.0;
-    const int want = policy.decide(live, depth, /*wait_p99_ms=*/0.0);
+    const int want = scaler.tick(live, {.depth = depth});
     ASSERT_EQ(want, live) << "flapped at tick " << tick;
   }
 
   // Sustained pressure grows — one shard per grow_patience ticks, capped.
   std::vector<int> trace;
   for (int tick = 0; tick < 12; ++tick) {
-    live = policy.decide(live, /*depth_per_shard=*/100.0, 0.0);
+    live = scaler.tick(live, {.depth = 100.0});
     trace.push_back(live);
   }
   EXPECT_EQ(trace, (std::vector<int>{2, 2, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4}));
@@ -1164,47 +1184,39 @@ TEST(AutoscalePolicyTest, SquareWaveLoadDoesNotFlap) {
   // Sustained idle shrinks the same way, floored at min_shards.
   trace.clear();
   for (int tick = 0; tick < 12; ++tick) {
-    live = policy.decide(live, /*depth_per_shard=*/0.0, 0.0);
+    live = scaler.tick(live, {.depth = 0.0});
     trace.push_back(live);
   }
   EXPECT_EQ(trace, (std::vector<int>{4, 4, 3, 3, 3, 2, 2, 2, 1, 1, 1, 1}));
 
   // The p99 wait signal alone also counts as pressure.
   live = 1;
-  policy.grow_streak = 0;
+  scaler.grow.reset();
   for (int tick = 0; tick < 3; ++tick) {
-    live = policy.decide(live, /*depth_per_shard=*/0.0,
-                         /*wait_p99_ms=*/1e3);
+    live = scaler.tick(live, {.wait_p99_ms = 1e3});
   }
   EXPECT_EQ(live, 2);
 }
 
-TEST(AutoscalePolicyTest, BacklogCostSquareWaveDoesNotFlapEither) {
-  // The hardware-pressure signal obeys the same hysteresis contract as
-  // wait_p99: a square wave of queued MACs faster than either patience
-  // never moves the pool, sustained pressure walks it one shard per
-  // patience window.
-  AutoscalePolicy policy;
-  policy.min_shards = 1;
-  policy.max_shards = 4;
-  policy.grow_patience = 3;
-  policy.shrink_patience = 3;
-  policy.signal = AutoscaleSignal::kBacklogCost;
-  policy.grow_backlog_macs_per_shard = 1e6;
-  policy.shrink_backlog_macs_per_shard = 1e5;
+TEST(AutoscaleHysteresisTest, BacklogCostSquareWaveDoesNotFlapEither) {
+  // The hardware-pressure term obeys the same hysteresis contract as the
+  // wait: a square wave of queued MACs faster than either patience never
+  // moves the pool, sustained pressure walks it one shard per patience
+  // window.  The wait term is off, the depth term stays on.
+  ScalerTrace scaler{{.depth = 4.0, .backlog_macs = 1e6},
+                     {.depth = 0.5, .backlog_macs = 1e5}};
 
   int live = 2;
   for (int tick = 0; tick < 100; ++tick) {
     const double backlog = (tick % 2 == 0) ? 5e6 : 0.0;
-    const int want = policy.decide(live, /*depth_per_shard=*/0.0,
-                                   /*wait_p99_ms=*/0.0, backlog);
+    const int want = scaler.tick(live, {.backlog_macs = backlog});
     ASSERT_EQ(want, live) << "flapped at tick " << tick;
   }
 
   // Sustained backlog grows one shard per grow_patience ticks, capped.
   std::vector<int> trace;
   for (int tick = 0; tick < 12; ++tick) {
-    live = policy.decide(live, 0.0, 0.0, /*backlog_macs_per_shard=*/5e6);
+    live = scaler.tick(live, {.backlog_macs = 5e6});
     trace.push_back(live);
   }
   EXPECT_EQ(trace, (std::vector<int>{2, 2, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4}));
@@ -1212,28 +1224,21 @@ TEST(AutoscalePolicyTest, BacklogCostSquareWaveDoesNotFlapEither) {
   // Sustained idle shrinks the same way, floored at min_shards.
   trace.clear();
   for (int tick = 0; tick < 12; ++tick) {
-    live = policy.decide(live, 0.0, 0.0, /*backlog_macs_per_shard=*/0.0);
+    live = scaler.tick(live, {.backlog_macs = 0.0});
     trace.push_back(live);
   }
   EXPECT_EQ(trace, (std::vector<int>{4, 4, 3, 3, 3, 2, 2, 2, 1, 1, 1, 1}));
 
-  // Under kBacklogCost the wall-clock wait term is ignored: an enormous
-  // p99 with an idle backlog is simulation-host noise, not array pressure.
+  // With the wait term off, an enormous p99 with an idle backlog is
+  // simulation-host noise, not array pressure.
   live = 2;
-  policy.grow_streak = 0;
-  policy.shrink_streak = 0;
+  scaler.grow.reset();
+  scaler.shrink.reset();
   for (int tick = 0; tick < 3; ++tick) {
-    const int want = policy.decide(live, 0.0, /*wait_p99_ms=*/1e3,
-                                   /*backlog_macs_per_shard=*/0.0);
-    EXPECT_LE(want, live) << "wall-clock wait moved a backlog_cost pool up";
+    const int want = scaler.tick(live, {.wait_p99_ms = 1e3});
+    EXPECT_LE(want, live) << "wall-clock wait moved a MAC-scaled pool up";
     live = want;
   }
-
-  // And the registry round-trip both signal names resolve through.
-  EXPECT_EQ(parse_autoscale_signal("wait_p99"), AutoscaleSignal::kWaitP99);
-  EXPECT_EQ(parse_autoscale_signal("backlog_cost"),
-            AutoscaleSignal::kBacklogCost);
-  EXPECT_THROW(parse_autoscale_signal("queue_depth"), Error);
 }
 
 TEST_F(ServeTest, AutoscalerGrowsUnderLoadAndShrinksWhenIdle) {
@@ -1244,8 +1249,8 @@ TEST_F(ServeTest, AutoscalerGrowsUnderLoadAndShrinksWhenIdle) {
   opts.dispatcher = "stealing";
   opts.backend = "cycle";  // slow enough that a burst builds real depth
   opts.max_batch = 1;
-  opts.autoscale_interval_ms = 5.0;
-  opts.grow_depth_per_shard = 2.0;
+  opts.control_interval_ms = 5.0;
+  opts.grow_at.depth = 2.0;
   opts.grow_patience = 1;
   opts.shrink_patience = 2;
   Server server(shard16(), opts);
@@ -1306,8 +1311,8 @@ TEST_F(ServeTest, AutoscaleStressNeverDropsOrDoubleServesAcrossScaleEvents) {
   opts.max_shards = 4;
   opts.dispatcher = "stealing";
   opts.backend = "cycle";
-  opts.autoscale_interval_ms = 2.0;
-  opts.grow_depth_per_shard = 2.0;
+  opts.control_interval_ms = 2.0;
+  opts.grow_at.depth = 2.0;
   opts.grow_patience = 1;
   opts.shrink_patience = 2;
   Server server(shard16(), opts);
@@ -1440,28 +1445,22 @@ TEST(BatchSchedulerTest, ByteBudgetCapsRidersButTheHeadAlwaysDispatches) {
   EXPECT_EQ(q.size(), 1u);  // the small rider waits for the next batch
 }
 
-TEST(AutoscalePolicyTest, BacklogBytesSignalFollowsTheSameHysteresis) {
-  AutoscalePolicy policy;
-  policy.min_shards = 1;
-  policy.max_shards = 4;
-  policy.grow_patience = 3;
-  policy.shrink_patience = 3;
-  policy.signal = AutoscaleSignal::kBacklogBytes;
-  policy.grow_backlog_bytes_per_shard = 1e6;
-  policy.shrink_backlog_bytes_per_shard = 1e5;
+TEST(AutoscaleHysteresisTest, BacklogBytesSignalFollowsTheSameHysteresis) {
+  ScalerTrace scaler{{.depth = 4.0, .backlog_bytes = 1e6},
+                     {.depth = 0.5, .backlog_bytes = 1e5}};
 
   // A byte square wave faster than either patience never moves the pool.
   int live = 2;
   for (int tick = 0; tick < 100; ++tick) {
     const double bytes = (tick % 2 == 0) ? 5e6 : 0.0;
-    ASSERT_EQ(policy.decide(live, 0.0, 0.0, 0.0, bytes), live)
+    ASSERT_EQ(scaler.tick(live, {.backlog_bytes = bytes}), live)
         << "flapped at tick " << tick;
   }
 
   // Sustained queued traffic grows one shard per patience window, capped.
   std::vector<int> trace;
   for (int tick = 0; tick < 12; ++tick) {
-    live = policy.decide(live, 0.0, 0.0, 0.0, /*backlog_bytes=*/5e6);
+    live = scaler.tick(live, {.backlog_bytes = 5e6});
     trace.push_back(live);
   }
   EXPECT_EQ(trace, (std::vector<int>{2, 2, 3, 3, 3, 4, 4, 4, 4, 4, 4, 4}));
@@ -1469,32 +1468,68 @@ TEST(AutoscalePolicyTest, BacklogBytesSignalFollowsTheSameHysteresis) {
   // Idle bytes shrink the same way, floored at min_shards.
   trace.clear();
   for (int tick = 0; tick < 12; ++tick) {
-    live = policy.decide(live, 0.0, 0.0, 0.0, 0.0);
+    live = scaler.tick(live, {});
     trace.push_back(live);
   }
   EXPECT_EQ(trace, (std::vector<int>{4, 4, 3, 3, 3, 2, 2, 2, 1, 1, 1, 1}));
 
-  // Under kBacklogBytes the MAC and wall-clock terms are ignored.
+  // With the MAC and wait terms off, neither moves the pool.
   live = 2;
-  policy.grow_streak = 0;
-  policy.shrink_streak = 0;
+  scaler.grow.reset();
+  scaler.shrink.reset();
   for (int tick = 0; tick < 3; ++tick) {
-    const int want = policy.decide(live, 0.0, /*wait_p99_ms=*/1e3,
-                                   /*backlog_macs=*/1e12, /*bytes=*/0.0);
-    EXPECT_LE(want, live) << "a non-byte signal moved a backlog_bytes pool";
+    const int want =
+        scaler.tick(live, {.wait_p99_ms = 1e3, .backlog_macs = 1e12});
+    EXPECT_LE(want, live) << "a non-byte term moved a byte-scaled pool";
     live = want;
   }
-
-  EXPECT_EQ(parse_autoscale_signal("backlog_bytes"),
-            AutoscaleSignal::kBacklogBytes);
 }
 
-TEST_F(ServeTest, ByteBacklogPressureTripsRejectAdmissionEndToEnd) {
-  // Bandwidth-starved memory hierarchy + a wall-clock-slow engine: the
-  // queued projected DRAM traffic trips the byte overload threshold long
-  // before the depth check (set absurdly high) could, and every served
-  // result carries the starved config's nonzero stall/traffic counters.
-  arch::ArrayConfig config = shard16();
+TEST_F(ServeTest, AutoscalePressureLimitsAreValidated) {
+  const auto rejects = [](const std::function<void(ServerOptions&)>& edit) {
+    ServerOptions opts;
+    opts.num_shards = 1;
+    opts.max_shards = 2;  // autoscaling on: grow_at / shrink_at are live
+    edit(opts);
+    EXPECT_THROW(Server(shard16(), opts), Error);
+  };
+  // Negative or NaN terms, on any of the three limits.
+  rejects([](ServerOptions& o) { o.grow_at.depth = -1.0; });
+  rejects([](ServerOptions& o) { o.shrink_at.wait_p99_ms = std::nan(""); });
+  rejects([](ServerOptions& o) { o.overload_at.backlog_macs = -1.0; });
+  // Every term off while the consumer runs.
+  rejects([](ServerOptions& o) { o.grow_at = {}; });
+  rejects([](ServerOptions& o) { o.shrink_at = {}; });
+  rejects([](ServerOptions& o) {
+    o.overload_policy = "reject";
+    o.overload_at = {};
+  });
+  // A shrink limit at or above the grow limit on a term both enable.
+  rejects([](ServerOptions& o) { o.shrink_at.depth = o.grow_at.depth; });
+  rejects([](ServerOptions& o) { o.shrink_at.wait_p99_ms = 50.0; });
+
+  // Off is fine where nothing consumes the limit, and a term enabled on
+  // one side only is not ordered.
+  ServerOptions fixed;
+  fixed.num_shards = 1;
+  fixed.grow_at = {};
+  fixed.shrink_at = {};
+  fixed.overload_at = {};
+  EXPECT_NO_THROW(Server(shard16(), fixed));
+  ServerOptions one_sided;
+  one_sided.num_shards = 1;
+  one_sided.max_shards = 2;
+  one_sided.grow_at = {.depth = 4.0, .backlog_macs = 1e6};
+  one_sided.shrink_at = {.depth = 0.5, .wait_p99_ms = 1.0};
+  EXPECT_NO_THROW(Server(shard16(), one_sided));
+}
+
+// Bandwidth-starved memory hierarchy + a wall-clock-slow engine: the queued
+// backlog named by `term` (bytes or MACs; every other overload term off)
+// trips reject admission, and every served result carries the starved
+// config's nonzero stall/traffic counters.
+void expect_backlog_trips_reject(double Pressure::*term) {
+  arch::ArrayConfig config = arch::ArrayConfig::square(16);
   config.mem.enabled = true;
   config.mem.spad_bytes = 12288;
   config.mem.dram_bytes_per_cycle = 1;  // the DRAM stream IS the makespan
@@ -1506,13 +1541,13 @@ TEST_F(ServeTest, ByteBacklogPressureTripsRejectAdmissionEndToEnd) {
   opts.chaos.delay_rate = 1.0;  // every run sleeps — backlog builds
   opts.chaos.delay_ms = 20.0;
   opts.overload_policy = "reject";
-  opts.overload_depth_per_shard = 1e18;  // only the byte signal may trip
-  opts.overload_wait_p99_ms = 1e9;
-  opts.overload_backlog_bytes_per_shard = 1.0;  // any queued byte is pressure
+  opts.overload_at = {};
+  opts.overload_at.*term = 1.0;  // any queued byte / MAC is pressure
   Server server(config, opts);
 
   Rng rng(77);
-  auto weights = random_weights(rng, 64, 64);
+  auto weights = std::make_shared<gemm::Mat32>(
+      gemm::random_matrix(rng, 64, 64, -50, 50));
   std::vector<std::future<GemmResult>> accepted;
   int rejected = 0;
   for (int i = 0; i < 8; ++i) {
@@ -1524,7 +1559,7 @@ TEST_F(ServeTest, ByteBacklogPressureTripsRejectAdmissionEndToEnd) {
       ++rejected;
     }
   }
-  EXPECT_GE(rejected, 1) << "queued bytes never tripped admission";
+  EXPECT_GE(rejected, 1) << "the queued backlog never tripped admission";
   EXPECT_LE(rejected, 7);  // the first request always lands
   for (auto& f : accepted) {
     const GemmResult r = f.get();
@@ -1535,6 +1570,15 @@ TEST_F(ServeTest, ByteBacklogPressureTripsRejectAdmissionEndToEnd) {
   EXPECT_EQ(stats.rejected, rejected);
   EXPECT_EQ(stats.completed, stats.submitted);
   EXPECT_EQ(stats.backlog_bytes, 0);  // everything drained
+  EXPECT_EQ(stats.backlog_macs, 0);
+}
+
+TEST_F(ServeTest, ByteBacklogPressureTripsRejectAdmissionEndToEnd) {
+  expect_backlog_trips_reject(&Pressure::backlog_bytes);
+}
+
+TEST_F(ServeTest, MacBacklogPressureTripsRejectAdmissionEndToEnd) {
+  expect_backlog_trips_reject(&Pressure::backlog_macs);
 }
 
 TEST_F(ServeTest, DegradeModeServesOnAShrunkScratchpad) {
@@ -1554,8 +1598,7 @@ TEST_F(ServeTest, DegradeModeServesOnAShrunkScratchpad) {
   opts.chaos.delay_rate = 1.0;
   opts.chaos.delay_ms = 20.0;
   opts.overload_policy = "degrade";
-  opts.overload_depth_per_shard = 1.0;
-  opts.overload_wait_p99_ms = 1e9;
+  opts.overload_at = {.depth = 1.0};
   opts.degrade_spad_fraction = 0.5;
   Server server(config, opts);
 

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "arch/clocking.h"
 #include "engine/engine.h"
 #include "gemm/reference.h"
 #include "nn/mapper.h"
@@ -154,8 +153,8 @@ TEST(TransformerModelTest, TotalsByPhasePartitionTheReport) {
   arch::ArrayConfig array = arch::ArrayConfig::square(16);
   array.mem.enabled = true;
   array.mem.spad_bytes = 1 << 14;
-  const arch::CalibratedClockModel clock = arch::CalibratedClockModel::date23();
-  const InferenceRunner runner(array, clock);
+  const InferenceRunner runner(
+      engine::EngineBuilder().config(array).build("analytic"));
   const ModelReport report = runner.run(prefill_model(small_config(), 12));
   const std::map<std::string, PhaseTotals> phases = totals_by_phase(report);
   ASSERT_EQ(phases.size(), 6u);  // all six phases, nothing under "other"
@@ -191,8 +190,9 @@ TEST(TransformerModelTest, DecodePrefersDeeperCollapseThanPrefill) {
   cfg.d_model = 512;
   cfg.n_heads = 8;
   cfg.d_ff = 2048;
-  const arch::CalibratedClockModel clock = arch::CalibratedClockModel::date23();
-  const InferenceRunner runner(arch::ArrayConfig::square(128), clock);
+  const InferenceRunner runner(engine::EngineBuilder()
+                                   .config(arch::ArrayConfig::square(128))
+                                   .build("analytic"));
   const auto mean_k = [](const ModelReport& r) {
     double k = 0.0;
     for (const LayerReport& l : r.layers) k += l.arrayflex.k;
