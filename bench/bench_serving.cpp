@@ -59,16 +59,14 @@
 //      of magnitude fewer drains than "argmin", and no point may lose a
 //      request.
 //
-//   4. contended_submit — the dispatch layer's reason to exist: 1/2/4/8
+//   4. contended_submit — dispatch scaling under producer pressure: 1/2/4/8
 //      producer threads (distinct tenants, evenly spread over the home
 //      deques, at a constant total in-flight window) hammering cost-only
-//      traffic at an 8-shard server, for BOTH dispatchers.  The "global"
-//      dispatcher serializes every submit and all 8 workers' pops through
-//      one mutex — the convoy is visible even on one core — while
-//      "stealing" spreads them over per-shard deques with precision
-//      per-home wakeups.  Wall-clock req/s plus a CPU-time proxy
-//      (requests per process-CPU-second) are recorded; the proxy is the
-//      steadier signal on a single-core dev container.
+//      traffic at an 8-shard server, whose per-shard deques keep producers
+//      on different homes from contending and wake parked workers one per
+//      submit.  Wall-clock req/s plus a CPU-time proxy (requests per
+//      process-CPU-second) are recorded; the proxy is the steadier signal
+//      on a small runner.
 
 #include <algorithm>
 #include <atomic>
@@ -107,7 +105,6 @@ struct Point {
   int max_batch = 1;
   int clients = 0;
   std::string backend;
-  std::string dispatcher = "global";
   std::int64_t requests = 0;
   double seconds = 0.0;
   double p50_ms = 0.0;
@@ -124,14 +121,12 @@ struct Point {
 Point run_point(int shards, int max_batch, int clients, int per_client,
                 const std::string& backend, bool want_output,
                 std::int64_t t_rows = 8, std::int64_t n = 64,
-                std::int64_t m = 48,
-                const std::string& dispatcher = "global") {
+                std::int64_t m = 48) {
   serve::ServerOptions opts;
   opts.num_shards = shards;
   opts.max_batch = max_batch;
   opts.queue_capacity = 512;
   opts.backend = backend;
-  opts.dispatcher = dispatcher;
   // Serving latencies here are sub-millisecond: a tight histogram range
   // keeps the p50/p99 buckets meaningfully narrow (~24 us).
   opts.latency_hist_max_ms = 100.0;
@@ -189,7 +184,6 @@ Point run_point(int shards, int max_batch, int clients, int per_client,
   p.max_batch = max_batch;
   p.clients = clients;
   p.backend = backend;
-  p.dispatcher = dispatcher;
   p.requests = stats.completed;
   p.seconds = seconds;
   AF_CHECK(stats.tenants.size() == 1, "expected the single bench tenant");
@@ -234,10 +228,9 @@ BackendComparison run_backend_comparison(bool quick) {
   return cmp;
 }
 
-// ---- contended submit: dispatcher scaling under producer pressure ----------
+// ---- contended submit: dispatch scaling under producer pressure ------------
 
 struct ContendedPoint {
-  std::string dispatcher;
   int producers = 0;
   // Client batch size.  0 = the legacy scalar submit_gemm path (one future
   // per request); >= 1 = submit_gemm_batch with that many shapes per call
@@ -256,8 +249,8 @@ struct ContendedPoint {
   }
 };
 
-// A tenant name routing to home deque `home` on a `shards`-wide stealing
-// dispatcher (probed through the exposed affinity hash).  The contended
+// A tenant name routing to home deque `home` on a `shards`-wide dispatcher
+// (probed through the exposed affinity hash).  The contended
 // study assigns producer tenants round-robin over the homes so it measures
 // LOCK CONTENTION, not hash luck — with 8 producers on 4 shards every home
 // deque carries exactly two tenants, the balanced topology the affinity
@@ -276,14 +269,13 @@ std::string tenant_for_home(int index, int home, int shards) {
   }
 }
 
-ContendedPoint run_contended_once(const std::string& dispatcher, int producers,
-                                  int total_requests, int batch) {
+ContendedPoint run_contended_once(int producers, int total_requests,
+                                  int batch) {
   serve::ServerOptions opts;
   opts.num_shards = 8;
   opts.max_batch = 32;
   opts.queue_capacity = 1024;
   opts.backend = "analytic";
-  opts.dispatcher = dispatcher;
   opts.latency_hist_max_ms = 100.0;
   serve::Server server(arch::ArrayConfig::square(16), opts);
 
@@ -308,10 +300,8 @@ ContendedPoint run_contended_once(const std::string& dispatcher, int producers,
   threads.reserve(static_cast<std::size_t>(producers));
   for (int c = 0; c < producers; ++c) {
     threads.emplace_back([&, c] {
-      // Distinct tenant per producer: the global queue's DRR ring then
-      // holds `producers` flows (every pop scans it under the one lock),
-      // while the stealing dispatcher spreads the flows over per-shard
-      // deques by affinity — the structural difference this study measures.
+      // Distinct tenant per producer, spread over the per-shard deques by
+      // affinity, so producers on different homes never share a lock.
       const std::string tenant =
           tenant_for_home(c, c % opts.num_shards, opts.num_shards);
       // Constant TOTAL in-flight window across the producer sweep: the
@@ -358,7 +348,6 @@ ContendedPoint run_contended_once(const std::string& dispatcher, int producers,
   for (auto& t : threads) t.join();
 
   ContendedPoint p;
-  p.dispatcher = dispatcher;
   p.producers = producers;
   p.batch = batch;
   const std::int64_t per_producer_shapes =
@@ -377,12 +366,11 @@ ContendedPoint run_contended_once(const std::string& dispatcher, int producers,
 // Best of three trials per point: a dozen runnable threads on a small
 // runner make single trials swing with scheduler luck; the best trial is
 // the standard low-noise estimator of what the code can sustain.
-ContendedPoint run_contended(const std::string& dispatcher, int producers,
-                             int total_requests, int batch = 0) {
+ContendedPoint run_contended(int producers, int total_requests,
+                             int batch = 0) {
   ContendedPoint best;
   for (int trial = 0; trial < 3; ++trial) {
-    ContendedPoint p = run_contended_once(dispatcher, producers,
-                                          total_requests, batch);
+    ContendedPoint p = run_contended_once(producers, total_requests, batch);
     if (trial == 0 || p.requests_per_s() > best.requests_per_s()) best = p;
   }
   return best;
@@ -904,7 +892,6 @@ MixPoint run_transformer_mix(const std::string& mix, const std::string& policy,
 void append_point(std::ostringstream& json, const Point& p, bool last) {
   json << "    {\"shards\": " << p.shards << ", \"max_batch\": " << p.max_batch
        << ", \"clients\": " << p.clients << ", \"backend\": \"" << p.backend
-       << "\", \"dispatcher\": \"" << p.dispatcher
        << "\", \"requests\": " << p.requests << ", \"seconds\": " << p.seconds
        << ", \"requests_per_s\": " << p.requests_per_s()
        << ", \"p50_ms\": " << p.p50_ms << ", \"p99_ms\": " << p.p99_ms
@@ -949,8 +936,7 @@ void write_json(const std::vector<Point>& closed_loop,
   json << "  ],\n  \"contended_submit\": [\n";
   for (std::size_t i = 0; i < contended.size(); ++i) {
     const ContendedPoint& p = contended[i];
-    json << "    {\"dispatcher\": \"" << p.dispatcher
-         << "\", \"producers\": " << p.producers
+    json << "    {\"producers\": " << p.producers
          << ", \"api\": \"" << (p.batch > 0 ? "batched" : "scalar")
          << "\", \"batch\": " << p.batch
          << ", \"requests\": " << p.requests << ", \"wall_s\": " << p.wall_s
@@ -1023,24 +1009,20 @@ int main(int argc, char** argv) {
   const int per_client = quick ? 16 : 64;
 
   std::vector<Point> closed_loop;
-  for (const std::string dispatcher : {"global", "stealing"}) {
-    for (const int shards : {1, 2, 4}) {
-      for (const int max_batch : {1, 8}) {
-        closed_loop.push_back(run_point(shards, max_batch, clients,
-                                        per_client, "analytic",
-                                        /*want_output=*/true, /*t=*/8,
-                                        /*n=*/64, /*m=*/48, dispatcher));
-      }
+  for (const int shards : {1, 2, 4}) {
+    for (const int max_batch : {1, 8}) {
+      closed_loop.push_back(run_point(shards, max_batch, clients, per_client,
+                                      "analytic", /*want_output=*/true));
     }
   }
 
   std::printf("closed loop (backend: analytic)\n");
-  std::printf("%10s %7s %9s %8s %9s %12s %8s %8s %10s %12s\n", "dispatcher",
-              "shards", "max_batch", "clients", "requests", "requests/s",
-              "p50 ms", "p99 ms", "fused", "mode_sw");
+  std::printf("%7s %9s %8s %9s %12s %8s %8s %10s %12s\n", "shards",
+              "max_batch", "clients", "requests", "requests/s", "p50 ms",
+              "p99 ms", "fused", "mode_sw");
   for (const Point& p : closed_loop) {
-    std::printf("%10s %7d %9d %8d %9lld %12.1f %8.3f %8.3f %10lld %12lld\n",
-                p.dispatcher.c_str(), p.shards, p.max_batch, p.clients,
+    std::printf("%7d %9d %8d %9lld %12.1f %8.3f %8.3f %10lld %12lld\n",
+                p.shards, p.max_batch, p.clients,
                 static_cast<long long>(p.requests), p.requests_per_s(),
                 p.p50_ms, p.p99_ms, static_cast<long long>(p.fused_runs),
                 static_cast<long long>(p.mode_switches));
@@ -1082,34 +1064,27 @@ int main(int argc, char** argv) {
 
   std::vector<ContendedPoint> contended;
   const int contended_total = quick ? 2048 : 8192;
-  for (const std::string dispatcher : {"global", "stealing"}) {
-    for (const int producers : {1, 2, 4, 8}) {
-      contended.push_back(
-          run_contended(dispatcher, producers, contended_total));
-    }
+  for (const int producers : {1, 2, 4, 8}) {
+    contended.push_back(run_contended(producers, contended_total));
   }
   // Batched dimension: the same producer pressure through submit_gemm_batch
   // at batch sizes 1/16/256.  Shape volume scales with the batch so each
   // point still measures a steady state rather than setup cost; `requests`
   // counts shapes, so req/s stays comparable with the scalar rows above.
-  for (const std::string dispatcher : {"global", "stealing"}) {
-    for (const int batch : {1, 16, 256}) {
-      const int total =
-          contended_total * (batch == 1 ? 1 : (batch == 16 ? 8 : 64));
-      for (const int producers : {1, 2, 4, 8}) {
-        contended.push_back(
-            run_contended(dispatcher, producers, total, batch));
-      }
+  for (const int batch : {1, 16, 256}) {
+    const int total =
+        contended_total * (batch == 1 ? 1 : (batch == 16 ? 8 : 64));
+    for (const int producers : {1, 2, 4, 8}) {
+      contended.push_back(run_contended(producers, total, batch));
     }
   }
   std::printf(
       "\ncontended submit (8 shards, analytic cost-only, distinct tenant "
       "per producer):\n");
-  std::printf("%10s %9s %7s %10s %12s %14s\n", "dispatcher", "producers",
+  std::printf("%9s %7s %10s %12s %14s\n", "producers",
               "batch", "requests", "requests/s", "req/cpu-s");
   for (const ContendedPoint& p : contended) {
-    std::printf("%10s %9d %7s %10lld %12.1f %14.1f\n", p.dispatcher.c_str(),
-                p.producers,
+    std::printf("%9d %7s %10lld %12.1f %14.1f\n", p.producers,
                 p.batch > 0 ? std::to_string(p.batch).c_str() : "scalar",
                 static_cast<long long>(p.requests), p.requests_per_s(),
                 p.requests_per_cpu_s());

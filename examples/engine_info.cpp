@@ -1,14 +1,11 @@
-// Prints the engine::make backend registry and the serve::make_dispatcher
-// registry — the machine-checkable sources of truth behind the README's
-// "Execution engines" and "Dispatchers" tables.
+// Prints the engine::make backend registry and the serving/fleet policy
+// registries — the machine-checkable sources of truth behind the README's
+// "Execution engines", policy and router tables.
 //
 //   $ ./engine_info                # human-readable backend matrix
 //   $ ./engine_info --names        # one engine key per line (CI drift
 //                                  # check: the Release job fails when
 //                                  # these and the README table disagree)
-//   $ ./engine_info --dispatchers  # one dispatcher key per line (same
-//                                  # CI check against the README's
-//                                  # dispatcher table)
 //   $ ./engine_info --policies     # one overload-policy key per line
 //                                  # (CI drift check against the README's
 //                                  # "Overload policies" table)
@@ -31,7 +28,6 @@
 #include "engine/engine.h"
 #include "fleet/router.h"
 #include "gemm/reference.h"
-#include "serve/dispatcher.h"
 #include "serve/server.h"
 
 using namespace af;
@@ -39,12 +35,6 @@ using namespace af;
 int main(int argc, char** argv) {
   const std::string flag = argc > 1 ? argv[1] : "";
   const bool names_only = flag == "--names";
-  if (flag == "--dispatchers") {
-    for (const std::string& name : serve::registered_dispatchers()) {
-      std::cout << name << "\n";
-    }
-    return 0;
-  }
   if (flag == "--policies") {
     for (const std::string& name : serve::overload_policy_names()) {
       std::cout << name << "\n";
@@ -94,16 +84,6 @@ int main(int argc, char** argv) {
   std::cout << "All backends return bit-identical outputs and exactly equal\n"
                "cycle/activity/energy numbers (tests/engine_test.cpp); they\n"
                "differ only in how the numbers are produced and how fast.\n";
-
-  std::cout << "\nserve::make_dispatcher registry ("
-            << serve::registered_dispatchers().size() << " dispatchers)\n\n";
-  for (const std::string& name : serve::registered_dispatchers()) {
-    std::cout << "  \"" << name << "\"\n"
-              << "    " << serve::dispatcher_description(name) << "\n";
-  }
-  std::cout << "\nBoth dispatchers preserve per-tenant DRR fairness and "
-               "produce\nbit-identical results (tests/serve_test.cpp); they "
-               "differ in lock\ncontention on the serving hot path.\n";
 
   std::cout << "\nserve overload policies ("
             << serve::overload_policy_names().size() << " policies)\n\n";

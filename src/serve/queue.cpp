@@ -61,8 +61,6 @@ PushResult RequestQueue::push_for(Request& r,
   approx_size_.store(total_, std::memory_order_relaxed);
   approx_cost_.store(cost_total_, std::memory_order_relaxed);
   approx_bytes_.store(bytes_total_, std::memory_order_relaxed);
-  lock.unlock();
-  not_empty_.notify_one();
   return PushResult::kAccepted;
 }
 
@@ -108,16 +106,6 @@ void RequestQueue::retire_if_empty_locked(const std::string& tenant) {
     ring_.erase(ring_it);
     if (idx < ring_pos_) --ring_pos_;  // keep the DRR position stable
   }
-}
-
-std::optional<Request> RequestQueue::pop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  not_empty_.wait(lock, [this] { return closed_ || total_ > 0; });
-  if (total_ == 0) return std::nullopt;  // closed and drained
-  Request r = pop_drr_locked();
-  lock.unlock();
-  not_full_.notify_one();
-  return r;
 }
 
 std::optional<Request> RequestQueue::try_pop() {
@@ -201,13 +189,6 @@ Request RequestQueue::pop_drr_locked() {
       }
     }
   }
-}
-
-std::optional<Request> RequestQueue::pop_if(
-    const std::function<bool(const Request&)>& pred) {
-  std::vector<Request> taken = pop_all_if(pred, 1);
-  if (taken.empty()) return std::nullopt;
-  return std::move(taken.front());
 }
 
 std::vector<Request> RequestQueue::pop_all_if(
@@ -341,21 +322,12 @@ std::vector<Request> RequestQueue::remove_expired(Clock::time_point now) {
   return out;
 }
 
-WaitStatus RequestQueue::wait_nonempty_for(std::chrono::microseconds timeout) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  not_empty_.wait_for(lock, timeout,
-                      [this] { return closed_ || total_ > 0; });
-  if (total_ > 0) return WaitStatus::kNonEmpty;
-  return closed_ ? WaitStatus::kClosed : WaitStatus::kTimeout;
-}
-
 void RequestQueue::close() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     closed_ = true;
   }
   not_full_.notify_all();
-  not_empty_.notify_all();
 }
 
 std::size_t RequestQueue::size() const {

@@ -1,11 +1,13 @@
 // Bounded MPMC request queue with DEFICIT-ROUND-ROBIN tenant fairness:
-// many client threads push, many shard workers pop.  The bound is the
-// server's admission backpressure — a full queue blocks producers instead
-// of growing without limit under overload.
+// many client threads push, shard workers pop.  The bound is the server's
+// admission backpressure — a full queue blocks producers instead of
+// growing without limit under overload.  The consumer side never blocks:
+// try_pop() returns nullopt on an empty queue, and idle workers park in
+// the Dispatcher (serve/dispatcher.h), not here.
 //
 // Internally the queue keeps one FIFO per tenant plus a ring of backlogged
-// tenants.  pop() runs classic DRR over the ring: each tenant carries a
-// deficit counter in cost units (Request::drr_cost, the request's MAC
+// tenants.  try_pop() runs classic DRR over the ring: each tenant carries
+// a deficit counter in cost units (Request::drr_cost, the request's MAC
 // volume); visiting a tenant whose head request exceeds its deficit
 // credits one quantum and moves on, and a tenant whose deficit covers its
 // head is served (deficit decremented by the true cost).  Long-run, every
@@ -16,14 +18,14 @@
 //
 // pop_all_if(pred, max) — the batching scheduler's coalescing sweep —
 // removes up to `max` requests matching a predicate in ONE pass over the
-// backlog, scanning tenants in ring order starting from the tenant pop()
-// last served and each tenant front to back.  A request taken this way is
-// charged to ITS OWN tenant's deficit (which may go negative: the tenant
-// borrowed against future rounds to ride a batch that was dispatching
-// anyway), so coalescing accelerates batches without distorting long-run
-// fairness.  A tenant's deficit resets to zero when its backlog empties —
-// fairness applies to backlogged tenants only, per the classic DRR
-// formulation.
+// backlog, scanning tenants in ring order starting from the tenant
+// try_pop() last served and each tenant front to back.  A request taken
+// this way is charged to ITS OWN tenant's deficit (which may go negative:
+// the tenant borrowed against future rounds to ride a batch that was
+// dispatching anyway), so coalescing accelerates batches without
+// distorting long-run fairness.  A tenant's deficit resets to zero when
+// its backlog empties — fairness applies to backlogged tenants only, per
+// the classic DRR formulation.
 
 #pragma once
 
@@ -49,12 +51,6 @@ namespace af::serve {
 // only on kAccepted; on kFull/kClosed it stays with the caller, promise
 // intact, so the caller can fail it with a typed error.
 enum class PushResult { kAccepted, kFull, kClosed };
-
-// What ended an idle wait (wait_nonempty_for): work arrived, the timeout
-// lapsed, or the queue is closed AND drained.  kClosed is final — no push
-// succeeds after close — so a dispatcher loop can exit on it directly
-// instead of re-checking closed()/size() under the lock.
-enum class WaitStatus { kNonEmpty, kTimeout, kClosed };
 
 class RequestQueue {
  public:
@@ -90,29 +86,16 @@ class RequestQueue {
   // with the caller.
   PushResult push_for(Request& r, std::chrono::microseconds timeout);
 
-  // Blocks while the queue is empty and open.  Returns the DRR-selected
-  // request (see file comment), or nullopt once the queue is closed AND
-  // drained — workers use that as the shutdown signal, so no accepted
-  // request is ever lost.
-  std::optional<Request> pop();
-
-  // Non-blocking pop(): the DRR-selected request, or nullopt when nothing
-  // is queued right now.  The work-stealing dispatcher's probe — a shard
-  // polling its own deque (or a victim's) must never sleep holding work.
+  // The DRR-selected request (see file comment), or nullopt when nothing
+  // is queued right now.  Never blocks: the dispatcher probes its own
+  // deque (or a victim's) and parks elsewhere when every probe comes up
+  // empty.
   std::optional<Request> try_pop();
-
-  // Non-blocking: removes and returns the first request satisfying `pred`,
-  // scanning tenants in ring order from the current DRR position and each
-  // tenant's backlog front to back; nullopt if none is currently queued.
-  // Charges the taken request to its tenant's deficit.
-  std::optional<Request> pop_if(
-      const std::function<bool(const Request&)>& pred);
 
   // One-pass coalescing sweep: removes up to `max_take` requests satisfying
   // `pred` in a single scan (tenants in ring order from the current DRR
-  // position, FIFO within a tenant) — the same take-set and order as
-  // calling pop_if(pred) repeatedly, without rescanning the whole backlog
-  // per rider.  Each taken request is charged to its own tenant's deficit.
+  // position, FIFO within a tenant).  Each taken request is charged to its
+  // own tenant's deficit.
   std::vector<Request> pop_all_if(
       const std::function<bool(const Request&)>& pred, int max_take);
 
@@ -120,14 +103,6 @@ class RequestQueue {
   // each tenant), resetting all DRR state.  Used when a shard's queue is
   // drained back into the steal pool before the shard retires.
   std::vector<Request> drain_all();
-
-  // Blocks up to `timeout` for the queue to become non-empty (or closed);
-  // the tri-state result says which it was (spurious wakeups re-wait).  The
-  // dispatchers' idle wait — pairs with try_pop so a retiring worker can
-  // re-check its own liveness between sleeps instead of parking forever
-  // inside pop(), and kClosed (closed AND drained, final) lets the loop
-  // exit without a second closed()/size() round-trip.
-  WaitStatus wait_nonempty_for(std::chrono::microseconds timeout);
 
   // Reaper sweep: removes and returns every queued request whose deadline
   // is at or before `now` (tenant ring order, FIFO within a tenant).
@@ -137,8 +112,8 @@ class RequestQueue {
   // deadline-free traffic pays nothing for the sweep.
   std::vector<Request> remove_expired(Clock::time_point now);
 
-  // Closing wakes every blocked producer (push fails) and consumer (pop
-  // drains then returns nullopt).  Idempotent.
+  // Closing wakes every blocked producer (push fails); queued requests stay
+  // poppable.  Idempotent.
   void close();
 
   std::size_t size() const;
@@ -205,8 +180,8 @@ class RequestQueue {
   // (unused, and never read, when the weighting is disabled).
   std::int64_t quantum_for_locked(const TenantQueue& tq,
                                   std::int64_t now_ns) const;
-  // The DRR selection loop shared by pop()/try_pop(); caller holds the
-  // lock and guarantees total_ > 0.
+  // The DRR selection loop behind try_pop(); caller holds the lock and
+  // guarantees total_ > 0.
   Request pop_drr_locked();
   // Removes `tenant` from the ring if its backlog emptied, resetting its
   // deficit (DRR forgets non-backlogged flows, debts included).
@@ -218,7 +193,6 @@ class RequestQueue {
 
   mutable std::mutex mutex_;
   std::condition_variable not_full_;
-  std::condition_variable not_empty_;
   std::map<std::string, TenantQueue> tenants_;
   // Earliest queued deadline in ns-since-epoch (int64 max = none): the
   // reaper's lock-free fast path.  A monotone lower bound between sweeps —

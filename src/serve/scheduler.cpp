@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "util/status.h"
-
 namespace af::serve {
 
 bool compatible(const Request& head, const Request& r) {
@@ -33,14 +31,6 @@ bool compatible(const Request& head, const Request& r) {
          head.layer_count == r.layer_count;
 }
 
-BatchScheduler::BatchScheduler(RequestQueue* queue, int max_batch,
-                               std::int64_t max_batch_bytes)
-    : queue_(queue), max_batch_(max_batch), max_batch_bytes_(max_batch_bytes) {
-  AF_CHECK(queue != nullptr, "scheduler needs a queue");
-  AF_CHECK(max_batch >= 1, "max_batch must be at least 1");
-  AF_CHECK(max_batch_bytes >= 0, "max_batch_bytes must be non-negative");
-}
-
 Batch assemble_batch(Request head, RequestQueue& queue, int max_batch,
                      std::int64_t max_batch_bytes) {
   Batch batch;
@@ -61,8 +51,8 @@ Batch assemble_batch(Request head, RequestQueue& queue, int max_batch,
   batch.requests.push_back(std::move(head));
   if (max_batch > 1) {
     // One sweep over the backlog, keyed by the head's (mode, backend) /
-    // (model, range): the old per-rider pop_if loop rescanned the whole
-    // queue once per rider, O(batch x backlog) under the lock.  The byte
+    // (model, range), instead of a rescan of the whole queue per rider —
+    // O(batch x backlog) under the lock.  The byte
     // budget (when set) is spent inside the predicate: a rider whose
     // projected DRAM traffic no longer fits keeps its queue position.
     std::int64_t byte_budget =
@@ -97,13 +87,6 @@ Batch assemble_batch(Request head, RequestQueue& queue, int max_batch,
     for (Request& r : riders) batch.requests.push_back(std::move(r));
   }
   return batch;
-}
-
-std::optional<Batch> BatchScheduler::next_batch() {
-  std::optional<Request> head = queue_->pop();
-  if (!head) return std::nullopt;
-  return assemble_batch(std::move(*head), *queue_, max_batch_,
-                        max_batch_bytes_);
 }
 
 }  // namespace af::serve

@@ -14,19 +14,18 @@
 //     analytic work, evaluated once and fanned to every requester (the
 //     serving layer's result coalescing).
 //
-// next_batch blocks on RequestQueue::pop — which selects the batch head by
-// deficit round-robin across tenant backlogs (see serve/queue.h), so a
-// flooding tenant cannot monopolize dispatch — then sweeps compatible
-// requests from any tenant's backlog in ONE pass via
-// RequestQueue::pop_all_if, keyed by the head's (mode, backend) for GEMMs
-// and (model, layer range) for inference slices (each rider is charged to
-// its own tenant's deficit).  Incompatible requests keep their queue
-// position, so batching never starves anyone.  Safe to call from many
-// shard workers concurrently.
+// The batch head is the deque's DRR-selected request (RequestQueue::
+// try_pop, see serve/queue.h), so a flooding tenant cannot monopolize
+// dispatch; assemble_batch then sweeps compatible requests from any
+// tenant's backlog in ONE pass via RequestQueue::pop_all_if, keyed by the
+// head's (mode, backend) for GEMMs and (model, layer range) for inference
+// slices (each rider is charged to its own tenant's deficit).
+// Incompatible requests keep their queue position, so batching never
+// starves anyone.  The Dispatcher (serve/dispatcher.h) calls it for every
+// batch it hands a shard worker.
 
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "serve/queue.h"
@@ -53,10 +52,9 @@ struct Batch {
 bool compatible(const Request& head, const Request& r);
 
 // Batch formation around an already-popped head: one pop_all_if sweep
-// collects up to max_batch - 1 compatible riders from `queue`.  Shared by
-// BatchScheduler and the dispatch layer (serve/dispatcher.h), whose
-// work-stealing implementation assembles a stolen DRR round from the
-// victim's queue with exactly this call.
+// collects up to max_batch - 1 compatible riders from `queue` — the
+// shard's own deque, or a steal victim's, whose whole DRR round moves with
+// exactly this call.
 //
 // `max_batch_bytes` (0 = unlimited) additionally caps the batch's summed
 // projected DRAM traffic (Request::drr_bytes): with the memory hierarchy
@@ -67,22 +65,5 @@ bool compatible(const Request& head, const Request& r);
 // strands work.
 Batch assemble_batch(Request head, RequestQueue& queue, int max_batch,
                      std::int64_t max_batch_bytes = 0);
-
-class BatchScheduler {
- public:
-  // max_batch = 1 disables coalescing (every request dispatches alone);
-  // max_batch_bytes = 0 leaves the byte budget unlimited.
-  BatchScheduler(RequestQueue* queue, int max_batch,
-                 std::int64_t max_batch_bytes = 0);
-
-  // Blocks for the next request; returns it plus up to max_batch - 1
-  // compatible followers.  nullopt once the queue is closed and drained.
-  std::optional<Batch> next_batch();
-
- private:
-  RequestQueue* queue_;
-  int max_batch_;
-  std::int64_t max_batch_bytes_;
-};
 
 }  // namespace af::serve

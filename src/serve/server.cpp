@@ -86,8 +86,8 @@ OverloadPolicy parse_overload_policy(const std::string& name) {
 }
 
 std::vector<std::string> overload_policy_names() {
-  // Sorted, like the engine and dispatcher registries — the README's
-  // policy matrix must list exactly these rows (CI diffs the two).
+  // Sorted, like the engine registry — the README's policy matrix must
+  // list exactly these rows (CI diffs the two).
   return {"block", "degrade", "reject"};
 }
 
@@ -274,8 +274,7 @@ Server::Server(const arch::ArrayConfig& shard_config, ServerOptions options)
   dispatch.max_batch_bytes = options_.max_batch_bytes;
   dispatch.max_shards = max_shards_;
   dispatch.live_shards = options_.num_shards;
-  dispatch.can_scale = autoscale_enabled_;
-  dispatcher_ = make_dispatcher(options_.dispatcher, dispatch);
+  dispatcher_ = std::make_unique<Dispatcher>(dispatch);
 
   shards_.reserve(static_cast<std::size_t>(max_shards_));
   for (int i = 0; i < max_shards_; ++i) {
@@ -303,6 +302,9 @@ void Server::shutdown() {
   }
   scale_cv_.notify_all();
   if (autoscaler_.joinable()) autoscaler_.join();
+  // A stalled server still drains: unpause before closing (pause_serving
+  // cannot re-pause, it takes shutdown_mutex_ and sees shut_down_).
+  dispatcher_->set_paused(false);
   dispatcher_->close();
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
@@ -311,20 +313,21 @@ void Server::shutdown() {
 
 void Server::quiesce() {
   std::lock_guard<std::mutex> shutdown_lock(shutdown_mutex_);
-  // Ordered BEFORE the shut_down_ flip that wakes parked workers: any
-  // worker released from the stall nap sees quiescing_ and exits without
-  // calling next_batch, so it cannot race the strand below by grabbing
-  // queued work on the way down.
-  quiescing_.store(true, std::memory_order_release);
-  if (shut_down_.exchange(true)) return;  // shutdown/quiesce already ran
+  if (shut_down_.load()) return;  // shutdown/quiesce already ran
+  // Paused BEFORE the shut_down_ flip that releases quarantined workers:
+  // from here on no worker takes a new batch, and close() below releases
+  // them without draining, so nothing races the strand by grabbing queued
+  // work on the way down.
+  dispatcher_->set_paused(true);
+  shut_down_.store(true);
   {
     std::lock_guard<std::mutex> lock(scale_mutex_);
   }
   scale_cv_.notify_all();
   if (autoscaler_.joinable()) autoscaler_.join();
   dispatcher_->close();
-  // In-flight batches finish and deliver normally; workers blocked in
-  // next_batch wake on close() and exit at the quiescing_ check.  Joining
+  // In-flight batches finish and deliver normally; workers parked in
+  // next_batch wake on close() and exit, paused, without a batch.  Joining
   // them FIRST means drain_remaining below sees the queue's final state —
   // no worker can pop concurrently with the strand.
   for (auto& shard : shards_) {
@@ -344,6 +347,11 @@ void Server::quiesce() {
   }
 }
 
+void Server::pause_serving(bool paused) {
+  std::lock_guard<std::mutex> shutdown_lock(shutdown_mutex_);
+  if (!shut_down_.load()) dispatcher_->set_paused(paused);
+}
+
 void Server::acquire_shard(Shard& shard) {
   shard.engine = engine_builder_.build(options_.backend);
   if (options_.audit_fraction > 0.0 && !shard.engine->measures()) {
@@ -351,8 +359,7 @@ void Server::acquire_shard(Shard& shard) {
   }
   shard.runner = std::make_unique<nn::InferenceRunner>(shard.engine);
   // A slot re-acquired after retiring while quarantined starts clean: fault
-  // history cleared, routing ban lifted (set_banned(false) is a no-op for
-  // dispatchers without per-shard routing).
+  // history cleared, routing ban lifted.
   shard.fault_streak = 0;
   shard.quarantined.store(false);
   dispatcher_->set_banned(shard.index, false);
@@ -778,19 +785,6 @@ std::future<InferenceResult> Server::submit_inference(
 
 void Server::shard_loop(Shard& shard) {
   while (true) {
-    // Stall failpoint: a paused worker holds no batch (the check sits
-    // BEFORE next_batch), so pausing strands nothing in a worker's hands —
-    // queued work waits in the dispatcher, where quiesce() can still hand
-    // it off.  Retirement and shutdown both break the nap.
-    while (paused_.load(std::memory_order_acquire) && !shut_down_.load()) {
-      if (shard.index >= live_shards_.load()) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    // A quiescing server strands its queue instead of draining it: exit
-    // here, before next_batch, so the crash path cannot half-serve work
-    // that quiesce() is about to hand back as kUnavailable.  (Plain
-    // shutdown leaves quiescing_ unset and falls through to the drain.)
-    if (quiescing_.load(std::memory_order_acquire)) return;
     // A quarantined shard stops serving and probes for recovery instead.
     // It still exits promptly when retired by the autoscaler (so
     // shrink_to's join cannot deadlock on a sick shard), and falls
@@ -1401,7 +1395,6 @@ ServerStats Server::stats() const {
   ServerStats out;
   out.submitted = submitted_.load();
   out.completed = completed_.load();
-  out.dispatcher = dispatcher_->name();
   out.steals = dispatcher_->steals();
   out.scale_ups = scale_ups_.load();
   out.scale_downs = scale_downs_.load();

@@ -1,9 +1,9 @@
 // Multi-tenant batch serving over a pool of ArrayFlex execution engines.
 //
-//   clients ──submit──▶ Dispatcher ("global" | "stealing") ──▶ shard workers
-//                      (routing + DRR fairness +               (one thread +
-//                       batch coalescing;                       one engine
-//                       see serve/dispatcher.h)                 each)
+//   clients ──submit──▶ Dispatcher ──────────────────────────▶ shard workers
+//                      (per-shard DRR deques, affinity        (one thread +
+//                       routing, work stealing, batch          one engine
+//                       coalescing; see serve/dispatcher.h)    each)
 //
 // The Server owns up to max_shards shards, each wrapping one
 // engine::Engine (ServerOptions::backend picks the fidelity: "analytic"
@@ -19,12 +19,11 @@
 // a model inference is split into contiguous layer slices and joined back
 // into a report bit-identical to a direct InferenceRunner::run.
 //
-// Dispatch: ServerOptions::dispatcher selects the control-plane topology —
-// "global" (one DRR queue, every submit and pop through one lock) or
-// "stealing" (per-shard DRR deques, tenant/model submit affinity,
-// rand-victim stealing of whole DRR rounds; see serve/dispatcher.h).  Both
-// preserve per-tenant DRR fairness and produce bit-identical results; they
-// differ in lock contention on the hot path.
+// Dispatch: one serve::Dispatcher — per-shard DRR deques, tenant/model
+// submit affinity, rand-victim stealing of whole DRR rounds that prefers
+// victims already in the thief's pipeline mode, retry steering away from a
+// faulted shard, quarantine drains, and idle workers parked without a
+// timeout (see serve/dispatcher.h).
 //
 // Autoscaling: with min_shards < max_shards the server runs a
 // queue-pressure autoscaler — a control thread building one Pressure
@@ -120,9 +119,9 @@ struct ServerOptions {
   double audit_fraction = 0.0;
   // Coalescing cap per dispatch; 1 disables batching entirely.
   int max_batch = 8;
-  // Admission bound: submit blocks once this many requests are queued.
-  // Under the "stealing" dispatcher the bound applies PER HOME DEQUE (each
-  // deque is its own backpressure domain), not to the sum.
+  // Admission bound PER HOME DEQUE: submit blocks once the request's home
+  // deque holds this many requests (each deque is its own backpressure
+  // domain), so an N-shard server queues up to N x queue_capacity.
   std::size_t queue_capacity = 256;
   // DRR quantum in cost units (MACs) credited per scheduling round — see
   // serve/queue.h.  Any positive value gives equal long-run tenant shares.
@@ -163,10 +162,7 @@ struct ServerOptions {
   double reconfig_switch_margin = 2.0;
   arch::EnergyParams energy = arch::EnergyParams::generic28nm();
 
-  // --- dispatch & autoscaling (see serve/dispatcher.h) ---------------------
-  // Dispatcher registry key: "global" (PR-4 single queue, the semantics
-  // oracle) or "stealing" (per-shard deques + work stealing).
-  std::string dispatcher = "global";
+  // --- autoscaling ---------------------------------------------------------
   // Live-shard bounds; 0 means num_shards, so by default the pool is fixed
   // and no autoscaler thread runs.  Must satisfy
   // 1 <= min_shards <= num_shards <= max_shards; num_shards is the
@@ -244,7 +240,7 @@ struct ServerOptions {
   engine::ChaosOptions chaos;
 };
 
-// Overload-policy registry (mirrors the engine/dispatcher name contracts:
+// Overload-policy registry (mirrors the engine name contract:
 // the README's policy matrix must list exactly these names — CI diffs the
 // two).
 enum class OverloadPolicy { kBlock, kReject, kDegrade };
@@ -300,7 +296,6 @@ struct ShardSnapshot {
 struct ServerStats {
   std::int64_t submitted = 0;  // logical requests accepted
   std::int64_t completed = 0;  // logical requests fulfilled
-  std::string dispatcher;      // dispatcher registry key
   int live_shards = 0;         // current serving set size
   std::int64_t steals = 0;     // batches obtained by work stealing
   std::int64_t scale_ups = 0;  // shards added by the autoscaler
@@ -432,7 +427,6 @@ class Server {
   int max_shards() const { return static_cast<int>(shards_.size()); }
   const arch::ArrayConfig& shard_config() const { return shard_config_; }
   const std::string& backend() const { return options_.backend; }
-  const std::string& dispatcher() const { return dispatcher_->name(); }
 
   ServerStats stats() const;
 
@@ -462,15 +456,13 @@ class Server {
   void quiesce();
 
   // Simulated STALL failpoint: while paused, shard workers stop picking up
-  // batches (queued work sits, admission stays open, deadlines keep
-  // running).  pause_serving(false) resumes; quiesce()/shutdown() override
-  // a pause so a stalled server still dies and drains cleanly.
-  void pause_serving(bool paused) {
-    paused_.store(paused, std::memory_order_release);
-  }
-  bool serving_paused() const {
-    return paused_.load(std::memory_order_acquire);
-  }
+  // batches — even a worker already waiting for work (queued work sits,
+  // admission stays open, deadlines keep running), so everything submitted
+  // under a pause is dispatched only after it.  pause_serving(false)
+  // resumes; shutdown() drains a paused server and quiesce() strands its
+  // queue.  A no-op once the server is shut down.
+  void pause_serving(bool paused);
+  bool serving_paused() const { return dispatcher_->paused(); }
 
  private:
   struct Shard;
@@ -600,12 +592,6 @@ class Server {
   std::atomic<std::int64_t> degraded_{0};
   std::atomic<std::int64_t> unserved_{0};
   std::atomic<std::int64_t> promise_double_sets_{0};
-  std::atomic<bool> paused_{false};  // the stall failpoint (pause_serving)
-  // Set by quiesce() BEFORE it releases workers: a worker seeing it exits
-  // without calling next_batch again, so queued work stays in the
-  // dispatcher for the kUnavailable strand — never half-served on the way
-  // down.  (shutdown() leaves it false: its workers DO drain the queue.)
-  std::atomic<bool> quiescing_{false};
   mutable std::mutex shard_stats_mutex_;  // guards every Shard::stats
   std::mutex shutdown_mutex_;
   std::atomic<bool> shut_down_{false};

@@ -178,68 +178,65 @@ TEST(CostPathTest, BatchedSubmitStressBooksBalance) {
                     shape_rng.next_in(1, 32)});
   }
 
-  for (const std::string& dispatcher : {"global", "stealing"}) {
-    ServerOptions opts;
-    opts.num_shards = 4;
-    opts.max_batch = 8;
-    opts.queue_capacity = 256;
-    opts.backend = "analytic";
-    opts.dispatcher = dispatcher;
-    Server server(arch::ArrayConfig::square(8), opts);
+  ServerOptions opts;
+  opts.num_shards = 4;
+  opts.max_batch = 8;
+  opts.queue_capacity = 256;
+  opts.backend = "analytic";
+  Server server(arch::ArrayConfig::square(8), opts);
 
-    // The answers every producer must observe: a private reference engine
-    // with the server's geometry (defaults for clock/energy match too).
-    auto reference =
-        engine::EngineBuilder().square(8).build("analytic");
+  // The answers every producer must observe: a private reference engine
+  // with the server's geometry (defaults for clock/energy match too).
+  auto reference =
+      engine::EngineBuilder().square(8).build("analytic");
 
-    constexpr int kProducers = 4;
-    constexpr int kBatches = 24;
-    constexpr int kBatchSize = 16;
-    std::atomic<int> mismatches{0};
-    std::vector<std::thread> threads;
-    for (int c = 0; c < kProducers; ++c) {
-      threads.emplace_back([&, c] {
-        Rng rng(1000 + c);
-        std::vector<gemm::GemmShape> shapes(kBatchSize);
-        for (int b = 0; b < kBatches; ++b) {
-          for (int j = 0; j < kBatchSize; ++j) {
-            shapes[static_cast<std::size_t>(j)] =
-                pool[rng.next_below(pool.size())];
-          }
-          SubmitOptions sub;
-          sub.k = (b % 3 == 0) ? 0 : 1;  // mix argmin and fixed-mode batches
-          BatchTicket ticket = server.submit_gemm_batch(
-              "tenant-" + std::to_string(c), shapes, sub);
-          const std::vector<engine::CostEstimate> results = ticket.get();
-          if (results.size() != shapes.size()) {
+  constexpr int kProducers = 4;
+  constexpr int kBatches = 24;
+  constexpr int kBatchSize = 16;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kProducers; ++c) {
+    threads.emplace_back([&, c] {
+      Rng rng(1000 + c);
+      std::vector<gemm::GemmShape> shapes(kBatchSize);
+      for (int b = 0; b < kBatches; ++b) {
+        for (int j = 0; j < kBatchSize; ++j) {
+          shapes[static_cast<std::size_t>(j)] =
+              pool[rng.next_below(pool.size())];
+        }
+        SubmitOptions sub;
+        sub.k = (b % 3 == 0) ? 0 : 1;  // mix argmin and fixed-mode batches
+        BatchTicket ticket = server.submit_gemm_batch(
+            "tenant-" + std::to_string(c), shapes, sub);
+        const std::vector<engine::CostEstimate> results = ticket.get();
+        if (results.size() != shapes.size()) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        for (int j = 0; j < kBatchSize; ++j) {
+          const engine::CostEstimate want = reference->evaluate(
+              shapes[static_cast<std::size_t>(j)], sub.k);
+          if (!engine::exactly_equal(
+                  results[static_cast<std::size_t>(j)], want)) {
             mismatches.fetch_add(1);
-            continue;
-          }
-          for (int j = 0; j < kBatchSize; ++j) {
-            const engine::CostEstimate want = reference->evaluate(
-                shapes[static_cast<std::size_t>(j)], sub.k);
-            if (!engine::exactly_equal(
-                    results[static_cast<std::size_t>(j)], want)) {
-              mismatches.fetch_add(1);
-            }
           }
         }
-      });
-    }
-    for (auto& t : threads) t.join();
-
-    EXPECT_EQ(mismatches.load(), 0) << dispatcher;
-    const ServerStats stats = server.stats();
-    const std::int64_t total =
-        static_cast<std::int64_t>(kProducers) * kBatches * kBatchSize;
-    // Every shape is one logical request; nothing lost, nothing duplicated.
-    EXPECT_EQ(stats.submitted, total) << dispatcher;
-    EXPECT_EQ(stats.completed, total) << dispatcher;
-    EXPECT_EQ(stats.rejected, 0) << dispatcher;
-    EXPECT_EQ(stats.promise_double_sets, 0) << dispatcher;
-    // The whole point: repeated shapes answer from the shared memo.
-    EXPECT_GT(stats.cost_cache_hits, 0) << dispatcher;
+      }
+    });
   }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  const ServerStats stats = server.stats();
+  const std::int64_t total =
+      static_cast<std::int64_t>(kProducers) * kBatches * kBatchSize;
+  // Every shape is one logical request; nothing lost, nothing duplicated.
+  EXPECT_EQ(stats.submitted, total);
+  EXPECT_EQ(stats.completed, total);
+  EXPECT_EQ(stats.rejected, 0);
+  EXPECT_EQ(stats.promise_double_sets, 0);
+  // The whole point: repeated shapes answer from the shared memo.
+  EXPECT_GT(stats.cost_cache_hits, 0);
 }
 
 TEST(CostPathTest, BatchedSubmitValidatesInput) {

@@ -675,7 +675,6 @@ TEST_F(FleetTest, FleetChaosStressLosesNothingAndDoubleServesNothing) {
   spec.options.min_shards = 1;
   spec.options.max_shards = 2;
   spec.options.control_interval_ms = 2.0;
-  spec.options.dispatcher = "stealing";
   spec.options.max_batch = 4;
   spec.options.backend = "chaos";
   spec.options.chaos.throw_every_n = 9;

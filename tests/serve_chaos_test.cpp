@@ -179,20 +179,7 @@ TEST(ChaosEngineTest, WrapsTheCycleBackendAndRefusesItself) {
   EXPECT_THROW(builder.build("chaos"), Error);
 }
 
-// ---- queue: tri-state wait, timed push, reaper ----------------------------
-
-TEST(RequestQueueRobustnessTest, WaitNonemptyForReportsAllThreeStates) {
-  RequestQueue q(4);
-  EXPECT_EQ(q.wait_nonempty_for(microseconds(1000)), WaitStatus::kTimeout);
-  ASSERT_TRUE(q.push(make_gemm_request(0, "t")));
-  EXPECT_EQ(q.wait_nonempty_for(microseconds(0)), WaitStatus::kNonEmpty);
-  // Closed but not drained is still kNonEmpty — the drain must finish.
-  q.close();
-  EXPECT_EQ(q.wait_nonempty_for(microseconds(0)), WaitStatus::kNonEmpty);
-  EXPECT_TRUE(q.pop().has_value());
-  // Closed AND drained is final.
-  EXPECT_EQ(q.wait_nonempty_for(microseconds(1000)), WaitStatus::kClosed);
-}
+// ---- queue: timed push, reaper --------------------------------------------
 
 TEST(RequestQueueRobustnessTest, TimedPushKeepsTheRequestOnRejection) {
   RequestQueue q(1);
@@ -232,8 +219,8 @@ TEST(RequestQueueRobustnessTest, ReaperRemovesOnlyOverdueRequests) {
   EXPECT_EQ(reaped[1].id, 2u);
   EXPECT_EQ(q.size(), 2u);
   // Reaping freed capacity and the survivors still pop in order.
-  EXPECT_EQ(q.pop()->id, 1u);
-  EXPECT_EQ(q.pop()->id, 3u);
+  EXPECT_EQ(q.try_pop()->id, 1u);
+  EXPECT_EQ(q.try_pop()->id, 3u);
   // A deadline-free backlog makes the next sweep a no-op fast path.
   EXPECT_TRUE(q.remove_expired(Clock::now()).empty());
 }
@@ -286,7 +273,7 @@ TEST(OverloadPolicyTest, RegistryNamesParseAndDescribe) {
 
 // ---- dispatcher failpoints ------------------------------------------------
 
-TEST(DispatcherFailpointTest, StealingDispatcherHitsTheNamedSites) {
+TEST(DispatcherFailpointTest, DispatcherHitsTheNamedSites) {
   std::mutex mutex;
   std::vector<std::string> sites;
   DispatcherOptions opts;
@@ -297,28 +284,31 @@ TEST(DispatcherFailpointTest, StealingDispatcherHitsTheNamedSites) {
     std::lock_guard<std::mutex> lock(mutex);
     sites.emplace_back(site);
   };
-  auto d = make_dispatcher("stealing", opts);
+  Dispatcher d(opts);
 
   Request r = make_gemm_request(0, "tenant-x");
   const int home = static_cast<int>(affinity_hash(r) % 2);
-  ASSERT_TRUE(d->submit(std::move(r)));
+  ASSERT_TRUE(d.submit(std::move(r)));
   // A worker on the OTHER shard must steal the request — passing through
   // the "steal" site on the way.
-  const auto batch = d->next_batch(1 - home);
+  const auto batch = d.next_batch(1 - home);
   ASSERT_TRUE(batch.has_value());
   ASSERT_EQ(batch->requests.size(), 1u);
-  EXPECT_EQ(d->steals(), 1);
+  EXPECT_EQ(d.steals(), 1);
 
   // Banning the home shard drains through the "drain" site and reroutes
   // follow-up submissions, which the healthy shard then serves locally.
   Request queued = make_gemm_request(1, "tenant-x");
-  ASSERT_TRUE(d->submit(std::move(queued)));
-  d->set_banned(home, true);
+  ASSERT_TRUE(d.submit(std::move(queued)));
+  d.set_banned(home, true);
   Request rerouted = make_gemm_request(2, "tenant-x");
-  ASSERT_TRUE(d->submit(std::move(rerouted)));
-  ASSERT_TRUE(d->next_batch(1 - home).has_value());
-  ASSERT_TRUE(d->next_batch(1 - home).has_value());
-  EXPECT_EQ(d->steals(), 1);  // both arrived in the healthy deque
+  ASSERT_TRUE(d.submit(std::move(rerouted)));
+  ASSERT_TRUE(d.next_batch(1 - home).has_value());
+  ASSERT_TRUE(d.next_batch(1 - home).has_value());
+  EXPECT_EQ(d.steals(), 1);  // both arrived in the healthy deque
+  // Closed before `mutex` is taken below: the failpoint takes `mutex`
+  // under the dispatcher's control lock, so the reverse order inverts it.
+  d.close();
 
   std::lock_guard<std::mutex> lock(mutex);
   // Three client submissions, plus the drain re-entering the submit path
@@ -326,7 +316,6 @@ TEST(DispatcherFailpointTest, StealingDispatcherHitsTheNamedSites) {
   EXPECT_GE(std::count(sites.begin(), sites.end(), "submit"), 3);
   EXPECT_GE(std::count(sites.begin(), sites.end(), "steal"), 1);
   EXPECT_GE(std::count(sites.begin(), sites.end(), "drain"), 1);
-  d->close();
 }
 
 // ---- server fixtures ------------------------------------------------------
@@ -496,7 +485,6 @@ TEST_F(ServeChaosTest, EngineFaultWithoutRetriesFailsTyped) {
 TEST_F(ServeChaosTest, RetriesResubmitFaultedRequestsUntilServed) {
   ServerOptions opts;
   opts.num_shards = 2;
-  opts.dispatcher = "stealing";
   opts.backend = "chaos";
   opts.chaos.throw_every_n = 3;  // each shard faults every third run
   opts.max_retries = 4;
@@ -528,7 +516,6 @@ TEST_F(ServeChaosTest, RetriesResubmitFaultedRequestsUntilServed) {
 TEST_F(ServeChaosTest, QuarantineBenchesFaultyShardsAndRecoversThem) {
   ServerOptions opts;
   opts.num_shards = 2;
-  opts.dispatcher = "stealing";
   opts.backend = "chaos";
   opts.chaos.throw_every_n = 3;
   opts.max_retries = 6;
@@ -572,9 +559,7 @@ TEST_F(ServeChaosTest, PauseServingStallsPickupUntilResumed) {
   EXPECT_FALSE(server.serving_paused());
   server.pause_serving(true);
   EXPECT_TRUE(server.serving_paused());
-  // A worker already blocked inside next_batch when the pause lands still
-  // grabs ONE batch before it naps: feed it a sacrificial request so
-  // everything after this provably sits in the queue.
+  // Even a worker already waiting for work takes nothing while paused.
   auto parked = server.submit_gemm(
       "stall", gemm::random_matrix(rng, 1, 16, -5, 5), weights);
   std::this_thread::sleep_for(milliseconds(30));
@@ -596,6 +581,11 @@ TEST_F(ServeChaosTest, PauseServingStallsPickupUntilResumed) {
   EXPECT_EQ(stats.submitted, 2);
   EXPECT_EQ(stats.completed, 2);
   EXPECT_EQ(stats.unserved, 0);
+  // A no-op once the server is shut down: shutdown drained the queue and
+  // nothing can be held any more.
+  server.shutdown();
+  server.pause_serving(true);
+  EXPECT_FALSE(server.serving_paused());
 }
 
 TEST_F(ServeChaosTest, QuiesceStrandsQueuedWorkTypedAndNeverExecuted) {
@@ -606,7 +596,7 @@ TEST_F(ServeChaosTest, QuiesceStrandsQueuedWorkTypedAndNeverExecuted) {
   Rng rng(67);
   auto weights = random_weights(rng, 16, 8);
 
-  // Park the worker (stall + one sacrificial batch), then queue real work.
+  // Stall the worker, then queue work: a paused server picks none of it up.
   server.pause_serving(true);
   auto parked = server.submit_gemm(
       "doomed", gemm::random_matrix(rng, 1, 16, -5, 5), weights);
@@ -631,8 +621,7 @@ TEST_F(ServeChaosTest, QuiesceStrandsQueuedWorkTypedAndNeverExecuted) {
     }
   }
   EXPECT_EQ(unavailable, 5);
-  // The sacrificial request resolves too: served before the nap, or
-  // stranded with the rest.
+  // The first request resolves too, stranded with the rest.
   try {
     EXPECT_GT(parked.get().cycles, 0);
   } catch (const Error& e) {
@@ -655,7 +644,6 @@ TEST_F(ServeChaosTest, QuiesceStrandsQueuedWorkTypedAndNeverExecuted) {
 TEST_F(ServeChaosTest, LocalityAwareStealingAvoidsReconfigurationDrains) {
   ServerOptions opts;
   opts.num_shards = 2;
-  opts.dispatcher = "stealing";
   opts.max_batch = 1;      // no coalescing: steals have many targets
   opts.backend = "chaos";  // every run sleeps, so the hot deque backs up
   opts.chaos.delay_rate = 1.0;
@@ -695,7 +683,6 @@ TEST_F(ServeChaosTest, ChaosStressLosesNothingAndDoubleServesNothing) {
   opts.min_shards = 1;
   opts.max_shards = 4;
   opts.control_interval_ms = 2.0;
-  opts.dispatcher = "stealing";
   opts.max_batch = 4;
   opts.backend = "chaos";
   opts.chaos.throw_every_n = 7;
