@@ -189,8 +189,8 @@ int main(int argc, char** argv) {
           for (int r = 0; r < kSubmitRepeats; ++r) {
             for (int i = 0; i < kShapeCount; ++i) {
               in_flight.push_back(server.submit_gemm(
-                  "bench", activation, weights, /*k=*/1,
-                  /*want_output=*/false));
+                  "bench", activation, weights,
+                  {.k = 1, .want_output = false}));
               if (in_flight.size() >= kWindow) {
                 in_flight.front().get();
                 in_flight.erase(in_flight.begin());

@@ -162,7 +162,7 @@ Point run_point(int shards, int max_batch, int clients, int per_client,
         in_flight.push_back(server.submit_gemm(
             "bench",
             activation_pool[static_cast<std::size_t>((c + i) % 8)], weights,
-            k, want_output));
+            {.k = k, .want_output = want_output}));
         if (in_flight.size() >= kWindow) {
           in_flight.front().get();
           in_flight.erase(in_flight.begin());
@@ -336,7 +336,7 @@ ContendedPoint run_contended_once(int producers, int total_requests,
       for (int i = 0; i < per_producer; ++i) {
         in_flight.push_back(server.submit_gemm(
             tenant, activation_pool[static_cast<std::size_t>((c + i) % 4)],
-            weights, /*k=*/1, /*want_output=*/false));
+            weights, {.k = 1, .want_output = false}));
         if (in_flight.size() >= kWindow) {
           in_flight.front().get();
           in_flight.erase(in_flight.begin());
@@ -452,7 +452,7 @@ OpenLoopPoint run_open_loop(double offered_rps, int total_requests,
     }
     in_flight.push_back(server.submit_gemm(
         "openloop", activation_pool[static_cast<std::size_t>(i % 8)], weights,
-        /*k=*/0, /*want_output=*/false));
+        {.k = 0, .want_output = false}));
     while (!in_flight.empty() &&
            in_flight.front().wait_for(std::chrono::seconds(0)) ==
                std::future_status::ready) {
@@ -539,7 +539,7 @@ OverloadPoint run_overload(const std::string& policy, double capacity_rps,
     try {
       in_flight.push_back(server.submit_gemm(
           "overload", activation_pool[static_cast<std::size_t>(i % 8)],
-          weights, /*k=*/0, /*want_output=*/true));
+          weights, {.k = 0, .want_output = true}));
     } catch (const Error& e) {
       if (e.code() != ErrorCode::kOverloaded) throw;
       ++shed;  // the reject policy refusing at admission — the open loop
@@ -854,8 +854,8 @@ MixPoint run_transformer_mix(const std::string& mix, const std::string& policy,
   constexpr std::size_t kWindow = 16;
   std::vector<std::future<serve::GemmResult>> in_flight;
   for (serve::PhaseGemm& g : stream) {
-    in_flight.push_back(server.submit_gemm("mix", std::move(g.a), g.b,
-                                           static_k, /*want_output=*/true));
+    in_flight.push_back(server.submit_gemm(
+        "mix", std::move(g.a), g.b, {.k = static_k, .want_output = true}));
     if (in_flight.size() >= kWindow) {
       in_flight.front().get();
       in_flight.erase(in_flight.begin());

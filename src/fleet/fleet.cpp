@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <type_traits>
 #include <utility>
 
 #include "util/hysteresis.h"
@@ -41,41 +42,30 @@ std::string to_string(ServerHealth health) {
   return "unknown";
 }
 
-// One GEMM submission's fleet-side state.  Owns operand copies so any
-// server can serve it at any time; `resolved` is the exactly-once CAS.
-struct Fleet::GemmTicket {
-  std::uint64_t id = 0;
+// One submission's fleet-side state.  Owns what any server needs to serve
+// it at any time — a copy of the GEMM operands, or the model — and
+// `resolved` is the exactly-once CAS.
+template <class R>
+struct Fleet::Ticket {
   std::string tenant;
-  gemm::Mat32 a;
-  std::shared_ptr<const gemm::Mat32> b;
+  gemm::Mat32 a;                           // GEMM
+  std::shared_ptr<const gemm::Mat32> b;    // GEMM
+  std::shared_ptr<const nn::Model> model;  // inference
   serve::SubmitOptions submit;  // deadline_ms recomputed per attempt
   Clock::time_point enqueue;
   Clock::time_point deadline = Clock::time_point::max();
   std::atomic<bool> resolved{false};
-  std::atomic<bool> hedged{false};
+  std::atomic<bool> hedged{false};  // claimed by the hedge scan (GEMM only)
   std::atomic<int> failovers{0};
-  std::promise<serve::GemmResult> promise;
+  std::promise<R> promise;
 };
 
-struct Fleet::InferTicket {
-  std::uint64_t id = 0;
-  std::string tenant;
-  std::shared_ptr<const nn::Model> model;
-  serve::SubmitOptions submit;
-  Clock::time_point enqueue;
-  Clock::time_point deadline = Clock::time_point::max();
-  std::atomic<bool> resolved{false};
-  std::atomic<int> failovers{0};
-  std::promise<serve::InferenceResult> promise;
-};
-
-// One (ticket, server future) pair awaiting collection.  Exactly one of
-// gemm/infer is set; `hedge` marks the duplicate half of a hedged pair.
-struct Fleet::Pending {
-  std::shared_ptr<GemmTicket> gemm;
-  std::shared_ptr<InferTicket> infer;
-  std::future<serve::GemmResult> gemm_future;
-  std::future<serve::InferenceResult> infer_future;
+// One (ticket, server future) pair awaiting collection; `hedge` marks the
+// duplicate half of a hedged pair.
+template <class R>
+struct Fleet::Attempt {
+  TicketPtr<R> ticket;
+  std::future<R> future;
   bool hedge = false;
 };
 
@@ -189,8 +179,8 @@ std::vector<ServerLoad> Fleet::snapshot_loads(int exclude) const {
   return loads;
 }
 
-void Fleet::submit_to(int server, const std::shared_ptr<GemmTicket>& ticket,
-                      PlaceKind kind) {
+template <class R>
+void Fleet::submit_to(int server, const TicketPtr<R>& ticket, PlaceKind kind) {
   Node& node = *nodes_[server];
   std::shared_ptr<serve::Server> srv;
   {
@@ -214,8 +204,14 @@ void Fleet::submit_to(int server, const std::shared_ptr<GemmTicket>& ticket,
     }
     submit.deadline_ms = remaining;
   }
-  std::future<serve::GemmResult> future =
-      srv->submit_gemm(ticket->tenant, ticket->a, ticket->b, submit);
+  Attempt<R> attempt{ticket, {}, kind == PlaceKind::kHedge};
+  if constexpr (std::is_same_v<R, serve::GemmResult>) {
+    attempt.future =
+        srv->submit_gemm(ticket->tenant, ticket->a, ticket->b, submit);
+  } else {
+    attempt.future =
+        srv->submit_inference(ticket->tenant, ticket->model, submit);
+  }
   // Admission succeeded: count the attempt BEFORE publishing the pending
   // entry — once published, another node's collector can resolve the
   // ticket and a stats() reader woken by that must already see this.
@@ -227,51 +223,7 @@ void Fleet::submit_to(int server, const std::shared_ptr<GemmTicket>& ticket,
   {
     std::lock_guard<std::mutex> lock(node.mutex);
     node.placed += 1;
-    Pending entry;
-    entry.gemm = ticket;
-    entry.gemm_future = std::move(future);
-    entry.hedge = kind == PlaceKind::kHedge;
-    node.pending.push_back(std::move(entry));
-  }
-  node.cv.notify_all();
-}
-
-void Fleet::submit_to(int server, const std::shared_ptr<InferTicket>& ticket,
-                      PlaceKind kind) {
-  Node& node = *nodes_[server];
-  std::shared_ptr<serve::Server> srv;
-  {
-    std::lock_guard<std::mutex> lock(node.mutex);
-    if (node.health != ServerHealth::kHealthy || !node.server) {
-      throw_code(ErrorCode::kUnavailable,
-                 (detail::MessageBuilder() << "server " << server << " is "
-                                           << to_string(node.health)).str());
-    }
-    srv = node.server;
-  }
-  serve::SubmitOptions submit = ticket->submit;
-  submit.admission_timeout_ms = 0.0;
-  if (ticket->deadline != Clock::time_point::max()) {
-    const double remaining = ms_until(ticket->deadline, Clock::now());
-    if (remaining <= 0.0) {
-      throw_code(ErrorCode::kDeadlineExceeded,
-                 "deadline exhausted before placement");
-    }
-    submit.deadline_ms = remaining;
-  }
-  std::future<serve::InferenceResult> future =
-      srv->submit_inference(ticket->tenant, ticket->model, submit);
-  // Same ordering as the GEMM path: count before publishing.
-  if (kind == PlaceKind::kFailover) {
-    failovers_.fetch_add(1, std::memory_order_relaxed);
-  }
-  {
-    std::lock_guard<std::mutex> lock(node.mutex);
-    node.placed += 1;
-    Pending entry;
-    entry.infer = ticket;
-    entry.infer_future = std::move(future);
-    node.pending.push_back(std::move(entry));
+    node.pending.push_back(std::move(attempt));
   }
   node.cv.notify_all();
 }
@@ -297,9 +249,9 @@ std::vector<int> spill_candidates(const std::vector<ServerLoad>& loads,
 
 }  // namespace
 
-int Fleet::try_place_gemm(const std::shared_ptr<GemmTicket>& ticket,
-                          int exclude, PlaceKind kind,
-                          bool* overloaded_everywhere) {
+template <class R>
+int Fleet::try_place(const TicketPtr<R>& ticket, int exclude, PlaceKind kind,
+                     bool* overloaded_everywhere) {
   *overloaded_everywhere = false;
   const std::vector<ServerLoad> loads = snapshot_loads(exclude);
   int first = -1;
@@ -314,6 +266,7 @@ int Fleet::try_place_gemm(const std::shared_ptr<GemmTicket>& ticket,
   }
   int overload_rejections = 0;
   int other_failures = 0;
+  std::exception_ptr invalid;
   for (const int slot : candidates) {
     try {
       submit_to(slot, ticket, kind);
@@ -325,6 +278,10 @@ int Fleet::try_place_gemm(const std::shared_ptr<GemmTicket>& ticket,
       if (e.code() == ErrorCode::kDeadlineExceeded) throw;
       if (e.code() == ErrorCode::kOverloaded) {
         ++overload_rejections;
+      } else if (e.code() == ErrorCode::kInvalidArgument) {
+        // A healthy slot that cannot serve this request (a mode only other
+        // slots support, say); it neither died nor is it overloaded.
+        if (!invalid) invalid = std::current_exception();
       } else {
         // kUnavailable / kShutdown race: the slot died between the load
         // snapshot and the submit — simply not a candidate any more.
@@ -332,67 +289,27 @@ int Fleet::try_place_gemm(const std::shared_ptr<GemmTicket>& ticket,
       }
     }
   }
-  *overloaded_everywhere = overload_rejections > 0 && other_failures == 0;
-  return -1;
-}
-
-int Fleet::try_place_infer(const std::shared_ptr<InferTicket>& ticket,
-                           int exclude, PlaceKind kind,
-                           bool* overloaded_everywhere) {
-  *overloaded_everywhere = false;
-  const std::vector<ServerLoad> loads = snapshot_loads(exclude);
-  int first = -1;
-  {
-    std::lock_guard<std::mutex> lock(router_mutex_);
-    first = router_->place(affinity_key(ticket->tenant), loads);
-  }
-  if (first < 0) return -1;
-  std::vector<int> candidates{first};
-  for (const int slot : spill_candidates(loads, first)) {
-    candidates.push_back(slot);
-  }
-  int overload_rejections = 0;
-  int other_failures = 0;
-  for (const int slot : candidates) {
-    try {
-      submit_to(slot, ticket, kind);
-      if (overload_rejections > 0) {
-        rerouted_overload_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return slot;
-    } catch (const Error& e) {
-      if (e.code() == ErrorCode::kDeadlineExceeded) throw;
-      if (e.code() == ErrorCode::kOverloaded) {
-        ++overload_rejections;
-      } else {
-        ++other_failures;
-      }
-    }
-  }
+  if (overload_rejections == 0 && invalid) std::rethrow_exception(invalid);
   *overloaded_everywhere = overload_rejections > 0 && other_failures == 0;
   return -1;
 }
 
 // --- client entry points ---------------------------------------------------
 
-std::future<serve::GemmResult> Fleet::submit_gemm(
-    const std::string& tenant, gemm::Mat32 a,
-    std::shared_ptr<const gemm::Mat32> b, const serve::SubmitOptions& submit) {
-  AF_CHECK(b != nullptr, "submit_gemm needs a weight matrix");
+template <class R>
+std::future<R> Fleet::admit(const std::string& tenant,
+                            const serve::SubmitOptions& submit,
+                            TicketPtr<R> ticket) {
   if (admission_closed_.load()) {
-    throw_code(ErrorCode::kShutdown, "submit_gemm on a shut-down fleet");
+    throw_code(ErrorCode::kShutdown, "submit on a shut-down fleet");
   }
-  auto ticket = std::make_shared<GemmTicket>();
-  ticket->id = next_ticket_.fetch_add(1);
   ticket->tenant = tenant;
-  ticket->a = std::move(a);
-  ticket->b = std::move(b);
   ticket->submit = submit;
   ticket->enqueue = Clock::now();
   if (submit.deadline_ms > 0.0) {
     ticket->deadline = ticket->enqueue + from_ms(submit.deadline_ms);
   }
-  std::future<serve::GemmResult> future = ticket->promise.get_future();
+  std::future<R> future = ticket->promise.get_future();
 
   submitted_.fetch_add(1);
   {
@@ -403,22 +320,23 @@ std::future<serve::GemmResult> Fleet::submit_gemm(
       submit.admission_timeout_ms >= 0.0
           ? ticket->enqueue + from_ms(submit.admission_timeout_ms)
           : Clock::time_point::max();
-  bool degraded_already = false;
+  [[maybe_unused]] bool degraded_already = false;
   try {
     while (true) {
       bool overloaded_everywhere = false;
-      const int slot =
-          try_place_gemm(ticket, /*exclude=*/-1, PlaceKind::kInitial,
-                         &overloaded_everywhere);
-      if (slot >= 0) return future;
+      if (try_place(ticket, /*exclude=*/-1, PlaceKind::kInitial,
+                    &overloaded_everywhere) >= 0) {
+        return future;
+      }
       if (!overloaded_everywhere) {
         throw_code(ErrorCode::kUnavailable, "no routable server in the fleet");
       }
-      switch (overload_policy_) {
-        case serve::OverloadPolicy::kReject:
-          throw_code(ErrorCode::kOverloaded,
-                     "every routable server rejected the request");
-        case serve::OverloadPolicy::kDegrade:
+      if (overload_policy_ == serve::OverloadPolicy::kReject) {
+        throw_code(ErrorCode::kOverloaded,
+                   "every routable server rejected the request");
+      }
+      if constexpr (std::is_same_v<R, serve::GemmResult>) {
+        if (overload_policy_ == serve::OverloadPolicy::kDegrade) {
           // Shed fidelity, not the request: one cost-only retry.
           if (degraded_already) {
             throw_code(ErrorCode::kOverloaded,
@@ -428,79 +346,11 @@ std::future<serve::GemmResult> Fleet::submit_gemm(
           ticket->submit.backend.clear();
           degraded_already = true;
           degraded_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case serve::OverloadPolicy::kBlock:
-          if (Clock::now() >= admission_deadline) {
-            throw_code(ErrorCode::kOverloaded,
-                       "fleet admission timed out under overload");
-          }
-          if (ticket->deadline != Clock::time_point::max() &&
-              Clock::now() >= ticket->deadline) {
-            throw_code(ErrorCode::kDeadlineExceeded,
-                       "deadline exhausted while blocked on admission");
-          }
-          if (admission_closed_.load()) {
-            throw_code(ErrorCode::kShutdown,
-                       "fleet shut down while blocked on admission");
-          }
-          std::this_thread::sleep_for(from_ms(options_.block_retry_ms));
-          break;
+          continue;
+        }
       }
-    }
-  } catch (...) {
-    // Nothing was admitted: unwind the books so a thrown submit is not a
-    // permanently dangling "submitted" entry.
-    submitted_.fetch_sub(1);
-    {
-      std::lock_guard<std::mutex> lock(tenants_mutex_);
-      tenant_books_[tenant].submitted -= 1;
-    }
-    throw;
-  }
-}
-
-std::future<serve::InferenceResult> Fleet::submit_inference(
-    const std::string& tenant, std::shared_ptr<const nn::Model> model,
-    const serve::SubmitOptions& submit) {
-  AF_CHECK(model != nullptr, "submit_inference needs a model");
-  if (admission_closed_.load()) {
-    throw_code(ErrorCode::kShutdown, "submit_inference on a shut-down fleet");
-  }
-  auto ticket = std::make_shared<InferTicket>();
-  ticket->id = next_ticket_.fetch_add(1);
-  ticket->tenant = tenant;
-  ticket->model = std::move(model);
-  ticket->submit = submit;
-  ticket->enqueue = Clock::now();
-  if (submit.deadline_ms > 0.0) {
-    ticket->deadline = ticket->enqueue + from_ms(submit.deadline_ms);
-  }
-  std::future<serve::InferenceResult> future = ticket->promise.get_future();
-
-  submitted_.fetch_add(1);
-  {
-    std::lock_guard<std::mutex> lock(tenants_mutex_);
-    tenant_books_[tenant].submitted += 1;
-  }
-  const Clock::time_point admission_deadline =
-      submit.admission_timeout_ms >= 0.0
-          ? ticket->enqueue + from_ms(submit.admission_timeout_ms)
-          : Clock::time_point::max();
-  try {
-    while (true) {
-      bool overloaded_everywhere = false;
-      const int slot =
-          try_place_infer(ticket, /*exclude=*/-1, PlaceKind::kInitial,
-                          &overloaded_everywhere);
-      if (slot >= 0) return future;
-      if (!overloaded_everywhere) {
-        throw_code(ErrorCode::kUnavailable, "no routable server in the fleet");
-      }
-      // Inference has no cost-only fallback; "degrade" composes as block.
-      if (overload_policy_ == serve::OverloadPolicy::kReject) {
-        throw_code(ErrorCode::kOverloaded,
-                   "every routable server rejected the inference");
-      }
+      // "block" — and "degrade" for an inference, which has no cost-only
+      // form: retry placement with backoff until space frees.
       if (Clock::now() >= admission_deadline) {
         throw_code(ErrorCode::kOverloaded,
                    "fleet admission timed out under overload");
@@ -517,6 +367,8 @@ std::future<serve::InferenceResult> Fleet::submit_inference(
       std::this_thread::sleep_for(from_ms(options_.block_retry_ms));
     }
   } catch (...) {
+    // Nothing was admitted: unwind the books so a thrown submit is not a
+    // permanently dangling "submitted" entry.
     submitted_.fetch_sub(1);
     {
       std::lock_guard<std::mutex> lock(tenants_mutex_);
@@ -524,6 +376,25 @@ std::future<serve::InferenceResult> Fleet::submit_inference(
     }
     throw;
   }
+}
+
+std::future<serve::GemmResult> Fleet::submit_gemm(
+    const std::string& tenant, gemm::Mat32 a,
+    std::shared_ptr<const gemm::Mat32> b, const serve::SubmitOptions& submit) {
+  AF_CHECK(b != nullptr, "submit_gemm needs a weight matrix");
+  auto ticket = std::make_shared<Ticket<serve::GemmResult>>();
+  ticket->a = std::move(a);
+  ticket->b = std::move(b);
+  return admit(tenant, submit, std::move(ticket));
+}
+
+std::future<serve::InferenceResult> Fleet::submit_inference(
+    const std::string& tenant, std::shared_ptr<const nn::Model> model,
+    const serve::SubmitOptions& submit) {
+  AF_CHECK(model != nullptr, "submit_inference needs a model");
+  auto ticket = std::make_shared<Ticket<serve::InferenceResult>>();
+  ticket->model = std::move(model);
+  return admit(tenant, submit, std::move(ticket));
 }
 
 // --- collection: resolve, fail over, hedge ---------------------------------
@@ -549,23 +420,19 @@ void Fleet::collector_loop(Node& node) {
   while (true) {
     bool handled = false;
     for (std::size_t i = 0; i < node.pending.size(); ++i) {
-      Pending& entry = node.pending[i];
-      const bool ready =
-          entry.gemm
-              ? entry.gemm_future.wait_for(std::chrono::seconds(0)) ==
-                    std::future_status::ready
-              : entry.infer_future.wait_for(std::chrono::seconds(0)) ==
-                    std::future_status::ready;
+      const bool ready = std::visit(
+          [](const auto& attempt) {
+            return attempt.future.wait_for(std::chrono::seconds(0)) ==
+                   std::future_status::ready;
+          },
+          node.pending[i]);
       if (!ready) continue;
-      Pending taken = std::move(entry);
+      Pending taken = std::move(node.pending[i]);
       node.pending.erase(node.pending.begin() +
                          static_cast<std::ptrdiff_t>(i));
       lock.unlock();
-      if (taken.gemm) {
-        handle_gemm_ready(node, taken);
-      } else {
-        handle_infer_ready(node, taken);
-      }
+      std::visit([this, &node](auto& attempt) { handle_ready(node, attempt); },
+                 taken);
       lock.lock();
       handled = true;
       break;  // re-scan: the deque may have changed while unlocked
@@ -576,12 +443,15 @@ void Fleet::collector_loop(Node& node) {
       // Claim hedge candidates under the lock, submit them outside it
       // (submitting locks ANOTHER node's mutex; holding ours too would
       // order locks both ways across collectors).
-      std::vector<std::shared_ptr<GemmTicket>> to_hedge;
+      std::vector<TicketPtr<serve::GemmResult>> to_hedge;
       const Clock::time_point now = Clock::now();
       const Clock::duration hedge_after = from_ms(options_.hedge_ms);
       for (const Pending& entry : node.pending) {
-        if (!entry.gemm || entry.hedge) continue;
-        GemmTicket& ticket = *entry.gemm;
+        // Only GEMMs hedge: an inference's slices must not race two
+        // servers.
+        const auto* attempt = std::get_if<Attempt<serve::GemmResult>>(&entry);
+        if (attempt == nullptr || attempt->hedge) continue;
+        Ticket<serve::GemmResult>& ticket = *attempt->ticket;
         if (ticket.resolved.load()) continue;
         const bool slow = now - ticket.enqueue >= hedge_after;
         const bool near_deadline =
@@ -589,7 +459,7 @@ void Fleet::collector_loop(Node& node) {
             ticket.deadline - now <= hedge_after;
         if (!slow && !near_deadline) continue;
         if (ticket.hedged.exchange(true)) continue;
-        to_hedge.push_back(entry.gemm);
+        to_hedge.push_back(attempt->ticket);
       }
       if (!to_hedge.empty()) {
         lock.unlock();
@@ -604,67 +474,25 @@ void Fleet::collector_loop(Node& node) {
   }
 }
 
-void Fleet::handle_gemm_ready(Node& node, Pending& entry) {
+template <class R>
+void Fleet::handle_ready(Node& node, Attempt<R>& attempt) {
   try {
-    serve::GemmResult result = entry.gemm_future.get();
-    resolve_ok(entry.gemm, std::move(result), entry.hedge);
+    resolve_ok(attempt.ticket, attempt.future.get(), attempt.hedge);
   } catch (...) {
     std::exception_ptr error = std::current_exception();
-    if (failover_safe(error) && !entry.gemm->resolved.load()) {
-      failover_gemm(entry.gemm, node.index, error);
+    if (failover_safe(error) && !attempt.ticket->resolved.load()) {
+      failover(attempt.ticket, node.index, error);
     } else {
-      resolve_err(entry.gemm, error);
+      resolve_err(attempt.ticket, error);
     }
   }
 }
 
-void Fleet::handle_infer_ready(Node& node, Pending& entry) {
-  try {
-    serve::InferenceResult result = entry.infer_future.get();
-    resolve_ok(entry.infer, std::move(result));
-  } catch (...) {
-    std::exception_ptr error = std::current_exception();
-    if (failover_safe(error) && !entry.infer->resolved.load()) {
-      failover_infer(entry.infer, node.index, error);
-    } else {
-      resolve_err(entry.infer, error);
-    }
-  }
-}
-
-void Fleet::failover_gemm(const std::shared_ptr<GemmTicket>& ticket, int from,
-                          std::exception_ptr error) {
+template <class R>
+void Fleet::failover(const TicketPtr<R>& ticket, int from,
+                     std::exception_ptr error) {
   while (true) {
     if (ticket->resolved.load()) return;  // a hedge landed first
-    if (admission_closed_.load()) break;
-    if (ticket->deadline != Clock::time_point::max() &&
-        Clock::now() >= ticket->deadline) {
-      error = std::make_exception_ptr(
-          Error("deadline exhausted during failover", //
-                ErrorCode::kDeadlineExceeded));
-      break;
-    }
-    if (ticket->failovers.fetch_add(1) >= options_.max_failovers) break;
-    try {
-      bool overloaded_everywhere = false;
-      const int slot = try_place_gemm(ticket, from, PlaceKind::kFailover,
-                                      &overloaded_everywhere);
-      if (slot >= 0) return;  // re-admitted; the new collector owns it
-      if (!overloaded_everywhere) break;  // no survivor to take it
-      // All survivors overloaded: back off briefly and try again on the
-      // remaining failover budget rather than dropping a live request.
-      std::this_thread::sleep_for(from_ms(options_.block_retry_ms));
-    } catch (const Error&) {
-      break;  // deadline tripped inside placement
-    }
-  }
-  resolve_err(ticket, error);
-}
-
-void Fleet::failover_infer(const std::shared_ptr<InferTicket>& ticket,
-                           int from, std::exception_ptr error) {
-  while (true) {
-    if (ticket->resolved.load()) return;
     if (admission_closed_.load()) break;
     if (ticket->deadline != Clock::time_point::max() &&
         Clock::now() >= ticket->deadline) {
@@ -676,31 +504,33 @@ void Fleet::failover_infer(const std::shared_ptr<InferTicket>& ticket,
     if (ticket->failovers.fetch_add(1) >= options_.max_failovers) break;
     try {
       bool overloaded_everywhere = false;
-      const int slot = try_place_infer(ticket, from, PlaceKind::kFailover,
-                                       &overloaded_everywhere);
+      const int slot =
+          try_place(ticket, from, PlaceKind::kFailover, &overloaded_everywhere);
       if (slot >= 0) return;  // re-admitted; the new collector owns it
-      if (!overloaded_everywhere) break;
+      if (!overloaded_everywhere) break;  // no survivor to take it
+      // All survivors overloaded: back off briefly and try again on the
+      // remaining failover budget rather than dropping a live request.
       std::this_thread::sleep_for(from_ms(options_.block_retry_ms));
     } catch (const Error&) {
-      break;
+      break;  // deadline tripped, or no survivor takes the request as valid
     }
   }
   resolve_err(ticket, error);
 }
 
-void Fleet::issue_hedge(const std::shared_ptr<GemmTicket>& ticket, int from) {
+void Fleet::issue_hedge(const TicketPtr<serve::GemmResult>& ticket, int from) {
   if (ticket->resolved.load() || admission_closed_.load()) return;
   try {
     bool overloaded_everywhere = false;
     const int slot =
-        try_place_gemm(ticket, from, PlaceKind::kHedge, &overloaded_everywhere);
+        try_place(ticket, from, PlaceKind::kHedge, &overloaded_everywhere);
     (void)slot;  // counted inside submit_to, before the entry publishes
     // Placement failed: the original attempt is still in flight, so the
     // ticket is NOT at risk — just unhedged (hedged stays claimed; one
     // shot per ticket keeps hedge load bounded).
   } catch (const Error&) {
-    // Deadline tripped during placement; the original attempt's own
-    // deadline handling delivers the verdict.
+    // Deadline tripped during placement (or no other slot takes the
+    // request); the original attempt's own handling delivers the verdict.
   }
 }
 
@@ -716,8 +546,8 @@ void Fleet::book_resolution(const std::string& tenant, bool ok) {
   }
 }
 
-void Fleet::resolve_ok(const std::shared_ptr<GemmTicket>& ticket,
-                       serve::GemmResult result, bool from_hedge) {
+template <class R>
+void Fleet::resolve_ok(const TicketPtr<R>& ticket, R result, bool from_hedge) {
   if (ticket->resolved.exchange(true)) {
     // The other half of a hedged pair got here first: this result is the
     // cancelled loser.
@@ -734,36 +564,9 @@ void Fleet::resolve_ok(const std::shared_ptr<GemmTicket>& ticket,
   }
 }
 
-void Fleet::resolve_err(const std::shared_ptr<GemmTicket>& ticket,
-                        std::exception_ptr error) {
+template <class R>
+void Fleet::resolve_err(const TicketPtr<R>& ticket, std::exception_ptr error) {
   if (ticket->resolved.exchange(true)) return;  // lost to a hedge — fine
-  resolved_err_.fetch_add(1, std::memory_order_relaxed);
-  book_resolution(ticket->tenant, /*ok=*/false);
-  try {
-    ticket->promise.set_exception(std::move(error));
-  } catch (const std::future_error&) {
-    resolve_double_sets_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void Fleet::resolve_ok(const std::shared_ptr<InferTicket>& ticket,
-                       serve::InferenceResult result) {
-  if (ticket->resolved.exchange(true)) {
-    duplicate_results_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  resolved_ok_.fetch_add(1, std::memory_order_relaxed);
-  book_resolution(ticket->tenant, /*ok=*/true);
-  try {
-    ticket->promise.set_value(std::move(result));
-  } catch (const std::future_error&) {
-    resolve_double_sets_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void Fleet::resolve_err(const std::shared_ptr<InferTicket>& ticket,
-                        std::exception_ptr error) {
-  if (ticket->resolved.exchange(true)) return;
   resolved_err_.fetch_add(1, std::memory_order_relaxed);
   book_resolution(ticket->tenant, /*ok=*/false);
   try {

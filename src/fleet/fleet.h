@@ -39,10 +39,12 @@
 // explicit: kDead servers never rejoin until restart_server.
 //
 // Overload composes across the fleet: a server rejecting with kOverloaded
-// just redirects placement to the next-best routable server; only when
-// EVERY routable server rejects does the fleet-level policy fire —
-// "reject" fails the submit, "block" retries placement with backoff until
-// space frees, "degrade" re-places the request cost-only.
+// (or kInvalidArgument, e.g. a mode only other slots support) just
+// redirects placement to the next-best routable server; only when EVERY
+// routable server rejects does the fleet-level policy fire — "reject"
+// fails the submit, "block" retries placement with backoff until space
+// frees, "degrade" re-places a GEMM cost-only.  When no server was
+// overloaded, the first kInvalidArgument is the client's error.
 
 #pragma once
 
@@ -56,6 +58,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "arch/config.h"
@@ -65,8 +68,10 @@
 namespace af::fleet {
 
 // One server slot's build recipe.  Fleets may be heterogeneous: different
-// array geometries, backends, dispatchers, shard bounds, pressure limits
-// (grow_at / shrink_at / overload_at) and overload policies per slot.
+// array geometries and supported modes, backends, shard bounds, pressure
+// limits (grow_at / shrink_at / overload_at) and overload policies per
+// slot.  A request some slots reject as invalid (say, a mode only others
+// support) is placed on one that accepts it.
 struct FleetServerSpec {
   arch::ArrayConfig config = arch::ArrayConfig::square(16);
   serve::ServerOptions options;
@@ -91,15 +96,15 @@ struct FleetOptions {
   // (kUnavailable / kShutdown / post-retry kEngineFault) may be re-placed
   // on a surviving server before its error is delivered to the client.
   int max_failovers = 3;
-  // Hedged submits: a ticket still unresolved hedge_ms after submission —
-  // or within hedge_ms of its deadline — gets a duplicate on a different
-  // server (first result wins, loser cancelled by the resolution CAS and
-  // counted).  0 disables hedging.
+  // Hedged submits: a GEMM ticket still unresolved hedge_ms after
+  // submission — or within hedge_ms of its deadline — gets a duplicate on a
+  // different server (first result wins, loser cancelled by the resolution
+  // CAS and counted).  0 disables hedging.
   double hedge_ms = 0.0;
   // Fleet-level overload policy (serve::parse_overload_policy registry
   // key), applied only when EVERY routable server rejected the placement:
   // "reject" throws kOverloaded, "block" retries placement with backoff,
-  // "degrade" re-places the request cost-only.
+  // "degrade" re-places a GEMM cost-only (an inference blocks instead).
   std::string overload_policy = "reject";
   // Backoff between fleet-level "block" placement retries.
   double block_retry_ms = 0.5;
@@ -160,18 +165,21 @@ class Fleet {
   // Routed GEMM submission (see serve::Server::submit_gemm for the
   // request semantics).  The fleet COPIES `a` and keeps `b` alive in the
   // ticket so the request can fail over or hedge to any server.  Throws
-  // af::Error(kUnavailable) when no server is routable, kOverloaded when
-  // every routable server rejected under the "reject" fleet policy, and
-  // kShutdown after shutdown().
+  // af::Error(kInvalidArgument) when no routable server accepts the
+  // request as well-formed, kUnavailable when no server is routable,
+  // kOverloaded when every server that could take it rejected under the
+  // "reject" fleet policy, and kShutdown after shutdown().
   std::future<serve::GemmResult> submit_gemm(
       const std::string& tenant, gemm::Mat32 a,
       std::shared_ptr<const gemm::Mat32> b,
       const serve::SubmitOptions& submit = {});
 
   // Routed whole-model inference: the model is placed on ONE server (its
-  // layer slices then shard across that server's pool).  Fails over like
-  // GEMMs when the serving server dies before executing it; inference is
-  // never hedged (slices of a join must not race two servers).
+  // layer slices then shard across that server's pool).  Throws and fails
+  // over like GEMMs when the serving server dies before executing it; the
+  // "degrade" fleet policy waits as "block" does (an inference has no
+  // cost-only form), and inference is never hedged (slices of a join must
+  // not race two servers).
   std::future<serve::InferenceResult> submit_inference(
       const std::string& tenant, std::shared_ptr<const nn::Model> model,
       const serve::SubmitOptions& submit = {});
@@ -205,9 +213,17 @@ class Fleet {
   void shutdown();
 
  private:
-  struct GemmTicket;
-  struct InferTicket;
-  struct Pending;
+  // One submission's fleet-side state and one (ticket, server future)
+  // attempt awaiting collection; R is serve::GemmResult or
+  // serve::InferenceResult.  Every step below is one template over R.
+  template <class R>
+  struct Ticket;
+  template <class R>
+  struct Attempt;
+  template <class R>
+  using TicketPtr = std::shared_ptr<Ticket<R>>;
+  using Pending = std::variant<Attempt<serve::GemmResult>,
+                               Attempt<serve::InferenceResult>>;
   struct Node;
 
   // Snapshot of the loads the router places over.  `exclude` (>= 0) is
@@ -221,37 +237,38 @@ class Fleet {
   // ticket and wake a stats() reader who must already see the counter.
   enum class PlaceKind { kInitial, kFailover, kHedge };
 
-  // Places and submits one GEMM attempt: router choice first, then every
-  // other routable server if the choice rejects with kOverloaded.
-  // Returns the slot it landed on, or -1 with `overloaded_everywhere`
-  // set when every routable server rejected (nothing submitted), or -1
-  // with it clear when nothing was routable at all.
-  int try_place_gemm(const std::shared_ptr<GemmTicket>& ticket, int exclude,
-                     PlaceKind kind, bool* overloaded_everywhere);
-  int try_place_infer(const std::shared_ptr<InferTicket>& ticket, int exclude,
-                      PlaceKind kind, bool* overloaded_everywhere);
-
-  // Submits the ticket to `server` and enqueues the pending entry on that
-  // node's collector.  Throws what the server's submit throws.
-  void submit_to(int server, const std::shared_ptr<GemmTicket>& ticket,
-                 PlaceKind kind);
-  void submit_to(int server, const std::shared_ptr<InferTicket>& ticket,
-                 PlaceKind kind);
+  // Stamps and books a new ticket, then places it under the fleet overload
+  // policy; unbooks and rethrows when nothing admitted it.
+  template <class R>
+  std::future<R> admit(const std::string& tenant,
+                       const serve::SubmitOptions& submit, TicketPtr<R> ticket);
+  // Places and submits one attempt: router choice first, then every other
+  // routable server if the choice rejects.  Returns the slot it landed on,
+  // or -1 with `overloaded_everywhere` set when every server that could
+  // take the request rejected it as overloaded (nothing submitted), or -1
+  // with it clear when nothing was routable at all.  Throws the first
+  // kInvalidArgument when no server accepted and none was overloaded.
+  template <class R>
+  int try_place(const TicketPtr<R>& ticket, int exclude, PlaceKind kind,
+                bool* overloaded_everywhere);
+  // Submits the ticket to `server` and enqueues the attempt on that node's
+  // collector.  Throws what the server's submit throws.
+  template <class R>
+  void submit_to(int server, const TicketPtr<R>& ticket, PlaceKind kind);
 
   // One node's collector loop: polls pending futures, resolves tickets
   // (CAS), fails over never-executed work, issues hedges.
   void collector_loop(Node& node);
-  void handle_gemm_ready(Node& node, Pending& entry);
-  void handle_infer_ready(Node& node, Pending& entry);
+  template <class R>
+  void handle_ready(Node& node, Attempt<R>& attempt);
   // Re-places a never-executed ticket on a survivor; resolves the ticket
   // with `error` when budget/deadline/routability forbid it.
-  void failover_gemm(const std::shared_ptr<GemmTicket>& ticket, int from,
-                     std::exception_ptr error);
-  void failover_infer(const std::shared_ptr<InferTicket>& ticket, int from,
-                      std::exception_ptr error);
-  // Submits the hedge duplicate of a slow ticket to a server != `from`
+  template <class R>
+  void failover(const TicketPtr<R>& ticket, int from,
+                std::exception_ptr error);
+  // Submits the hedge duplicate of a slow GEMM ticket to a server != `from`
   // (the collector's hedge scan already claimed ticket->hedged).
-  void issue_hedge(const std::shared_ptr<GemmTicket>& ticket, int from);
+  void issue_hedge(const TicketPtr<serve::GemmResult>& ticket, int from);
 
   void prober_loop();
   // True when the error held by `eptr` means the request was never
@@ -259,14 +276,10 @@ class Fleet {
   static bool failover_safe(const std::exception_ptr& eptr);
 
   // Ticket resolution (the CAS).  Winner updates fleet + tenant books.
-  void resolve_ok(const std::shared_ptr<GemmTicket>& ticket,
-                  serve::GemmResult result, bool from_hedge);
-  void resolve_err(const std::shared_ptr<GemmTicket>& ticket,
-                   std::exception_ptr error);
-  void resolve_ok(const std::shared_ptr<InferTicket>& ticket,
-                  serve::InferenceResult result);
-  void resolve_err(const std::shared_ptr<InferTicket>& ticket,
-                   std::exception_ptr error);
+  template <class R>
+  void resolve_ok(const TicketPtr<R>& ticket, R result, bool from_hedge);
+  template <class R>
+  void resolve_err(const TicketPtr<R>& ticket, std::exception_ptr error);
   void book_resolution(const std::string& tenant, bool ok);
 
   std::vector<FleetServerSpec> specs_;
@@ -279,7 +292,6 @@ class Fleet {
   std::mutex prober_mutex_;
   std::condition_variable prober_cv_;
 
-  std::atomic<std::uint64_t> next_ticket_{0};
   std::atomic<std::int64_t> submitted_{0};
   std::atomic<std::int64_t> resolved_ok_{0};
   std::atomic<std::int64_t> resolved_err_{0};

@@ -41,6 +41,24 @@ ErrorCode code_of(const std::exception_ptr& error) {
   }
 }
 
+// The per-request overrides both GEMM kinds validate: an explicit mode the
+// shard config supports and a registered backend.  is_registered is
+// allocation-free and the message (with its registry join) is only built
+// on failure — this runs on every overridden submit.
+void check_overrides(const arch::ArrayConfig& config,
+                     const SubmitOptions& submit) {
+  if (submit.k != 0) {
+    AF_CHECK(config.supports(submit.k),
+             "mode k=" << submit.k << " not supported");
+  }
+  if (!submit.backend.empty()) {
+    AF_CHECK(engine::is_registered(submit.backend),
+             "unknown per-request backend \""
+                 << submit.backend << "\" (registered: "
+                 << engine::registered_backend_list() << ")");
+  }
+}
+
 std::int64_t slice_macs(const nn::Model& model, std::size_t first,
                         std::size_t count) {
   std::int64_t macs = 0;
@@ -481,51 +499,69 @@ void Server::shrink_to(int want) {
   scale_downs_.fetch_add(old - want);
 }
 
-std::future<GemmResult> Server::submit_gemm(
-    const std::string& tenant, gemm::Mat32 a,
-    std::shared_ptr<const gemm::Mat32> b, int k, bool want_output,
-    const std::string& backend) {
-  SubmitOptions submit;
-  submit.k = k;
-  submit.want_output = want_output;
-  submit.backend = backend;
-  return submit_gemm(tenant, std::move(a), std::move(b), submit);
+void Server::admit(const std::string& tenant, const SubmitOptions& submit,
+                   std::int64_t count) {
+  if (shut_down_.load()) {
+    throw Error("submit on a shut-down server", ErrorCode::kShutdown);
+  }
+  AF_CHECK(submit.deadline_ms >= 0.0, "deadline_ms must be non-negative");
+  // Overload policy fires before any admission work: a rejected request
+  // costs the client one atomic read and one depth estimate — a batch of N
+  // shapes too, not N, though its rejection counts every shape.
+  if (overload_policy_ == OverloadPolicy::kReject && under_pressure()) {
+    rejected_.fetch_add(count);
+    tenants_.record_error(tenant, ErrorCode::kOverloaded);
+    throw Error("overloaded: admission rejected under the \"reject\" policy",
+                ErrorCode::kOverloaded);
+  }
+}
+
+void Server::stamp(Request& r, const std::string& tenant,
+                   const SubmitOptions& submit, Clock::time_point now) {
+  r.id = next_id_.fetch_add(1);
+  r.tenant = tenant;
+  r.max_retries =
+      submit.max_retries >= 0 ? submit.max_retries : options_.max_retries;
+  r.enqueue_time = now;
+  if (submit.deadline_ms > 0.0) {
+    r.deadline = now + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double, std::milli>(
+                               submit.deadline_ms));
+  }
+}
+
+void Server::enqueue(Request& r, const SubmitOptions& submit,
+                     std::int64_t count) {
+  switch (dispatcher_->submit_for(
+      r, admission_timeout(submit.admission_timeout_ms))) {
+    case SubmitResult::kAccepted:
+      return;
+    case SubmitResult::kWouldBlock:
+      submitted_.fetch_sub(count);
+      rejected_.fetch_add(count);
+      tenants_.record_error(r.tenant, ErrorCode::kOverloaded);
+      throw Error("overloaded: queue still full after admission timeout",
+                  ErrorCode::kOverloaded);
+    case SubmitResult::kClosed:
+      break;
+  }
+  submitted_.fetch_sub(count);
+  throw Error("server shut down while enqueueing", ErrorCode::kShutdown);
 }
 
 std::future<GemmResult> Server::submit_gemm(
     const std::string& tenant, gemm::Mat32 a,
     std::shared_ptr<const gemm::Mat32> b, const SubmitOptions& submit) {
-  if (shut_down_.load()) {
-    throw Error("submit_gemm on a shut-down server", ErrorCode::kShutdown);
-  }
   AF_CHECK(b != nullptr, "weight matrix required");
   AF_CHECK(a.rows() > 0, "activation matrix must be non-empty");
   AF_CHECK(a.cols() == b->rows(), "GEMM inner-dimension mismatch: "
                                       << a.cols() << " vs " << b->rows());
-  AF_CHECK(submit.deadline_ms >= 0.0, "deadline_ms must be non-negative");
-  // is_registered is allocation-free and the message (with its registry
-  // join) is only built on failure — this runs on every overridden submit.
-  if (!submit.backend.empty()) {
-    AF_CHECK(engine::is_registered(submit.backend),
-             "unknown per-request backend \""
-                 << submit.backend << "\" (registered: "
-                 << engine::registered_backend_list()
-                 << ")");
-  }
-  // Overload policy fires before any admission work: a rejected request
-  // costs the client one atomic read and one depth estimate.
-  if (overload_policy_ == OverloadPolicy::kReject && under_pressure()) {
-    rejected_.fetch_add(1);
-    tenants_.record_error(tenant, ErrorCode::kOverloaded);
-    throw Error("overloaded: admission rejected under the \"reject\" policy",
-                ErrorCode::kOverloaded);
-  }
+  check_overrides(shard_config_, submit);
+  admit(tenant, submit, 1);
   const bool degrade_now =
       overload_policy_ == OverloadPolicy::kDegrade && under_pressure();
   Request r;
   r.kind = RequestKind::kGemm;
-  r.id = next_id_.fetch_add(1);
-  r.tenant = tenant;
   r.backend = submit.backend;
   r.shape = gemm::GemmShape{b->cols(), b->rows(), a.rows()};
   r.drr_cost =
@@ -538,8 +574,6 @@ std::future<GemmResult> Server::submit_gemm(
   // (private A+C only) — batch assembly picks between the two charges.
   r.drr_rider_bytes = mem::projected_fused_rider_bytes(r.shape, shard_config_);
   if (submit.k != 0) {
-    AF_CHECK(shard_config_.supports(submit.k),
-             "mode k=" << submit.k << " not supported");
     r.decided_k = submit.k;
   } else if (reconfig_.kind == ReconfigPolicyKind::kArgmin) {
     // The stateless default keeps the historical lock-free admission path,
@@ -578,68 +612,20 @@ std::future<GemmResult> Server::submit_gemm(
     degraded_.fetch_add(1);
     tenants_.record_degraded(tenant);
   }
-  r.max_retries =
-      submit.max_retries >= 0 ? submit.max_retries : options_.max_retries;
-  r.enqueue_time = Clock::now();
-  if (submit.deadline_ms > 0.0) {
-    r.deadline = r.enqueue_time +
-                 std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double, std::milli>(
-                         submit.deadline_ms));
-  }
+  stamp(r, tenant, submit, Clock::now());
   std::future<GemmResult> future = r.gemm_promise.get_future();
-  // Counted before the push: a fast worker may complete the request before
-  // this thread runs another instruction, and stats() must never show
-  // completed > submitted.
   submitted_.fetch_add(1);
-  // submit_for moves from r only on acceptance, so the promise stays with
-  // this frame (and dies with it, never double-resolved) on rejection.
-  switch (dispatcher_->submit_for(
-      r, admission_timeout(submit.admission_timeout_ms))) {
-    case SubmitResult::kAccepted:
-      return future;
-    case SubmitResult::kWouldBlock:
-      submitted_.fetch_sub(1);
-      rejected_.fetch_add(1);
-      tenants_.record_error(tenant, ErrorCode::kOverloaded);
-      throw Error("overloaded: queue still full after admission timeout",
-                  ErrorCode::kOverloaded);
-    case SubmitResult::kClosed:
-      break;
-  }
-  submitted_.fetch_sub(1);
-  throw Error("server shut down while enqueueing", ErrorCode::kShutdown);
+  enqueue(r, submit, 1);
+  return future;
 }
 
 BatchTicket Server::submit_gemm_batch(const std::string& tenant,
                                       std::span<const gemm::GemmShape> shapes,
                                       const SubmitOptions& submit) {
-  if (shut_down_.load()) {
-    throw Error("submit_gemm_batch on a shut-down server",
-                ErrorCode::kShutdown);
-  }
   AF_CHECK(!shapes.empty(), "submit_gemm_batch needs at least one shape");
-  AF_CHECK(submit.deadline_ms >= 0.0, "deadline_ms must be non-negative");
-  if (submit.k != 0) {
-    AF_CHECK(shard_config_.supports(submit.k),
-             "mode k=" << submit.k << " not supported");
-  }
-  if (!submit.backend.empty()) {
-    AF_CHECK(engine::is_registered(submit.backend),
-             "unknown per-request backend \""
-                 << submit.backend << "\" (registered: "
-                 << engine::registered_backend_list() << ")");
-  }
+  check_overrides(shard_config_, submit);
   const std::int64_t count = static_cast<std::int64_t>(shapes.size());
-  // One overload check for the whole batch — N shapes cost the client ONE
-  // atomic read and one depth estimate, not N.  Rejection counts every
-  // shape (each is a logical request, like the books below).
-  if (overload_policy_ == OverloadPolicy::kReject && under_pressure()) {
-    rejected_.fetch_add(count);
-    tenants_.record_error(tenant, ErrorCode::kOverloaded);
-    throw Error("overloaded: admission rejected under the \"reject\" policy",
-                ErrorCode::kOverloaded);
-  }
+  admit(tenant, submit, count);
   // Shape validation up front (the engine would reject them too, but at
   // admission the CLIENT gets the throw instead of a failed ticket), and
   // the DRR charge: cost queries run no hardware, so they are billed by
@@ -647,8 +633,6 @@ BatchTicket Server::submit_gemm_batch(const std::string& tenant,
   // fairly without starving anyone's real GEMM MACs.
   Request r;
   r.kind = RequestKind::kGemmBatch;
-  r.id = next_id_.fetch_add(1);
-  r.tenant = tenant;
   r.backend = submit.backend;
   r.decided_k = submit.k;  // 0 = per-shape argmin inside evaluate_batch
   r.want_output = false;   // the batched path is cost-only by construction
@@ -665,60 +649,24 @@ BatchTicket Server::submit_gemm_batch(const std::string& tenant,
     slot_shapes.push_back(s);
   }
   r.slot = slot;
-  r.max_retries =
-      submit.max_retries >= 0 ? submit.max_retries : options_.max_retries;
-  r.enqueue_time = Clock::now();
-  if (submit.deadline_ms > 0.0) {
-    r.deadline = r.enqueue_time +
-                 std::chrono::duration_cast<Clock::duration>(
-                     std::chrono::duration<double, std::milli>(
-                         submit.deadline_ms));
-  }
+  stamp(r, tenant, submit, Clock::now());
   // Every shape is one logical request in the books: submitted_ moves by
   // the batch size here, completed_ moves by the same on delivery or
   // failure, so submitted == completed still balances (the lifecycle
   // invariant the tests pin).
   submitted_.fetch_add(count);
-  switch (dispatcher_->submit_for(
-      r, admission_timeout(submit.admission_timeout_ms))) {
-    case SubmitResult::kAccepted:
-      return BatchTicket(std::move(slot), &slot_pool_);
-    case SubmitResult::kWouldBlock:
-      submitted_.fetch_sub(count);
-      rejected_.fetch_add(count);
-      tenants_.record_error(tenant, ErrorCode::kOverloaded);
-      throw Error("overloaded: queue still full after admission timeout",
-                  ErrorCode::kOverloaded);
-    case SubmitResult::kClosed:
-      break;
-  }
-  submitted_.fetch_sub(count);
-  throw Error("server shut down while enqueueing", ErrorCode::kShutdown);
-}
-
-std::future<InferenceResult> Server::submit_inference(
-    const std::string& tenant, std::shared_ptr<const nn::Model> model) {
-  return submit_inference(tenant, std::move(model), SubmitOptions{});
+  enqueue(r, submit, count);
+  return BatchTicket(std::move(slot), &slot_pool_);
 }
 
 std::future<InferenceResult> Server::submit_inference(
     const std::string& tenant, std::shared_ptr<const nn::Model> model,
     const SubmitOptions& submit) {
-  if (shut_down_.load()) {
-    throw Error("submit_inference on a shut-down server",
-                ErrorCode::kShutdown);
-  }
   AF_CHECK(model != nullptr && !model->layers.empty(),
            "inference needs a non-empty model");
-  AF_CHECK(submit.deadline_ms >= 0.0, "deadline_ms must be non-negative");
   // Inference is never degraded (its fidelity IS the product); under
   // pressure the "reject" policy sheds it like any other admission.
-  if (overload_policy_ == OverloadPolicy::kReject && under_pressure()) {
-    rejected_.fetch_add(1);
-    tenants_.record_error(tenant, ErrorCode::kOverloaded);
-    throw Error("overloaded: admission rejected under the \"reject\" policy",
-                ErrorCode::kOverloaded);
-  }
+  admit(tenant, submit, 1);
   const std::size_t layers = model->layers.size();
   const std::size_t slices = std::min<std::size_t>(
       static_cast<std::size_t>(std::max(1, live_shards_.load())), layers);
@@ -741,43 +689,24 @@ std::future<InferenceResult> Server::submit_inference(
     const std::size_t count = base + (i < extra ? 1 : 0);
     Request r;
     r.kind = RequestKind::kInferSlice;
-    r.id = next_id_.fetch_add(1);
-    r.tenant = tenant;
-    r.enqueue_time = join->enqueue_time;
+    stamp(r, tenant, submit, join->enqueue_time);
     r.model = model;
     r.layer_begin = begin;
     r.layer_count = count;
     r.slice_index = i;
     r.join = join;
     r.drr_cost = std::max<std::int64_t>(1, slice_macs(*model, begin, count));
-    r.max_retries =
-        submit.max_retries >= 0 ? submit.max_retries : options_.max_retries;
-    if (submit.deadline_ms > 0.0) {
-      r.deadline = join->enqueue_time +
-                   std::chrono::duration_cast<Clock::duration>(
-                       std::chrono::duration<double, std::milli>(
-                           submit.deadline_ms));
-    }
     begin += count;
-    const SubmitResult pushed = dispatcher_->submit_for(
-        r, admission_timeout(submit.admission_timeout_ms));
-    if (pushed != SubmitResult::kAccepted) {
+    try {
+      enqueue(r, submit, 1);
+    } catch (const Error&) {
       // Shutdown (or an admission timeout) raced the fan-out: slices pushed
       // so far are already in workers' hands.  Marking the join failed
       // turns them into no-ops (execute_infer_batch skips failed joins), so
       // a rejected submission never half-completes or half-bills.
-      {
-        std::lock_guard<std::mutex> lock(join->mutex);
-        join->failed = true;
-      }
-      submitted_.fetch_sub(1);
-      if (pushed == SubmitResult::kWouldBlock) {
-        rejected_.fetch_add(1);
-        tenants_.record_error(tenant, ErrorCode::kOverloaded);
-        throw Error("overloaded: queue still full after admission timeout",
-                    ErrorCode::kOverloaded);
-      }
-      throw Error("server shut down while enqueueing", ErrorCode::kShutdown);
+      std::lock_guard<std::mutex> lock(join->mutex);
+      join->failed = true;
+      throw;
     }
   }
   return future;

@@ -249,9 +249,8 @@ std::vector<std::string> overload_policy_names();
 // One-line human description per policy (the README matrix source).
 std::string overload_policy_description(const std::string& name);
 
-// Per-submission knobs for the robustness-aware entry points.  The legacy
-// positional overloads delegate here with everything defaulted, so the two
-// surfaces cannot drift.
+// Per-submission knobs of every submit entry point (Server and Fleet); a
+// default-constructed SubmitOptions is the classic blocking submit.
 struct SubmitOptions {
   int k = 0;                 // pipeline mode (0 = optimizer's choice)
   bool want_output = true;   // false = cost-only traffic
@@ -357,47 +356,40 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  // X = a x *b in mode k (0 = per-request optimizer choice).  `b` is the
-  // shared stationary weight matrix — requests naming the same matrix (by
-  // pointer) with equal shapes and modes are fused into one hardware run.
-  // `want_output` = false marks cost-estimation traffic: the result's
-  // cycles/time/energy are exact but `out` comes back empty, and on the
-  // analytic backend the operands are never even read — the cheapest way
-  // to price millions of GEMMs.  `backend` (optional) pins THIS request to
-  // a specific registered engine regardless of the shard default —
-  // fidelity routing per submission, layered on top of audit sampling;
-  // unknown names are rejected here with the registry listed.  Blocks
-  // while the queue is full; throws af::Error after shutdown.
+  // X = a x *b in mode submit.k (0 = per-request optimizer choice).  `b` is
+  // the shared stationary weight matrix — requests naming the same matrix
+  // (by pointer) with equal shapes and modes are fused into one hardware
+  // run.  submit.want_output = false marks cost-estimation traffic: the
+  // result's cycles/time/energy are exact but `out` comes back empty, and
+  // on the analytic backend the operands are never even read — the
+  // cheapest way to price millions of GEMMs.  submit.backend pins THIS
+  // request to a specific registered engine regardless of the shard
+  // default — fidelity routing per submission, layered on top of audit
+  // sampling.  Deadline, bounded admission wait and retry budget as in
+  // SubmitOptions; by default submit blocks while the queue is full.
+  // Throws af::Error(kInvalidArgument) for a malformed request (operand
+  // shapes, an unsupported mode, an unknown backend — listed with the
+  // registry), kOverloaded when the "reject" policy sheds the request or
+  // the admission timeout elapses on a full queue, and kShutdown after
+  // shutdown.
   std::future<GemmResult> submit_gemm(const std::string& tenant,
                                       gemm::Mat32 a,
                                       std::shared_ptr<const gemm::Mat32> b,
-                                      int k = 0, bool want_output = true,
-                                      const std::string& backend = "");
-
-  // Robustness-aware variant: deadline, bounded admission wait, retry
-  // budget (see SubmitOptions).  Throws af::Error(kOverloaded) when the
-  // "reject" policy sheds the request or the admission timeout elapses on
-  // a full queue; af::Error(kShutdown) after shutdown.  The legacy
-  // overload above delegates here.
-  std::future<GemmResult> submit_gemm(const std::string& tenant,
-                                      gemm::Mat32 a,
-                                      std::shared_ptr<const gemm::Mat32> b,
-                                      const SubmitOptions& submit);
+                                      const SubmitOptions& submit = {});
 
   // Batched cost queries: prices every shape in one call — one admission
   // check, one queue hop, one pooled completion slot for the whole batch —
   // and the shard answers through Engine::evaluate_batch (vectorized
   // closed forms + the shared CostEstimate cache).  Results are EXACTLY
-  // equal to submit_gemm(want_output=false) per shape, in submission
-  // order; submit.k = 0 resolves each shape's mode by the Eq. 6 argmin.
+  // equal to a cost-only submit_gemm ({.want_output = false}) per shape,
+  // in submission order; submit.k = 0 resolves each shape's mode by the
+  // Eq. 6 argmin.
   // Each shape counts as one logical request in ServerStats (submitted/
   // completed move by shapes.size()).  SubmitOptions::want_output is
   // ignored (the batched path is cost-only by construction); deadline,
   // admission timeout, retries and the backend override apply to the
-  // batch as a unit.  Throws like submit_gemm (kOverloaded under the
-  // reject policy or admission timeout, kShutdown after shutdown);
-  // BatchTicket::get() blocks for the estimates and rethrows a serving-
-  // side failure.
+  // batch as a unit.  Throws like submit_gemm; BatchTicket::get() blocks
+  // for the estimates and rethrows a serving-side failure.
   BatchTicket submit_gemm_batch(const std::string& tenant,
                                 std::span<const gemm::GemmShape> shapes,
                                 const SubmitOptions& submit = {});
@@ -406,17 +398,13 @@ class Server {
   // live_shards contiguous slices evaluated on different shards; the merged
   // report is bit-identical to InferenceRunner::run on one array with this
   // shard config.  Coalesces with concurrent submissions of the same model
-  // (by shared_ptr identity).
-  std::future<InferenceResult> submit_inference(
-      const std::string& tenant, std::shared_ptr<const nn::Model> model);
-
-  // Robustness-aware variant (deadline / admission timeout / retries apply
-  // per layer-slice; one failed slice fails the whole join with that
-  // slice's error).  SubmitOptions::k, want_output and backend are ignored
-  // for inference.
+  // (by shared_ptr identity).  Deadline, admission timeout and retries
+  // apply per layer-slice; one failed slice fails the whole join with that
+  // slice's error.  SubmitOptions::k, want_output and backend are ignored
+  // for inference.  Throws like submit_gemm.
   std::future<InferenceResult> submit_inference(
       const std::string& tenant, std::shared_ptr<const nn::Model> model,
-      const SubmitOptions& submit);
+      const SubmitOptions& submit = {});
 
   // The windowed overload signal as of the last control tick (always false
   // under the "block" policy with autoscaling off — no control thread).
@@ -466,6 +454,22 @@ class Server {
 
  private:
   struct Shard;
+
+  // The admission steps every submit shares, in order.  admit: the
+  // shutdown and deadline_ms checks, then the "reject" policy check (before
+  // any admission work), whose refusal books `count` logical requests — a
+  // batch's shape count, 1 otherwise.  stamp: the id, tenant, retry budget,
+  // enqueue time `now` and deadline every Request carries.  enqueue:
+  // pushes `r`, whose `count` requests the caller has already added to
+  // submitted_ (a fast worker may complete them before the push returns,
+  // and stats() must never show completed > submitted); a refusal unbooks
+  // them and throws kOverloaded (admission timeout, booked as rejected) or
+  // kShutdown.  `r` is moved from only when the push is accepted.
+  void admit(const std::string& tenant, const SubmitOptions& submit,
+             std::int64_t count);
+  void stamp(Request& r, const std::string& tenant,
+             const SubmitOptions& submit, Clock::time_point now);
+  void enqueue(Request& r, const SubmitOptions& submit, std::int64_t count);
 
   void shard_loop(Shard& shard);
   void execute_gemm_batch(Shard& shard, Batch& batch);

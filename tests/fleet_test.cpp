@@ -662,6 +662,162 @@ TEST_F(FleetTest, RoutesWholeInferencesAndFailsThemOver) {
   EXPECT_EQ(stats.resolved_err, 0);
 }
 
+TEST_F(FleetTest, MalformedRequestsThrowInvalidArgumentAndBookNothing) {
+  // A request every server refuses as malformed is the client's error, not
+  // a dead fleet: the server's kInvalidArgument comes back, not
+  // kUnavailable, and no ticket is booked.
+  Fleet fleet({small_spec(), small_spec()});
+  Rng rng(67);
+  auto weights = random_weights(rng, 16, 8);
+  const auto expect_invalid = [](const std::string& what, const auto& submit) {
+    try {
+      submit();
+      ADD_FAILURE() << what << ": expected kInvalidArgument";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument)
+          << what << ": " << error_code_name(e.code());
+    }
+  };
+  expect_invalid("inner-dimension mismatch", [&] {
+    fleet.submit_gemm("t", gemm::random_matrix(rng, 2, 12, -5, 5), weights);
+  });
+  expect_invalid("unknown backend", [&] {
+    fleet.submit_gemm("t", gemm::random_matrix(rng, 2, 16, -5, 5), weights,
+                      {.backend = "rtl"});
+  });
+  expect_invalid("unsupported mode", [&] {
+    fleet.submit_gemm("t", gemm::random_matrix(rng, 2, 16, -5, 5), weights,
+                      {.k = 3});
+  });
+  expect_invalid("empty model", [&] {
+    fleet.submit_inference("t", std::make_shared<nn::Model>());
+  });
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.submitted, 0);
+  EXPECT_EQ(stats.resolved(), 0);
+  EXPECT_EQ(stats.rerouted_overload, 0);
+}
+
+TEST_F(FleetTest, HeterogeneousFleetPlacesAModeOnlySomeServersSupport) {
+  // Slot 1 supports modes {1, 2} only.  For a tenant homed there, k = 4 is
+  // invalid at the home but well-formed for the fleet: placement moves on
+  // to the slot that supports it, every time.
+  std::vector<FleetServerSpec> specs{small_spec(), small_spec()};
+  specs[1].config.supported_k = {1, 2};
+  FleetOptions options;
+  options.router = "hash";
+  Fleet fleet(std::move(specs), options);
+  const std::string tenant = tenant_homed_at(1, 2);
+
+  Rng rng(71);
+  auto weights = random_weights(rng, 16, 8);
+  for (int i = 0; i < 6; ++i) {
+    gemm::Mat32 a = gemm::random_matrix(rng, 2, 16, -20, 20);
+    const gemm::Mat64 want = gemm::reference_gemm(a, *weights);
+    const serve::GemmResult r =
+        fleet.submit_gemm(tenant, std::move(a), weights, {.k = 4}).get();
+    EXPECT_EQ(r.k, 4);
+    EXPECT_EQ(gemm::first_mismatch(r.out, want), "") << "request " << i;
+  }
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.servers[0].placed, 6);
+  EXPECT_EQ(stats.servers[1].placed, 0);
+  EXPECT_EQ(stats.rerouted_overload, 0);  // invalid there, not overloaded
+  EXPECT_EQ(stats.resolved_ok, 6);
+}
+
+// The fleet's one ticket path branches on the request kind in three
+// places: the Server submit it calls, the "degrade" policy (a GEMM retries
+// cost-only, an inference waits) and the hedge scan (GEMMs only).  These
+// pin the inference side of the last two, and the "reject" policy for it.
+
+// A fleet of one stalled server whose one-request deque is already full:
+// every further placement is rejected as overloaded until resume.
+class FleetFullServerTest : public FleetTest {
+ protected:
+  std::unique_ptr<Fleet> full_fleet(const std::string& policy) {
+    FleetServerSpec spec = small_spec();
+    spec.options.queue_capacity = 1;
+    FleetOptions options;
+    options.overload_policy = policy;
+    auto fleet = std::make_unique<Fleet>(
+        std::vector<FleetServerSpec>{spec}, options);
+    fleet->stall_server(0);
+    filler_ = fleet->submit_gemm(
+        "filler", gemm::random_matrix(rng_, 2, 16, -5, 5), weights_);
+    return fleet;
+  }
+
+  Rng rng_{73};
+  std::shared_ptr<gemm::Mat32> weights_ = random_weights(rng_, 16, 8);
+  std::shared_ptr<nn::Model> model_ =
+      std::make_shared<nn::Model>(nn::mobilenet_v1());
+  std::future<serve::GemmResult> filler_;
+};
+
+TEST_F(FleetFullServerTest, RejectPolicyShedsAnInferenceAndBooksNothing) {
+  auto fleet = full_fleet("reject");
+  const FleetStats before = fleet->stats();
+  try {
+    fleet->submit_inference("reader", model_);
+    ADD_FAILURE() << "expected kOverloaded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kOverloaded) << error_code_name(e.code());
+  }
+  const FleetStats after = fleet->stats();
+  EXPECT_EQ(after.submitted, before.submitted);
+  EXPECT_EQ(after.resolved(), before.resolved());
+  EXPECT_EQ(after.degraded, 0);
+  const auto book = after.tenants.find("reader");
+  EXPECT_TRUE(book == after.tenants.end() || book->second.submitted == 0);
+  fleet->stall_server(0, false);
+  EXPECT_GT(filler_.get().cycles, 0);
+}
+
+TEST_F(FleetFullServerTest, DegradePolicyMakesAnInferenceWaitLikeBlock) {
+  auto fleet = full_fleet("degrade");
+  std::future<serve::InferenceResult> future;
+  std::atomic<bool> admitted{false};
+  std::thread client([&] {
+    future = fleet->submit_inference("reader", model_);
+    admitted.store(true);
+  });
+  std::this_thread::sleep_for(milliseconds(50));
+  EXPECT_FALSE(admitted.load());  // waiting, neither shed nor degraded
+  fleet->stall_server(0, false);
+  client.join();
+  ASSERT_TRUE(admitted.load());
+  EXPECT_EQ(future.get().report.layers.size(), model_->layers.size());
+  EXPECT_GT(filler_.get().cycles, 0);
+  const FleetStats stats = fleet->stats();
+  EXPECT_EQ(stats.degraded, 0);
+  EXPECT_EQ(stats.resolved_ok, 2);
+}
+
+TEST_F(FleetTest, InferenceIsNeverHedged) {
+  FleetOptions options;
+  options.router = "hash";
+  options.hedge_ms = 10.0;
+  Fleet fleet({small_spec(), small_spec()}, options);
+  const std::string tenant = tenant_homed_at(0, 2);
+  auto model = std::make_shared<nn::Model>(nn::mobilenet_v1());
+
+  fleet.stall_server(0);
+  auto future = fleet.submit_inference(tenant, model);
+  // Three hedge periods stuck on the stalled home: a GEMM would have been
+  // duplicated to server 1 by now; an inference's slices must not race.
+  std::this_thread::sleep_for(milliseconds(30));
+  EXPECT_EQ(future.wait_for(milliseconds(0)), std::future_status::timeout);
+  EXPECT_EQ(fleet.stats().hedges, 0);
+
+  fleet.stall_server(0, false);
+  EXPECT_EQ(future.get().report.layers.size(), model->layers.size());
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.hedges, 0);
+  EXPECT_EQ(stats.servers[1].placed, 0);
+  EXPECT_EQ(stats.resolved_ok, 1);
+}
+
 // The tentpole gate, repeated under sanitizers by CI: 4 servers with
 // chaos engines, autoscaling and stealing dispatch, 4 concurrent clients;
 // one server crashes and another stalls (then recovers) mid-run.  Books

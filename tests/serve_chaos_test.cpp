@@ -19,6 +19,7 @@
 
 #include "engine/engine.h"
 #include "gemm/reference.h"
+#include "nn/models.h"
 #include "serve/dispatcher.h"
 #include "serve/queue.h"
 #include "serve/server.h"
@@ -455,6 +456,140 @@ TEST_F(ServeChaosTest, DegradePolicyServesCostOnlyUnderPressureThenRecovers) {
   EXPECT_TRUE(recovered);
 }
 
+// ---- admission books, per submission kind ---------------------------------
+
+// Every kind enters through the same admission steps, so every kind must
+// keep the same books when admission refuses it: a refusal moves
+// `rejected` by the logical requests it carried (a batch's shape count, 1
+// otherwise) and the tenant's `rejected` by one, and never `submitted`.
+enum class SubmitKind { kGemm, kBatch, kInference };
+
+class AdmissionBooksTest : public ServeChaosTest,
+                           public ::testing::WithParamInterface<SubmitKind> {
+ protected:
+  // Whichever future or ticket one submission returned.
+  struct Accepted {
+    std::future<GemmResult> gemm;
+    BatchTicket batch;
+    std::future<InferenceResult> inference;
+
+    void wait() {
+      if (gemm.valid()) gemm.get();
+      if (batch.valid()) batch.get();
+      if (inference.valid()) inference.get();
+    }
+  };
+
+  std::int64_t logical_requests() const {
+    return GetParam() == SubmitKind::kBatch ? 4 : 1;
+  }
+
+  // A fresh 1-shard server, paused, so everything it accepts stays queued
+  // until pause_serving(false) — the queue depth is exact, not a race with
+  // a worker.
+  static std::unique_ptr<Server> paused_server(ServerOptions opts) {
+    opts.num_shards = 1;
+    auto server = std::make_unique<Server>(shard16(), opts);
+    server->pause_serving(true);
+    return server;
+  }
+
+  Accepted submit(Server& server, const SubmitOptions& options = {}) {
+    Accepted out;
+    switch (GetParam()) {
+      case SubmitKind::kGemm:
+        out.gemm = server.submit_gemm(
+            kTenant, gemm::random_matrix(rng_, 2, 16, -10, 10), weights_,
+            options);
+        break;
+      case SubmitKind::kBatch:
+        out.batch = server.submit_gemm_batch(kTenant, shapes_, options);
+        break;
+      case SubmitKind::kInference:
+        out.inference = server.submit_inference(kTenant, model_, options);
+        break;
+    }
+    return out;
+  }
+
+  // The second submission is refused with kOverloaded and books exactly
+  // one refusal; the first is then served once the server resumes.
+  void expect_overloaded_refusal(Server& server, Accepted first,
+                                 const SubmitOptions& options) {
+    const ServerStats before = server.stats();
+    try {
+      submit(server, options);
+      ADD_FAILURE() << "expected kOverloaded";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kOverloaded) << error_code_name(e.code());
+    }
+    const ServerStats after = server.stats();
+    EXPECT_EQ(after.rejected, before.rejected + logical_requests());
+    EXPECT_EQ(after.submitted, before.submitted);
+    ASSERT_EQ(after.tenants.size(), 1u);
+    EXPECT_EQ(after.tenants[0].rejected, 1);
+
+    server.pause_serving(false);
+    first.wait();
+    const ServerStats done = server.stats();
+    EXPECT_EQ(done.submitted, logical_requests());
+    EXPECT_EQ(done.completed, done.submitted);
+  }
+
+  static constexpr const char* kTenant = "books";
+  Rng rng_{83};
+  std::shared_ptr<gemm::Mat32> weights_ = random_weights(rng_, 16, 8);
+  std::vector<gemm::GemmShape> shapes_ = {
+      {8, 16, 4}, {16, 16, 2}, {4, 32, 8}, {8, 8, 1}};
+  std::shared_ptr<nn::Model> model_ =
+      std::make_shared<nn::Model>(nn::mobilenet_v1());
+};
+
+std::string kind_name(const ::testing::TestParamInfo<SubmitKind>& info) {
+  constexpr const char* kNames[] = {"Gemm", "Batch", "Inference"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, AdmissionBooksTest,
+                         ::testing::Values(SubmitKind::kGemm,
+                                           SubmitKind::kBatch,
+                                           SubmitKind::kInference),
+                         kind_name);
+
+TEST_P(AdmissionBooksTest, RejectPolicyRefusalBooksEveryLogicalRequest) {
+  ServerOptions opts;
+  opts.overload_policy = "reject";
+  opts.overload_at = {.depth = 1.0};  // one queued request is pressure
+  auto server = paused_server(opts);
+  Accepted first = submit(*server);
+  expect_overloaded_refusal(*server, std::move(first), {});
+}
+
+TEST_P(AdmissionBooksTest, AdmissionTimeoutRefusalBooksEveryLogicalRequest) {
+  ServerOptions opts;
+  opts.queue_capacity = 1;  // the first submission fills the one deque
+  auto server = paused_server(opts);
+  Accepted first = submit(*server);
+  expect_overloaded_refusal(*server, std::move(first),
+                            {.admission_timeout_ms = 0.0});
+}
+
+TEST_P(AdmissionBooksTest, ShutdownRefusesWithoutMovingABook) {
+  auto server = paused_server({});
+  server->shutdown();
+  try {
+    submit(*server);
+    ADD_FAILURE() << "expected kShutdown";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kShutdown) << error_code_name(e.code());
+  }
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.submitted, 0);
+  EXPECT_EQ(stats.completed, 0);
+  EXPECT_EQ(stats.rejected, 0);
+  EXPECT_TRUE(stats.tenants.empty());
+}
+
 TEST_F(ServeChaosTest, EngineFaultWithoutRetriesFailsTyped) {
   ServerOptions opts;
   opts.num_shards = 1;
@@ -655,7 +790,7 @@ TEST_F(ServeChaosTest, LocalityAwareStealingAvoidsReconfigurationDrains) {
   std::vector<std::future<GemmResult>> futures;
   for (int i = 0; i < 32; ++i) {
     futures.push_back(server.submit_gemm(
-        "hot", gemm::random_matrix(rng, 2, 16, -10, 10), weights, /*k=*/1));
+        "hot", gemm::random_matrix(rng, 2, 16, -10, 10), weights, {.k = 1}));
   }
   for (auto& f : futures) EXPECT_GT(f.get().cycles, 0);
 

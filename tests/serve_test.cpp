@@ -638,7 +638,7 @@ TEST_P(ServeBackendTest, CostOnlyTrafficSkipsOutputs) {
   GemmResult r = server
                      .submit_gemm("pricer", gemm::random_matrix(rng, 6, 32,
                                                                 -50, 50),
-                                  weights, /*k=*/2, /*want_output=*/false)
+                                  weights, {.k = 2, .want_output = false})
                      .get();
   EXPECT_EQ(r.out.rows(), 0);  // no product computed for cost-only traffic
   EXPECT_GT(r.cycles, 0);
@@ -650,7 +650,7 @@ TEST_P(ServeBackendTest, CostOnlyTrafficSkipsOutputs) {
   GemmResult full = server
                         .submit_gemm("pricer", gemm::random_matrix(rng, 6, 32,
                                                                    -50, 50),
-                                     weights, /*k=*/2, /*want_output=*/true)
+                                     weights, {.k = 2, .want_output = true})
                         .get();
   EXPECT_EQ(full.cycles, r.cycles);
   EXPECT_EQ(full.time_ps, r.time_ps);
@@ -665,8 +665,7 @@ TEST_P(ServeBackendTest, CostOnlyTrafficSkipsOutputs) {
   for (int i = 0; i < 4; ++i) {
     inputs.push_back(gemm::random_matrix(rng, 5, 32, -50, 50));
     futures.push_back(server.submit_gemm("pricer", inputs.back(), weights,
-                                         /*k=*/1,
-                                         /*want_output=*/i % 2 == 0));
+                                         {.k = 1, .want_output = i % 2 == 0}));
   }
   for (int i = 0; i < 4; ++i) {
     GemmResult burst = futures[static_cast<std::size_t>(i)].get();
@@ -698,7 +697,7 @@ TEST_F(ServeTest, AuditedAnalyticServingAgreesWithCycleAccurateReplays) {
   for (int i = 0; i < 16; ++i) {
     inputs.push_back(gemm::random_matrix(rng, 3 + i % 4, 48, -60, 60));
     futures.push_back(server.submit_gemm("audited", inputs.back(), weights,
-                                         /*k=*/(i % 2 == 0) ? 1 : 2));
+                                         {.k = (i % 2 == 0) ? 1 : 2}));
   }
   for (int i = 0; i < 16; ++i) {
     GemmResult r = futures[static_cast<std::size_t>(i)].get();
@@ -791,7 +790,7 @@ TEST_F(ServeTest, SameWeightRequestsFuseBehindAPlug) {
   auto plug_weights = random_weights(rng, 128, 128);
   gemm::Mat32 plug_a = gemm::random_matrix(rng, 512, 128, -4, 4);
   auto plug_future =
-      server.submit_gemm("plug", std::move(plug_a), plug_weights, /*k=*/4);
+      server.submit_gemm("plug", std::move(plug_a), plug_weights, {.k = 4});
 
   auto weights = random_weights(rng, 32, 16);
   std::vector<gemm::Mat32> inputs;
@@ -799,7 +798,7 @@ TEST_F(ServeTest, SameWeightRequestsFuseBehindAPlug) {
   for (int i = 0; i < 3; ++i) {
     inputs.push_back(gemm::random_matrix(rng, 5, 32, -50, 50));
     futures.push_back(
-        server.submit_gemm("tenant-b", inputs.back(), weights, /*k=*/1));
+        server.submit_gemm("tenant-b", inputs.back(), weights, {.k = 1}));
   }
   server.pause_serving(false);
 
@@ -832,7 +831,8 @@ TEST_F(ServeTest, ModeSwitchAccounting) {
   auto weights = random_weights(rng, 16, 16);
   const auto submit_and_wait = [&](int k) {
     server
-        .submit_gemm("t", gemm::random_matrix(rng, 4, 16, -10, 10), weights, k)
+        .submit_gemm("t", gemm::random_matrix(rng, 4, 16, -10, 10), weights,
+                     {.k = k})
         .get();
   };
   submit_and_wait(1);  // initial configuration: free, not a switch
@@ -1088,8 +1088,8 @@ TEST_F(ServeTest, PerRequestBackendOverrideRoutesAndRejects) {
   gemm::Mat32 a1 = gemm::random_matrix(rng, 5, 32, -40, 40);
   const gemm::Mat64 want1 = gemm::reference_gemm(a1, *weights);
   GemmResult exact = server
-                         .submit_gemm("t", std::move(a1), weights, /*k=*/2,
-                                      /*want_output=*/true, "cycle")
+                         .submit_gemm("t", std::move(a1), weights,
+                                      {.k = 2, .backend = "cycle"})
                          .get();
   EXPECT_EQ(exact.backend, "cycle");
   EXPECT_TRUE(exact.measured);
@@ -1101,8 +1101,8 @@ TEST_F(ServeTest, PerRequestBackendOverrideRoutesAndRejects) {
   std::vector<std::future<GemmResult>> futures;
   for (int i = 0; i < 4; ++i) {
     futures.push_back(server.submit_gemm(
-        "t", gemm::random_matrix(rng, 4, 32, -40, 40), weights, /*k=*/1,
-        /*want_output=*/true, i % 2 == 0 ? "cycle" : ""));
+        "t", gemm::random_matrix(rng, 4, 32, -40, 40), weights,
+        {.k = 1, .backend = i % 2 == 0 ? "cycle" : ""}));
   }
   for (int i = 0; i < 4; ++i) {
     GemmResult r = futures[static_cast<std::size_t>(i)].get();
@@ -1112,8 +1112,7 @@ TEST_F(ServeTest, PerRequestBackendOverrideRoutesAndRejects) {
 
   // Unregistered names are rejected at admission with the registry listed.
   EXPECT_THROW(server.submit_gemm("t", gemm::random_matrix(rng, 4, 32, -1, 1),
-                                  weights, /*k=*/0, /*want_output=*/true,
-                                  "rtl"),
+                                  weights, {.k = 0, .backend = "rtl"}),
                Error);
 }
 
@@ -1147,7 +1146,7 @@ TEST_F(ServeTest, StealingStressBooksMatchTheSubmittedInputs) {
       for (int i = 0; i < kPerClient; ++i) {
         inputs.push_back(gemm::random_matrix(rng, rows(i), 48, -60, 60));
         futures.push_back(server.submit_gemm(
-            tenant, inputs.back(), weights, /*k=*/(i % 3 == 0) ? 2 : 1));
+            tenant, inputs.back(), weights, {.k = (i % 3 == 0) ? 2 : 1}));
       }
       for (int i = 0; i < kPerClient; ++i) {
         GemmResult r = futures[static_cast<std::size_t>(i)].get();
@@ -1738,7 +1737,7 @@ TEST_F(ServeTest, TransformerDecodeStreamFusesBitIdentically) {
   auto plug_weights = random_weights(rng, 256, 256);
   auto plug_future = server.submit_gemm(
       "plug", gemm::random_matrix(rng, 1024, 256, -4, 4), plug_weights,
-      /*k=*/4);
+      {.k = 4});
 
   nn::TransformerConfig tc;
   tc.d_model = 8;
@@ -1751,7 +1750,7 @@ TEST_F(ServeTest, TransformerDecodeStreamFusesBitIdentically) {
   std::vector<std::future<GemmResult>> futures;
   for (int step = 0; step < kSteps; ++step) {
     for (PhaseGemm& g : decode_gemms(weights, rng)) {
-      futures.push_back(server.submit_gemm("decoder", g.a, g.b, /*k=*/1));
+      futures.push_back(server.submit_gemm("decoder", g.a, g.b, {.k = 1}));
       gemms.push_back(std::move(g));
     }
   }
