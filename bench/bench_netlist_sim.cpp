@@ -12,9 +12,9 @@
 // "Gate-evals/s" prices every applied stimulus vector at one evaluation of
 // the whole netlist (the work the reference engine actually performs), so
 // the event-driven/bit-parallel rates are directly comparable speedups over
-// the seed.  Results go to BENCH_netlist_sim.json so the gate-level
-// engine's perf trajectory is tracked across PRs, alongside
-// BENCH_sim_throughput.json for the architecture simulator.
+// the seed.  Results go to BENCH_netlist_sim.json in the working
+// directory: a single-shot microbenchmark of the gate-level engine, as
+// bench_sim_throughput is of the architecture simulator.
 
 #include <chrono>
 #include <cstdio>

@@ -5,8 +5,9 @@
 //
 // Besides the google-benchmark suite, main() self-measures the tiled
 // run_gemm path across {side, k, threads} and writes the MACs/s table to
-// BENCH_sim_throughput.json so the simulator's perf trajectory is tracked
-// across PRs.
+// BENCH_sim_throughput.json in the working directory.  These are single-
+// shot, single-engine numbers; end-to-end perf comparisons go through the
+// repeatable benchmark/ harness (run.sh + compare.py).
 
 #include <benchmark/benchmark.h>
 
@@ -105,8 +106,7 @@ BENCHMARK(BM_ThreadedGemm)
 // executed through engine::make("cycle") (full simulation) vs
 // engine::make("analytic") with and without outputs.  cost-only analytic
 // runs never touch the operands — that gap is the serving layer's
-// orders-of-magnitude cost-estimation speedup (bench_serving measures it
-// end to end).
+// orders-of-magnitude cost-estimation speedup.
 void BM_EngineRunGemm(benchmark::State& state) {
   const bool analytic = state.range(0) != 0;
   const bool want_output = state.range(1) != 0;

@@ -102,12 +102,4 @@ std::int64_t CostCache::size() const {
   return total;
 }
 
-void CostCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.estimates.clear();
-    shard.sweeps.clear();
-  }
-}
-
 }  // namespace af::engine

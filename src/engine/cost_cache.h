@@ -91,9 +91,6 @@ class CostCache {
   // Entries across both stores (test introspection).
   std::int64_t size() const;
 
-  // Drop every entry (counters keep running).
-  void clear();
-
  private:
   struct Key {
     std::uint64_t fingerprint = 0;

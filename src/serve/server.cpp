@@ -191,9 +191,7 @@ struct Server::Shard {
 };
 
 Server::Server(const arch::ArrayConfig& shard_config, ServerOptions options)
-    : shard_config_(shard_config),
-      options_(options),
-      tenants_(options.latency_hist_max_ms) {
+    : shard_config_(shard_config), options_(options) {
   AF_CHECK(options_.num_shards >= 1, "server needs at least one shard");
   AF_CHECK(options_.max_batch >= 1, "max_batch must be at least 1");
   AF_CHECK(options_.audit_fraction >= 0.0 && options_.audit_fraction <= 1.0,
@@ -356,12 +354,11 @@ void Server::quiesce() {
   // engine, so a fleet re-admitting them elsewhere cannot double-serve.
   std::vector<Request> stranded = dispatcher_->drain_remaining();
   if (!stranded.empty()) {
-    unserved_.fetch_add(static_cast<std::int64_t>(stranded.size()));
     fail_requests(stranded,
                   std::make_exception_ptr(
                       Error("server killed before this request could run",
                             ErrorCode::kUnavailable)),
-                  ErrorCode::kUnavailable);
+                  ErrorCode::kUnavailable, &unserved_);
   }
 }
 
@@ -747,28 +744,34 @@ void Server::shard_loop(Shard& shard) {
   }
 }
 
-void Server::fail_batch(Batch& batch, std::exception_ptr error) {
-  fail_requests(batch.requests, error, code_of(error));
-}
-
 void Server::fail_requests(std::vector<Request>& requests,
-                           std::exception_ptr error, ErrorCode code) {
+                           std::exception_ptr error, ErrorCode code,
+                           std::atomic<std::int64_t>* bucket) {
+  // All accounting lands before the promise resolves, so a client that
+  // wakes on the error and immediately calls stats() sees the books
+  // already balanced (the same ordering execute_gemm_batch keeps).  Every
+  // count is in logical requests: a batch's shapes, one per GEMM or join.
+  const auto book = [&](std::int64_t count) {
+    completed_.fetch_add(count);
+    if (bucket != nullptr) bucket->fetch_add(count);
+  };
+  // A promise that already held a value or error means this request was
+  // served (or failed) twice — the exact lifecycle bug this layer exists
+  // to rule out.  The books move back and the bug is counted, so release
+  // builds surface it in stats(); fatal in debug builds.
+  const auto unbook = [&](std::int64_t count) {
+    completed_.fetch_sub(count);
+    if (bucket != nullptr) bucket->fetch_sub(count);
+    promise_double_sets_.fetch_add(1);
+  };
   for (Request& r : requests) {
     if (r.kind == RequestKind::kGemm) {
-      // All accounting lands before the promise resolves, so a client that
-      // wakes on the error and immediately calls stats() sees the books
-      // already balanced (the same ordering execute_gemm_batch keeps).
       tenants_.record_error(r.tenant, code);
-      completed_.fetch_add(1);
+      book(1);
       try {
         r.gemm_promise.set_exception(error);
       } catch (const std::future_error&) {
-        // A promise that already held a value or error means this request
-        // was served (or failed) twice — the exact lifecycle bug this
-        // layer exists to rule out.  Counted so release builds surface it
-        // in stats(); fatal in debug builds.
-        completed_.fetch_sub(1);
-        promise_double_sets_.fetch_add(1);
+        unbook(1);
         AF_ASSERT(false, "GEMM promise settled twice (request " << r.id
                                                                 << ")");
       }
@@ -777,10 +780,9 @@ void Server::fail_requests(std::vector<Request>& requests,
       // by the batch size (each shape was counted at submission).
       const std::int64_t count = static_cast<std::int64_t>(r.slot->count());
       tenants_.record_error(r.tenant, code);
-      completed_.fetch_add(count);
+      book(count);
       if (!r.slot->fail(error)) {
-        completed_.fetch_sub(count);
-        promise_double_sets_.fetch_add(1);
+        unbook(count);
         AF_ASSERT(false,
                   "batch slot settled twice (request " << r.id << ")");
       }
@@ -791,12 +793,11 @@ void Server::fail_requests(std::vector<Request>& requests,
         r.join->failed = true;
       }
       tenants_.record_error(r.tenant, code);
-      completed_.fetch_add(1);
+      book(1);
       try {
         r.join->promise.set_exception(error);
       } catch (const std::future_error&) {
-        completed_.fetch_sub(1);
-        promise_double_sets_.fetch_add(1);
+        unbook(1);
         AF_ASSERT(false, "inference promise settled twice (request "
                              << r.id << ")");
       }
@@ -820,12 +821,11 @@ void Server::resolve_expired(Batch& batch) {
     }
   }
   if (overdue.empty()) return;
-  expired_.fetch_add(static_cast<std::int64_t>(overdue.size()));
   fail_requests(
       overdue,
       std::make_exception_ptr(Error("deadline exceeded before execution",
                                     ErrorCode::kDeadlineExceeded)),
-      ErrorCode::kDeadlineExceeded);
+      ErrorCode::kDeadlineExceeded, &expired_);
 }
 
 void Server::handle_batch_failure(Shard& shard, Batch& batch,

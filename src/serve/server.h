@@ -145,8 +145,6 @@ struct ServerOptions {
   // engine serial (parallelism then comes from the shards themselves),
   // 0 means all hardware threads — the repo-wide num_threads convention.
   int sim_threads = 1;
-  // Range of the per-tenant latency histogram (percentile resolution).
-  double latency_hist_max_ms = 10e3;
   // Cycles to drain + reconfigure a shard between pipeline modes; -1 means
   // rows + cols of the shard config (full pipeline flush).
   std::int64_t reconfig_cycles = -1;
@@ -300,7 +298,10 @@ struct ServerStats {
   std::int64_t scale_ups = 0;  // shards added by the autoscaler
   std::int64_t scale_downs = 0;  // shards retired by the autoscaler
   // --- robustness accounting (every failed request lands in exactly one
-  // bucket; submitted == completed always balances, failures included) ----
+  // bucket; submitted == completed always balances, failures included).
+  // rejected, expired and unserved count logical requests, like submitted
+  // and completed: a batch counts its shapes, an inference counts one
+  // however many slices it split into. -------------------------------------
   std::string overload_policy;   // policy registry key
   bool overloaded = false;       // windowed overload signal, now
   std::int64_t rejected = 0;     // admissions refused (kOverloaded)
@@ -479,16 +480,16 @@ class Server {
   // Never touches the array configuration (no prepare_mode, no drain) —
   // planning traffic must not stall execution.
   void execute_cost_batch(Shard& shard, Batch& batch);
-  // Delivers `error` to every still-pending client of the batch (promise
-  // set_exception; inference joins are marked failed so sibling slices
-  // stand down) — a bad request fails its own futures, not the server.
-  void fail_batch(Batch& batch, std::exception_ptr error);
-  // Core failure delivery: fails each request's promise with `error`,
-  // counts completions and per-tenant errors under `code`.  A promise that
-  // was already satisfied is a double-set bug: counted in
+  // Core failure delivery: fails each request's promise with `error`
+  // (inference joins are marked failed so sibling slices stand down) and
+  // counts per-tenant errors under `code`.  Each settled request's logical
+  // count (a batch's shapes, else 1) moves `completed_` and, when given,
+  // `bucket` (`expired_` or `unserved_`).  A promise that was already
+  // satisfied is a double-set bug: counted in
   // ServerStats::promise_double_sets and fatal in debug builds.
   void fail_requests(std::vector<Request>& requests, std::exception_ptr error,
-                     ErrorCode code);
+                     ErrorCode code,
+                     std::atomic<std::int64_t>* bucket = nullptr);
   // Shard-side reaper half: fails batch.expired (reaped while queued) and
   // any rider that went overdue between assembly and now.
   void resolve_expired(Batch& batch);

@@ -7,28 +7,12 @@
 
 namespace af::serve {
 
-TenantAccountant::TenantAccountant(double latency_hist_max_ms,
-                                   int latency_buckets)
-    : hist_max_ms_(latency_hist_max_ms), buckets_(latency_buckets) {
-  AF_CHECK(latency_hist_max_ms > 0, "latency histogram range must be positive");
-  AF_CHECK(latency_buckets > 0, "latency histogram needs buckets");
-}
-
-TenantAccountant::Account& TenantAccountant::account_locked(
-    const std::string& tenant) {
-  auto it = accounts_.find(tenant);
-  if (it == accounts_.end()) {
-    it = accounts_.emplace(tenant, Account(hist_max_ms_, buckets_)).first;
-  }
-  return it->second;
-}
-
 void TenantAccountant::record(const std::string& tenant, bool is_inference,
                               double latency_ms, double queue_ms,
                               double energy_pj, double sim_time_ps,
                               std::int64_t macs) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Account& acc = account_locked(tenant);
+  Account& acc = accounts_[tenant];
   (is_inference ? acc.infer_requests : acc.gemm_requests) += 1;
   acc.macs += macs;
   acc.energy_pj += energy_pj;
@@ -41,7 +25,7 @@ void TenantAccountant::record(const std::string& tenant, bool is_inference,
 void TenantAccountant::record_error(const std::string& tenant,
                                     ErrorCode code) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Account& acc = account_locked(tenant);
+  Account& acc = accounts_[tenant];
   switch (code) {
     case ErrorCode::kOverloaded:
       acc.rejected += 1;
@@ -57,12 +41,12 @@ void TenantAccountant::record_error(const std::string& tenant,
 
 void TenantAccountant::record_retry(const std::string& tenant) {
   std::lock_guard<std::mutex> lock(mutex_);
-  account_locked(tenant).retries += 1;
+  accounts_[tenant].retries += 1;
 }
 
 void TenantAccountant::record_degraded(const std::string& tenant) {
   std::lock_guard<std::mutex> lock(mutex_);
-  account_locked(tenant).degraded += 1;
+  accounts_[tenant].degraded += 1;
 }
 
 std::vector<TenantSnapshot> TenantAccountant::snapshot() const {

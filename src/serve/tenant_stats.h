@@ -53,11 +53,12 @@ struct TenantSnapshot {
 
 class TenantAccountant {
  public:
-  // Latencies land in a histogram over [0, latency_hist_max_ms) for
-  // percentile extraction; slower samples clamp into the top bucket (their
-  // exact values still reach the RunningStat's max).
-  explicit TenantAccountant(double latency_hist_max_ms = 10e3,
-                            int latency_buckets = 4096);
+  // Latencies land in a histogram of kLatencyBuckets buckets over
+  // [0, kLatencyHistMaxMs) for percentile extraction, the same on every
+  // server; slower samples clamp into the top bucket (their exact values
+  // still reach the RunningStat's max).
+  static constexpr double kLatencyHistMaxMs = 10e3;
+  static constexpr int kLatencyBuckets = 4096;
 
   void record(const std::string& tenant, bool is_inference,
               double latency_ms, double queue_ms, double energy_pj,
@@ -88,16 +89,9 @@ class TenantAccountant {
     double sim_time_ps = 0.0;
     sim::RunningStat latency_ms;
     sim::RunningStat queue_ms;
-    sim::Histogram latency_hist;
-    explicit Account(double hist_max_ms, int buckets)
-        : latency_hist(0.0, hist_max_ms, buckets) {}
+    sim::Histogram latency_hist{0.0, kLatencyHistMaxMs, kLatencyBuckets};
   };
 
-  // Find-or-create; caller holds mutex_.
-  Account& account_locked(const std::string& tenant);
-
-  const double hist_max_ms_;
-  const int buckets_;
   mutable std::mutex mutex_;
   std::map<std::string, Account> accounts_;
 };

@@ -99,13 +99,4 @@ std::string Histogram::render() const {
   return out.str();
 }
 
-void CounterSet::bump(const std::string& name, std::int64_t delta) {
-  counters_[name] += delta;
-}
-
-std::int64_t CounterSet::value(const std::string& name) const {
-  const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second;
-}
-
 }  // namespace af::sim

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -54,17 +53,6 @@ class Histogram {
   double lo_, hi_;
   std::vector<std::int64_t> counts_;
   std::int64_t total_ = 0;
-};
-
-// Named counters, rendered sorted by name.
-class CounterSet {
- public:
-  void bump(const std::string& name, std::int64_t delta = 1);
-  std::int64_t value(const std::string& name) const;
-  const std::map<std::string, std::int64_t>& all() const { return counters_; }
-
- private:
-  std::map<std::string, std::int64_t> counters_;
 };
 
 }  // namespace af::sim

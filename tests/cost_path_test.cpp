@@ -4,11 +4,15 @@
 // returns estimates EXACTLY equal to the scalar virtual evaluate() it
 // replaces, on every backend; the cache never serves a stale entry across
 // a config or energy-parameter change; and the batched serving path keeps
-// the server's books balanced under multi-producer pressure.
+// the server's books balanced under multi-producer pressure.  The batched
+// paths must also pay their way: no slower than the scalar loops they
+// replace.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <span>
 #include <string>
@@ -18,6 +22,7 @@
 #include "arch/sparse.h"
 #include "engine/cost_cache.h"
 #include "engine/engine.h"
+#include "gemm/matrix.h"
 #include "serve/server.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -237,6 +242,104 @@ TEST(CostPathTest, BatchedSubmitStressBooksBalance) {
   EXPECT_EQ(stats.promise_double_sets, 0);
   // The whole point: repeated shapes answer from the shared memo.
   EXPECT_GT(stats.cost_cache_hits, 0);
+}
+
+// --- the batched paths are no slower than the scalar loops they replace ---
+
+// Best of three wall-clock trials of `body`, in seconds: the low-noise
+// estimator on a shared host.
+template <typename Fn>
+double best_of_3_seconds(Fn&& body) {
+  double best = 0.0;
+  for (int trial = 0; trial < 3; ++trial) {
+    const auto t0 = std::chrono::steady_clock::now();
+    body();
+    const double s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+            .count();
+    if (trial == 0 || s < best) best = s;
+  }
+  return best;
+}
+
+TEST(CostPathTest, BatchedPathsAreNoSlowerThanScalarLoops) {
+  // Each pair prices the same shapes the same number of times, so the bar
+  // is parity (>= 1x): a 16x16 analytic engine measures ~1.5-2.6x for the
+  // warm evaluate_batch and ~8-43x for submit_gemm_batch, which leaves a
+  // loaded host no room to flake it.
+  constexpr int kShapes = 256;
+  constexpr int kEnginePasses = 20;
+  constexpr int kServerRoundTrips = 4;
+  Rng rng(20260808);
+  std::vector<gemm::GemmShape> shapes;
+  for (int i = 0; i < kShapes; ++i) {
+    // From skinny decode GEMMs to fat prefill tiles.
+    shapes.push_back(
+        {rng.next_in(8, 256), rng.next_in(8, 256), rng.next_in(1, 128)});
+  }
+  const std::span<const gemm::GemmShape> span(shapes);
+
+  auto engine = engine::EngineBuilder().square(16).build("analytic");
+  const double evaluate_scalar_s = best_of_3_seconds([&] {
+    for (int r = 0; r < kEnginePasses; ++r) {
+      for (const gemm::GemmShape& s : shapes) {
+        volatile std::int64_t sink = engine->evaluate(s, 0).cycles;
+        (void)sink;
+      }
+    }
+  });
+  engine->evaluate_batch(span, 0);  // the serving steady state: a warm memo
+  const double evaluate_batch_s = best_of_3_seconds([&] {
+    for (int r = 0; r < kEnginePasses; ++r) {
+      volatile std::int64_t sink = engine->evaluate_batch(span, 0)[0].cycles;
+      (void)sink;
+    }
+  });
+  EXPECT_LE(evaluate_batch_s, evaluate_scalar_s)
+      << "batched evaluate lost to the scalar loop";
+
+  // Server round trips from one submitter on two shards: a future per
+  // shape vs one pooled ticket per 256 shapes.
+  ServerOptions opts;
+  opts.num_shards = 2;
+  opts.max_batch = 32;
+  opts.queue_capacity = 1024;
+  opts.backend = "analytic";
+  Rng weight_rng(99);
+  auto weights = std::make_shared<gemm::Mat32>(
+      gemm::random_matrix(weight_rng, 32, 32, -40, 40));
+  const gemm::Mat32 activation =
+      gemm::random_matrix(weight_rng, 4, 32, -40, 40);
+  double submit_scalar_s = 0.0;
+  {
+    Server server(arch::ArrayConfig::square(16), opts);
+    submit_scalar_s = best_of_3_seconds([&] {
+      constexpr std::size_t kWindow = 64;
+      std::vector<std::future<GemmResult>> in_flight;
+      for (int r = 0; r < kServerRoundTrips * kShapes; ++r) {
+        in_flight.push_back(server.submit_gemm(
+            "bench", activation, weights, {.k = 1, .want_output = false}));
+        if (in_flight.size() >= kWindow) {
+          in_flight.front().get();
+          in_flight.erase(in_flight.begin());
+        }
+      }
+      for (auto& f : in_flight) f.get();
+    });
+  }
+  double submit_batched_s = 0.0;
+  {
+    Server server(arch::ArrayConfig::square(16), opts);
+    submit_batched_s = best_of_3_seconds([&] {
+      std::vector<BatchTicket> in_flight;
+      for (int r = 0; r < kServerRoundTrips; ++r) {
+        in_flight.push_back(server.submit_gemm_batch("bench", span));
+      }
+      for (auto& t : in_flight) t.get();
+    });
+  }
+  EXPECT_LE(submit_batched_s, submit_scalar_s)
+      << "batched submit lost to scalar submit";
 }
 
 TEST(CostPathTest, BatchedSubmitValidatesInput) {

@@ -484,11 +484,12 @@ class AdmissionBooksTest : public ServeChaosTest,
     return GetParam() == SubmitKind::kBatch ? 4 : 1;
   }
 
-  // A fresh 1-shard server, paused, so everything it accepts stays queued
-  // until pause_serving(false) — the queue depth is exact, not a race with
-  // a worker.
-  static std::unique_ptr<Server> paused_server(ServerOptions opts) {
-    opts.num_shards = 1;
+  // A fresh server, paused, so everything it accepts stays queued until
+  // pause_serving(false) — the queue depth is exact, not a race with a
+  // worker.  On two shards an inference splits into two slices.
+  static std::unique_ptr<Server> paused_server(ServerOptions opts,
+                                               int shards = 1) {
+    opts.num_shards = shards;
     auto server = std::make_unique<Server>(shard16(), opts);
     server->pause_serving(true);
     return server;
@@ -510,6 +511,16 @@ class AdmissionBooksTest : public ServeChaosTest,
         break;
     }
     return out;
+  }
+
+  // The one submission behind `accepted` fails with `code`.
+  static void expect_failure(Accepted& accepted, ErrorCode code) {
+    try {
+      accepted.wait();
+      ADD_FAILURE() << "expected " << error_code_name(code);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), code) << error_code_name(e.code());
+    }
   }
 
   // The second submission is refused with kOverloaded and books exactly
@@ -572,6 +583,38 @@ TEST_P(AdmissionBooksTest, AdmissionTimeoutRefusalBooksEveryLogicalRequest) {
   Accepted first = submit(*server);
   expect_overloaded_refusal(*server, std::move(first),
                             {.admission_timeout_ms = 0.0});
+}
+
+// A failure after admission books the same way: `expired` and `unserved`
+// move by the logical requests settled (a batch's shapes; one per
+// inference, however many slices it split into), in step with `completed`.
+TEST_P(AdmissionBooksTest, ExpiredDeadlineBooksEveryLogicalRequest) {
+  auto server = paused_server({}, /*shards=*/2);
+  Accepted overdue = submit(*server, {.deadline_ms = 1e-6});
+  // Drains the paused server and joins its workers: every slice is reaped
+  // before the books are read, and no worker still holds the error the
+  // client inspects.
+  server->shutdown();
+  expect_failure(overdue, ErrorCode::kDeadlineExceeded);
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.submitted, logical_requests());
+  EXPECT_EQ(stats.completed, stats.submitted);
+  EXPECT_EQ(stats.expired, logical_requests());
+  ASSERT_EQ(stats.tenants.size(), 1u);
+  EXPECT_EQ(stats.tenants[0].expired, 1);
+}
+
+TEST_P(AdmissionBooksTest, QuiesceBooksEveryStrandedLogicalRequest) {
+  auto server = paused_server({}, /*shards=*/2);
+  Accepted stranded = submit(*server);
+  server->quiesce();
+  expect_failure(stranded, ErrorCode::kUnavailable);
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.submitted, logical_requests());
+  EXPECT_EQ(stats.completed, stats.submitted);
+  EXPECT_EQ(stats.unserved, logical_requests());
+  ASSERT_EQ(stats.tenants.size(), 1u);
+  EXPECT_EQ(stats.tenants[0].faults, 1);
 }
 
 TEST_P(AdmissionBooksTest, ShutdownRefusesWithoutMovingABook) {

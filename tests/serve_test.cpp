@@ -13,6 +13,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -1831,6 +1832,141 @@ TEST_F(ServeTest, ReconfigStickyHoldsStreamModeWhereArgminThrashes) {
   ASSERT_EQ(sticky.shards.size(), 1u);
   EXPECT_EQ(sticky.shards[0].mode_switches, 0);
   EXPECT_EQ(sticky.shards[0].reconfig_time_ps, 0.0);
+}
+
+// One transformer serving stream, identical for every policy it is served
+// under:
+// 1. Arrival ramp: the early half of the sessions prefill their full
+//    `ramp_seq`-token prompts back to back (a fat regime, where any static
+//    deep-collapse mode bleeds).
+// 2. Decode regime: sessions * decode_per_prefill decode steps (T = 1, a
+//    deep-collapse regime, where any static shallow mode bleeds), with the
+//    late sessions' `followup_seq`-token follow-up prompts, split into
+//    `chunk_seq`-token chunks, interleaved one GEMM at a time between
+//    decode steps: chunked prefill under continuous batching.  Per-request
+//    argmin pays two drains around each such isolated fatter GEMM; sticky
+//    holds the stream mode and serves it slightly off-optimal.
+// All sessions share one weight bundle, so same-phase decode steps carry
+// identical B pointers and fuse.
+std::vector<PhaseGemm> build_mix_stream(const TransformerWeights& weights,
+                                        int sessions, int decode_per_prefill,
+                                        std::int64_t ramp_seq,
+                                        std::int64_t followup_seq,
+                                        std::int64_t chunk_seq, Rng& rng) {
+  std::vector<PhaseGemm> stream;
+  const int early = decode_per_prefill > 0 ? (sessions + 1) / 2 : sessions;
+  for (int s = 0; s < early; ++s) {
+    for (PhaseGemm& g : prefill_gemms(weights, ramp_seq, rng)) {
+      stream.push_back(std::move(g));
+    }
+  }
+  if (decode_per_prefill <= 0) return stream;
+
+  std::vector<PhaseGemm> decodes;
+  for (int i = 0; i < sessions * decode_per_prefill; ++i) {
+    for (PhaseGemm& g : decode_gemms(weights, rng)) {
+      decodes.push_back(std::move(g));
+    }
+  }
+  std::vector<PhaseGemm> chunks;
+  for (int s = early; s < sessions; ++s) {
+    for (std::int64_t done = 0; done < followup_seq; done += chunk_seq) {
+      for (PhaseGemm& g : prefill_gemms(
+               weights, std::min(chunk_seq, followup_seq - done), rng)) {
+        chunks.push_back(std::move(g));
+      }
+    }
+  }
+  const std::size_t gap =
+      chunks.empty() ? decodes.size() + 1
+                     : std::max<std::size_t>(1, decodes.size() / chunks.size());
+  std::size_t ci = 0;
+  for (std::size_t i = 0; i < decodes.size(); ++i) {
+    stream.push_back(std::move(decodes[i]));
+    if ((i + 1) % gap == 0 && ci < chunks.size()) {
+      stream.push_back(std::move(chunks[ci++]));
+    }
+  }
+  while (ci < chunks.size()) stream.push_back(std::move(chunks[ci++]));
+  return stream;
+}
+
+TEST_F(ServeTest, ReconfigStickyBeatsEveryStaticModeOnDecodeMixes) {
+  // ArrayFlex's claim at serve time: choosing the mode per request, with
+  // hysteresis against the drain, serves more requests per SIMULATED
+  // second than any fixed pipeline.  Drains are priced at a meaty 2048
+  // cycles and land in the same denominator as busy time, so a policy
+  // wins only by spending less array time per request.  Submitted whole
+  // under a pause, the schedule is exact and the score deterministic.
+  struct Point {
+    std::int64_t submitted = 0;
+    std::int64_t completed = 0;
+    std::int64_t mode_switches = 0;
+    double sim_ps = 0.0;  // busy + reconfiguration time
+    double sim_requests_per_s() const {
+      return static_cast<double>(completed) / (sim_ps * 1e-12);
+    }
+  };
+  // static_k > 0 pins every request to that mode; 0 defers to `policy`.
+  const auto serve_mix = [&](int decode_per_prefill, int static_k,
+                             const std::string& policy) {
+    nn::TransformerConfig tc;
+    tc.d_model = 64;
+    tc.n_heads = 2;
+    tc.d_ff = 256;
+    tc.n_blocks = 1;
+    Rng rng(4242);
+    const TransformerWeights weights =
+        make_transformer_weights(tc, /*kv_len=*/512, rng);
+    std::vector<PhaseGemm> stream =
+        build_mix_stream(weights, /*sessions=*/8, decode_per_prefill,
+                         /*ramp_seq=*/512, /*followup_seq=*/64,
+                         /*chunk_seq=*/32, rng);
+
+    ServerOptions opts;
+    opts.num_shards = 1;
+    opts.max_batch = 8;
+    opts.queue_capacity = stream.size();  // a paused submit must not block
+    opts.reconfig_cycles = 2048;
+    opts.reconfig_policy = policy;
+    opts.reconfig_switch_margin = 4.0;
+    Server server(shard16(), opts);
+    server.pause_serving(true);
+    std::vector<std::future<GemmResult>> futures;
+    for (PhaseGemm& g : stream) {
+      futures.push_back(server.submit_gemm(
+          "mix", std::move(g.a), g.b, {.k = static_k, .want_output = false}));
+    }
+    server.pause_serving(false);
+    for (auto& f : futures) f.get();
+
+    const ServerStats stats = server.stats();
+    Point p;
+    p.submitted = stats.submitted;
+    p.completed = stats.completed;
+    for (const ShardSnapshot& shard : stats.shards) {
+      p.mode_switches += shard.mode_switches;
+      p.sim_ps += shard.busy_time_ps + shard.reconfig_time_ps;
+    }
+    EXPECT_EQ(p.submitted, static_cast<std::int64_t>(stream.size()));
+    return p;
+  };
+
+  for (const int decode_per_prefill : {8, 32}) {
+    SCOPED_TRACE("mix 1:" + std::to_string(decode_per_prefill));
+    const Point sticky = serve_mix(decode_per_prefill, 0, "sticky");
+    const Point argmin = serve_mix(decode_per_prefill, 0, "argmin");
+    EXPECT_EQ(sticky.completed, sticky.submitted);
+    EXPECT_EQ(argmin.completed, argmin.submitted);
+    EXPECT_GT(sticky.sim_requests_per_s(), argmin.sim_requests_per_s());
+    EXPECT_LT(sticky.mode_switches, argmin.mode_switches);
+    for (const int k : {1, 2, 4}) {
+      const Point fixed = serve_mix(decode_per_prefill, k, "argmin");
+      EXPECT_EQ(fixed.completed, fixed.submitted) << "static k=" << k;
+      EXPECT_GT(sticky.sim_requests_per_s(), fixed.sim_requests_per_s())
+          << "static k=" << k;
+    }
+  }
 }
 
 TEST(ReconfigServerOptionsTest, UnknownPolicyRejectedAtConstruction) {

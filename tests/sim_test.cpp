@@ -144,15 +144,6 @@ TEST(HistogramTest, BucketsAndClamping) {
   EXPECT_THROW(h.bucket_count(5), Error);
 }
 
-TEST(CounterSetTest, BumpAndRead) {
-  CounterSet c;
-  c.bump("macs");
-  c.bump("macs", 10);
-  EXPECT_EQ(c.value("macs"), 11);
-  EXPECT_EQ(c.value("absent"), 0);
-  EXPECT_EQ(c.all().size(), 1u);
-}
-
 TEST(VcdTest, WritesWellFormedFile) {
   const std::string path = ::testing::TempDir() + "/af_test.vcd";
   {
