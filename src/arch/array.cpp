@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "arch/sparse.h"
+#include "gemm/multiply.h"
 #include "util/math.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -84,19 +85,8 @@ TileRunStats SystolicArray::run_tile_asym(const gemm::Mat32& a,
   // shifts down, taking exactly R cycles (paper Section II) during which
   // every one of the R*C weight registers latches — accounted in closed
   // form instead of emulating the O(R^2*C) shift.  The array then holds B
-  // in place; we keep it transposed (column-major) so the vertical
-  // reduction walks contiguous memory.
-  std::vector<std::int32_t> weight_t(
-      static_cast<std::size_t>(rows * cols));
-  {
-    const std::int32_t* b_data = b.data().data();
-    for (std::int64_t r = 0; r < rows; ++r) {
-      for (std::int64_t c = 0; c < cols; ++c) {
-        weight_t[static_cast<std::size_t>(c * rows + r)] =
-            b_data[r * cols + c];
-      }
-    }
-  }
+  // in place: the streaming epoch reads B's own row-major storage as the
+  // weight plane.
   stats.preload_cycles = rows;
   stats.activity.wreg_writes = rows * rows * cols;
 #ifndef NDEBUG
@@ -131,24 +121,24 @@ TileRunStats SystolicArray::run_tile_asym(const gemm::Mat32& a,
   // cycle (T-1) + (C/k_h - 1) + (R/k_v - 1) — Eq. 3 minus the preload term.
   const std::int64_t streaming_cycles = t_dim + v_groups + h_groups - 2;
 
-  // Flat double-buffered plane of vertical boundary registers: row vg holds
-  // the resolved partial sums latched below row group vg, consumed by group
-  // vg+1 the next cycle.  Swapped per cycle, never copied.  Tag planes (for
-  // skew verification) exist only in debug builds.
-  const std::size_t v_plane =
-      static_cast<std::size_t>(v_groups > 1 ? (v_groups - 1) * cols : 0);
-  std::vector<std::int64_t> v_cur(v_plane, 0), v_nxt(v_plane, 0);
-  // Flat horizontal register plane, laid out group-major ([g][r]) so the
-  // per-cycle latch is a single overlapping memmove and the inner loop
-  // reads activations contiguously in r.
-  const std::int64_t h_regs = h_groups - 1;
-  std::vector<std::int32_t> h_val(
-      static_cast<std::size_t>(h_regs * rows), 0);
+  // Activation plane, R x C row-major like the weights: act[r][c] is the
+  // word PE (r, c) multiplies this cycle.  Column group cg sees the west
+  // edge of cg cycles ago (a registered hop between groups, transparent
+  // within one), so each cycle the plane shifts k_h columns east with one
+  // memmove; a row's last k_h words spill into the next row's first k_h,
+  // which the west edge then overwrites.
+  std::vector<std::int32_t> act(static_cast<std::size_t>(rows * cols), 0);
+  // Vertical boundary registers: row vg holds the partial sums resolved
+  // below row group vg, consumed by group vg+1 the next cycle.  Row groups
+  // run bottom-up, so each reads its input row before the group above
+  // overwrites it.
+  std::vector<std::int64_t> psum(
+      static_cast<std::size_t>((v_groups - 1) * cols), 0);
 #ifndef NDEBUG
-  std::vector<std::int64_t> v_tag_cur(v_plane, -1), v_tag_nxt(v_plane, -1);
-  std::vector<std::int64_t> h_tag(static_cast<std::size_t>(h_regs * rows),
-                                  -1);
-  std::vector<std::int64_t> west_tag(static_cast<std::size_t>(rows), -1);
+  // Tag planes for skew verification, laid out like the value planes.  A
+  // psum slot's tag fixes the cycle that wrote it, so a stale slot fails.
+  std::vector<std::int64_t> act_tag(act.size(), -1);
+  std::vector<std::int64_t> psum_tag(psum.size(), -1);
 #endif
 
   std::vector<std::int32_t> west(static_cast<std::size_t>(rows), 0);
@@ -156,156 +146,99 @@ TileRunStats SystolicArray::run_tile_asym(const gemm::Mat32& a,
   std::vector<std::uint8_t> south_valid(static_cast<std::size_t>(cols), 0);
 
   const std::int32_t* a_data = a.data().data();
-  std::int64_t outputs_written = 0;
-  const std::int64_t outputs_expected = t_dim * cols;
+  const std::int32_t* w = b.data().data();
+  std::int64_t* acc_data = acc->mutable_data();
+  std::int64_t cells = 0;         // valid (column group, row group) cells
+  std::int64_t bottom_cells = 0;  // of which in the bottom row group
+  std::int64_t hreg_cells = 0;    // of which latch horizontal registers
 
   for (std::int64_t cycle = 0; cycle < streaming_cycles; ++cycle) {
-    // (1) West-edge injection: A[t][r] enters at relative cycle
-    //     t + floor(r/k_v) — "the first (and last) elements of matrix A
-    //     arrive in batches of k words" (paper Section III).  Row group vg
-    //     copies one contiguous slice of A's row t.
+    // (1) Horizontal latch, then west-edge injection into column group 0:
+    //     A[t][r] enters at relative cycle t + floor(r/k_v) — "the first
+    //     (and last) elements of matrix A arrive in batches of k words"
+    //     (paper Section III).
+    std::memmove(act.data() + k_h, act.data(),
+                 (act.size() - static_cast<std::size_t>(k_h)) *
+                     sizeof(std::int32_t));
+#ifndef NDEBUG
+    std::memmove(act_tag.data() + k_h, act_tag.data(),
+                 (act_tag.size() - static_cast<std::size_t>(k_h)) *
+                     sizeof(std::int64_t));
+#endif
     for (std::int64_t vg = 0; vg < v_groups; ++vg) {
       const std::int64_t t = cycle - vg;
-      std::int32_t* dst = west.data() + vg * k_v;
-      if (t >= 0 && t < t_dim) {
-        std::memcpy(dst, a_data + t * rows + vg * k_v,
-                    static_cast<std::size_t>(k_v) * sizeof(std::int32_t));
+      const bool live = t >= 0 && t < t_dim;
+      for (std::int64_t r = vg * k_v; r < (vg + 1) * k_v; ++r) {
+        const std::int32_t x = live ? a_data[t * rows + r] : 0;
+        west[static_cast<std::size_t>(r)] = x;
+        std::fill_n(act.data() + r * cols, k_h, x);
 #ifndef NDEBUG
-        std::fill_n(west_tag.begin() + vg * k_v, k_v, t);
-#endif
-      } else {
-        std::memset(dst, 0,
-                    static_cast<std::size_t>(k_v) * sizeof(std::int32_t));
-#ifndef NDEBUG
-        std::fill_n(west_tag.begin() + vg * k_v, k_v, std::int64_t{-1});
+        std::fill_n(act_tag.data() + r * cols, k_h, live ? t : -1);
 #endif
       }
     }
     std::fill(south_valid.begin(), south_valid.end(), 0);
-#ifndef NDEBUG
-    // Original semantics: every boundary slot latches each cycle, a bubble
-    // when its cell's tag is out of range.  Pre-mark bubbles; valid cells
-    // overwrite below.
-    std::fill(v_tag_nxt.begin(), v_tag_nxt.end(), std::int64_t{-1});
-    std::fill(v_nxt.begin(), v_nxt.end(), std::int64_t{0});
-#endif
 
     // (2) Combinational propagate.  Cell (cg, vg) of the group grid
-    //     processes tag = cycle - cg - vg; only cells whose tag lands in
-    //     [0, T) do work, which bounds both loops directly — no per-cell
-    //     validity tests, no bubble traffic in release builds.
-    std::int64_t cells = 0;         // valid (cg, vg) cells this cycle
-    std::int64_t bottom_cells = 0;  // of which in the bottom row group
-    const std::int64_t cg_lo =
-        std::max<std::int64_t>(0, cycle - t_dim - v_groups + 2);
-    const std::int64_t cg_hi = std::min<std::int64_t>(h_groups - 1, cycle);
-    for (std::int64_t cg = cg_lo; cg <= cg_hi; ++cg) {
-      // The activation stream entering column group cg: the west edge for
-      // group 0, otherwise the horizontal register bank behind it.
-      const std::int32_t* act =
-          cg == 0 ? west.data() : h_val.data() + (cg - 1) * rows;
-      const std::int64_t base = cycle - cg;
-      const std::int64_t vg_lo = std::max<std::int64_t>(0, base - t_dim + 1);
-      const std::int64_t vg_hi = std::min<std::int64_t>(v_groups - 1, base);
-      if (vg_lo > vg_hi) continue;
-      cells += vg_hi - vg_lo + 1;
-      if (vg_hi == v_groups - 1) ++bottom_cells;
-      for (std::int64_t vg = vg_lo; vg <= vg_hi; ++vg) {
-        const std::int64_t tag = base - vg;
-        const bool bottom = vg == v_groups - 1;
-        const std::int64_t* vin =
-            vg > 0 ? v_cur.data() + (vg - 1) * cols : nullptr;
-        std::int64_t* vout = bottom ? nullptr : v_nxt.data() + vg * cols;
-        const std::int64_t r0 = vg * k_v;
-        for (std::int64_t c = cg * k_h; c < (cg + 1) * k_h; ++c) {
+    //     processes tag = cycle - cg - vg, so a row group's cells whose
+    //     tag lands in [0, T) are one run of column groups: one kernel call
+    //     over one contiguous column range, no per-cell validity tests.
+    for (std::int64_t vg = v_groups - 1; vg >= 0; --vg) {
+      const std::int64_t cg_lo =
+          std::max<std::int64_t>(0, cycle - vg - t_dim + 1);
+      const std::int64_t cg_hi =
+          std::min<std::int64_t>(h_groups - 1, cycle - vg);
+      if (cg_lo > cg_hi) continue;
+      const std::int64_t n = cg_hi - cg_lo + 1;
+      cells += n;
+      // Every valid cell outside the last column group latches its k_v
+      // activations into the next group's horizontal registers.
+      hreg_cells += cg_hi == h_groups - 1 ? n - 1 : n;
+      const bool bottom = vg == v_groups - 1;
+      const std::int64_t lo = cg_lo * k_h;
+      const std::int64_t hi = (cg_hi + 1) * k_h;
+      const std::int64_t r0 = vg * k_v;
+      std::int64_t* dst =
+          bottom ? south_values.data() : psum.data() + vg * cols;
 #ifndef NDEBUG
-          if (vg > 0) {
-            AF_ASSERT(v_tag_cur[static_cast<std::size_t>((vg - 1) * cols +
-                                                         c)] == tag,
-                      "psum tag skew at vg=" << vg << " c=" << c);
-          }
-          for (std::int64_t r = r0; r < r0 + k_v; ++r) {
-            const std::int64_t stream_tag =
-                cg == 0 ? west_tag[static_cast<std::size_t>(r)]
-                        : h_tag[static_cast<std::size_t>((cg - 1) * rows + r)];
-            AF_ASSERT(stream_tag == tag, "activation tag skew: expected "
-                                             << tag << ", got " << stream_tag
-                                             << " at r=" << r
-                                             << " cg=" << cg);
-          }
+      for (std::int64_t c = lo; c < hi; ++c) {
+        const std::int64_t tag = cycle - vg - c / k_h;
+        if (vg > 0) {
+          AF_ASSERT(psum_tag[static_cast<std::size_t>((vg - 1) * cols + c)] ==
+                        tag,
+                    "psum tag skew at vg=" << vg << " c=" << c);
+        }
+        for (std::int64_t r = r0; r < r0 + k_v; ++r) {
+          const std::int64_t stream_tag =
+              act_tag[static_cast<std::size_t>(r * cols + c)];
+          AF_ASSERT(stream_tag == tag, "activation tag skew: expected "
+                                           << tag << ", got " << stream_tag
+                                           << " at r=" << r << " c=" << c);
+        }
+        if (!bottom) psum_tag[static_cast<std::size_t>(vg * cols + c)] = tag;
+      }
 #endif
-          // Transparent reduction through the k_v rows of this group: the
-          // chain of 3:2 compressions resolved by the boundary CPA equals
-          // the modular sum of the incoming psum and the k_v products
-          // (csa_compress preserves sum+carry mod 2^64), so the engine
-          // accumulates directly — bit-exact against arch/pe.
-          std::uint64_t sum =
-              vin ? static_cast<std::uint64_t>(vin[c]) : std::uint64_t{0};
-          const std::int32_t* wcol = weight_t.data() + c * rows;
-          for (std::int64_t r = r0; r < r0 + k_v; ++r) {
-            sum += static_cast<std::uint64_t>(
-                static_cast<std::int64_t>(act[r]) *
-                static_cast<std::int64_t>(wcol[r]));
-          }
-          const std::int64_t resolved = static_cast<std::int64_t>(sum);
-          if (bottom) {
-            acc->at(tag, c) = add_mod(acc->at(tag, c), resolved);
-            south_values[static_cast<std::size_t>(c)] = resolved;
-            south_valid[static_cast<std::size_t>(c)] = 1;
-          } else {
-            vout[c] = resolved;
-#ifndef NDEBUG
-            v_tag_nxt[static_cast<std::size_t>(vg * cols + c)] = tag;
-#endif
+      // Transparent reduction through the k_v rows of this group: the
+      // chain of 3:2 compressions resolved by the boundary CPA equals the
+      // modular sum of the incoming psum and the k_v products (csa_compress
+      // preserves sum+carry mod 2^64), so the kernel accumulates directly —
+      // bit-exact against arch/pe.
+      gemm::column_mac(act.data() + r0 * cols, w + r0 * cols, cols, k_v,
+                       vg > 0 ? psum.data() + (vg - 1) * cols : nullptr, dst,
+                       lo, hi);
+      if (bottom) {
+        // South accumulators: column group cg retires tag cycle - vg - cg.
+        bottom_cells += n;
+        for (std::int64_t cg = cg_lo; cg <= cg_hi; ++cg) {
+          std::int64_t* acc_row = acc_data + (cycle - vg - cg) * cols;
+          for (std::int64_t c = cg * k_h; c < (cg + 1) * k_h; ++c) {
+            acc_row[c] = add_mod(acc_row[c],
+                                 south_values[static_cast<std::size_t>(c)]);
           }
         }
+        std::fill(south_valid.begin() + lo, south_valid.begin() + hi, 1);
       }
     }
-
-    // Per-cycle activity, hoisted out of the MAC loop: every valid cell
-    // performs k_v*k_h multiplies + compressions and k_h boundary resolves;
-    // bottom-group cells retire k_h outputs, the rest latch k_h boundary
-    // registers.
-    stats.activity.mult_ops += cells * k_v * k_h;
-    stats.activity.csa_ops += cells * k_v * k_h;
-    stats.activity.cpa_ops += cells * k_h;
-    stats.activity.vreg_writes += (cells - bottom_cells) * k_h;
-    stats.activity.acc_writes += bottom_cells * k_h;
-    outputs_written += bottom_cells * k_h;
-
-    // (3) Horizontal register latch: the group-head registers shift the
-    //     stream one group to the right (one overlapping memmove over the
-    //     [g][r] plane), and bank 0 latches the west edge.  A register
-    //     write counts when the latched value is valid, i.e. its tag
-    //     cycle - g - vg lands in [0, T) — counted per row group instead
-    //     of per register.
-    if (h_regs >= 1) {
-      for (std::int64_t vg = 0; vg < v_groups; ++vg) {
-        const std::int64_t lo =
-            std::max<std::int64_t>(0, cycle - vg - (t_dim - 1));
-        const std::int64_t hi = std::min<std::int64_t>(h_regs - 1, cycle - vg);
-        if (lo <= hi) stats.activity.hreg_writes += (hi - lo + 1) * k_v;
-      }
-      if (h_regs >= 2) {
-        std::memmove(h_val.data() + rows, h_val.data(),
-                     static_cast<std::size_t>((h_regs - 1) * rows) *
-                         sizeof(std::int32_t));
-#ifndef NDEBUG
-        std::memmove(h_tag.data() + rows, h_tag.data(),
-                     static_cast<std::size_t>((h_regs - 1) * rows) *
-                         sizeof(std::int64_t));
-#endif
-      }
-      std::memcpy(h_val.data(), west.data(),
-                  static_cast<std::size_t>(rows) * sizeof(std::int32_t));
-#ifndef NDEBUG
-      std::copy(west_tag.begin(), west_tag.end(), h_tag.begin());
-#endif
-    }
-    v_cur.swap(v_nxt);
-#ifndef NDEBUG
-    v_tag_cur.swap(v_tag_nxt);
-#endif
 
     if (observer) {
       CycleSnapshot snap;
@@ -317,18 +250,29 @@ TileRunStats SystolicArray::run_tile_asym(const gemm::Mat32& a,
     }
   }
 
-  // Clock-gated (transparent) register bits are a per-streaming-cycle
-  // constant: each row keeps C/k_h - 1 of its C - 1 activation registers
-  // active, each column keeps R/k_v of its R psum registers active.
+  // Activity, accounted per valid cell instead of per MAC: every cell
+  // performs k_v*k_h multiplies + compressions and k_h boundary resolves;
+  // bottom-group cells retire k_h outputs, the rest latch k_h boundary
+  // registers.  Clock-gated (transparent) register bits are a
+  // per-streaming-cycle constant: each row keeps C/k_h - 1 of its C - 1
+  // activation registers active, each column keeps R/k_v of its R psum
+  // registers active.
+  stats.activity.mult_ops = cells * k_v * k_h;
+  stats.activity.csa_ops = cells * k_v * k_h;
+  stats.activity.cpa_ops = cells * k_h;
+  stats.activity.hreg_writes = hreg_cells * k_v;
+  stats.activity.vreg_writes = (cells - bottom_cells) * k_h;
+  stats.activity.acc_writes = bottom_cells * k_h;
   stats.activity.hreg_bypassed_bit_cycles =
       rows * (cols - h_groups) * config_.input_bits * streaming_cycles;
   stats.activity.vreg_bypassed_bit_cycles =
       cols * (rows - v_groups) * config_.acc_bits * streaming_cycles;
   stats.activity.streaming_cycles = streaming_cycles;
   stats.total_cycles = stats.preload_cycles + streaming_cycles;
-  AF_CHECK(outputs_written == outputs_expected,
+  const std::int64_t outputs_written = bottom_cells * k_h;
+  AF_CHECK(outputs_written == t_dim * cols,
            "streaming epoch retired " << outputs_written << " outputs, want "
-                                      << outputs_expected);
+                                      << t_dim * cols);
   return stats;
 }
 

@@ -81,14 +81,20 @@ struct CycleSnapshot {
 using CycleObserver = std::function<void(const CycleSnapshot&)>;
 
 // Streaming engine notes (perf): the epoch loop runs over flat,
-// pre-allocated, double-buffered planes — a value plane per vertical
-// boundary row (swapped, never copied, per cycle) and a flat horizontal
-// register plane shifted with one memmove — with the weight matrix
-// preloaded transposed in O(R*C).  Activity counters are accounted per
-// cycle from the valid (column-group, row-group) ranges instead of per
-// MAC; tag-skew verification (the Tagged planes) is compiled in only for
-// debug builds (see AF_ASSERT).  Outputs and ActivityCounters are
-// bit-identical to the original register-by-register emulation.
+// pre-allocated, row-major planes C columns wide, like B.  The R x C
+// activation plane holds the word each PE multiplies this cycle; it shifts
+// k_h columns east per cycle with one memmove, and column group 0 takes
+// the west edge.  B itself is the weight plane (read in place, no
+// transposed copy), and one (R/k_v - 1) x C plane holds the vertical
+// boundary registers, updated in place by running row groups bottom-up.
+// A row group's valid cells always form one contiguous column range, so
+// each cycle is one gemm::column_mac call per row group (the vectorized
+// kernel in gemm/multiply.h).  Activity counters are accounted from the
+// valid ranges instead of per MAC; tag-skew verification (tag planes laid
+// out like the activation and boundary planes) is compiled in only for
+// debug builds (see AF_ASSERT).  Outputs, ActivityCounters and the
+// CycleObserver stream are bit-identical to the original
+// register-by-register emulation.
 //
 // Thread safety: run_tile/run_tile_asym keep all mutable state on the
 // stack, so concurrent calls on one SystolicArray are safe — run_gemm and

@@ -1,12 +1,24 @@
-// Fast exact GEMM for served outputs.
+// The two exact integer kernels built at -O3 with an AVX2 clone.
 //
 // gemm::multiply computes the same X = A x B as gemm::reference_gemm, bit
 // for bit (64-bit two's-complement wrap-around included), but streams rows
 // of B through a vectorized inner loop instead of walking B's columns.
 // reference_gemm stays the golden model: the tests, the cycle engine and
 // the benchmark's output checks compare against it, never against this.
+//
+// gemm::column_mac is one row group of the cycle-accurate array
+// (arch::SystolicArray) for one cycle: each column's products summed down
+// the group onto the partial sum arriving from above.
+//
+// Both live in this one file because it is the tree's one file built at
+// -O3 (the -O2 default leaves these loops scalar) with target clones, and
+// the one file exempt from ThreadSanitizer (the clones' ifunc resolvers run
+// before the TSan runtime starts): keeping every such kernel here keeps
+// one exception in the build.
 
 #pragma once
+
+#include <cstdint>
 
 #include "gemm/matrix.h"
 
@@ -15,5 +27,14 @@ namespace af::gemm {
 // X = A x B with 64-bit modular accumulation.  A is T x N, B is N x M.
 // Exactly equal to reference_gemm(a, b) for every input.
 Mat64 multiply(const Mat32& a, const Mat32& b);
+
+// For every column c in [lo, hi), mod 2^64:
+//   dst[c] = psum_in[c] + sum_{j < rows} act[j*stride + c] * w[j*stride + c]
+// act and w are row-major planes `stride` columns wide; psum_in == nullptr
+// reads as zeros.  dst must not overlap psum_in.
+void column_mac(const std::int32_t* act, const std::int32_t* w,
+                std::int64_t stride, std::int64_t rows,
+                const std::int64_t* psum_in, std::int64_t* dst, std::int64_t lo,
+                std::int64_t hi);
 
 }  // namespace af::gemm

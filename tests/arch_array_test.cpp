@@ -228,6 +228,62 @@ TEST(SystolicArrayTest, ObserverSeesSouthCompletions) {
   EXPECT_EQ(south_count, 2 * 4);  // every output latched exactly once
 }
 
+TEST(SystolicArrayTest, ObserverTraceFollowsTheSkewSchedule) {
+  // The whole edge trace, cycle by cycle: the west edge injects on the
+  // batch skew of paper Fig. 2(b), and the bottom edge retires output row
+  // tag = cycle - (R/k_v - 1) - floor(c/k_h) in column c, nothing else.
+  Rng rng(1717);
+  for (const auto& [rows, cols] : std::vector<std::pair<int, int>>{
+           {4, 4}, {8, 4}, {4, 8}, {12, 6}, {16, 8}, {32, 32}}) {
+    SystolicArray array(small_config(rows, cols, {1}));
+    for (int k_v = 1; k_v <= rows; ++k_v) {
+      if (rows % k_v != 0) continue;
+      for (int k_h = 1; k_h <= cols; ++k_h) {
+        if (cols % k_h != 0) continue;
+        for (const std::int64_t t : {1, 5, 40}) {
+          const std::string label =
+              "R=" + std::to_string(rows) + " C=" + std::to_string(cols) +
+              " k_v=" + std::to_string(k_v) + " k_h=" + std::to_string(k_h) +
+              " T=" + std::to_string(t);
+          const gemm::Mat32 a =
+              gemm::random_matrix(rng, t, rows, INT32_MIN, INT32_MAX);
+          const gemm::Mat32 b =
+              gemm::random_matrix(rng, rows, cols, INT32_MIN, INT32_MAX);
+          const gemm::Mat64 x = gemm::reference_gemm(a, b);
+          const std::int64_t v_groups = rows / k_v;
+          std::int64_t snapshots = 0;
+          std::int64_t bad_cycles = 0, bad_west = 0, bad_valid = 0,
+                       bad_values = 0;
+          gemm::Mat64 acc(t, cols);
+          array.run_tile_asym(a, b, k_v, k_h, &acc,
+                              [&](const CycleSnapshot& snap) {
+            const std::int64_t cycle = snapshots++;
+            bad_cycles += snap.relative_cycle != cycle;
+            for (int r = 0; r < rows; ++r) {
+              const std::int64_t row = cycle - r / k_v;
+              const std::int32_t want = row >= 0 && row < t ? a.at(row, r) : 0;
+              bad_west +=
+                  (*snap.west_inputs)[static_cast<std::size_t>(r)] != want;
+            }
+            for (int c = 0; c < cols; ++c) {
+              const auto i = static_cast<std::size_t>(c);
+              const std::int64_t tag = cycle - (v_groups - 1) - c / k_h;
+              const bool valid = tag >= 0 && tag < t;
+              bad_valid += (*snap.south_valid)[i] != (valid ? 1 : 0);
+              bad_values += valid && (*snap.south_values)[i] != x.at(tag, c);
+            }
+          });
+          EXPECT_EQ(snapshots, t + v_groups + cols / k_h - 2) << label;
+          EXPECT_EQ(bad_cycles, 0) << label;
+          EXPECT_EQ(bad_west, 0) << label;
+          EXPECT_EQ(bad_valid, 0) << label;
+          EXPECT_EQ(bad_values, 0) << label;
+        }
+      }
+    }
+  }
+}
+
 TEST(SystolicArrayTest, CyclesIndependentOfData) {
   // Latency is a pure function of geometry (no data-dependent stalls).
   const ArrayConfig cfg = small_config(8, 8, {1, 4});

@@ -1,5 +1,5 @@
-// Optimized-engine equivalence sweep: the flattened, double-buffered,
-// optionally threaded streaming engine (arch/array.cpp) pitted against
+// Optimized-engine equivalence sweep: the vectorized, optionally threaded
+// streaming engine (arch/array.cpp) pitted against
 //   * the reference GEMM (bit-exact outputs, including modular wrap),
 //   * the closed-form activity model (identical ActivityCounters), and
 //   * itself at different thread counts (threaded == serial, bit for bit).
@@ -97,7 +97,7 @@ TEST(EquivalenceSweep, RandomAsymTilesMatchReferenceAndActivityModel) {
 }
 
 TEST(EquivalenceSweep, WrapAroundStaysBitExact) {
-  // INT32 extremes force 64-bit wrap in the reduction chain; the flattened
+  // INT32 extremes force 64-bit wrap in the reduction chain; the streaming
   // engine's modular accumulation must wrap exactly like the CSA+CPA model.
   const ArrayConfig cfg = config_for(8, 8);
   SystolicArray array(cfg);
@@ -110,6 +110,46 @@ TEST(EquivalenceSweep, WrapAroundStaysBitExact) {
       EXPECT_EQ(gemm::first_mismatch(acc, gemm::reference_gemm(a, b)), "")
           << "k_v=" << k_v << " k_h=" << k_h;
     }
+  }
+}
+
+// The geometry the benchmark simulates (32x32) and wider ones: every sweep
+// above stops at 16x16.
+TEST(EquivalenceSweep, WideArraysMatchReferenceAndActivityModel) {
+  Rng rng(20261017);
+  for (const auto& [rows, cols] :
+       std::vector<std::pair<int, int>>{{32, 32}, {64, 64}, {32, 48}}) {
+    const ArrayConfig cfg = config_for(rows, cols);
+    SystolicArray array(cfg);
+    const auto check = [&](const gemm::Mat32& a, const gemm::Mat32& b, int k_v,
+                           int k_h) {
+      const std::int64_t t = a.rows();
+      const std::string label = "R=" + std::to_string(rows) +
+                                " C=" + std::to_string(cols) +
+                                " k_v=" + std::to_string(k_v) +
+                                " k_h=" + std::to_string(k_h) +
+                                " T=" + std::to_string(t);
+      gemm::Mat64 acc(t, cols);
+      const TileRunStats stats = array.run_tile_asym(a, b, k_v, k_h, &acc);
+      EXPECT_EQ(gemm::first_mismatch(acc, gemm::reference_gemm(a, b)), "")
+          << label;
+      expect_counters_equal(stats.activity,
+                            predict_tile_activity_asym(cfg, t, k_v, k_h),
+                            label);
+      EXPECT_EQ(stats.total_cycles, rows + rows / k_v + cols / k_h + t - 2)
+          << label;
+    };
+    for (const int k_v : {1, 2, 4}) {
+      for (const int k_h : {1, 2, 4}) {
+        for (const std::int64_t t : {1, 33, 100}) {
+          check(gemm::random_matrix(rng, t, rows, INT32_MIN, INT32_MAX),
+                gemm::random_matrix(rng, rows, cols, INT32_MIN, INT32_MAX), k_v,
+                k_h);
+        }
+      }
+    }
+    check(gemm::Mat32(33, rows, INT32_MAX), gemm::Mat32(rows, cols, INT32_MIN),
+          1, 1);
   }
 }
 
