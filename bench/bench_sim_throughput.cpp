@@ -32,6 +32,7 @@
 #include "hw/sta.h"
 #include "sim/stats.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -73,13 +74,14 @@ BENCHMARK(BM_TileSimulation)
     ->Args({64, 4});
 
 // Tiled GEMM with tile-level parallelism: the output is cut into C-wide
-// column stripes dispatched across SimOptions::num_threads workers.  The
+// column stripes dispatched across the pool passed to the array.  The
 // GEMM is sized to 8 column stripes so 1/2/4 threads all have work.
 void BM_ThreadedGemm(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
   const int k = static_cast<int>(state.range(1));
   const int threads = static_cast<int>(state.range(2));
-  arch::SystolicArray array(config_for(side, threads));
+  util::ThreadPool pool(threads);
+  arch::SystolicArray array(config_for(side), &pool);
   Rng rng(4);
   const std::int64_t t = 32;
   const gemm::Mat32 a = gemm::random_matrix(rng, t, 2 * side, -100, 100);

@@ -42,14 +42,11 @@ TileRunStats& TileRunStats::operator+=(const TileRunStats& o) {
   return *this;
 }
 
-SystolicArray::SystolicArray(const ArrayConfig& config) : config_(config) {
+SystolicArray::SystolicArray(const ArrayConfig& config,
+                             util::ThreadPool* pool)
+    : config_(config), pool_(pool) {
   config_.validate();
-  const int threads =
-      util::ThreadPool::resolve_num_threads(config_.sim.num_threads);
-  if (threads > 1) pool_ = std::make_unique<util::ThreadPool>(threads);
 }
-
-SystolicArray::~SystolicArray() = default;
 
 TileRunStats SystolicArray::run_tile(const gemm::Mat32& a,
                                      const gemm::Mat32& b, int k,
@@ -332,8 +329,7 @@ TileRunStats SystolicArray::run_tiled(const gemm::Mat32& a,
   };
 
   std::vector<TileRunStats> per_stripe(static_cast<std::size_t>(col_tiles));
-  util::ThreadPool* pool = external_pool_ ? external_pool_ : pool_.get();
-  util::ThreadPool::run_n(pool, col_tiles, [&](std::int64_t ct) {
+  util::ThreadPool::run_n(pool_, col_tiles, [&](std::int64_t ct) {
     run_stripe(ct, &per_stripe[static_cast<std::size_t>(ct)]);
   });
   TileRunStats stats;

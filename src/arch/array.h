@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "arch/config.h"
@@ -99,15 +98,17 @@ using CycleObserver = std::function<void(const CycleSnapshot&)>;
 // Thread safety: run_tile/run_tile_asym keep all mutable state on the
 // stack, so concurrent calls on one SystolicArray are safe — run_gemm and
 // run_gemm_sparse exploit that by dispatching independent output-column
-// stripes across the pool when config().sim.num_threads != 1.  Threaded
-// runs return bit-identical outputs and statistics (modular adds commute).
+// stripes across the pool the array was constructed with (serially
+// without one).  Threaded runs return bit-identical outputs and statistics
+// (modular adds commute).
 //
-// Shared-pool contract: set_thread_pool points the array at an external
-// util::ThreadPool instead of (or in addition to) its private one —
-// components that drive several arrays at once (the serve:: shards, a
-// threaded InferenceRunner) inject ONE pool everywhere so total worker
-// count stays bounded instead of multiplying per component.  The rules:
-//   * the injected pool must outlive every run_* call on this array;
+// Shared-pool contract: the array owns no threads; its pool is a
+// constructor argument.  Components that drive several arrays at once (the
+// serve:: shards, a threaded InferenceRunner) pass ONE pool everywhere so
+// total worker count stays bounded instead of multiplying per component
+// (engine::Engine is the one owner that builds a pool from SimOptions).
+// The rules:
+//   * the pool must outlive every run_* call on this array;
 //   * concurrent run_gemm calls from different threads may share one pool
 //     (parallel_for serializes the fan-outs against each other);
 //   * a run_* call issued from inside a pool task executes its stripes
@@ -115,15 +116,12 @@ using CycleObserver = std::function<void(const CycleSnapshot&)>;
 //     fallback), so nesting never deadlocks or oversubscribes.
 class SystolicArray {
  public:
-  explicit SystolicArray(const ArrayConfig& config);
-  ~SystolicArray();
+  // `pool` (nullable) runs the tiled entry points' column stripes; see the
+  // shared-pool contract above.
+  explicit SystolicArray(const ArrayConfig& config,
+                         util::ThreadPool* pool = nullptr);
 
   const ArrayConfig& config() const { return config_; }
-
-  // Injects a shared pool for the tiled entry points; nullptr reverts to
-  // the private pool (if the config requested one).  See the shared-pool
-  // contract above.
-  void set_thread_pool(util::ThreadPool* pool) { external_pool_ = pool; }
 
   // Compute one tile product: A(T x R) x B(R x C) in collapse mode k,
   // adding the result into `acc` (T x C, modular 64-bit).  Returns exact
@@ -159,11 +157,7 @@ class SystolicArray {
                          gemm::Mat64* out, bool skip_zero_tiles);
 
   ArrayConfig config_;
-  // Created when the config requests parallel simulation (lazily shared by
-  // the tiled entry points; tile runs themselves are stateless).  An
-  // injected external pool takes precedence over the private one.
-  std::unique_ptr<util::ThreadPool> pool_;
-  util::ThreadPool* external_pool_ = nullptr;
+  util::ThreadPool* pool_ = nullptr;  // null = serial
 };
 
 }  // namespace af::arch

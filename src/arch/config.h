@@ -11,10 +11,12 @@ namespace af::arch {
 // Host-side simulation knobs — they change how fast the simulator runs,
 // never what it computes.  Threaded runs are bit-exact and produce
 // identical cycle/activity statistics to serial runs (tile partial sums
-// are modular 64-bit adds, which commute).
+// are modular 64-bit adds, which commute).  Read by engine::Engine only:
+// the engine builds the one pool its array, optimizer and runner share
+// (SystolicArray takes its pool as a constructor argument).
 struct SimOptions {
-  // Worker threads for tile-level parallel simulation: 1 = serial
-  // (default), 0 = use every hardware thread, n = exactly n threads.
+  // Worker threads of the engine's pool: 1 = serial (default), 0 = use
+  // every hardware thread, n = exactly n threads.
   int num_threads = 1;
 };
 

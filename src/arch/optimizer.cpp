@@ -1,13 +1,10 @@
 #include "arch/optimizer.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 
 #include "arch/latency.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace af::arch {
 
@@ -35,27 +32,6 @@ ModeDecision PipelineOptimizer::best_mode(const gemm::GemmShape& shape) const {
     if (d.time_ps < best.time_ps) best = d;
   }
   return best;
-}
-
-std::vector<ModeDecision> PipelineOptimizer::best_modes(
-    const std::vector<gemm::GemmShape>& shapes) const {
-  std::vector<ModeDecision> out(shapes.size());
-  const std::int64_t n = static_cast<std::int64_t>(shapes.size());
-  std::unique_ptr<util::ThreadPool> transient;
-  util::ThreadPool* pool = external_pool_;
-  if (pool == nullptr && !util::ThreadPool::in_parallel_region()) {
-    const int threads = static_cast<int>(std::min<std::int64_t>(
-        util::ThreadPool::resolve_num_threads(config_.sim.num_threads), n));
-    if (threads > 1) {
-      transient = std::make_unique<util::ThreadPool>(threads);
-      pool = transient.get();
-    }
-  }
-  util::ThreadPool::run_n(pool, n, [&](std::int64_t i) {
-    out[static_cast<std::size_t>(i)] =
-        best_mode(shapes[static_cast<std::size_t>(i)]);
-  });
-  return out;
 }
 
 std::vector<ModeSweepEntry> PipelineOptimizer::sweep(

@@ -9,10 +9,6 @@
 #include "arch/config.h"
 #include "gemm/tiling.h"
 
-namespace af::util {
-class ThreadPool;
-}
-
 namespace af::arch {
 
 struct ModeDecision {
@@ -37,20 +33,6 @@ class PipelineOptimizer {
   // Discrete argmin of Tabs over the array's supported modes.
   ModeDecision best_mode(const gemm::GemmShape& shape) const;
 
-  // Batch argmin over many shapes (design-space sweeps, per-layer mode
-  // selection across a whole network).  Runs shapes in parallel when the
-  // config's SimOptions request threads; output order matches the input.
-  std::vector<ModeDecision> best_modes(
-      const std::vector<gemm::GemmShape>& shapes) const;
-
-  // Injects a shared pool for best_modes: when set, the optimizer fans out
-  // on it instead of constructing a private transient pool per call (the
-  // oversubscription hazard when an already-threaded caller owns the
-  // optimizer).  The pool must outlive the optimizer; nullptr reverts to
-  // the per-call transient pool.  Same nesting rules as
-  // arch::SystolicArray's shared-pool contract.
-  void set_thread_pool(util::ThreadPool* pool) { external_pool_ = pool; }
-
   // All supported modes with the winner flagged (used by the Fig. 5 bench).
   std::vector<ModeSweepEntry> sweep(const gemm::GemmShape& shape) const;
 
@@ -69,7 +51,6 @@ class PipelineOptimizer {
  private:
   ArrayConfig config_;
   const ClockModel& clock_;
-  util::ThreadPool* external_pool_ = nullptr;
 };
 
 // --- asymmetric collapse (extension; see arch/array.h run_tile_asym) -------

@@ -4,7 +4,6 @@
 
 #include "arch/sparse.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace af::engine {
 
@@ -13,9 +12,7 @@ CycleAccurateEngine::CycleAccurateEngine(
     std::shared_ptr<const arch::ClockModel> clock,
     const arch::EnergyParams& energy, util::ThreadPool* shared_pool)
     : Engine(config, std::move(clock), energy, shared_pool),
-      array_(this->config()) {
-  if (pool() != nullptr) array_.set_thread_pool(pool());
-}
+      array_(this->config(), pool()) {}
 
 const std::string& CycleAccurateEngine::name() const {
   static const std::string kName = "cycle";

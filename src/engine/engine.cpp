@@ -111,7 +111,6 @@ Engine::Engine(const arch::ArrayConfig& config,
         util::ThreadPool::resolve_num_threads(config_.sim.num_threads);
     if (threads > 1) pool_ = std::make_unique<util::ThreadPool>(threads);
   }
-  optimizer_.set_thread_pool(pool());
   // Private memoization store by default; the factory swaps in the
   // builder's shared cache right after construction (set_cost_cache).
   cache_ = std::make_shared<CostCache>();

@@ -447,8 +447,8 @@ void Fleet::collector_loop(Node& node) {
       const Clock::time_point now = Clock::now();
       const Clock::duration hedge_after = from_ms(options_.hedge_ms);
       for (const Pending& entry : node.pending) {
-        // Only GEMMs hedge: an inference's slices must not race two
-        // servers.
+        // Only GEMMs hedge: a losing duplicate still runs, and for an
+        // inference that is the whole model again on a second server.
         const auto* attempt = std::get_if<Attempt<serve::GemmResult>>(&entry);
         if (attempt == nullptr || attempt->hedge) continue;
         Ticket<serve::GemmResult>& ticket = *attempt->ticket;

@@ -174,12 +174,13 @@ class Fleet {
       std::shared_ptr<const gemm::Mat32> b,
       const serve::SubmitOptions& submit = {});
 
-  // Routed whole-model inference: the model is placed on ONE server (its
-  // layer slices then shard across that server's pool).  Throws and fails
-  // over like GEMMs when the serving server dies before executing it; the
-  // "degrade" fleet policy waits as "block" does (an inference has no
-  // cost-only form), and inference is never hedged (slices of a join must
-  // not race two servers).
+  // Routed whole-model inference: the model is placed on ONE server, where
+  // one shard runs it.  Throws and fails over like GEMMs when the serving
+  // server dies before executing it; the "degrade" fleet policy waits as
+  // "block" does (an inference has no cost-only form).  Inference is never
+  // hedged: the losing half of a hedge still runs, and for an inference
+  // that is a second run of the whole model, billed on a second server, to
+  // save one queue wait.
   std::future<serve::InferenceResult> submit_inference(
       const std::string& tenant, std::shared_ptr<const nn::Model> model,
       const serve::SubmitOptions& submit = {});

@@ -4,17 +4,11 @@
 #include <atomic>
 #include <sstream>
 
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace af::fleet {
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 // --- "hash": consistent hashing over a ring of virtual nodes ---------------
 //

@@ -90,19 +90,10 @@ LayerReport InferenceRunner::evaluate_layer(const Layer& layer) const {
 
 ModelReport InferenceRunner::run(const Model& model) const {
   AF_CHECK(!model.layers.empty(), "model '" << model.name << "' has no layers");
-  return run_slice(model, 0, model.layers.size());
-}
-
-ModelReport InferenceRunner::run_slice(const Model& model, std::size_t first,
-                                       std::size_t count) const {
-  AF_CHECK(first <= model.layers.size() &&
-               count <= model.layers.size() - first,
-           "layer slice [" << first << ", " << first + count << ") out of "
-                           << model.layers.size() << " layers");
   ModelReport report;
   report.model_name = model.name;
-  const std::int64_t n = static_cast<std::int64_t>(count);
-  report.layers.resize(count);
+  const std::int64_t n = static_cast<std::int64_t>(model.layers.size());
+  report.layers.resize(model.layers.size());
 
   // Layers are independent; fan them out when the engine carries a pool.
   // evaluate_layer is const and touches only read-only model state, so
@@ -110,7 +101,7 @@ ModelReport InferenceRunner::run_slice(const Model& model, std::size_t first,
   // layer order, making the report identical to a serial run.
   util::ThreadPool::run_n(engine_->pool(), n, [&](std::int64_t i) {
     report.layers[static_cast<std::size_t>(i)] =
-        evaluate_layer(model.layers[first + static_cast<std::size_t>(i)]);
+        evaluate_layer(model.layers[static_cast<std::size_t>(i)]);
   });
   for (const LayerReport& lr : report.layers) {
     report.arrayflex_time_ps += lr.arrayflex.time_ps;

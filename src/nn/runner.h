@@ -99,14 +99,6 @@ class InferenceRunner {
   LayerReport evaluate_layer(const Layer& layer) const;
   ModelReport run(const Model& model) const;
 
-  // Shard-friendly evaluation: the report for the contiguous layer slice
-  // [first, first + count).  A model sharded across several arrays is
-  // evaluated as one run_slice per shard; concatenating the slice reports
-  // in order reproduces run()'s report bit-exactly (per-layer results are
-  // independent and totals are plain sums).
-  ModelReport run_slice(const Model& model, std::size_t first,
-                        std::size_t count) const;
-
   const arch::ArrayConfig& config() const { return engine_->config(); }
   const engine::Engine& engine() const { return *engine_; }
 
@@ -114,7 +106,7 @@ class InferenceRunner {
   std::shared_ptr<engine::Engine> engine_;
   // Present iff the engine's MemoryConfig is enabled; plans per-layer data
   // movement for the footprint fields.  plan() is const and pure, so the
-  // parallel layer fan-out in run_slice stays race-free.
+  // parallel layer fan-out in run stays race-free.
   std::unique_ptr<mem::TileScheduler> tiles_;
 };
 

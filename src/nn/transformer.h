@@ -19,7 +19,7 @@
 // for the attention GEMMs — heads are independent hardware runs), so a
 // transformer stack is an ordinary nn::Model: InferenceRunner::run prices
 // it per phase (mode choice, power, and — with ArrayConfig::mem enabled —
-// dram/stall/spad footprints), serve::Server::submit_inference shards it,
+// dram/stall/spad footprints), serve::Server::submit_inference serves it,
 // and the exact analytic==cycle equivalence contract holds because nothing
 // but standard GemmShape evaluations ever reach the engine.
 //

@@ -4,8 +4,10 @@
 #include <condition_variable>
 #include <functional>
 #include <limits>
+#include <thread>
 #include <utility>
 
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace af::serve {
@@ -13,13 +15,6 @@ namespace {
 
 // Seed of the steal scan's victim randomization.
 constexpr std::uint64_t kStealSeed = 0x517cc1b727220a95ULL;
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 }  // namespace
 
@@ -82,8 +77,6 @@ SubmitResult Dispatcher::submit_for(Request& r,
 }
 
 std::optional<Batch> Dispatcher::next_batch(int shard) {
-  Slot& me = *slots_[static_cast<std::size_t>(shard)];
-  const int n = static_cast<int>(slots_.size());
   for (;;) {
     const int live_now = live_.load(std::memory_order_acquire);
     if (shard >= live_now) {
@@ -92,61 +85,72 @@ std::optional<Batch> Dispatcher::next_batch(int shard) {
       if (approx_depth() > 0) wake_for(0);
       return std::nullopt;
     }
-    if (paused_.load(std::memory_order_acquire)) {
-      if (closed_.load(std::memory_order_acquire)) return std::nullopt;
-      park(shard);
-      continue;
-    }
-    // Anti-starvation sweep: a submit that raced a scale-down can land in a
-    // retired deque AFTER its drain, and under sustained saturation no live
-    // worker ever runs dry to steal it.  Every 64th dispatch, probe the
-    // retired slots — a relaxed-load hint each, so the orphan's wait is
-    // bounded by ~64 dispatch times instead of the next load dip.
-    if ((me.probe_seq++ & 63u) == 0) {
-      for (int s = live_now; s < n; ++s) {
-        if (slots_[static_cast<std::size_t>(s)]->queue.approx_size() == 0) {
-          continue;
-        }
-        if (std::optional<Batch> batch = round_from(s, /*stolen=*/true)) {
-          return batch;
-        }
-      }
-    }
-    // Own deque first: affinity keeps a tenant's coalescable stream here.
-    if (std::optional<Batch> batch = round_from(shard, /*stolen=*/false)) {
-      return batch;
-    }
-    // Dry: steal a whole DRR round from a random victim.  The scan covers
-    // every slot — retired ones included, so a submission that raced a
-    // scale-down is still served.  Two passes for pipeline-mode locality:
-    // the first only takes victims whose pending round is in the mode THIS
-    // shard's array is already configured in (peek_mode hint), so the
-    // stolen batch skips the reconfiguration drain; the second takes
-    // anyone.  The first pass is skipped while the thief has no mode yet.
-    const int start = static_cast<int>(
-        splitmix64(rng_state_.fetch_add(1, std::memory_order_relaxed)) %
-        static_cast<std::uint64_t>(n));
-    const int my_mode = me.mode.load(std::memory_order_relaxed);
-    for (int pass = my_mode > 0 ? 0 : 1; pass < 2; ++pass) {
-      for (int i = 0; i < n; ++i) {
-        const int victim = (start + i) % n;
-        if (victim == shard) continue;
-        RequestQueue& q = slots_[static_cast<std::size_t>(victim)]->queue;
-        // Lock-free emptiness hint first: a dry victim costs a relaxed
-        // load, not a mutex round-trip.
-        if (q.approx_size() == 0) continue;
-        if (pass == 0 && q.peek_mode() != my_mode) continue;
-        if (failpoint_) failpoint_("steal");
-        if (std::optional<Batch> batch = round_from(victim, /*stolen=*/true)) {
-          return batch;
-        }
-      }
-    }
-    if (closed_.load(std::memory_order_acquire) && depth() == 0) {
+    // The scan is announced before paused_ is read and retracted after the
+    // pop, so set_paused(true) can wait out every scan that read "not
+    // paused" (seq_cst on both sides): once it returns, no scan hands out
+    // work, not even work submitted later.
+    scanning_.fetch_add(1);
+    const bool paused = paused_.load();
+    std::optional<Batch> batch;
+    if (!paused) batch = scan(shard, live_now);
+    scanning_.fetch_sub(1);
+    if (batch) return batch;
+    if (closed_.load(std::memory_order_acquire) && (paused || depth() == 0)) {
       return std::nullopt;
     }
     park(shard);
   }
+}
+
+std::optional<Batch> Dispatcher::scan(int shard, int live_now) {
+  Slot& me = *slots_[static_cast<std::size_t>(shard)];
+  const int n = static_cast<int>(slots_.size());
+  // Anti-starvation sweep: a submit that raced a scale-down can land in a
+  // retired deque AFTER its drain, and under sustained saturation no live
+  // worker ever runs dry to steal it.  Every 64th dispatch, probe the
+  // retired slots — a relaxed-load hint each, so the orphan's wait is
+  // bounded by ~64 dispatch times instead of the next load dip.
+  if ((me.probe_seq++ & 63u) == 0) {
+    for (int s = live_now; s < n; ++s) {
+      if (slots_[static_cast<std::size_t>(s)]->queue.approx_size() == 0) {
+        continue;
+      }
+      if (std::optional<Batch> batch = round_from(s, /*stolen=*/true)) {
+        return batch;
+      }
+    }
+  }
+  // Own deque first: affinity keeps a tenant's coalescable stream here.
+  if (std::optional<Batch> batch = round_from(shard, /*stolen=*/false)) {
+    return batch;
+  }
+  // Dry: steal a whole DRR round from a random victim.  The scan covers
+  // every slot — retired ones included, so a submission that raced a
+  // scale-down is still served.  Two passes for pipeline-mode locality:
+  // the first only takes victims whose pending round is in the mode THIS
+  // shard's array is already configured in (peek_mode hint), so the
+  // stolen batch skips the reconfiguration drain; the second takes
+  // anyone.  The first pass is skipped while the thief has no mode yet.
+  const int start = static_cast<int>(
+      splitmix64(rng_state_.fetch_add(1, std::memory_order_relaxed)) %
+      static_cast<std::uint64_t>(n));
+  const int my_mode = me.mode.load(std::memory_order_relaxed);
+  for (int pass = my_mode > 0 ? 0 : 1; pass < 2; ++pass) {
+    for (int i = 0; i < n; ++i) {
+      const int victim = (start + i) % n;
+      if (victim == shard) continue;
+      RequestQueue& q = slots_[static_cast<std::size_t>(victim)]->queue;
+      // Lock-free emptiness hint first: a dry victim costs a relaxed
+      // load, not a mutex round-trip.
+      if (q.approx_size() == 0) continue;
+      if (pass == 0 && q.peek_mode() != my_mode) continue;
+      if (failpoint_) failpoint_("steal");
+      if (std::optional<Batch> batch = round_from(victim, /*stolen=*/true)) {
+        return batch;
+      }
+    }
+  }
+  return std::nullopt;
 }
 
 std::optional<Batch> Dispatcher::round_from(int from, bool stolen) {
@@ -251,8 +255,14 @@ void Dispatcher::set_banned(int shard, bool banned) {
 }
 
 void Dispatcher::set_paused(bool paused) {
-  paused_.store(paused, std::memory_order_release);
-  if (!paused) wake_all();
+  paused_.store(paused);
+  if (!paused) {
+    wake_all();
+    return;
+  }
+  // Waits out the scans that read paused_ before the store (see
+  // next_batch); they end with a pop or a miss, never a wait.
+  while (scanning_.load() != 0) std::this_thread::yield();
 }
 
 void Dispatcher::close() {
@@ -382,11 +392,9 @@ std::size_t affinity_hash(const Request& r) {
     // one deque, where same-backend batch requests coalesce locally.
     return std::hash<std::string>{}(r.tenant);
   }
-  const std::size_t model_hash =
-      std::hash<const void*>{}(static_cast<const void*>(r.model.get()));
+  // Model pointers are aligned, so mix the bits before the modulo.
   return static_cast<std::size_t>(
-      splitmix64(static_cast<std::uint64_t>(model_hash) +
-                 0x632be59bd9b4e019ULL * (r.slice_index + 1)));
+      splitmix64(reinterpret_cast<std::uintptr_t>(r.model.get())));
 }
 
 }  // namespace af::serve

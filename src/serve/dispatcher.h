@@ -2,14 +2,14 @@
 // serving control plane's hot path.
 //
 // Per-shard bounded DRR deques.  submit() routes by affinity_hash — tenant
-// identity for GEMMs, (model, slice) for inference slices — so a tenant's
-// same-mode, same-weight stream lands in ONE deque where the coalescing
-// sweep and same-weight fusion find their batches locally, and producers
-// hashing to different homes never contend.  A shard whose own deque runs
-// dry steals from a random victim: it pops the victim's DRR-selected head
-// and assembles the riders from the victim's deque — a WHOLE DRR round
-// moves, so per-tenant fairness is the victim's DRR order (the thief only
-// changes which engine executes it).  The steal scan prefers victims whose
+// identity for GEMMs, model identity for inferences — so a tenant's
+// same-mode, same-weight stream (and concurrent submissions of one model)
+// lands in ONE deque where the coalescing sweep and same-weight fusion find
+// their batches locally, and producers hashing to different homes never
+// contend.  A shard whose own deque runs dry steals from a random victim:
+// it pops the victim's DRR-selected head and assembles the riders from the
+// victim's deque — a WHOLE DRR round moves, so per-tenant fairness is the
+// victim's DRR order (the thief only changes which engine executes it).  The steal scan prefers victims whose
 // pending round is already in the thief's configured pipeline mode, so the
 // stolen batch skips the reconfiguration drain.  Rounds shorter than
 // max_batch top up with compatible riders from the other deques (each
@@ -139,7 +139,9 @@ class Dispatcher {
 
   // The stall failpoint: while paused, next_batch hands out nothing and
   // workers stay parked (queued work sits, admission stays open, deadlines
-  // keep running).  Unpausing wakes every parked worker.
+  // keep running).  set_paused(true) returns only once no worker is still
+  // in a scan that began before it, so nothing submitted after it returns
+  // is handed out until set_paused(false), which wakes every parked worker.
   void set_paused(bool paused);
   bool paused() const { return paused_.load(std::memory_order_acquire); }
 
@@ -191,6 +193,9 @@ class Dispatcher {
 
   // Affinity routing with quarantine and retry steering (see the .cpp).
   int route(const Request& r) const;
+  // One unpaused look for work: the retired-slot probe, the own deque,
+  // then the steal scan; nullopt when nothing is queued anywhere.
+  std::optional<Batch> scan(int shard, int live_now);
   // Pops `from`'s DRR-selected head and assembles its round, topped up
   // from the other deques; nullopt when `from` is empty right now.
   std::optional<Batch> round_from(int from, bool stolen);
@@ -214,6 +219,9 @@ class Dispatcher {
   std::atomic<int> live_;
   std::atomic<bool> closed_{false};
   std::atomic<bool> paused_{false};
+  // Workers between announcing a scan and finishing its pop (see
+  // next_batch); set_paused(true) waits for it to reach 0.
+  std::atomic<int> scanning_{0};
   // Workers currently parked: a submit reads it once and skips the wake
   // scan entirely while every worker is busy (the loaded steady state).
   std::atomic<int> parked_{0};
@@ -227,9 +235,8 @@ class Dispatcher {
 
 // Submit-side affinity (exposed so tests can predict a request's home
 // deque): tenant hash for GEMMs — a tenant's stream coalesces locally —
-// and (model identity, slice index) for inference slices — concurrent
-// submissions of the same model coalesce, while the slices of one
-// inference spread across shards.
+// and model identity for inferences — concurrent submissions of the same
+// model coalesce.
 std::size_t affinity_hash(const Request& r);
 
 }  // namespace af::serve

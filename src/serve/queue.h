@@ -150,8 +150,8 @@ class RequestQueue {
 
   // Locality hint for the stealing dispatcher's victim scan: the
   // admission-decided pipeline mode of the request the DRR position would
-  // serve next (nullopt when empty or when the next request is an
-  // inference slice, which has no single mode).  A HINT, not a contract —
+  // serve next (nullopt when empty or when the next request is not a GEMM:
+  // an inference picks a mode per layer, a cost batch none).  A HINT, not a contract —
   // the actual pop may serve a different tenant once deficits are
   // consulted — good enough to prefer a victim whose stolen round skips
   // the mode-switch drain.

@@ -1,13 +1,12 @@
 // Request/response types of the multi-tenant serving layer.
 //
 // Clients hand the serve::Server either a raw GEMM (activations against a
-// shared weight matrix) or a whole nn::Model inference, tagged with a
-// tenant id; they get a std::future back.  Internally every submission
-// becomes one or more Request records flowing through the bounded
-// RequestQueue to the shard workers.  A model inference is split into one
-// kInferSlice request per shard (contiguous layer ranges), joined back into
-// a single ModelReport by the shared InferJoin when the last slice lands —
-// this is how one model is sharded across several simulated arrays.
+// shared weight matrix), a batch of cost queries, or a whole nn::Model
+// inference, tagged with a tenant id; they get a std::future (or a
+// BatchTicket) back.  Internally every submission becomes exactly one
+// Request record flowing through the bounded RequestQueue to the shard
+// workers; one shard answers a model inference with one
+// InferenceRunner::run.
 
 #pragma once
 
@@ -15,9 +14,7 @@
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "gemm/matrix.h"
 #include "gemm/reference.h"
@@ -33,7 +30,7 @@ using Clock = std::chrono::steady_clock;
 // executors need the full type.
 class BatchSlot;
 
-enum class RequestKind { kGemm, kInferSlice, kGemmBatch };
+enum class RequestKind { kGemm, kInference, kGemmBatch };
 
 // Response to a submit_gemm: the product plus the simulated cost of the
 // (possibly fused) hardware run that produced it.
@@ -59,35 +56,11 @@ struct GemmResult {
   bool degraded = false;        // served cost-only under the degrade policy
 };
 
-// Response to a submit_inference: the merged per-layer report (bit-identical
-// to a direct InferenceRunner::run with the same config) plus serving
-// metadata.
+// Response to a submit_inference: the per-layer report (bit-identical to a
+// direct InferenceRunner::run with the same config) plus serving metadata.
 struct InferenceResult {
   nn::ModelReport report;
-  int num_slices = 1;           // shard fan-out of this inference
-  double latency_ms = 0.0;      // wall-clock submit -> last slice done
-};
-
-// Join state shared by the slice requests of one sharded inference.  The
-// shard completing the final slice assembles the full report (slices are
-// concatenated in layer order; totals are sums) and fulfills the promise.
-struct InferJoin {
-  std::mutex mutex;
-  std::vector<nn::ModelReport> parts;  // indexed by slice position
-  std::size_t remaining = 0;
-  // Attributed cost of this inference, accumulated slice by slice: each
-  // slice charges its ArrayFlex energy and time divided by the size of the
-  // batch it was coalesced into (the hardware ran that slice once for all
-  // of them), so per-tenant books sum to what the shards actually spent.
-  double energy_pj = 0.0;
-  double sim_time_ps = 0.0;
-  // Set once a slice execution failed and the promise carries the
-  // exception; later slices of this join become no-ops.
-  bool failed = false;
-  std::promise<InferenceResult> promise;
-  Clock::time_point enqueue_time;
-  std::string tenant;
-  std::string model_name;
+  double latency_ms = 0.0;      // wall-clock submit -> completion
 };
 
 // One unit of queued work.  Move-only (it carries the client's promise).
@@ -126,7 +99,7 @@ struct Request {
   // or not the memory model is enabled).  The queue mirrors the sum as
   // approx_bytes(), the bandwidth-pressure twin of approx_cost(): two
   // backlogs of equal MAC volume can differ hugely in how much data they
-  // drag through DRAM.  Zero for inference slices (their traffic is
+  // drag through DRAM.  Zero for inferences (their traffic is
   // layer-dependent and accounted in the ModelReport instead).
   std::int64_t drr_bytes = 0;
 
@@ -156,12 +129,11 @@ struct Request {
   bool want_output = true;
   std::promise<GemmResult> gemm_promise;
 
-  // --- kInferSlice ---------------------------------------------------------
+  // --- kInference ------------------------------------------------------------
   std::shared_ptr<const nn::Model> model;
-  std::size_t layer_begin = 0;
-  std::size_t layer_count = 0;
-  std::size_t slice_index = 0;
-  std::shared_ptr<InferJoin> join;
+  // Allocated by submit_inference only, so the other kinds carry no unused
+  // promise state.
+  std::unique_ptr<std::promise<InferenceResult>> infer_promise;
 
   // --- kGemmBatch ------------------------------------------------------------
   // One queued record for a whole submit_gemm_batch call: the shapes ride

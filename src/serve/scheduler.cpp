@@ -25,10 +25,9 @@ bool compatible(const Request& head, const Request& r) {
     // override must match, because one engine answers the whole dispatch.
     return head.backend == r.backend;
   }
-  // Inference slices coalesce only when they are the same analytic work:
-  // identical model (by identity) and identical layer range.
-  return head.model == r.model && head.layer_begin == r.layer_begin &&
-         head.layer_count == r.layer_count;
+  // Inferences coalesce only when they are the same analytic work: the
+  // identical model (by identity).
+  return head.model == r.model;
 }
 
 Batch assemble_batch(Request head, RequestQueue& queue, int max_batch,
@@ -51,7 +50,7 @@ Batch assemble_batch(Request head, RequestQueue& queue, int max_batch,
   batch.requests.push_back(std::move(head));
   if (max_batch > 1) {
     // One sweep over the backlog, keyed by the head's (mode, backend) /
-    // (model, range), instead of a rescan of the whole queue per rider —
+    // model, instead of a rescan of the whole queue per rider —
     // O(batch x backlog) under the lock.  The byte
     // budget (when set) is spent inside the predicate: a rider whose
     // projected DRAM traffic no longer fits keeps its queue position.

@@ -10,16 +10,16 @@
 //   * GEMMs whose admission-chosen mode k matches the batch head's — the
 //     shard runs them without a mode switch; within the batch the executor
 //     additionally fuses requests sharing (weights, shape);
-//   * inference slices of the same (model, layer range) — identical
-//     analytic work, evaluated once and fanned to every requester (the
-//     serving layer's result coalescing).
+//   * inferences of the same model — identical analytic work, evaluated
+//     once and fanned to every requester (the serving layer's result
+//     coalescing).
 //
 // The batch head is the deque's DRR-selected request (RequestQueue::
 // try_pop, see serve/queue.h), so a flooding tenant cannot monopolize
 // dispatch; assemble_batch then sweeps compatible requests from any
 // tenant's backlog in ONE pass via RequestQueue::pop_all_if, keyed by the
-// head's (mode, backend) for GEMMs and (model, layer range) for inference
-// slices (each rider is charged to its own tenant's deficit).
+// head's (mode, backend) for GEMMs and the model for inferences (each
+// rider is charged to its own tenant's deficit).
 // Incompatible requests keep their queue position, so batching never
 // starves anyone.  The Dispatcher (serve/dispatcher.h) calls it for every
 // batch it hands a shard worker.
@@ -34,7 +34,7 @@ namespace af::serve {
 
 struct Batch {
   RequestKind kind = RequestKind::kGemm;
-  int k = 1;  // mode of a GEMM batch (meaningless for inference slices)
+  int k = 1;  // mode of a GEMM batch (meaningless for inferences)
   std::vector<Request> requests;
   // Requests whose deadline passed while queued, collected by the reaper
   // sweep during batch assembly.  They are NOT served: the executor fails

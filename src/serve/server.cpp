@@ -59,15 +59,6 @@ void check_overrides(const arch::ArrayConfig& config,
   }
 }
 
-std::int64_t slice_macs(const nn::Model& model, std::size_t first,
-                        std::size_t count) {
-  std::int64_t macs = 0;
-  for (std::size_t i = first; i < first + count; ++i) {
-    macs += model.layers[i].macs();
-  }
-  return macs;
-}
-
 std::array<double, 4> terms(const Pressure& p) {
   return {p.depth, p.wait_p99_ms, p.backlog_macs, p.backlog_bytes};
 }
@@ -664,48 +655,15 @@ std::future<InferenceResult> Server::submit_inference(
   // Inference is never degraded (its fidelity IS the product); under
   // pressure the "reject" policy sheds it like any other admission.
   admit(tenant, submit, 1);
-  const std::size_t layers = model->layers.size();
-  const std::size_t slices = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(1, live_shards_.load())), layers);
-
-  auto join = std::make_shared<InferJoin>();
-  join->parts.resize(slices);
-  join->remaining = slices;
-  join->enqueue_time = Clock::now();
-  join->tenant = tenant;
-  join->model_name = model->name;
-  std::future<InferenceResult> future = join->promise.get_future();
-
-  // Contiguous slices, sizes as even as possible (the first `layers %
-  // slices` slices take one extra layer).
-  const std::size_t base = layers / slices;
-  const std::size_t extra = layers % slices;
-  std::size_t begin = 0;
+  Request r;
+  r.kind = RequestKind::kInference;
+  r.drr_cost = std::max<std::int64_t>(1, model->total_macs());
+  r.model = std::move(model);
+  r.infer_promise = std::make_unique<std::promise<InferenceResult>>();
+  stamp(r, tenant, submit, Clock::now());
+  std::future<InferenceResult> future = r.infer_promise->get_future();
   submitted_.fetch_add(1);
-  for (std::size_t i = 0; i < slices; ++i) {
-    const std::size_t count = base + (i < extra ? 1 : 0);
-    Request r;
-    r.kind = RequestKind::kInferSlice;
-    stamp(r, tenant, submit, join->enqueue_time);
-    r.model = model;
-    r.layer_begin = begin;
-    r.layer_count = count;
-    r.slice_index = i;
-    r.join = join;
-    r.drr_cost = std::max<std::int64_t>(1, slice_macs(*model, begin, count));
-    begin += count;
-    try {
-      enqueue(r, submit, 1);
-    } catch (const Error&) {
-      // Shutdown (or an admission timeout) raced the fan-out: slices pushed
-      // so far are already in workers' hands.  Marking the join failed
-      // turns them into no-ops (execute_infer_batch skips failed joins), so
-      // a rejected submission never half-completes or half-bills.
-      std::lock_guard<std::mutex> lock(join->mutex);
-      join->failed = true;
-      throw;
-    }
-  }
+  enqueue(r, submit, 1);
   return future;
 }
 
@@ -750,7 +708,8 @@ void Server::fail_requests(std::vector<Request>& requests,
   // All accounting lands before the promise resolves, so a client that
   // wakes on the error and immediately calls stats() sees the books
   // already balanced (the same ordering execute_gemm_batch keeps).  Every
-  // count is in logical requests: a batch's shapes, one per GEMM or join.
+  // count is in logical requests: a batch's shapes, one per GEMM or
+  // inference.
   const auto book = [&](std::int64_t count) {
     completed_.fetch_add(count);
     if (bucket != nullptr) bucket->fetch_add(count);
@@ -765,17 +724,7 @@ void Server::fail_requests(std::vector<Request>& requests,
     promise_double_sets_.fetch_add(1);
   };
   for (Request& r : requests) {
-    if (r.kind == RequestKind::kGemm) {
-      tenants_.record_error(r.tenant, code);
-      book(1);
-      try {
-        r.gemm_promise.set_exception(error);
-      } catch (const std::future_error&) {
-        unbook(1);
-        AF_ASSERT(false, "GEMM promise settled twice (request " << r.id
-                                                                << ")");
-      }
-    } else if (r.kind == RequestKind::kGemmBatch) {
+    if (r.kind == RequestKind::kGemmBatch) {
       // One slot failure settles every shape in the batch; the books move
       // by the batch size (each shape was counted at submission).
       const std::int64_t count = static_cast<std::int64_t>(r.slot->count());
@@ -786,21 +735,19 @@ void Server::fail_requests(std::vector<Request>& requests,
         AF_ASSERT(false,
                   "batch slot settled twice (request " << r.id << ")");
       }
-    } else if (r.join != nullptr) {
-      {
-        std::lock_guard<std::mutex> lock(r.join->mutex);
-        if (r.join->failed) continue;  // another slice already reported
-        r.join->failed = true;
+      continue;
+    }
+    tenants_.record_error(r.tenant, code);
+    book(1);
+    try {
+      if (r.kind == RequestKind::kGemm) {
+        r.gemm_promise.set_exception(error);
+      } else {
+        r.infer_promise->set_exception(error);
       }
-      tenants_.record_error(r.tenant, code);
-      book(1);
-      try {
-        r.join->promise.set_exception(error);
-      } catch (const std::future_error&) {
-        unbook(1);
-        AF_ASSERT(false, "inference promise settled twice (request "
-                             << r.id << ")");
-      }
+    } catch (const std::future_error&) {
+      unbook(1);
+      AF_ASSERT(false, "promise settled twice (request " << r.id << ")");
     }
   }
 }
@@ -1236,31 +1183,22 @@ void Server::execute_cost_batch(Shard& shard, Batch& batch) {
 }
 
 void Server::execute_infer_batch(Shard& shard, Batch& batch) {
-  // Slices whose join already failed (a sibling slice errored, or shutdown
-  // interrupted their submission) must neither execute nor bill.
-  std::erase_if(batch.requests, [](const Request& r) {
-    std::lock_guard<std::mutex> lock(r.join->mutex);
-    return r.join->failed;
-  });
-  if (batch.requests.empty()) return;
   const Clock::time_point dispatch_time = Clock::now();
-
-  // Every request in the batch is the same (model, layer range) — see
-  // serve::compatible — so the analytic slice report is computed once and
-  // fanned to all of them; its energy is split across the coalesced
-  // requesters (the hardware ran the slice once on their shared behalf).
-  Request& head = batch.requests.front();
-  const nn::ModelReport part =
-      shard.runner->run_slice(*head.model, head.layer_begin, head.layer_count);
-  const double share =
-      1.0 / static_cast<double>(batch.requests.size());
+  // Every request in the batch names the same model (serve::compatible), so
+  // the report is computed once and fanned to all of them; its energy and
+  // time are split across the coalesced requesters (the hardware ran the
+  // model once on their shared behalf), so per-tenant books sum to what the
+  // shards actually spent.
+  const nn::ModelReport report =
+      shard.runner->run(*batch.requests.front().model);
+  const double share = 1.0 / static_cast<double>(batch.requests.size());
 
   {
     std::lock_guard<std::mutex> lock(shard_stats_mutex_);
     shard.stats.batches += 1;
     shard.stats.requests += static_cast<std::int64_t>(batch.requests.size());
-    shard.stats.busy_time_ps += part.arrayflex_time_ps;
-    shard.stats.energy_pj += part.arrayflex_energy_pj;
+    shard.stats.busy_time_ps += report.arrayflex_time_ps;
+    shard.stats.energy_pj += report.arrayflex_energy_pj;
     // Per-layer mode choices leave the array outside any single GEMM mode;
     // the next GEMM batch reconfigures from scratch.
     shard.stats.current_k = 0;
@@ -1270,53 +1208,14 @@ void Server::execute_infer_batch(Shard& shard, Batch& batch) {
   for (Request& r : batch.requests) {
     const double queue_ms = ms_between(r.enqueue_time, dispatch_time);
     if (control_enabled_) wait_window_.sample(queue_ms);  // see GEMM path
-    std::shared_ptr<InferJoin> join = r.join;
-    nn::ModelReport assembled;
-    double energy_pj = 0.0;
-    double sim_time_ps = 0.0;
-    bool last = false;
-    {
-      std::lock_guard<std::mutex> lock(join->mutex);
-      if (join->failed) continue;  // a sibling slice already errored out
-      join->parts[r.slice_index] = part;
-      join->energy_pj += part.arrayflex_energy_pj * share;
-      join->sim_time_ps += part.arrayflex_time_ps * share;
-      last = (--join->remaining == 0);
-      if (last) {
-        // Assemble exactly the way InferenceRunner::run aggregates — layer
-        // order first, then one sequential totals pass — so the merged
-        // report is bit-identical to an unsharded run.
-        assembled.model_name = join->model_name;
-        for (nn::ModelReport& p : join->parts) {
-          for (nn::LayerReport& lr : p.layers) {
-            assembled.layers.push_back(std::move(lr));
-          }
-        }
-        for (const nn::LayerReport& lr : assembled.layers) {
-          assembled.arrayflex_time_ps += lr.arrayflex.time_ps;
-          assembled.conventional_time_ps += lr.conventional.time_ps;
-          assembled.arrayflex_energy_pj += lr.arrayflex_power.energy_pj;
-          assembled.conventional_energy_pj += lr.conventional_power.energy_pj;
-          assembled.arrayflex_dram_bytes += lr.dram_bytes;
-          assembled.arrayflex_stall_cycles += lr.stall_cycles;
-          assembled.spad_peak_bytes =
-              std::max(assembled.spad_peak_bytes, lr.spad_peak_bytes);
-        }
-        energy_pj = join->energy_pj;
-        sim_time_ps = join->sim_time_ps;
-      }
-    }
-    if (last) {
-      InferenceResult result;
-      result.num_slices = static_cast<int>(join->parts.size());
-      result.latency_ms = ms_between(join->enqueue_time, Clock::now());
-      tenants_.record(join->tenant, /*is_inference=*/true, result.latency_ms,
-                      queue_ms, energy_pj, sim_time_ps,
-                      r.model->total_macs());
-      completed_.fetch_add(1);
-      result.report = std::move(assembled);
-      join->promise.set_value(std::move(result));
-    }
+    InferenceResult result;
+    result.latency_ms = ms_between(r.enqueue_time, Clock::now());
+    tenants_.record(r.tenant, /*is_inference=*/true, result.latency_ms,
+                    queue_ms, report.arrayflex_energy_pj * share,
+                    report.arrayflex_time_ps * share, r.model->total_macs());
+    completed_.fetch_add(1);
+    result.report = report;
+    r.infer_promise->set_value(std::move(result));
   }
 }
 

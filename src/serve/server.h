@@ -16,8 +16,8 @@
 // batches same-mode work and the shard accounts every reconfiguration).
 // Client threads submit GEMMs (activations against shared stationary
 // weights) or whole nn::Model inferences and block on the returned future;
-// a model inference is split into contiguous layer slices and joined back
-// into a report bit-identical to a direct InferenceRunner::run.
+// one shard answers an inference with one InferenceRunner::run, so its
+// report is bit-identical to a direct run on one array.
 //
 // Dispatch: one serve::Dispatcher — per-shard DRR deques, tenant/model
 // submit affinity, rand-victim stealing of whole DRR rounds that prefers
@@ -300,8 +300,7 @@ struct ServerStats {
   // --- robustness accounting (every failed request lands in exactly one
   // bucket; submitted == completed always balances, failures included).
   // rejected, expired and unserved count logical requests, like submitted
-  // and completed: a batch counts its shapes, an inference counts one
-  // however many slices it split into. -------------------------------------
+  // and completed: a batch counts its shapes, a GEMM or inference one. ----
   std::string overload_policy;   // policy registry key
   bool overloaded = false;       // windowed overload signal, now
   std::int64_t rejected = 0;     // admissions refused (kOverloaded)
@@ -395,14 +394,15 @@ class Server {
                                 std::span<const gemm::GemmShape> shapes,
                                 const SubmitOptions& submit = {});
 
-  // Whole-model inference, sharded: the model's layers are split into up to
-  // live_shards contiguous slices evaluated on different shards; the merged
-  // report is bit-identical to InferenceRunner::run on one array with this
-  // shard config.  Coalesces with concurrent submissions of the same model
-  // (by shared_ptr identity).  Deadline, admission timeout and retries
-  // apply per layer-slice; one failed slice fails the whole join with that
-  // slice's error.  SubmitOptions::k, want_output and backend are ignored
-  // for inference.  Throws like submit_gemm.
+  // Whole-model inference: one request that one shard answers with
+  // InferenceRunner::run, so the report is bit-identical to a direct run on
+  // one array with this shard config (per-layer Eq. 6 mode choice; the
+  // layers fan out on the shared sim pool when sim_threads > 1).  Coalesces
+  // with concurrent submissions of the same model (by shared_ptr identity):
+  // the batch runs the model once and splits its energy and time across
+  // the requesters.  Deadline, admission timeout and retries apply as for
+  // a GEMM.  SubmitOptions::k, want_output and backend are ignored for
+  // inference.  Throws like submit_gemm.
   std::future<InferenceResult> submit_inference(
       const std::string& tenant, std::shared_ptr<const nn::Model> model,
       const SubmitOptions& submit = {});
@@ -480,9 +480,8 @@ class Server {
   // Never touches the array configuration (no prepare_mode, no drain) —
   // planning traffic must not stall execution.
   void execute_cost_batch(Shard& shard, Batch& batch);
-  // Core failure delivery: fails each request's promise with `error`
-  // (inference joins are marked failed so sibling slices stand down) and
-  // counts per-tenant errors under `code`.  Each settled request's logical
+  // Core failure delivery: fails each request's promise (or batch slot)
+  // with `error` and counts per-tenant errors under `code`.  Each settled request's logical
   // count (a batch's shapes, else 1) moves `completed_` and, when given,
   // `bucket` (`expired_` or `unserved_`).  A promise that was already
   // satisfied is a double-set bug: counted in

@@ -5,15 +5,6 @@
 namespace af {
 namespace {
 
-// SplitMix64: used only to expand the user seed into the xoshiro state.
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
@@ -21,8 +12,12 @@ std::uint64_t rotl(std::uint64_t x, int k) {
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
-  std::uint64_t s = seed;
-  for (auto& word : state_) word = splitmix64(s);
+  // SplitMix64 over seed, seed + phi, seed + 2 phi, ... expands the seed
+  // into the xoshiro state.
+  for (auto& word : state_) {
+    word = splitmix64(seed);
+    seed += 0x9e3779b97f4a7c15ULL;
+  }
   // A pathological all-zero state would stay at zero forever.
   if ((state_[0] | state_[1] | state_[2] | state_[3]) == 0) state_[0] = 1;
 }

@@ -13,6 +13,17 @@
 
 namespace af {
 
+// SplitMix64 (Steele, Lea and Flood): a stateless mix in which every input
+// bit reaches every output bit.  The one copy behind Rng seeding, hashing,
+// router ring points and draws, steal order, chaos draws and cost-cache
+// sharding.
+inline std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);

@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -45,11 +46,30 @@ class Error : public std::runtime_error {
   explicit Error(const std::string& what,
                  ErrorCode code = ErrorCode::kUnknown)
       : std::runtime_error(what), code_(code) {}
+  Error(const Error& other) noexcept
+      : std::runtime_error(other), code_(other.code_) {}
+  Error& operator=(const Error& other) noexcept {
+    std::runtime_error::operator=(other);
+    code_ = other.code_;
+    return *this;
+  }
+  ~Error() override { (void)reads_.load(std::memory_order_acquire); }
 
-  ErrorCode code() const { return code_; }
+  // One Error object is often shared by many promises (one exception_ptr
+  // failing a whole batch), and the thread that drops the last reference
+  // frees it, possibly after another thread's code() read.  The refcount
+  // that orders the two lives in the uninstrumented C++ runtime, which
+  // ThreadSanitizer cannot see; this release/acquire pair on reads_ is a
+  // real happens-before edge from every code() read to the destructor.
+  ErrorCode code() const {
+    const ErrorCode code = code_;
+    reads_.fetch_add(1, std::memory_order_release);
+    return code;
+  }
 
  private:
   ErrorCode code_;
+  mutable std::atomic<unsigned> reads_{0};
 };
 
 namespace detail {

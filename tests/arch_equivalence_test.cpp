@@ -15,11 +15,12 @@
 #include "engine/engine.h"
 #include "gemm/reference.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace af::arch {
 namespace {
 
-ArrayConfig config_for(int rows, int cols, int num_threads = 1) {
+ArrayConfig config_for(int rows, int cols) {
   ArrayConfig cfg;
   cfg.rows = rows;
   cfg.cols = cols;
@@ -27,7 +28,6 @@ ArrayConfig config_for(int rows, int cols, int num_threads = 1) {
   for (const int k : {2, 3, 4, 8}) {
     if (rows % k == 0 && cols % k == 0) cfg.supported_k.push_back(k);
   }
-  cfg.sim.num_threads = num_threads;
   cfg.validate();
   return cfg;
 }
@@ -173,7 +173,7 @@ TEST(EquivalenceSweep, ThreadedGemmBitIdenticalToSerial) {
     const gemm::Mat64 x = gemm::reference_gemm(a, b);
 
     gemm::Mat64 serial_out;
-    SystolicArray serial_array(config_for(side, side, 1));
+    SystolicArray serial_array(config_for(side, side));
     const TileRunStats serial = serial_array.run_gemm(a, b, k, &serial_out);
     EXPECT_EQ(gemm::first_mismatch(serial_out, x), "") << label;
 
@@ -186,7 +186,8 @@ TEST(EquivalenceSweep, ThreadedGemmBitIdenticalToSerial) {
 
     for (const int threads : {2, 4}) {
       gemm::Mat64 out;
-      SystolicArray array(config_for(side, side, threads));
+      util::ThreadPool pool(threads);
+      SystolicArray array(config_for(side, side), &pool);
       const TileRunStats stats = array.run_gemm(a, b, k, &out);
       EXPECT_EQ(gemm::first_mismatch(out, serial_out), "")
           << label << " threads=" << threads;
@@ -225,7 +226,7 @@ TEST(EquivalenceSweep, ThreadedSparseGemmSkipsZeroTilesIdentically) {
                               " T=" + std::to_string(t);
 
     gemm::Mat64 serial_out;
-    SystolicArray serial_array(config_for(side, side, 1));
+    SystolicArray serial_array(config_for(side, side));
     const TileRunStats serial =
         serial_array.run_gemm_sparse(a, b, 2, &serial_out);
     EXPECT_EQ(gemm::first_mismatch(serial_out, x), "") << label;
@@ -236,7 +237,8 @@ TEST(EquivalenceSweep, ThreadedSparseGemmSkipsZeroTilesIdentically) {
         << label;
 
     gemm::Mat64 threaded_out;
-    SystolicArray threaded_array(config_for(side, side, 4));
+    util::ThreadPool pool(4);
+    SystolicArray threaded_array(config_for(side, side), &pool);
     const TileRunStats threaded =
         threaded_array.run_gemm_sparse(a, b, 2, &threaded_out);
     EXPECT_EQ(gemm::first_mismatch(threaded_out, serial_out), "") << label;
@@ -301,15 +303,16 @@ TEST(EquivalenceSweep, EngineBackendsAgreeOnCyclesActivityAndEnergy) {
   }
 }
 
-// num_threads = 0 means "all hardware threads" and must behave like any
+// A pool of every hardware thread (num_threads = 0) must behave like any
 // other thread count: identical results, no crashes on 1-core hosts.
 TEST(EquivalenceSweep, AutoThreadCountMatchesSerial) {
   Rng rng(5);
   const gemm::Mat32 a = gemm::random_matrix(rng, 9, 17, -100, 100);
   const gemm::Mat32 b = gemm::random_matrix(rng, 17, 23, -100, 100);
   gemm::Mat64 serial_out, auto_out;
-  SystolicArray serial_array(config_for(4, 4, 1));
-  SystolicArray auto_array(config_for(4, 4, 0));
+  util::ThreadPool pool(util::ThreadPool::resolve_num_threads(0));
+  SystolicArray serial_array(config_for(4, 4));
+  SystolicArray auto_array(config_for(4, 4), &pool);
   const TileRunStats s = serial_array.run_gemm(a, b, 2, &serial_out);
   const TileRunStats p = auto_array.run_gemm(a, b, 2, &auto_out);
   EXPECT_EQ(gemm::first_mismatch(auto_out, serial_out), "");

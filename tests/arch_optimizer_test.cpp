@@ -110,29 +110,6 @@ TEST_F(OptimizerTest, RoundedKHatTracksDiscreteArgmin) {
   }
 }
 
-TEST_F(OptimizerTest, BestModesBatchMatchesPerShapeArgmin) {
-  // best_modes must agree with best_mode shape-for-shape, serial and
-  // threaded (SimOptions::num_threads), in input order.
-  const std::vector<gemm::GemmShape> shapes = {
-      {256, 2304, 196}, {512, 2304, 49}, {64, 64, 3000}, {1000, 1152, 196},
-      {128, 4608, 12},  {96, 576, 3136}, {768, 768, 49}};
-  for (const int threads : {1, 4}) {
-    ArrayConfig cfg = cfg128_;
-    cfg.sim.num_threads = threads;
-    const PipelineOptimizer opt(cfg, clock_);
-    const std::vector<ModeDecision> batch = opt.best_modes(shapes);
-    ASSERT_EQ(batch.size(), shapes.size()) << "threads=" << threads;
-    for (std::size_t i = 0; i < shapes.size(); ++i) {
-      const ModeDecision want = opt128_.best_mode(shapes[i]);
-      EXPECT_EQ(batch[i].k, want.k) << "threads=" << threads << " i=" << i;
-      EXPECT_EQ(batch[i].cycles, want.cycles)
-          << "threads=" << threads << " i=" << i;
-      EXPECT_DOUBLE_EQ(batch[i].time_ps, want.time_ps)
-          << "threads=" << threads << " i=" << i;
-    }
-  }
-}
-
 TEST_F(OptimizerTest, ConventionalUsesFasterClock) {
   const gemm::GemmShape shape{256, 2304, 196};
   const ModeDecision conv = opt128_.conventional(shape);

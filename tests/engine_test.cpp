@@ -9,7 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <fstream>
 #include <memory>
+#include <string>
+#include <thread>
 
 #include "arch/clocking.h"
 #include "arch/latency.h"
@@ -562,6 +566,38 @@ TEST(EngineTest, ThreadedCycleEngineBitIdenticalToSerial) {
   ASSERT_TRUE(s.out.has_value() && t.out.has_value());
   EXPECT_EQ(gemm::first_mismatch(*t.out, *s.out), "");
   expect_costs_exactly_equal(t.cost, s.cost, "threads");
+}
+
+// The process's thread count from /proc/self/status once two reads 5 ms
+// apart agree (threads joined by an earlier test may still be leaving the
+// thread group), or -1 without /proc.
+int settled_thread_count() {
+  const auto read = [] {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+      if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+    }
+    return -1;
+  };
+  int last = read();
+  for (int i = 0; i < 100 && last >= 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const int now = read();
+    if (now == last) break;
+    last = now;
+  }
+  return last;
+}
+
+// The engine is the only pool owner: a 4-thread "cycle" engine starts one
+// pool (3 workers plus the caller), the same as an "analytic" one — its
+// SystolicArray runs on that pool instead of building a second.
+TEST(EngineTest, ThreadedCycleEngineStartsOnePool) {
+  const int before = settled_thread_count();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status";
+  auto engine = EngineBuilder().square(16).threads(4).build("cycle");
+  EXPECT_EQ(settled_thread_count() - before, 3);
 }
 
 TEST(EngineTest, CustomClockChangesPricingIdenticallyOnBothBackends) {

@@ -805,7 +805,7 @@ TEST_F(FleetTest, InferenceIsNeverHedged) {
   fleet.stall_server(0);
   auto future = fleet.submit_inference(tenant, model);
   // Three hedge periods stuck on the stalled home: a GEMM would have been
-  // duplicated to server 1 by now; an inference's slices must not race.
+  // duplicated to server 1 by now; an inference is never duplicated.
   std::this_thread::sleep_for(milliseconds(30));
   EXPECT_EQ(future.wait_for(milliseconds(0)), std::future_status::timeout);
   EXPECT_EQ(fleet.stats().hedges, 0);

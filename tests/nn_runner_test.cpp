@@ -227,24 +227,6 @@ TEST_F(RunnerTest, SharedPoolInjectionMatchesPrivatePool) {
   expect_reports_identical(runner128_.run(model), shared.run(model));
 }
 
-TEST_F(RunnerTest, RunSliceConcatenationReproducesFullRun) {
-  const Model model = convnext_tiny();
-  const ModelReport full = runner128_.run(model);
-  const std::size_t half = model.layers.size() / 2;
-  const ModelReport a = runner128_.run_slice(model, 0, half);
-  const ModelReport b =
-      runner128_.run_slice(model, half, model.layers.size() - half);
-  ASSERT_EQ(a.layers.size() + b.layers.size(), full.layers.size());
-  for (std::size_t i = 0; i < full.layers.size(); ++i) {
-    const LayerReport& got =
-        i < half ? a.layers[i] : b.layers[i - half];
-    EXPECT_EQ(got.name, full.layers[i].name);
-    EXPECT_EQ(got.arrayflex.time_ps, full.layers[i].arrayflex.time_ps);
-  }
-  EXPECT_THROW(runner128_.run_slice(model, 0, model.layers.size() + 1), Error);
-  EXPECT_THROW(runner128_.run_slice(model, model.layers.size(), 1), Error);
-}
-
 TEST_F(RunnerTest, EvaluateSingleLayerStandalone) {
   const LayerReport l =
       runner128_.evaluate_layer(Layer::conv("c", 256, 256, 3, 1, 1, 14, 14));

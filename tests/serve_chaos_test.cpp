@@ -486,7 +486,7 @@ class AdmissionBooksTest : public ServeChaosTest,
 
   // A fresh server, paused, so everything it accepts stays queued until
   // pause_serving(false) — the queue depth is exact, not a race with a
-  // worker.  On two shards an inference splits into two slices.
+  // worker.
   static std::unique_ptr<Server> paused_server(ServerOptions opts,
                                                int shards = 1) {
     opts.num_shards = shards;
@@ -586,12 +586,12 @@ TEST_P(AdmissionBooksTest, AdmissionTimeoutRefusalBooksEveryLogicalRequest) {
 }
 
 // A failure after admission books the same way: `expired` and `unserved`
-// move by the logical requests settled (a batch's shapes; one per
-// inference, however many slices it split into), in step with `completed`.
+// move by the logical requests settled (a batch's shapes; one per GEMM or
+// inference), in step with `completed`.
 TEST_P(AdmissionBooksTest, ExpiredDeadlineBooksEveryLogicalRequest) {
   auto server = paused_server({}, /*shards=*/2);
   Accepted overdue = submit(*server, {.deadline_ms = 1e-6});
-  // Drains the paused server and joins its workers: every slice is reaped
+  // Drains the paused server and joins its workers: the request is reaped
   // before the books are read, and no worker still holds the error the
   // client inspects.
   server->shutdown();

@@ -1,5 +1,5 @@
 // Multi-tenant serving layer: queue semantics, batch formation, same-weight
-// fusion, sharded inference, tenant/shard accounting, and a concurrent
+// fusion, served inference, tenant/shard accounting, and a concurrent
 // multi-client stress run (the CI sanitizer job repeats this binary to
 // shake out ordering-dependent races).
 
@@ -542,6 +542,42 @@ TEST(DispatcherTest, ScaleDownAndCloseReleaseParkedWorkers) {
   EXPECT_FALSE(staying.batch().has_value());
 }
 
+// set_paused(true) waits out a scan that read "not paused" before it.  The
+// worker is held inside its steal scan (the "steal" failpoint) until the
+// request submitted after set_paused returned is queued, or for 100 ms when
+// set_paused is (correctly) still waiting for the scan to end; the scan
+// may take the request queued before the pause, never the later one,
+// which would otherwise ride along as a compatible same-tenant rider.
+TEST(DispatcherTest, PauseWaitsOutAScanThatBeganBeforeIt) {
+  std::atomic<bool> in_scan{false};
+  std::atomic<bool> late_queued{false};
+  DispatcherOptions opts = two_slots();
+  opts.failpoint = [&](const char* site) {
+    if (std::string(site) != "steal") return;
+    in_scan.store(true);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+    while (!late_queued.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
+  Dispatcher d(opts);
+  const std::string tenant = tenants_homed_at(1, 2)[0];
+  ASSERT_TRUE(d.submit(make_tenant_request(1, tenant, 1)));
+  Worker thief(d, 0);
+  while (!in_scan.load()) std::this_thread::yield();
+  d.set_paused(true);
+  ASSERT_TRUE(d.submit(make_tenant_request(2, tenant, 1)));
+  late_queued.store(true);
+  ASSERT_TRUE(thief.returned());
+  const std::optional<Batch> batch = thief.batch();
+  ASSERT_TRUE(batch.has_value());
+  ASSERT_EQ(batch->requests.size(), 1u)
+      << "a request submitted after set_paused(true) was handed out";
+  EXPECT_EQ(batch->requests[0].id, 1u);
+  EXPECT_EQ(d.depth(), 1u);
+}
+
 TEST(DispatcherTest, PausedDispatcherHandsOutNothingAndClosesWithoutDraining) {
   ParkCounter idle;
   Dispatcher& d = idle.d;
@@ -582,6 +618,33 @@ class ServeTest : public ::testing::Test {
         gemm::random_matrix(rng, n, m, -50, 50));
   }
 };
+
+// pause_serving(true) must hold back everything submitted after it
+// returns, even while the workers of a fresh server are still mid-scan
+// (not yet parked): quiesce then strands the GEMM with kUnavailable
+// instead of a worker having served it.
+TEST_F(ServeTest, PauseHoldsWorkSubmittedAfterItReturns) {
+  Rng rng(18);
+  auto weights = random_weights(rng, 16, 16);
+  int served = 0;
+  for (int i = 0; i < 2000; ++i) {
+    ServerOptions opts;
+    opts.num_shards = 2;
+    Server server(shard16(), opts);
+    server.pause_serving(true);
+    std::future<GemmResult> future = server.submit_gemm(
+        "t", gemm::random_matrix(rng, 2, 16, -10, 10), weights);
+    server.quiesce();
+    try {
+      future.get();
+      ++served;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kUnavailable)
+          << error_code_name(e.code());
+    }
+  }
+  EXPECT_EQ(served, 0) << "GEMMs served despite a pause before submit";
+}
 
 // Core correctness must hold identically on every registered backend: the
 // analytic engine's outputs come from the reference GEMM and its costs
@@ -849,14 +912,13 @@ TEST_F(ServeTest, ModeSwitchAccounting) {
   EXPECT_EQ(stats.shards[0].busy_ps_by_mode.size(), 2u);
 }
 
-TEST_F(ServeTest, ShardedInferenceBitIdenticalToDirectRun) {
+TEST_F(ServeTest, InferenceBitIdenticalToDirectRun) {
   ServerOptions opts;
   opts.num_shards = 3;
   Server server(shard16(), opts);
 
   auto model = std::make_shared<nn::Model>(nn::convnext_tiny());
   InferenceResult result = server.submit_inference("tenant-i", model).get();
-  EXPECT_EQ(result.num_slices, 3);
 
   const nn::InferenceRunner direct(
       engine::EngineBuilder().config(shard16()).build("analytic"));
@@ -939,7 +1001,7 @@ TEST_P(ServeBackendTest, StressManyClientsManyShardsWithBatching) {
     shard_requests += s.requests;
     EXPECT_GE(s.batches, 0);
   }
-  // Every GEMM request and every inference slice landed on some shard.
+  // Every GEMM request and every inference landed on some shard.
   EXPECT_GE(shard_requests, stats.completed);
 }
 
@@ -1053,7 +1115,7 @@ TEST_F(ServeTest, CoalescedInferenceSplitsEnergy) {
     EXPECT_EQ(r.report.layers.size(), model->layers.size());
   }
   // ...but the tenants' attributed energy sums to at most what the
-  // hardware actually spent (coalesced slices are charged once, split).
+  // hardware actually spent (a coalesced run is charged once, split).
   const ServerStats stats = server.stats();
   double attributed = 0.0;
   for (const TenantSnapshot& t : stats.tenants) attributed += t.energy_pj;
