@@ -61,14 +61,24 @@ bool TileOccupancy::is_nonzero(std::int64_t row_tile,
          0;
 }
 
+void TileOccupancy::check_grid(const gemm::GemmShape& shape,
+                               std::int64_t rows, std::int64_t cols) const {
+  const std::int64_t want_rows = ceil_div(shape.n, rows);
+  const std::int64_t want_cols = ceil_div(shape.m, cols);
+  AF_CHECK(row_tiles_ == want_rows && col_tiles_ == want_cols,
+           "occupancy tile grid " << row_tiles_ << "x" << col_tiles_
+                                  << " does not match shape (n=" << shape.n
+                                  << ", m=" << shape.m << ") on a " << rows
+                                  << "x" << cols << " array (want "
+                                  << want_rows << "x" << want_cols << ")");
+}
+
 std::int64_t sparse_total_latency_cycles(const gemm::GemmShape& shape,
                                          const ArrayConfig& config, int k,
                                          const TileOccupancy& occupancy) {
   config.validate();
   AF_CHECK(config.supports(k), "mode k=" << k << " not supported");
-  AF_CHECK(occupancy.row_tiles() == ceil_div(shape.n, config.rows) &&
-               occupancy.col_tiles() == ceil_div(shape.m, config.cols),
-           "occupancy grid does not match shape/array tiling");
+  occupancy.check_grid(shape, config.rows, config.cols);
   return tile_latency_cycles(config.rows, config.cols, shape.t, k) *
          occupancy.nonzero_tiles();
 }

@@ -47,6 +47,11 @@ class TileOccupancy {
 
   bool is_nonzero(std::int64_t row_tile, std::int64_t col_tile) const;
 
+  // Throws af::Error{kInvalidArgument}, naming both grids, unless this is
+  // exactly `shape`'s weight matrix (n x m) tiled by a rows x cols array.
+  void check_grid(const gemm::GemmShape& shape, std::int64_t rows,
+                  std::int64_t cols) const;
+
  private:
   TileOccupancy(std::int64_t row_tiles, std::int64_t col_tiles);
 

@@ -145,7 +145,7 @@ CostEstimate AnalyticEngine::evaluate_tile_asym(std::int64_t t, int k_v,
 CostEstimate AnalyticEngine::evaluate_sparse(
     const gemm::GemmShape& shape, int k,
     const arch::TileOccupancy& occupancy) {
-  check_occupancy(shape, occupancy);
+  occupancy.check_grid(shape, config().rows, config().cols);
   return analytic_sparse_estimate(shape, resolve_mode(shape, k), occupancy);
 }
 

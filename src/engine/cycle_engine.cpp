@@ -65,7 +65,7 @@ CostEstimate CycleAccurateEngine::evaluate(const gemm::GemmShape& shape,
 CostEstimate CycleAccurateEngine::evaluate_sparse(
     const gemm::GemmShape& shape, int k,
     const arch::TileOccupancy& occupancy) {
-  check_occupancy(shape, occupancy);
+  occupancy.check_grid(shape, config().rows, config().cols);
   const int mode = resolve_mode(shape, k);
   // Materialize the cheapest weight matrix with exactly this occupancy:
   // one non-zero in the top-left corner of every occupied tile.  The

@@ -187,23 +187,6 @@ CostEstimate Engine::analytic_sparse_estimate(
                    activity, &occupancy);
 }
 
-void Engine::check_occupancy(const gemm::GemmShape& shape,
-                             const arch::TileOccupancy& occupancy) const {
-  const std::int64_t want_rows =
-      (shape.n + config_.rows - 1) / config_.rows;
-  const std::int64_t want_cols =
-      (shape.m + config_.cols - 1) / config_.cols;
-  AF_CHECK(occupancy.row_tiles() == want_rows &&
-               occupancy.col_tiles() == want_cols,
-           "occupancy tile grid " << occupancy.row_tiles() << "x"
-                                  << occupancy.col_tiles()
-                                  << " does not match shape (n=" << shape.n
-                                  << ", m=" << shape.m << ") on a "
-                                  << config_.rows << "x" << config_.cols
-                                  << " array (want " << want_rows << "x"
-                                  << want_cols << ")");
-}
-
 CostEstimate Engine::priced(const arch::TileRunStats& stats, int k) const {
   CostEstimate est;
   est.k = k;

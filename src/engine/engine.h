@@ -269,10 +269,6 @@ class Engine {
   CostEstimate analytic_sparse_estimate(
       const gemm::GemmShape& shape, int k,
       const arch::TileOccupancy& occupancy) const;
-  // Shared evaluate_sparse precondition: the occupancy's tile grid must be
-  // exactly `shape`'s weight matrix tiled by this engine's R x C array.
-  void check_occupancy(const gemm::GemmShape& shape,
-                       const arch::TileOccupancy& occupancy) const;
   // Price measured (or predicted) counters exactly the way every consumer
   // used to: utilization-aware, ArrayFlex hardware, Tclock(k).  Magic
   // memory only — evaluate_tile_asym's single-tile probes stay on this

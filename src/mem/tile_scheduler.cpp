@@ -8,27 +8,19 @@
 namespace af::mem {
 namespace {
 
-// One DMA transfer in issue order through the single in-order channel.
-// `consumer`: executed-visit index whose compute waits for this transfer
-// to COMPLETE (-1 = none).  `after_visit`: executed-visit index whose
-// compute must FINISH before the transfer may START (-1 = immediately) —
-// the double-buffer constraint for fetches, the data dependency for
-// evictions and spills.
-struct Transfer {
+// One transfer size: the DRAM bytes it moves and the cycles it holds the
+// channel (MemoryModel::transfer_cycles).
+struct Move {
   std::int64_t bytes = 0;
-  std::int64_t consumer = -1;
-  std::int64_t after_visit = -1;
-  bool write = false;
+  std::int64_t cycles = 0;
 };
 
 // One outer-loop group with at least one executed visit: the column group
-// j (M-outer strategies) or the row group i (a_stationary), with the
-// executed inner indices in execution order.
+// (M-outer strategies) or the row group (a_stationary), and the
+// group-sized burst that brings in its resident operand.
 struct Group {
   std::int64_t key = 0;
-  std::vector<std::int64_t> members;
-  std::int64_t first = 0;  // global executed-visit index of members.front()
-  std::int64_t last = 0;   // ... and members.back()
+  Move burst;
 };
 
 }  // namespace
@@ -80,6 +72,9 @@ MemoryPlan TileScheduler::plan(const gemm::GemmShape& shape,
                                                  << " t=" << shape.t);
   AF_CHECK(per_tile_cycles > 0, "per_tile_cycles must be positive, got "
                                     << per_tile_cycles);
+  if (occupancy != nullptr) {
+    occupancy->check_grid(shape, config_.rows, config_.cols);
+  }
   const arch::ReuseStrategy want = config_.mem.reuse;
   if (occupancy != nullptr && occupancy->nonzero_tiles() == 0) {
     // Every tile is skipped: nothing computes, nothing moves.
@@ -135,39 +130,57 @@ MemoryPlan TileScheduler::plan_one(const gemm::GemmShape& shape,
   const std::int64_t col_tiles = (shape.m + array_cols - 1) / array_cols;
   const std::int64_t in_b = model_.input_bytes();
   const std::int64_t acc_b = model_.acc_bytes();
-  const auto n_ext = [&](std::int64_t i) {
-    return std::min(array_rows, shape.n - i * array_rows);
+  // Operand sizes take two values per axis, the interior tile's and the
+  // (possibly narrower) last tile's: price each once.  Index 1 = edge.
+  const auto edge = [](std::int64_t index, std::int64_t count) {
+    return index + 1 == count ? 1 : 0;
   };
-  const auto m_ext = [&](std::int64_t j) {
-    return std::min(array_cols, shape.m - j * array_cols);
+  const auto move = [&](std::int64_t bytes) {
+    return Move{bytes, model_.transfer_cycles(bytes)};
   };
-  const auto a_bytes = [&](std::int64_t i) { return shape.t * n_ext(i) * in_b; };
-  const auto b_bytes = [&](std::int64_t i, std::int64_t j) {
-    return n_ext(i) * m_ext(j) * in_b;
-  };
-  const auto c_bytes = [&](std::int64_t j) { return shape.t * m_ext(j) * acc_b; };
-  const auto is_executed = [&](std::int64_t i, std::int64_t j) {
-    return occupancy == nullptr || occupancy->is_nonzero(i, j);
-  };
+  const std::int64_t n_ext[2] = {std::min(array_rows, shape.n),
+                                 shape.n - (row_tiles - 1) * array_rows};
+  const std::int64_t m_ext[2] = {std::min(array_cols, shape.m),
+                                 shape.m - (col_tiles - 1) * array_cols};
+  Move a_move[2], c_move[2], b_move[2][2];
+  for (int e = 0; e < 2; ++e) {
+    a_move[e] = move(shape.t * n_ext[e] * in_b);
+    c_move[e] = move(shape.t * m_ext[e] * acc_b);
+    for (int f = 0; f < 2; ++f) b_move[e][f] = move(n_ext[e] * m_ext[f] * in_b);
+  }
 
   const bool m_outer = strategy != arch::ReuseStrategy::kAStationary;
+  const std::int64_t outer_count = m_outer ? col_tiles : row_tiles;
+  const std::int64_t inner_count = m_outer ? row_tiles : col_tiles;
   std::vector<Group> groups;
+  groups.reserve(static_cast<std::size_t>(outer_count));
   std::int64_t visits = 0;
-  for (std::int64_t outer = 0; outer < (m_outer ? col_tiles : row_tiles);
-       ++outer) {
-    Group g;
-    g.key = outer;
-    for (std::int64_t inner = 0; inner < (m_outer ? row_tiles : col_tiles);
-         ++inner) {
-      const std::int64_t i = m_outer ? inner : outer;
-      const std::int64_t j = m_outer ? outer : inner;
-      if (is_executed(i, j)) g.members.push_back(inner);
+  for (std::int64_t outer = 0; outer < outer_count; ++outer) {
+    // Dense, every inner tile executes and b_stationary's burst is the
+    // whole n x m_extent B panel; with an occupancy, count the executed.
+    std::int64_t members = inner_count;
+    std::int64_t b_group_bytes =
+        shape.n * m_ext[edge(outer, col_tiles)] * in_b;
+    if (occupancy != nullptr) {
+      members = 0;
+      b_group_bytes = 0;
+      for (std::int64_t inner = 0; inner < inner_count; ++inner) {
+        const std::int64_t i = m_outer ? inner : outer;
+        const std::int64_t j = m_outer ? outer : inner;
+        if (!occupancy->is_nonzero(i, j)) continue;
+        ++members;
+        b_group_bytes += b_move[edge(i, row_tiles)][edge(j, col_tiles)].bytes;
+      }
     }
-    if (g.members.empty()) continue;  // fully skipped group: no traffic
-    g.first = visits;
-    visits += static_cast<std::int64_t>(g.members.size());
-    g.last = visits - 1;
-    groups.push_back(std::move(g));
+    if (members == 0) continue;  // fully skipped group: no traffic
+    visits += members;
+    Move burst;
+    if (strategy == arch::ReuseStrategy::kBStationary) {
+      burst = move(b_group_bytes);
+    } else if (strategy == arch::ReuseStrategy::kAStationary) {
+      burst = a_move[edge(outer, row_tiles)];
+    }
+    groups.push_back({outer, burst});
   }
 
   MemoryPlan out;
@@ -177,122 +190,90 @@ MemoryPlan TileScheduler::plan_one(const gemm::GemmShape& shape,
   // a_stationary keeps the whole output resident when it fits; otherwise
   // partials spill after every visit and reload on every revisit.
   const std::int64_t a_stationary_resident_bytes =
-      2 * shape.t * std::min(array_rows, shape.n) * in_b +       // A buffers
-      2 * std::min(array_rows, shape.n) * std::min(array_cols, shape.m) *
-          in_b +                                                 // B buffers
-      shape.t * shape.m * acc_b;                                 // whole C
+      2 * shape.t * n_ext[0] * in_b +      // A buffers
+      2 * n_ext[0] * m_ext[0] * in_b +     // B buffers
+      shape.t * shape.m * acc_b;           // whole C
   const bool resident_c = strategy == arch::ReuseStrategy::kAStationary &&
                           a_stationary_resident_bytes <=
                               config_.mem.spad_bytes;
   out.spad_peak_bytes = resident_c ? a_stationary_resident_bytes
                                    : min_spad_bytes(shape, strategy);
 
-  std::vector<Transfer> transfers;
-  transfers.reserve(static_cast<std::size_t>(visits) * 2 + groups.size() * 2);
-  const std::int64_t num_groups = static_cast<std::int64_t>(groups.size());
-
-  if (m_outer) {
-    // output_stationary / b_stationary: sweep column groups; C(j)
-    // accumulates in a single resident buffer, drained once per group (the
-    // next group's first visit waits on the drain).
-    const auto group_b_bytes = [&](const Group& g) {
-      std::int64_t total = 0;
-      for (const std::int64_t i : g.members) total += b_bytes(i, g.key);
-      return total;
-    };
-    std::int64_t v = 0;
-    for (std::int64_t gi = 0; gi < num_groups; ++gi) {
-      const Group& g = groups[gi];
-      if (strategy == arch::ReuseStrategy::kBStationary && gi == 0) {
-        transfers.push_back({group_b_bytes(g), g.first, -1, false});
-      }
-      for (const std::int64_t i : g.members) {
-        transfers.push_back({a_bytes(i), v, v - 2, false});
-        if (strategy == arch::ReuseStrategy::kOutputStationary) {
-          transfers.push_back({b_bytes(i, g.key), v, v - 2, false});
-        }
-        ++v;
-      }
-      if (strategy == arch::ReuseStrategy::kBStationary && gi + 1 < num_groups) {
-        // Prefetch the next column group's burst while this group computes;
-        // the burst reuses the buffer freed when group gi-1 finished.
-        transfers.push_back({group_b_bytes(groups[gi + 1]),
-                             groups[gi + 1].first,
-                             gi >= 1 ? groups[gi - 1].last : -1, false});
-      }
-      transfers.push_back({c_bytes(g.key),
-                           gi + 1 < num_groups ? groups[gi + 1].first : -1,
-                           g.last, true});
-    }
-  } else {
-    // a_stationary: sweep row groups; A(i) arrives in one burst per group,
-    // prefetched a group ahead, B tiles stream per visit.
-    std::vector<std::int64_t> last_visit_of_col(col_tiles, -1);
-    std::int64_t v = 0;
-    for (std::int64_t gi = 0; gi < num_groups; ++gi) {
-      const Group& g = groups[gi];
-      if (gi == 0) transfers.push_back({a_bytes(g.key), g.first, -1, false});
-      for (const std::int64_t j : g.members) {
-        transfers.push_back({b_bytes(g.key, j), v, v - 2, false});
-        if (!resident_c) {
-          if (last_visit_of_col[j] >= 0) {
-            transfers.push_back({c_bytes(j), v, v - 2, false});  // reload
-          }
-          transfers.push_back({c_bytes(j), -1, v, true});  // spill out
-        }
-        last_visit_of_col[j] = v;
-        ++v;
-      }
-      if (gi + 1 < num_groups) {
-        transfers.push_back({a_bytes(groups[gi + 1].key),
-                             groups[gi + 1].first,
-                             gi >= 1 ? groups[gi - 1].last : -1, false});
-      }
-    }
-    if (resident_c) {
-      for (std::int64_t j = 0; j < col_tiles; ++j) {
-        if (last_visit_of_col[j] >= 0) {
-          transfers.push_back({c_bytes(j), -1, last_visit_of_col[j], true});
-        }
-      }
-    }
-  }
-
-  // Re-time compute against the in-order DMA channel.  Compute is lazy:
-  // visit v's end time is resolved the first time a transfer depends on it
-  // (or at the end), after all of v's fetches have been issued — issue
-  // order guarantees that.
-  std::vector<std::int64_t> ready(static_cast<std::size_t>(visits), 0);
-  std::vector<std::int64_t> end(static_cast<std::size_t>(visits), 0);
-  std::int64_t dma_free = 0;
-  std::int64_t comp_clock = 0;
-  std::int64_t next_compute = 0;
-  const auto compute_through = [&](std::int64_t u) {
-    while (next_compute <= u) {
-      comp_clock = std::max(comp_clock,
-                            ready[static_cast<std::size_t>(next_compute)]) +
-                   per_tile_cycles;
-      end[static_cast<std::size_t>(next_compute)] = comp_clock;
-      ++next_compute;
-    }
-  };
-  for (const Transfer& tr : transfers) {
-    std::int64_t start = dma_free;
-    if (tr.after_visit >= 0) {
-      compute_through(tr.after_visit);
-      start = std::max(start, end[static_cast<std::size_t>(tr.after_visit)]);
-    }
-    dma_free = start + model_.transfer_cycles(tr.bytes);
-    if (tr.consumer >= 0) {
-      std::int64_t& r = ready[static_cast<std::size_t>(tr.consumer)];
-      r = std::max(r, dma_free);
-    }
+  // Re-time compute against the in-order DMA channel in one pass, timing
+  // each transfer as it is issued.  Only visit v's own fetches (issued
+  // last) and the burst/drain issued just before v's group name v as
+  // their consumer, and the channel's free time never decreases, so v's
+  // operands are ready when its own fetches complete and
+  // end[v] = max(end[v-1], ready[v]) + per_tile_cycles settles right
+  // there.  Every "may not start before" gate is then a visit that has
+  // already settled: the one two slots back (double buffers), the
+  // previous group's last (group-granular buffers), the visit itself
+  // (spills) or a column's last (resident writebacks).  End times are
+  // positive, so 0 doubles as "no such visit".
+  std::int64_t dma_free = 0;  // when the channel is next free
+  std::int64_t end1 = 0;      // compute end of visit v-1
+  std::int64_t end2 = 0;      // ... and of visit v-2
+  std::int64_t prev_group_end = 0;
+  std::vector<std::int64_t> col_end(m_outer ? 0 : col_tiles, 0);
+  const auto issue = [&](const Move& m, std::int64_t not_before, bool write) {
+    dma_free = std::max(dma_free, not_before) + m.cycles;
     ++out.dma_transfers;
-    (tr.write ? out.dram_write_bytes : out.dram_read_bytes) += tr.bytes;
+    (write ? out.dram_write_bytes : out.dram_read_bytes) += m.bytes;
+  };
+  const auto compute = [&] {
+    end2 = end1;
+    end1 = std::max(end1, dma_free) + per_tile_cycles;
+  };
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    const std::int64_t outer = groups[gi].key;
+    if (gi == 0 && strategy != arch::ReuseStrategy::kOutputStationary) {
+      issue(groups[gi].burst, 0, false);
+    }
+    for (std::int64_t inner = 0; inner < inner_count; ++inner) {
+      const std::int64_t i = m_outer ? inner : outer;
+      const std::int64_t j = m_outer ? outer : inner;
+      if (occupancy != nullptr && !occupancy->is_nonzero(i, j)) continue;
+      const int ei = edge(i, row_tiles);
+      const int ej = edge(j, col_tiles);
+      if (m_outer) {
+        // output_stationary / b_stationary: C(j) accumulates in a single
+        // resident buffer; A (and, output_stationary, B) stream per visit.
+        issue(a_move[ei], end2, false);
+        if (strategy == arch::ReuseStrategy::kOutputStationary) {
+          issue(b_move[ei][ej], end2, false);
+        }
+        compute();
+      } else {
+        // a_stationary: A(i) is resident for the group, B streams per
+        // visit, spilled partials reload on a column's revisit.
+        issue(b_move[ei][ej], end2, false);
+        if (!resident_c && col_end[static_cast<std::size_t>(j)] > 0) {
+          issue(c_move[ej], end2, false);  // reload
+        }
+        compute();
+        if (!resident_c) issue(c_move[ej], end1, true);  // spill out
+        col_end[static_cast<std::size_t>(j)] = end1;
+      }
+    }
+    // Prefetch the next group's burst (b_stationary's B column group,
+    // a_stationary's A panel) into the buffer freed when group gi-1
+    // finished; M-outer, then drain C(j), which the next group's first
+    // visit waits on.
+    if (gi + 1 < groups.size() &&
+        strategy != arch::ReuseStrategy::kOutputStationary) {
+      issue(groups[gi + 1].burst, prev_group_end, false);
+    }
+    if (m_outer) issue(c_move[edge(outer, col_tiles)], end1, true);
+    prev_group_end = end1;
   }
-  compute_through(visits - 1);
+  if (resident_c) {
+    for (std::int64_t j = 0; j < col_tiles; ++j) {
+      const std::int64_t last = col_end[static_cast<std::size_t>(j)];
+      if (last > 0) issue(c_move[edge(j, col_tiles)], last, true);
+    }
+  }
   out.compute_cycles = per_tile_cycles * visits;
-  out.total_cycles = std::max(comp_clock, dma_free);
+  out.total_cycles = std::max(end1, dma_free);
   out.stall_cycles = out.total_cycles - out.compute_cycles;
   return out;
 }

@@ -53,10 +53,12 @@ class TileScheduler {
   // Schedule `shape`'s tile grid given the array cost of one tile visit
   // (`per_tile_cycles`, uniform across tiles — zero-padded edge tiles cost
   // the same as interior ones).  `occupancy` restricts execution to the
-  // non-zero tiles (nullptr = dense).  Uses the config's reuse strategy;
-  // kAuto plans every strategy that fits the scratchpad and returns the
-  // cheapest (fewest total cycles, then fewest DRAM bytes).  Throws
-  // af::Error{kInvalidArgument} when no permitted strategy fits.
+  // non-zero tiles (nullptr = dense); its tile grid must be `shape`'s
+  // weight matrix tiled by this config's array.  Uses the config's reuse
+  // strategy; kAuto plans every strategy that fits the scratchpad and
+  // returns the cheapest (fewest total cycles, then fewest DRAM bytes).
+  // Throws af::Error{kInvalidArgument} on a mismatched occupancy grid or
+  // when no permitted strategy fits.
   MemoryPlan plan(const gemm::GemmShape& shape, std::int64_t per_tile_cycles,
                   const arch::TileOccupancy* occupancy = nullptr) const;
 

@@ -1,13 +1,17 @@
 // Unit tests for the scratchpad/DRAM memory hierarchy (src/mem/):
 // MemoryModel transfer timing, TileScheduler reuse strategies, DMA
-// double-buffering behavior, feasibility errors, sparse traffic skipping
-// and the serving-side traffic projection.  The cross-backend equivalence
-// of the engine-integrated path lives in tests/engine_test.cpp
-// (EngineMemoryTest suite).
+// double-buffering behavior, feasibility errors, sparse traffic skipping,
+// the serving-side traffic projection, and a randomized sweep holding
+// TileScheduler::plan to a transfer-list oracle (reference_plan).  The
+// cross-backend equivalence of the engine-integrated path lives in
+// tests/engine_test.cpp (EngineMemoryTest suite).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "arch/sparse.h"
 #include "mem/memory_model.h"
@@ -33,6 +37,235 @@ arch::ArrayConfig mem_config(int side, std::int64_t spad_bytes,
   cfg.mem.reuse = reuse;
   cfg.validate();
   return cfg;
+}
+
+// ---- the planner's oracle -------------------------------------------------
+//
+// A deliberately naive planner: list every DMA transfer in issue order,
+// each with the visit whose compute waits for it and the visit whose
+// compute must finish before it may start, then re-time compute and the
+// in-order channel over the whole list.  TileScheduler::plan must match
+// it field for field, the way gemm::multiply must match reference_gemm.
+
+struct RefTransfer {
+  std::int64_t bytes = 0;
+  std::int64_t consumer = -1;     // executed visit waiting on completion
+  std::int64_t after_visit = -1;  // executed visit that must finish first
+  bool write = false;
+};
+
+struct RefGroup {
+  std::int64_t key = 0;
+  std::vector<std::int64_t> members;  // executed inner indices, in order
+  std::int64_t first = 0;             // global visit index of members[0]
+  std::int64_t last = 0;              // ... and of members.back()
+};
+
+MemoryPlan reference_plan_one(const TileScheduler& scheduler,
+                              const arch::ArrayConfig& config,
+                              const gemm::GemmShape& shape,
+                              arch::ReuseStrategy strategy,
+                              std::int64_t per_tile_cycles,
+                              const arch::TileOccupancy* occupancy) {
+  const MemoryModel& model = scheduler.model();
+  const std::int64_t rows = config.rows;
+  const std::int64_t cols = config.cols;
+  const std::int64_t row_tiles = (shape.n + rows - 1) / rows;
+  const std::int64_t col_tiles = (shape.m + cols - 1) / cols;
+  const std::int64_t in_b = model.input_bytes();
+  const std::int64_t acc_b = model.acc_bytes();
+  const auto n_ext = [&](std::int64_t i) {
+    return std::min(rows, shape.n - i * rows);
+  };
+  const auto m_ext = [&](std::int64_t j) {
+    return std::min(cols, shape.m - j * cols);
+  };
+  const auto a_bytes = [&](std::int64_t i) { return shape.t * n_ext(i) * in_b; };
+  const auto b_bytes = [&](std::int64_t i, std::int64_t j) {
+    return n_ext(i) * m_ext(j) * in_b;
+  };
+  const auto c_bytes = [&](std::int64_t j) { return shape.t * m_ext(j) * acc_b; };
+  const auto is_executed = [&](std::int64_t i, std::int64_t j) {
+    return occupancy == nullptr || occupancy->is_nonzero(i, j);
+  };
+
+  const bool m_outer = strategy != arch::ReuseStrategy::kAStationary;
+  std::vector<RefGroup> groups;
+  std::int64_t visits = 0;
+  for (std::int64_t outer = 0; outer < (m_outer ? col_tiles : row_tiles);
+       ++outer) {
+    RefGroup g;
+    g.key = outer;
+    for (std::int64_t inner = 0; inner < (m_outer ? row_tiles : col_tiles);
+         ++inner) {
+      const std::int64_t i = m_outer ? inner : outer;
+      const std::int64_t j = m_outer ? outer : inner;
+      if (is_executed(i, j)) g.members.push_back(inner);
+    }
+    if (g.members.empty()) continue;
+    g.first = visits;
+    visits += static_cast<std::int64_t>(g.members.size());
+    g.last = visits - 1;
+    groups.push_back(std::move(g));
+  }
+
+  MemoryPlan out;
+  out.strategy = strategy;
+  if (visits == 0) return out;
+
+  const std::int64_t resident_bytes =
+      2 * shape.t * std::min(rows, shape.n) * in_b +
+      2 * std::min(rows, shape.n) * std::min(cols, shape.m) * in_b +
+      shape.t * shape.m * acc_b;
+  const bool resident_c = strategy == arch::ReuseStrategy::kAStationary &&
+                          resident_bytes <= config.mem.spad_bytes;
+  out.spad_peak_bytes = resident_c ? resident_bytes
+                                   : scheduler.min_spad_bytes(shape, strategy);
+
+  std::vector<RefTransfer> transfers;
+  const std::int64_t num_groups = static_cast<std::int64_t>(groups.size());
+  if (m_outer) {
+    const auto group_b_bytes = [&](const RefGroup& g) {
+      std::int64_t total = 0;
+      for (const std::int64_t i : g.members) total += b_bytes(i, g.key);
+      return total;
+    };
+    std::int64_t v = 0;
+    for (std::int64_t gi = 0; gi < num_groups; ++gi) {
+      const RefGroup& g = groups[gi];
+      if (strategy == arch::ReuseStrategy::kBStationary && gi == 0) {
+        transfers.push_back({group_b_bytes(g), g.first, -1, false});
+      }
+      for (const std::int64_t i : g.members) {
+        transfers.push_back({a_bytes(i), v, v - 2, false});
+        if (strategy == arch::ReuseStrategy::kOutputStationary) {
+          transfers.push_back({b_bytes(i, g.key), v, v - 2, false});
+        }
+        ++v;
+      }
+      if (strategy == arch::ReuseStrategy::kBStationary && gi + 1 < num_groups) {
+        transfers.push_back({group_b_bytes(groups[gi + 1]),
+                             groups[gi + 1].first,
+                             gi >= 1 ? groups[gi - 1].last : -1, false});
+      }
+      transfers.push_back({c_bytes(g.key),
+                           gi + 1 < num_groups ? groups[gi + 1].first : -1,
+                           g.last, true});
+    }
+  } else {
+    std::vector<std::int64_t> last_visit_of_col(col_tiles, -1);
+    std::int64_t v = 0;
+    for (std::int64_t gi = 0; gi < num_groups; ++gi) {
+      const RefGroup& g = groups[gi];
+      if (gi == 0) transfers.push_back({a_bytes(g.key), g.first, -1, false});
+      for (const std::int64_t j : g.members) {
+        transfers.push_back({b_bytes(g.key, j), v, v - 2, false});
+        if (!resident_c) {
+          if (last_visit_of_col[j] >= 0) {
+            transfers.push_back({c_bytes(j), v, v - 2, false});  // reload
+          }
+          transfers.push_back({c_bytes(j), -1, v, true});  // spill
+        }
+        last_visit_of_col[j] = v;
+        ++v;
+      }
+      if (gi + 1 < num_groups) {
+        transfers.push_back({a_bytes(groups[gi + 1].key),
+                             groups[gi + 1].first,
+                             gi >= 1 ? groups[gi - 1].last : -1, false});
+      }
+    }
+    if (resident_c) {
+      for (std::int64_t j = 0; j < col_tiles; ++j) {
+        if (last_visit_of_col[j] >= 0) {
+          transfers.push_back({c_bytes(j), -1, last_visit_of_col[j], true});
+        }
+      }
+    }
+  }
+
+  // Compute is resolved lazily: visit v's end is computed the first time a
+  // transfer waits on it (or at the end), after all its fetches issued.
+  std::vector<std::int64_t> ready(static_cast<std::size_t>(visits), 0);
+  std::vector<std::int64_t> end(static_cast<std::size_t>(visits), 0);
+  std::int64_t dma_free = 0;
+  std::int64_t comp_clock = 0;
+  std::int64_t next_compute = 0;
+  const auto compute_through = [&](std::int64_t u) {
+    while (next_compute <= u) {
+      comp_clock = std::max(comp_clock,
+                            ready[static_cast<std::size_t>(next_compute)]) +
+                   per_tile_cycles;
+      end[static_cast<std::size_t>(next_compute)] = comp_clock;
+      ++next_compute;
+    }
+  };
+  for (const RefTransfer& tr : transfers) {
+    std::int64_t start = dma_free;
+    if (tr.after_visit >= 0) {
+      compute_through(tr.after_visit);
+      start = std::max(start, end[static_cast<std::size_t>(tr.after_visit)]);
+    }
+    dma_free = start + model.transfer_cycles(tr.bytes);
+    if (tr.consumer >= 0) {
+      std::int64_t& r = ready[static_cast<std::size_t>(tr.consumer)];
+      r = std::max(r, dma_free);
+    }
+    ++out.dma_transfers;
+    (tr.write ? out.dram_write_bytes : out.dram_read_bytes) += tr.bytes;
+  }
+  compute_through(visits - 1);
+  out.compute_cycles = per_tile_cycles * visits;
+  out.total_cycles = std::max(comp_clock, dma_free);
+  out.stall_cycles = out.total_cycles - out.compute_cycles;
+  return out;
+}
+
+// TileScheduler::plan's contract over reference_plan_one: an all-zero
+// occupancy plans nothing, a forced strategy must fit the scratchpad,
+// kAuto takes the fewest total cycles (then fewest DRAM bytes) among the
+// strategies that fit and throws when none does.
+MemoryPlan reference_plan(const arch::ArrayConfig& config,
+                          const gemm::GemmShape& shape,
+                          std::int64_t per_tile_cycles,
+                          const arch::TileOccupancy* occupancy) {
+  const TileScheduler scheduler(config);
+  const arch::ReuseStrategy want = config.mem.reuse;
+  if (occupancy != nullptr && occupancy->nonzero_tiles() == 0) {
+    MemoryPlan empty;
+    empty.strategy = want == arch::ReuseStrategy::kAuto
+                         ? arch::ReuseStrategy::kOutputStationary
+                         : want;
+    return empty;
+  }
+  std::optional<MemoryPlan> best;
+  for (const arch::ReuseStrategy s : {arch::ReuseStrategy::kAStationary,
+                                      arch::ReuseStrategy::kBStationary,
+                                      arch::ReuseStrategy::kOutputStationary}) {
+    if (want != arch::ReuseStrategy::kAuto && s != want) continue;
+    if (scheduler.min_spad_bytes(shape, s) > config.mem.spad_bytes) continue;
+    const MemoryPlan p = reference_plan_one(scheduler, config, shape, s,
+                                            per_tile_cycles, occupancy);
+    if (!best || p.total_cycles < best->total_cycles ||
+        (p.total_cycles == best->total_cycles &&
+         p.dram_bytes() < best->dram_bytes())) {
+      best = p;
+    }
+  }
+  if (!best) throw Error("no reuse strategy fits", ErrorCode::kInvalidArgument);
+  return *best;
+}
+
+void expect_plans_equal(const MemoryPlan& got, const MemoryPlan& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.strategy, want.strategy) << where;
+  EXPECT_EQ(got.compute_cycles, want.compute_cycles) << where;
+  EXPECT_EQ(got.stall_cycles, want.stall_cycles) << where;
+  EXPECT_EQ(got.total_cycles, want.total_cycles) << where;
+  EXPECT_EQ(got.dram_read_bytes, want.dram_read_bytes) << where;
+  EXPECT_EQ(got.dram_write_bytes, want.dram_write_bytes) << where;
+  EXPECT_EQ(got.spad_peak_bytes, want.spad_peak_bytes) << where;
+  EXPECT_EQ(got.dma_transfers, want.dma_transfers) << where;
 }
 
 TEST(MemoryModelTest, TransferCyclesChargeLatencyPlusBandwidth) {
@@ -207,6 +440,121 @@ TEST(TileSchedulerTest, StarvedBandwidthMakesTheStreamTheMakespan) {
   const MemoryPlan plan = TileScheduler(cfg).plan(shape, 10);
   EXPECT_GE(plan.total_cycles, plan.dram_bytes());
   EXPECT_GT(plan.stall_cycles, plan.compute_cycles);
+}
+
+TEST(TileSchedulerTest, MismatchedOccupancyGridIsRejected) {
+  // 16x16 weights on an 8x8 array tile into a 2x2 grid.  A grid of any
+  // other size used to be planned silently (too large: the extra occupied
+  // tiles dropped) or to fail midway (too small: an index out of range).
+  const gemm::GemmShape shape{16, 16, 10};
+  const TileScheduler scheduler(
+      mem_config(8, 1 << 20, 16, 8, arch::ReuseStrategy::kAuto));
+  Rng rng(3);
+  const arch::TileOccupancy fits =
+      arch::TileOccupancy::synthetic(shape, 8, 8, 1.0, rng);
+  EXPECT_EQ(scheduler.plan(shape, 10, &fits).compute_cycles, 4 * 10);
+  const arch::TileOccupancy too_large =
+      arch::TileOccupancy::synthetic({32, 32, 10}, 8, 8, 1.0, rng);  // 4x4
+  const arch::TileOccupancy too_small =
+      arch::TileOccupancy::synthetic({8, 8, 10}, 8, 8, 1.0, rng);    // 1x1
+  for (const arch::TileOccupancy* wrong : {&too_large, &too_small}) {
+    try {
+      scheduler.plan(shape, 10, wrong);
+      ADD_FAILURE() << "a " << wrong->row_tiles() << "x" << wrong->col_tiles()
+                    << " grid was planned against a 2x2 shape";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+      const std::string what = e.what();
+      const std::string grid = std::to_string(wrong->row_tiles()) + "x" +
+                               std::to_string(wrong->col_tiles());
+      EXPECT_NE(what.find("grid " + grid), std::string::npos) << what;
+      EXPECT_NE(what.find("want 2x2"), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(TileSchedulerTest, RandomizedSweepMatchesTheTransferListOracle) {
+  // Non-square arrays, edge tiles, odd operand widths, zero DRAM latency,
+  // every reuse value, scratchpads one byte either side of each strategy's
+  // floor (and of a_stationary's resident-output size), dense and sparse
+  // occupancies: every MemoryPlan field equals reference_plan's, and the
+  // two throw together.
+  Rng rng(20240517);
+  constexpr arch::ReuseStrategy kReuse[] = {
+      arch::ReuseStrategy::kAuto, arch::ReuseStrategy::kAStationary,
+      arch::ReuseStrategy::kBStationary,
+      arch::ReuseStrategy::kOutputStationary};
+  int planned = 0, rejected = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    arch::ArrayConfig cfg;
+    cfg.rows = static_cast<int>(rng.next_in(1, 8));
+    cfg.cols = static_cast<int>(rng.next_in(1, 8));
+    cfg.supported_k = {1};
+    cfg.input_bits = static_cast<int>(rng.next_in(2, 32));
+    cfg.acc_bits = static_cast<int>(rng.next_in(2 * cfg.input_bits, 64));
+    cfg.mem.enabled = true;
+    cfg.mem.spad_bytes = 1;
+    cfg.mem.dram_bytes_per_cycle = rng.next_in(1, 64);
+    cfg.mem.dram_latency_cycles =
+        rng.next_below(4) == 0 ? 0 : rng.next_in(1, 200);
+    cfg.mem.reuse = kReuse[rng.next_below(4)];
+    cfg.validate();
+    const gemm::GemmShape shape{rng.next_in(1, 40), rng.next_in(1, 40),
+                                rng.next_in(1, 24)};
+
+    // A scratchpad straddling one strategy's floor (or a_stationary's
+    // resident-output size) by -1, 0 or +1 byte, or roomy.
+    const TileScheduler sizer(cfg);
+    const arch::ReuseStrategy probe = kReuse[rng.next_below(4)];
+    const std::int64_t in_b = sizer.model().input_bytes();
+    const std::int64_t resident =
+        2 * shape.t * std::min<std::int64_t>(cfg.rows, shape.n) * in_b +
+        2 * std::min<std::int64_t>(cfg.rows, shape.n) *
+            std::min<std::int64_t>(cfg.cols, shape.m) * in_b +
+        shape.t * shape.m * sizer.model().acc_bytes();
+    const std::int64_t edge = rng.next_below(5) == 0
+                                  ? resident
+                                  : sizer.min_spad_bytes(shape, probe);
+    cfg.mem.spad_bytes =
+        rng.next_below(5) == 0 ? edge * 4 : edge + rng.next_in(-1, 1);
+
+    std::optional<arch::TileOccupancy> occupancy;
+    if (rng.next_below(3) != 0) {
+      const std::uint64_t pick = rng.next_below(6);
+      const double density =
+          pick == 0 ? 0.0 : pick == 1 ? 1.0 : rng.next_double();
+      occupancy = arch::TileOccupancy::synthetic(shape, cfg.rows, cfg.cols,
+                                                 density, rng);
+    }
+    const arch::TileOccupancy* occ = occupancy ? &*occupancy : nullptr;
+    const std::int64_t per_tile = rng.next_in(1, 500);
+
+    const std::string where =
+        "iter " + std::to_string(iter) + " " + cfg.to_string() + " shape (m=" +
+        std::to_string(shape.m) + ", n=" + std::to_string(shape.n) +
+        ", t=" + std::to_string(shape.t) + ") per_tile " +
+        std::to_string(per_tile) + (occ ? " sparse" : " dense");
+    std::optional<MemoryPlan> got, want;
+    try {
+      got = TileScheduler(cfg).plan(shape, per_tile, occ);
+    } catch (const Error&) {
+    }
+    try {
+      want = reference_plan(cfg, shape, per_tile, occ);
+    } catch (const Error&) {
+    }
+    ASSERT_EQ(got.has_value(), want.has_value()) << where;
+    if (!got) {
+      ++rejected;
+      continue;
+    }
+    ++planned;
+    expect_plans_equal(*got, *want, where);
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Both sides of the feasibility edge were exercised.
+  EXPECT_GT(planned, 1000);
+  EXPECT_GT(rejected, 50);
 }
 
 TEST(ProjectedBytesTest, CompulsoryTrafficIsShapeDrivenAndConfigScaled) {

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "engine/engine.h"
 #include "nn/models.h"
@@ -225,6 +228,53 @@ TEST_F(RunnerTest, SharedPoolInjectionMatchesPrivatePool) {
   const InferenceRunner shared(analytic(config, &pool));
   const Model model = convnext_tiny();
   expect_reports_identical(runner128_.run(model), shared.run(model));
+}
+
+TEST(RunnerMemoryTest, PaperModelMemoryTotalsArePinned) {
+  // Whole-model memory totals through the public runner, on a 64 MiB
+  // scratchpad at a starved and an ample DRAM bandwidth.  Any drift in
+  // mem::TileScheduler's plans (strategy choice, traffic or DMA timing)
+  // shows up here.  Values recorded from the transfer-list planner.
+  struct Pin {
+    const char* model;
+    int side;
+    std::int64_t bytes_per_cycle;
+    std::int64_t stall_cycles;
+    std::int64_t dram_bytes;
+    std::int64_t spad_peak_bytes;
+  };
+  constexpr Pin kPins[] = {
+      {"ResNet-34", 16, 4, 45976088, 216445696, 8030208},
+      {"MobileNet", 16, 4, 15632178, 67051496, 8030208},
+      {"ConvNeXt", 16, 4, 54781599, 256382556, 10037248},
+      {"ResNet-34", 16, 64, 669407, 216445696, 8030208},
+      {"MobileNet", 16, 64, 892094, 67051496, 8030208},
+      {"ConvNeXt", 16, 64, 1906988, 256382556, 10037248},
+      {"ResNet-34", 128, 4, 53690694, 216445696, 19342848},
+      {"MobileNet", 128, 4, 16696218, 67051496, 9650176},
+      {"ConvNeXt", 128, 4, 63591165, 256382556, 12140544},
+      {"ResNet-34", 128, 64, 2961234, 216445696, 19342848},
+      {"MobileNet", 128, 64, 986209, 67051496, 9650176},
+      {"ConvNeXt", 128, 64, 3518835, 256382556, 12140544},
+  };
+  const std::vector<Model> models = {resnet34(), mobilenet_v1(),
+                                     convnext_tiny()};
+  for (const Pin& pin : kPins) {
+    arch::ArrayConfig config = arch::ArrayConfig::square(pin.side);
+    config.mem.enabled = true;
+    config.mem.spad_bytes = std::int64_t{64} << 20;
+    config.mem.dram_bytes_per_cycle = pin.bytes_per_cycle;
+    const auto model = std::find_if(
+        models.begin(), models.end(),
+        [&](const Model& m) { return m.name == pin.model; });
+    ASSERT_NE(model, models.end()) << pin.model;
+    const ModelReport r = InferenceRunner(analytic(config)).run(*model);
+    const std::string where = std::string(pin.model) + " on " +
+                              config.to_string();
+    EXPECT_EQ(r.arrayflex_stall_cycles, pin.stall_cycles) << where;
+    EXPECT_EQ(r.arrayflex_dram_bytes, pin.dram_bytes) << where;
+    EXPECT_EQ(r.spad_peak_bytes, pin.spad_peak_bytes) << where;
+  }
 }
 
 TEST_F(RunnerTest, EvaluateSingleLayerStandalone) {
