@@ -1,25 +1,22 @@
 // Prints the engine::make backend registry and the serving/fleet policy
 // registries — the machine-checkable sources of truth behind the README's
-// "Execution engines", policy and router tables.
+// "Execution engines", policy and router tables.  The one-key-per-line
+// flags feed ctest readme_registries (tests/readme_registries.sh), which
+// fails when a registry and its README table disagree.
 //
 //   $ ./engine_info                # human-readable backend matrix
-//   $ ./engine_info --names        # one engine key per line (CI drift
-//                                  # check: the Release job fails when
-//                                  # these and the README table disagree)
+//   $ ./engine_info --names        # one engine key per line (README
+//                                  # "Execution engines" table)
 //   $ ./engine_info --policies     # one overload-policy key per line
-//                                  # (CI drift check against the README's
-//                                  # "Overload policies" table)
-//   $ ./engine_info --routers      # one fleet-router key per line (CI
-//                                  # drift check against the README's
-//                                  # "Routers" table)
-//   $ ./engine_info --memory       # one MemoryConfig knob per line (CI
-//                                  # drift check against the README's
-//                                  # "Memory hierarchy" table)
+//                                  # (README "Overload policies" table)
+//   $ ./engine_info --routers      # one fleet-router key per line
+//                                  # (README "Routers" table)
+//   $ ./engine_info --memory       # one MemoryConfig knob per line
+//                                  # (README "Memory hierarchy" table)
 //   $ ./engine_info --reconfig-policies
 //                                  # one reconfiguration-policy key per
-//                                  # line (CI drift check against the
-//                                  # README's "Reconfiguration policies"
-//                                  # table)
+//                                  # line (README "Reconfiguration
+//                                  # policies" table)
 
 #include <iostream>
 #include <string>
@@ -71,9 +68,9 @@ int main(int argc, char** argv) {
     std::cout << "  \"" << name << "\"\n"
               << "    " << engine::backend_description(name) << "\n"
               << "    measures: " << (eng->measures() ? "yes" : "no")
-              << "  (cost queries "
-              << (eng->measures() ? "simulate cycle by cycle"
-                                  : "answer from closed forms")
+              << "  (run_gemm "
+              << (eng->measures() ? "simulates cycle by cycle"
+                                  : "answers from closed forms")
               << ")\n";
     // A tiny probe so the matrix shows live numbers, not just prose.
     const gemm::GemmShape shape{32, 32, 16};

@@ -67,7 +67,7 @@ int main() {
   //    fewer cycles.  evaluate(shape, 0) resolves the trade-off (Eq. 6);
   //    the engine's optimizer exposes the Eq. 7 continuous optimum.
   std::cout << "\nabsolute time per mode (cycle count x Tclock):\n";
-  const engine::CostEstimate best = analytic->best(shape);
+  const engine::CostEstimate best = analytic->evaluate(shape, 0);
   for (const int k : analytic->config().supported_k) {
     const engine::CostEstimate est = analytic->evaluate(shape, k);
     std::cout << format(" k=%d  %s at %.2f GHz%s\n", k,

@@ -1,8 +1,9 @@
 // GPT-style transformer inference on ArrayFlex: the prefill/decode phase
 // economics the serving layer schedules around, per-phase cost totals, the
 // KV-cache footprint at the array's operand width — and the exactness
-// contract, re-proven on a whole stack: the cycle backend re-simulates
-// every layer and must agree bit-for-bit with the analytic closed forms.
+// contract, re-proven on a whole stack: the cycle backend simulates every
+// layer's GEMM on random operands and must measure bit-for-bit what the
+// closed forms predict.
 //
 //   $ ./transformer_inference [side]          (default 16)
 
@@ -10,8 +11,10 @@
 #include <iostream>
 
 #include "engine/engine.h"
+#include "gemm/matrix.h"
 #include "nn/runner.h"
 #include "nn/transformer.h"
+#include "util/rng.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -43,23 +46,33 @@ void print_phase_table(const nn::ModelReport& report) {
   std::cout << "\n";
 }
 
-// The analytic engine IS the spec: the cycle backend must reproduce its
-// numbers exactly, layer by layer.  Returns the number of disagreeing
-// layers (0 on a healthy build).
-int compare_reports(const nn::ModelReport& analytic,
-                    const nn::ModelReport& cycle) {
+// The analytic engine IS the spec: the cycle backend runs each layer's GEMM
+// on random operands in the layer's chosen mode and must measure exactly
+// the closed-form cost, the report's memory fields and its compute cycles.
+// Returns the number of disagreeing layers (0 on a healthy build).
+int check_layers(const nn::ModelReport& report, const engine::Engine& analytic,
+                 engine::Engine& cycle, Rng& rng) {
   int mismatches = 0;
-  for (std::size_t i = 0; i < analytic.layers.size(); ++i) {
-    const nn::LayerReport& a = analytic.layers[i];
-    const nn::LayerReport& c = cycle.layers[i];
-    const bool same = a.arrayflex.k == c.arrayflex.k &&
-                      a.arrayflex.cycles == c.arrayflex.cycles &&
-                      a.arrayflex.time_ps == c.arrayflex.time_ps &&
-                      a.dram_bytes == c.dram_bytes &&
-                      a.stall_cycles == c.stall_cycles &&
-                      a.spad_peak_bytes == c.spad_peak_bytes;
+  for (const nn::LayerReport& l : report.layers) {
+    const gemm::Mat32 a =
+        gemm::random_matrix(rng, l.shape.t, l.shape.n, -100, 100);
+    const gemm::Mat32 b =
+        gemm::random_matrix(rng, l.shape.n, l.shape.m, -100, 100);
+    engine::GemmRequest request;
+    request.a = &a;
+    request.b = &b;
+    request.k = l.arrayflex.k;
+    request.want_output = false;
+    const engine::CostEstimate measured = cycle.run_gemm(request).cost;
+    const bool same =
+        engine::exactly_equal(measured,
+                              analytic.evaluate(l.shape, l.arrayflex.k)) &&
+        measured.stall_cycles == l.stall_cycles &&
+        measured.dram_bytes == l.dram_bytes &&
+        measured.spad_peak_bytes == l.spad_peak_bytes &&
+        measured.cycles - measured.stall_cycles == l.arrayflex.cycles;
     if (!same) {
-      std::cout << "  MISMATCH at " << a.name << "\n";
+      std::cout << "  MISMATCH at " << l.name << "\n";
       ++mismatches;
     }
   }
@@ -129,10 +142,12 @@ int main(int argc, char** argv) {
           .c_str(),
       format_time_ps(decode_report.arrayflex_time_ps).c_str());
 
-  // Both backends, same numbers: the cycle engine re-simulates every layer.
-  const nn::InferenceRunner cycle(builder.build("cycle"));
-  int mismatches = compare_reports(prefill_report, cycle.run(prefill));
-  mismatches += compare_reports(decode_report, cycle.run(decode));
+  // Both backends, same numbers: the cycle engine simulates every layer.
+  const std::shared_ptr<engine::Engine> cycle = builder.build("cycle");
+  Rng rng(7);
+  int mismatches =
+      check_layers(prefill_report, analytic.engine(), *cycle, rng);
+  mismatches += check_layers(decode_report, analytic.engine(), *cycle, rng);
   const int layers = static_cast<int>(prefill_report.layers.size() +
                                       decode_report.layers.size());
   if (mismatches != 0) {

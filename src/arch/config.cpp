@@ -57,7 +57,7 @@ std::string MemoryConfig::to_string() const {
 }
 
 std::vector<std::string> MemoryConfig::knob_names() {
-  // Sorted: the CI drift check diffs this listing (via `engine_info
+  // Sorted: ctest readme_registries diffs this listing (via `engine_info
   // --memory`) against the README's "Memory hierarchy" knob table.
   return {"dram_bytes_per_cycle", "dram_latency_cycles", "enabled", "reuse",
           "spad_bytes"};

@@ -71,8 +71,8 @@ struct MemoryConfig {
   std::string to_string() const;
 
   // The public knob names, sorted — the machine-checkable source of truth
-  // behind the README's "Memory hierarchy" table (CI diffs the two via
-  // `engine_info --memory`).
+  // behind the README's "Memory hierarchy" table (ctest readme_registries
+  // diffs the two via `engine_info --memory`).
   static std::vector<std::string> knob_names();
 };
 

@@ -64,26 +64,4 @@ RunResult ChaosEngine::run_gemm(const GemmRequest& request) {
   return result;
 }
 
-CostEstimate ChaosEngine::evaluate(const gemm::GemmShape& shape, int k) {
-  return inner_->evaluate(shape, k);
-}
-
-std::vector<CostEstimate> ChaosEngine::evaluate_batch(
-    std::span<const gemm::GemmShape> shapes, int k) {
-  // Planning forwards untouched, like evaluate: faults hit execution only
-  // (and the inner engine keeps its vectorized path and its cache).
-  return inner_->evaluate_batch(shapes, k);
-}
-
-CostEstimate ChaosEngine::evaluate_tile_asym(std::int64_t t, int k_v,
-                                             int k_h) {
-  return inner_->evaluate_tile_asym(t, k_v, k_h);
-}
-
-CostEstimate ChaosEngine::evaluate_sparse(const gemm::GemmShape& shape, int k,
-                                          const arch::TileOccupancy& occupancy) {
-  // Planning forwards untouched, like evaluate: faults hit execution only.
-  return inner_->evaluate_sparse(shape, k, occupancy);
-}
-
 }  // namespace af::engine

@@ -12,10 +12,9 @@
 // engine restarts its schedule from run 1 (which is how a quarantine
 // recovery probe can succeed against a throw_every_n engine).
 //
-// Mode planning (evaluate / evaluate_tile_asym / optimizer) forwards to
-// the inner engine untouched: admission decisions stay correct even while
-// execution misbehaves, mirroring real deployments where the control plane
-// outlives a flaky data plane.
+// Faults hit run_gemm only.  The cost queries are Engine's closed forms,
+// the same on every backend, so admission decisions stay correct while
+// execution misbehaves.
 
 #pragma once
 
@@ -35,12 +34,6 @@ class ChaosEngine final : public Engine {
   bool measures() const override { return inner_->measures(); }
 
   RunResult run_gemm(const GemmRequest& request) override;
-  CostEstimate evaluate(const gemm::GemmShape& shape, int k = 0) override;
-  std::vector<CostEstimate> evaluate_batch(
-      std::span<const gemm::GemmShape> shapes, int k = 0) override;
-  CostEstimate evaluate_tile_asym(std::int64_t t, int k_v, int k_h) override;
-  CostEstimate evaluate_sparse(const gemm::GemmShape& shape, int k,
-                               const arch::TileOccupancy& occupancy) override;
 
   // Runs attempted so far (fault draws consumed) — test introspection.
   std::uint64_t runs() const { return runs_.load(); }

@@ -14,7 +14,6 @@ std::size_t CostCache::KeyHash::operator()(const Key& key) const {
   h = splitmix64(h ^ static_cast<std::uint64_t>(key.n));
   h = splitmix64(h ^ static_cast<std::uint64_t>(key.t));
   h = splitmix64(h ^ static_cast<std::uint64_t>(key.k));
-  h = splitmix64(h ^ static_cast<std::uint64_t>(key.occupancy));
   return static_cast<std::size_t>(h);
 }
 
@@ -24,9 +23,8 @@ CostCache::Shard& CostCache::shard_for(const Key& key) const {
 
 std::optional<CostEstimate> CostCache::find(std::uint64_t fingerprint,
                                             const gemm::GemmShape& shape,
-                                            int k,
-                                            std::int64_t occupancy) const {
-  const Key key{fingerprint, shape.m, shape.n, shape.t, k, occupancy};
+                                            int k) const {
+  const Key key{fingerprint, shape.m, shape.n, shape.t, k};
   Shard& shard = shard_for(key);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -42,8 +40,8 @@ std::optional<CostEstimate> CostCache::find(std::uint64_t fingerprint,
 
 void CostCache::insert(std::uint64_t fingerprint,
                        const gemm::GemmShape& shape, int k,
-                       std::int64_t occupancy, const CostEstimate& estimate) {
-  const Key key{fingerprint, shape.m, shape.n, shape.t, k, occupancy};
+                       const CostEstimate& estimate) {
+  const Key key{fingerprint, shape.m, shape.n, shape.t, k};
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   shard.estimates.try_emplace(key, estimate);
@@ -51,8 +49,7 @@ void CostCache::insert(std::uint64_t fingerprint,
 
 std::shared_ptr<const std::vector<arch::ModeSweepEntry>> CostCache::find_sweep(
     std::uint64_t fingerprint, const gemm::GemmShape& shape) const {
-  const Key key{fingerprint, shape.m, shape.n, shape.t, /*k=*/0,
-                kDenseOccupancy};
+  const Key key{fingerprint, shape.m, shape.n, shape.t, /*k=*/0};
   Shard& shard = shard_for(key);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
@@ -69,8 +66,7 @@ std::shared_ptr<const std::vector<arch::ModeSweepEntry>> CostCache::find_sweep(
 void CostCache::insert_sweep(
     std::uint64_t fingerprint, const gemm::GemmShape& shape,
     std::shared_ptr<const std::vector<arch::ModeSweepEntry>> sweep) {
-  const Key key{fingerprint, shape.m, shape.n, shape.t, /*k=*/0,
-                kDenseOccupancy};
+  const Key key{fingerprint, shape.m, shape.n, shape.t, /*k=*/0};
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   shard.sweeps.try_emplace(key, std::move(sweep));

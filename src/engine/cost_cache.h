@@ -9,15 +9,9 @@
 // handful of distinct shapes over and over.  CostCache stores both
 // artifacts the path needs:
 //
-//   estimates  (fingerprint, shape, k, occupancy) -> CostEstimate
-//              The full finalized estimate — memory-aware re-timing and
-//              DRAM pricing included.  `occupancy` is kDenseOccupancy for
-//              dense queries and the non-zero tile count for block-sparse
-//              ones (with the memory model OFF a sparse estimate is a pure
-//              function of nnz: L(k) * nnz cycles, per-tile counters * nnz
-//              — see arch/sparse.h.  With the model ON the DMA plan
-//              depends on WHICH tiles are occupied, so sparse queries
-//              bypass the cache entirely; Engine enforces that).
+//   estimates  (fingerprint, shape, k) -> CostEstimate
+//              The full finalized dense estimate — memory-aware re-timing
+//              and DRAM pricing included.
 //
 //   sweeps     (fingerprint, shape) -> vector<ModeSweepEntry>
 //              The optimizer's compute-only per-mode projection (Eq. 6
@@ -58,10 +52,6 @@ namespace af::engine {
 
 class CostCache {
  public:
-  // Occupancy token of a dense query (sparse tokens are nnz >= 0, so the
-  // two can never collide).
-  static constexpr std::int64_t kDenseOccupancy = -1;
-
   CostCache();
 
   CostCache(const CostCache&) = delete;
@@ -71,10 +61,9 @@ class CostCache {
   // first-writer-wins (concurrent misses compute identical values, so
   // dropping the second write is harmless).
   std::optional<CostEstimate> find(std::uint64_t fingerprint,
-                                   const gemm::GemmShape& shape, int k,
-                                   std::int64_t occupancy) const;
+                                   const gemm::GemmShape& shape, int k) const;
   void insert(std::uint64_t fingerprint, const gemm::GemmShape& shape, int k,
-              std::int64_t occupancy, const CostEstimate& estimate);
+              const CostEstimate& estimate);
 
   // Sweep store (compute-only mode projections, winner flagged).  Values
   // are shared_ptr so a hit is a refcount bump, not a vector copy.
@@ -98,7 +87,6 @@ class CostCache {
     std::int64_t n = 0;
     std::int64_t t = 0;
     int k = 0;  // 0 marks a sweep entry (real modes are >= 1)
-    std::int64_t occupancy = kDenseOccupancy;
 
     bool operator==(const Key&) const = default;
   };

@@ -50,53 +50,4 @@ RunResult CycleAccurateEngine::run_gemm(const GemmRequest& request) {
   return result;
 }
 
-CostEstimate CycleAccurateEngine::evaluate(const gemm::GemmShape& shape,
-                                           int k) {
-  const int mode = resolve_mode(shape, k);
-  // Counters and cycle counts are data-independent, so streaming zeros
-  // through the simulator measures the exact cost of any GEMM of `shape`.
-  const gemm::Mat32 a(shape.t, shape.n);
-  const gemm::Mat32 b(shape.n, shape.m);
-  gemm::Mat64 out;
-  const arch::TileRunStats stats = array_.run_gemm(a, b, mode, &out);
-  return finalized(shape, mode, stats.total_cycles, stats.activity);
-}
-
-CostEstimate CycleAccurateEngine::evaluate_sparse(
-    const gemm::GemmShape& shape, int k,
-    const arch::TileOccupancy& occupancy) {
-  occupancy.check_grid(shape, config().rows, config().cols);
-  const int mode = resolve_mode(shape, k);
-  // Materialize the cheapest weight matrix with exactly this occupancy:
-  // one non-zero in the top-left corner of every occupied tile.  The
-  // sequencer's skip decisions depend only on which tiles are non-zero,
-  // and the counters are data-independent past that — so this measures
-  // the exact cost of ANY sparse GEMM with this shape and occupancy.
-  const gemm::Mat32 a(shape.t, shape.n);
-  gemm::Mat32 b(shape.n, shape.m);
-  for (std::int64_t rt = 0; rt < occupancy.row_tiles(); ++rt) {
-    for (std::int64_t ct = 0; ct < occupancy.col_tiles(); ++ct) {
-      if (occupancy.is_nonzero(rt, ct)) {
-        b.at(rt * config().rows, ct * config().cols) = 1;
-      }
-    }
-  }
-  gemm::Mat64 out;
-  const arch::TileRunStats stats = array_.run_gemm_sparse(a, b, mode, &out);
-  return finalized(shape, mode, stats.total_cycles, stats.activity,
-                   &occupancy);
-}
-
-CostEstimate CycleAccurateEngine::evaluate_tile_asym(std::int64_t t, int k_v,
-                                                     int k_h) {
-  const gemm::Mat32 a(t, config().rows);
-  const gemm::Mat32 b(config().rows, config().cols);
-  gemm::Mat64 acc(t, config().cols);
-  const arch::TileRunStats stats = array_.run_tile_asym(a, b, k_v, k_h, &acc);
-  // Priced at Tclock(k_v), like the analytic estimate: the vertical
-  // reduction chain dominates the period (paper Section III-A).
-  CostEstimate est = priced(stats, k_v);
-  return est;
-}
-
 }  // namespace af::engine

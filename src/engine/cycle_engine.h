@@ -1,7 +1,9 @@
 // "cycle" backend: the cycle-accurate arch::SystolicArray behind the
-// engine::Engine facade.  Outputs and ActivityCounters are MEASURED —
-// every datum streamed, every register latch counted — so this backend is
-// the ground truth the analytic backend is audited against.
+// engine::Engine facade.  run_gemm's outputs and ActivityCounters are
+// MEASURED — every datum streamed, every register latch counted — so this
+// backend is the ground truth the closed forms are audited against.  Its
+// cost queries (evaluate, evaluate_batch, ...) are the closed forms every
+// engine shares; only run_gemm simulates.
 
 #pragma once
 
@@ -20,20 +22,6 @@ class CycleAccurateEngine final : public Engine {
   bool measures() const override { return true; }
 
   RunResult run_gemm(const GemmRequest& request) override;
-
-  // Measured by streaming zero operands through the simulator — the
-  // counters are data-independent, so this is exact (and as expensive as a
-  // real run; use the analytic backend for bulk cost queries).
-  CostEstimate evaluate(const gemm::GemmShape& shape, int k = 0) override;
-  CostEstimate evaluate_tile_asym(std::int64_t t, int k_v, int k_h) override;
-  // Measured by materializing the cheapest weight matrix WITH the given
-  // occupancy (one non-zero per occupied tile) and running the sparse
-  // sequencer over it — counters are data-independent, so the cost is
-  // exact for any matrix of that occupancy.
-  CostEstimate evaluate_sparse(const gemm::GemmShape& shape, int k,
-                               const arch::TileOccupancy& occupancy) override;
-
-  arch::SystolicArray& array() { return array_; }
 
  private:
   arch::SystolicArray array_;

@@ -138,37 +138,24 @@ int Engine::resolve_mode(const gemm::GemmShape& shape, int k) const {
   return k;
 }
 
-CostEstimate Engine::analytic_estimate(const gemm::GemmShape& shape,
-                                       int k) const {
-  return finalized(shape, k, arch::total_latency_cycles(shape, config_, k),
-                   arch::predict_gemm_activity(shape, config_, k));
+CostEstimate Engine::evaluate(const gemm::GemmShape& shape, int k) const {
+  const int mode = resolve_mode(shape, k);
+  return finalized(shape, mode,
+                   arch::total_latency_cycles(shape, config_, mode),
+                   arch::predict_gemm_activity(shape, config_, mode));
 }
 
-CostEstimate Engine::analytic_tile_asym_estimate(std::int64_t t, int k_v,
-                                                 int k_h) const {
-  CostEstimate est;
-  est.k = k_v;  // the vertical chain sets the clock (paper Section III-A)
-  est.cycles =
-      arch::tile_latency_cycles_asym(config_.rows, config_.cols, t, k_v, k_h);
-  est.activity = arch::predict_tile_activity_asym(config_, t, k_v, k_h);
-  est.period_ps = clock_->period_ps(k_v);
-  const arch::PowerResult priced =
-      power_.from_counters(est.activity, est.cycles, est.period_ps,
-                           /*arrayflex_hardware=*/true, k_v);
-  est.time_ps = priced.time_ps;
-  est.energy_pj = priced.energy_pj;
-  return est;
-}
-
-CostEstimate Engine::analytic_sparse_estimate(
+CostEstimate Engine::evaluate_sparse(
     const gemm::GemmShape& shape, int k,
     const arch::TileOccupancy& occupancy) const {
+  occupancy.check_grid(shape, config_.rows, config_.cols);
+  const int mode = resolve_mode(shape, k);
   // Every executed tile is zero-padded to the full R x C geometry with the
   // full T, so the per-tile counters are identical across tiles and the
   // sparse total is simply per-tile x nnz (the dense model's `x tiles`,
   // with the skipped tiles gone).
   const arch::ActivityCounters per =
-      arch::predict_tile_activity(config_, shape.t, k);
+      arch::predict_tile_activity(config_, shape.t, mode);
   const std::int64_t nnz = occupancy.nonzero_tiles();
   arch::ActivityCounters activity;
   activity.mult_ops = per.mult_ops * nnz;
@@ -181,23 +168,85 @@ CostEstimate Engine::analytic_sparse_estimate(
   activity.hreg_bypassed_bit_cycles = per.hreg_bypassed_bit_cycles * nnz;
   activity.vreg_bypassed_bit_cycles = per.vreg_bypassed_bit_cycles * nnz;
   activity.streaming_cycles = per.streaming_cycles * nnz;
-  return finalized(shape, k,
-                   arch::sparse_total_latency_cycles(shape, config_, k,
+  return finalized(shape, mode,
+                   arch::sparse_total_latency_cycles(shape, config_, mode,
                                                      occupancy),
                    activity, &occupancy);
 }
 
-CostEstimate Engine::priced(const arch::TileRunStats& stats, int k) const {
-  CostEstimate est;
-  est.k = k;
-  est.cycles = stats.total_cycles;
-  est.activity = stats.activity;
-  est.period_ps = clock_->period_ps(k);
-  const arch::PowerResult priced = power_.from_counters(
-      est.activity, est.cycles, est.period_ps, /*arrayflex_hardware=*/true, k);
-  est.time_ps = priced.time_ps;
-  est.energy_pj = priced.energy_pj;
-  return est;
+std::vector<CostEstimate> Engine::evaluate_batch(
+    std::span<const gemm::GemmShape> shapes, int k) {
+  const std::size_t count = shapes.size();
+  std::vector<CostEstimate> out(count);
+  if (count == 0) return out;
+
+  if (k != 0) {
+    AF_CHECK(config_.supports(k),
+             "mode k=" << k << " not supported by " << config_.to_string());
+  }
+  const std::int64_t rows = config_.rows;
+  const std::int64_t cols = config_.cols;
+
+  // SoA pass 1: contiguous per-shape integers.  tiles = ceil(N/R)*ceil(M/C)
+  // (Eq. 4's tile grid, the same integer math as gemm::tile_count).
+  std::vector<std::int64_t> t(count);
+  std::vector<std::int64_t> tiles(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const gemm::GemmShape& s = shapes[i];
+    AF_CHECK(s.m > 0 && s.n > 0 && s.t > 0,
+             "evaluate_batch shape dims must be positive, got m=" << s.m
+                 << " n=" << s.n << " t=" << s.t);
+    t[i] = s.t;
+    tiles[i] = ((s.n + rows - 1) / rows) * ((s.m + cols - 1) / cols);
+  }
+
+  // SoA pass 2: Eq. 4 cycles per element, and for k = 0 the Eq. 6 argmin
+  // — one branch-free inner loop per supported mode over the contiguous
+  // arrays, exactly the arithmetic of arch::total_latency_cycles (L(k) =
+  // R + R/k + C/k + T - 2, times the tile count) and absolute_time_ps
+  // (cycles * period), with the optimizer's iteration order and strict-<
+  // tie-break, so the selected mode matches resolve_mode() exactly.
+  std::vector<int> mode(count, k);
+  std::vector<std::int64_t> cycles(count);
+  if (k != 0) {
+    const std::int64_t l_fixed = rows + rows / k + cols / k - 2;
+    for (std::size_t i = 0; i < count; ++i) {
+      cycles[i] = (l_fixed + t[i]) * tiles[i];
+    }
+  } else {
+    std::vector<double> best_time(count,
+                                  std::numeric_limits<double>::infinity());
+    for (const int km : config_.supported_k) {
+      const double period = clock_->period_ps(km);
+      const std::int64_t l_fixed = rows + rows / km + cols / km - 2;
+      for (std::size_t i = 0; i < count; ++i) {
+        const std::int64_t c = (l_fixed + t[i]) * tiles[i];
+        const double time = static_cast<double>(c) * period;
+        if (time < best_time[i]) {
+          best_time[i] = time;
+          mode[i] = km;
+          cycles[i] = c;
+        }
+      }
+    }
+  }
+
+  // Finalization: cache hits return the memoized estimate; misses run the
+  // shared finalized() (counter prediction + utilization-aware pricing +
+  // memory re-timing) on the SoA cycles — identical inputs to the scalar
+  // path, so exact equality holds element for element.
+  for (std::size_t i = 0; i < count; ++i) {
+    if (std::optional<CostEstimate> hit =
+            cache_->find(fingerprint_, shapes[i], mode[i])) {
+      out[i] = *std::move(hit);
+      continue;
+    }
+    out[i] = finalized(shapes[i], mode[i], cycles[i],
+                       arch::predict_gemm_activity(shapes[i], config_,
+                                                   mode[i]));
+    cache_->insert(fingerprint_, shapes[i], mode[i], out[i]);
+  }
+  return out;
 }
 
 CostEstimate Engine::finalized(const gemm::GemmShape& shape, int k,
@@ -240,47 +289,14 @@ CostEstimate Engine::finalized(const gemm::GemmShape& shape, int k,
   return est;
 }
 
-std::vector<CostEstimate> Engine::evaluate_batch(
-    std::span<const gemm::GemmShape> shapes, int k) {
-  // Generic fallback: one memoized evaluate per element.  Still batched
-  // from the caller's point of view (one call, one result vector) and
-  // still exactly equal to the scalar path; the analytic backend replaces
-  // the loop with a vectorized SoA sweep of the closed forms.
-  std::vector<CostEstimate> out;
-  out.reserve(shapes.size());
-  for (const gemm::GemmShape& shape : shapes) {
-    out.push_back(evaluate_cached(shape, k));
-  }
-  return out;
-}
-
 CostEstimate Engine::evaluate_cached(const gemm::GemmShape& shape, int k) {
   const int mode = resolve_mode(shape, k);
   if (std::optional<CostEstimate> hit =
-          cache_->find(fingerprint_, shape, mode, CostCache::kDenseOccupancy)) {
+          cache_->find(fingerprint_, shape, mode)) {
     return *std::move(hit);
   }
   CostEstimate est = evaluate(shape, mode);
-  cache_->insert(fingerprint_, shape, mode, CostCache::kDenseOccupancy, est);
-  return est;
-}
-
-CostEstimate Engine::evaluate_sparse_cached(
-    const gemm::GemmShape& shape, int k,
-    const arch::TileOccupancy& occupancy) {
-  if (config_.mem.enabled) {
-    // The DMA plan walks the occupied tiles in order — two occupancies
-    // with equal nnz can cost differently, so there is no sound key.
-    return evaluate_sparse(shape, k, occupancy);
-  }
-  const int mode = resolve_mode(shape, k);
-  const std::int64_t token = occupancy.nonzero_tiles();
-  if (std::optional<CostEstimate> hit =
-          cache_->find(fingerprint_, shape, mode, token)) {
-    return *std::move(hit);
-  }
-  CostEstimate est = evaluate_sparse(shape, mode, occupancy);
-  cache_->insert(fingerprint_, shape, mode, token, est);
+  cache_->insert(fingerprint_, shape, mode, est);
   return est;
 }
 
@@ -302,18 +318,6 @@ arch::ModeDecision Engine::best_mode_cached(
   }
   // Unreachable (sweep always flags a winner); kept for defensiveness.
   return optimizer_.best_mode(shape);
-}
-
-CostEstimate Engine::best(const gemm::GemmShape& shape) {
-  CostEstimate winner;
-  winner.time_ps = std::numeric_limits<double>::infinity();
-  // Same iteration order and strict-< tie-break as
-  // PipelineOptimizer::best_mode, so best(shape).k == best_mode(shape).k.
-  for (const int k : config_.supported_k) {
-    CostEstimate est = evaluate_cached(shape, k);
-    if (est.time_ps < winner.time_ps) winner = std::move(est);
-  }
-  return winner;
 }
 
 // ----------------------------------------------------------------- builder
@@ -386,8 +390,8 @@ struct BackendEntry {
   std::shared_ptr<Engine> (*create)(const EngineBuilder&);
 };
 
-// The registry: ordered so registered_backends() is stable for the CI
-// drift check against the README table.
+// The registry: ordered so registered_backends() is stable for the
+// readme_registries drift check against the README table.
 const std::map<std::string, BackendEntry>& registry() {
   static const std::map<std::string, BackendEntry> entries = {
       {"analytic",

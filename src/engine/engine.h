@@ -7,35 +7,41 @@
 // arch/activity.h / arch/power_model.h (what the optimizer and the
 // inference runner consume), and the gate-level compiled engine — and every
 // bench/example/server re-wired config + clock + power by hand.  An
-// engine::Engine bundles that wiring once and exposes two calls:
+// engine::Engine bundles that wiring once and exposes two kinds of call:
 //
-//   run_gemm(GemmRequest)        -> RunResult    execute (or price) one GEMM
-//   evaluate(GemmShape, k)       -> CostEstimate cost of a shape in mode k
+//   run_gemm(GemmRequest)        -> RunResult    execute one GEMM — the one
+//                                                call a backend answers its
+//                                                own way
+//   evaluate(GemmShape, k)       -> CostEstimate cost of a shape in mode k —
+//                                                closed forms, defined once
+//                                                here for every backend
 //
 // Three backends ship (see engine::make / registered_backends):
 //
-//   "cycle"    CycleAccurateEngine — wraps arch::SystolicArray; outputs and
-//              counters are MEASURED cycle by cycle.  Ground truth, slow.
+//   "cycle"    CycleAccurateEngine — run_gemm drives arch::SystolicArray;
+//              outputs and counters are MEASURED cycle by cycle.  Ground
+//              truth, slow.
 //   "chaos"    ChaosEngine — deterministic fault injection wrapped around
-//              any other backend (engine/chaos_engine.h): seeded
+//              any other backend's run_gemm (engine/chaos_engine.h): seeded
 //              throw-on-run, latency spikes, wrong-cycle results.  The
 //              serving layer's failure-path test rig; injects nothing by
 //              default.
-//   "analytic" AnalyticEngine — closed-form latency/activity/power (the
-//              equations pinned cycle-for-cycle and counter-for-counter
-//              against the simulator by tests/arch_equivalence_test.cpp and
-//              tests/engine_test.cpp); the output matrix is computed via
-//              gemm::multiply (checked bit-exactly against
-//              gemm::reference_gemm) ONLY when the request asks for it.
-//              Orders of magnitude faster, bit-identical outputs, and —
-//              because the closed forms are exact — identical cycles,
-//              counters and energy too.
+//   "analytic" AnalyticEngine — run_gemm prices from the closed forms
+//              (latency/activity/power, pinned cycle-for-cycle and
+//              counter-for-counter against the simulator by
+//              tests/arch_equivalence_test.cpp and tests/engine_test.cpp);
+//              the output matrix is computed via gemm::multiply (checked
+//              bit-exactly against gemm::reference_gemm) ONLY when the
+//              request asks for it.  Orders of magnitude faster,
+//              bit-identical outputs, and — because the closed forms are
+//              exact — identical cycles, counters and energy too.
 //
 // The contract that makes the fidelity knob safe: for every supported
-// (shape, k) the two backends return EXACTLY equal CostEstimates and
-// bit-equal outputs.  serve::Server exploits it by serving analytic cost
-// traffic at high throughput while replaying a sampled audit fraction on
-// the cycle-accurate backend and cross-checking (see ServerOptions).
+// (shape, k) the cycle backend's run_gemm measures EXACTLY the
+// CostEstimate evaluate() predicts, and both backends return bit-equal
+// outputs.  serve::Server exploits it by serving analytic cost traffic at
+// high throughput while replaying a sampled audit fraction on the
+// cycle-accurate backend and cross-checking (see ServerOptions).
 //
 // Pricing: CostEstimate::energy_pj is the utilization-aware model
 // (SaPowerModel::from_counters) applied to the estimate's ActivityCounters
@@ -141,10 +147,10 @@ struct RunResult {
   bool measured = false;
 };
 
-// Abstract execution engine.  Thread safety: run_gemm and the const cost
+// Abstract execution engine.  Thread safety: run_gemm and the cost
 // queries may be called concurrently from many threads (the cycle backend's
-// SystolicArray keeps all mutable run state on the stack; the analytic
-// backend is stateless past construction).
+// SystolicArray keeps all mutable run state on the stack; the cost queries
+// read immutable wiring and the internally synchronized cost cache).
 class Engine {
  public:
   virtual ~Engine();
@@ -155,8 +161,8 @@ class Engine {
   // Registry key of the backend ("cycle", "analytic", ...).
   virtual const std::string& name() const = 0;
 
-  // True when run_gemm/evaluate MEASURE (cycle-accurate) rather than
-  // predict.  Both fidelities return the same numbers — that equivalence is
+  // True when run_gemm MEASURES (cycle-accurate) rather than predicts.
+  // Both fidelities return the same numbers — that equivalence is
   // test-pinned — but only a measuring backend can catch a model bug.
   virtual bool measures() const = 0;
 
@@ -165,17 +171,12 @@ class Engine {
   virtual RunResult run_gemm(const GemmRequest& request) = 0;
 
   // Cost of a full tiled GEMM of `shape` in mode k (k = 0 picks the Eq. 6
-  // argmin).  The cycle backend measures this by streaming zero operands
-  // through the simulator — counters are data-independent — so it is as
-  // expensive as a real run; the analytic backend answers instantly.
-  virtual CostEstimate evaluate(const gemm::GemmShape& shape, int k = 0) = 0;
-
-  // Asymmetric-collapse cost of ONE T x R by R x C tile (k_v | R, k_h | C;
-  // see arch/array.h run_tile_asym).  Priced at period_ps(k_v): the
-  // vertical reduction chain dominates the clock, horizontal collapse
-  // "only affects the delay marginally" (paper Section III-A).
-  virtual CostEstimate evaluate_tile_asym(std::int64_t t, int k_v,
-                                          int k_h) = 0;
+  // argmin), from the closed forms: Eq. 4 cycles, predicted counters,
+  // utilization-aware pricing and, with the memory hierarchy enabled, the
+  // mem::TileScheduler re-timing.  The same answer on every backend, and
+  // exactly what the cycle backend's run_gemm measures for any operands
+  // of this shape (pinned by tests/engine_test.cpp).
+  CostEstimate evaluate(const gemm::GemmShape& shape, int k = 0) const;
 
   // Cost of a BLOCK-SPARSE GEMM of `shape` given the weight matrix's tile
   // occupancy alone — no weight matrix needed, so pruned-layer cost sweeps
@@ -184,34 +185,25 @@ class Engine {
   // GemmRequest::sparse over a matrix of that occupancy costs (pinned by
   // tests/engine_test.cpp); the occupancy's tile grid must match `shape`
   // under this engine's R x C array.  k = 0 picks the Eq. 6 argmin.
-  virtual CostEstimate evaluate_sparse(const gemm::GemmShape& shape, int k,
-                                       const arch::TileOccupancy& occupancy)
-      = 0;
+  CostEstimate evaluate_sparse(const gemm::GemmShape& shape, int k,
+                               const arch::TileOccupancy& occupancy) const;
 
   // Cost of MANY shapes in one call — the serving hot path's batched
-  // entry point (one virtual dispatch, one cache pass, no per-element
-  // promise/queue machinery above it).  Element i is EXACTLY equal to
-  // evaluate(shapes[i], k) — pinned by tests/cost_path_test.cpp on every
-  // backend.  The base implementation loops evaluate() through the cost
-  // cache; the analytic backend overrides it with a vectorized SoA sweep
-  // of the closed forms (engine/analytic_engine.cpp).
-  virtual std::vector<CostEstimate> evaluate_batch(
+  // entry point (one cache pass, no per-element promise/queue machinery
+  // above it).  The Eq. 3/4 integer closed forms and the Eq. 6 argmin run
+  // over contiguous SoA arrays (one branch-free inner loop per mode); only
+  // cache misses pay the full per-element finalization.  Element i is
+  // EXACTLY equal to evaluate(shapes[i], k) — pinned by
+  // tests/cost_path_test.cpp.
+  std::vector<CostEstimate> evaluate_batch(
       std::span<const gemm::GemmShape> shapes, int k = 0);
 
   // Memoized evaluate(): answers from the cost cache keyed by
-  // (cost_fingerprint, shape, k) and falls back to the virtual evaluate()
-  // on a miss — so the cached result is exactly the uncached one by
-  // construction, on the cycle backend as on the analytic one.  k = 0
-  // resolves the Eq. 6 argmin through the cached optimizer sweep first.
+  // (cost_fingerprint, shape, k) and falls back to evaluate() on a miss —
+  // so the cached result is exactly the uncached one by construction.
+  // k = 0 resolves the Eq. 6 argmin through the cached optimizer sweep
+  // first.
   CostEstimate evaluate_cached(const gemm::GemmShape& shape, int k = 0);
-
-  // Memoized evaluate_sparse(): with magic memory a block-sparse cost is a
-  // pure function of (shape, k, nnz) — L(k) * nnz cycles, per-tile
-  // counters * nnz — so the cache keys on the occupancy's non-zero tile
-  // count.  With the memory hierarchy enabled the DMA plan depends on
-  // WHICH tiles are occupied, so the call bypasses the cache entirely.
-  CostEstimate evaluate_sparse_cached(const gemm::GemmShape& shape, int k,
-                                      const arch::TileOccupancy& occupancy);
 
   // Memoized compute-only mode projections (PipelineOptimizer::sweep /
   // best_mode): ONE optimizer pass per distinct shape instead of one per
@@ -221,10 +213,6 @@ class Engine {
   std::shared_ptr<const std::vector<arch::ModeSweepEntry>> sweep_cached(
       const gemm::GemmShape& shape) const;
   arch::ModeDecision best_mode_cached(const gemm::GemmShape& shape) const;
-
-  // Eq. 6 argmin over the supported modes, via this backend's evaluate()
-  // (memoized through the cost cache).
-  CostEstimate best(const gemm::GemmShape& shape);
 
   // 64-bit structural key of everything a CostEstimate depends on: array
   // geometry, bit widths, supported modes, memory knobs, per-mode clock
@@ -256,33 +244,15 @@ class Engine {
          std::shared_ptr<const arch::ClockModel> clock,
          const arch::EnergyParams& energy, util::ThreadPool* shared_pool);
 
-  // Closed-form CostEstimate (shared by the analytic backend and by the
-  // audit cross-checks): Eq. 4 cycles + predicted counters + from_counters
-  // pricing.  Requires config().supports(k).
-  CostEstimate analytic_estimate(const gemm::GemmShape& shape, int k) const;
-  CostEstimate analytic_tile_asym_estimate(std::int64_t t, int k_v,
-                                           int k_h) const;
-  // Closed-form cost of a block-sparse GEMM: per-tile counters scaled by
-  // the occupancy's non-zero tile count, cycles via
-  // arch::sparse_total_latency_cycles — exactly what run_gemm_sparse
-  // measures (skipped tiles contribute nothing to any counter).
-  CostEstimate analytic_sparse_estimate(
-      const gemm::GemmShape& shape, int k,
-      const arch::TileOccupancy& occupancy) const;
-  // Price measured (or predicted) counters exactly the way every consumer
-  // used to: utilization-aware, ArrayFlex hardware, Tclock(k).  Magic
-  // memory only — evaluate_tile_asym's single-tile probes stay on this
-  // path; whole-GEMM costs go through finalized() below.
-  CostEstimate priced(const arch::TileRunStats& stats, int k) const;
-  // The one finalization both backends share for whole-GEMM costs: price
+  // The one finalization every whole-GEMM cost shares: price
   // `compute_cycles` of array work plus, when the config's MemoryConfig is
   // enabled, the mem::TileScheduler re-timing of the tile grid's data
   // movement (stalls burn clock and leakage; DRAM traffic adds
-  // EnergyParams::e_dram_byte_fj per byte).  Because the analytic and
-  // cycle backends feed EXACTLY equal compute cycles in (the closed forms
-  // are pinned against the simulator), their memory-aware estimates are
-  // exactly equal by construction.  With the model disabled this is
-  // byte-for-byte the old pricing.
+  // EnergyParams::e_dram_byte_fj per byte).  Because the cycle backend
+  // measures EXACTLY the compute cycles the closed forms predict (pinned
+  // against the simulator), its memory-aware run costs equal evaluate()'s
+  // by construction.  With the model disabled this is byte-for-byte the
+  // old pricing.
   CostEstimate finalized(const gemm::GemmShape& shape, int k,
                          std::int64_t compute_cycles,
                          const arch::ActivityCounters& activity,
@@ -393,7 +363,8 @@ class EngineBuilder {
 
 // String-keyed factory — the one place backend names resolve.  The names
 // returned by registered_backends() are a public contract: the README's
-// "Execution engines" table must list exactly these (CI diffs the two).
+// "Execution engines" table must list exactly these (ctest
+// readme_registries diffs the two).
 std::shared_ptr<Engine> make(const std::string& backend,
                              const EngineBuilder& builder = EngineBuilder());
 std::vector<std::string> registered_backends();

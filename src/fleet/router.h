@@ -8,8 +8,8 @@
 // unit-tested without a single server thread (tests/fleet_test.cpp).
 //
 // Registry, mirroring the engine/dispatcher/overload-policy name
-// contracts (the README's router table must list exactly these; CI diffs
-// the two):
+// contracts (the README's router table must list exactly these; ctest
+// readme_registries diffs the two):
 //   "hash"      consistent hashing on the affinity key over a ring of
 //               virtual nodes — tenant/model locality for fusion: the same
 //               tenant's weight matrices keep landing on the same server,
@@ -72,8 +72,8 @@ std::uint64_t affinity_key(const std::string& tenant);
 
 // String-keyed factory — the one place router names resolve.  Like
 // engine::make, the names returned by registered_routers() are a public
-// contract: the README's router table must list exactly these (CI diffs
-// the two).
+// contract: the README's router table must list exactly these (ctest
+// readme_registries diffs the two).
 std::unique_ptr<Router> make_router(const std::string& name,
                                     const RouterOptions& options = {});
 std::vector<std::string> registered_routers();

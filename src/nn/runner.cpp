@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "arch/latency.h"
-#include "gemm/tiling.h"
-#include "mem/tile_scheduler.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -50,12 +47,7 @@ arch::EfficiencyComparison ModelReport::totals() const {
 InferenceRunner::InferenceRunner(std::shared_ptr<engine::Engine> engine)
     : engine_(std::move(engine)) {
   AF_CHECK(engine_ != nullptr, "InferenceRunner needs an engine");
-  if (engine_->config().mem.enabled) {
-    tiles_ = std::make_unique<mem::TileScheduler>(engine_->config());
-  }
 }
-
-InferenceRunner::~InferenceRunner() = default;
 
 LayerReport InferenceRunner::evaluate_layer(const Layer& layer) const {
   const arch::PipelineOptimizer& optimizer = engine_->optimizer();
@@ -72,18 +64,15 @@ LayerReport InferenceRunner::evaluate_layer(const Layer& layer) const {
   report.conventional = optimizer.conventional(report.shape);
   report.arrayflex_power = power.arrayflex(report.shape, report.arrayflex.k);
   report.conventional_power = power.conventional(report.shape);
-  if (tiles_ != nullptr) {
-    // Same finalization arithmetic as engine::Engine::finalized: uniform
-    // per-tile cycles (the closed-form total divides exactly by the tile
-    // count), so these fields match what evaluate() would report.
-    const std::int64_t compute = arch::total_latency_cycles(
-        report.shape, engine_->config(), report.arrayflex.k);
-    const std::int64_t tiles = gemm::tile_count(
-        report.shape, engine_->config().rows, engine_->config().cols);
-    const mem::MemoryPlan plan = tiles_->plan(report.shape, compute / tiles);
-    report.dram_bytes = plan.dram_bytes();
-    report.stall_cycles = plan.stall_cycles;
-    report.spad_peak_bytes = plan.spad_peak_bytes;
+  if (engine_->config().mem.enabled) {
+    // The engine's memoized estimate at the chosen mode: one DMA plan per
+    // distinct shape, shared with every other evaluate_cached /
+    // evaluate_batch caller on the same cost cache.
+    const engine::CostEstimate est =
+        engine_->evaluate_cached(report.shape, report.arrayflex.k);
+    report.dram_bytes = est.dram_bytes;
+    report.stall_cycles = est.stall_cycles;
+    report.spad_peak_bytes = est.spad_peak_bytes;
   }
   return report;
 }

@@ -4,13 +4,15 @@
 //
 // This is the harness behind Figs. 7, 8 and 9.
 //
-// The runner rides an engine::Engine: the engine owns the
+// The runner is a stateless view of an engine::Engine: the engine owns the
 // config/clock/energy/thread-pool wiring (and keeps the clock model alive,
 // so there is no dangling-reference hazard when the caller's clock goes out
-// of scope).  Layer evaluation itself is closed-form on every backend —
-// per-layer mode selection and pricing use the engine's optimizer and
-// power model, which are the same objects for "analytic" and "cycle" — so
-// a ModelReport is backend-independent by construction.
+// of scope).  Layer evaluation is closed-form on every backend — per-layer
+// mode selection and pricing use the engine's optimizer and power model,
+// and a memory-enabled layer's DRAM, stall and scratchpad fields are the
+// engine's cached estimate (evaluate_cached) at the chosen mode — so a
+// ModelReport is backend-independent by construction, and a design point
+// plans each distinct layer shape once.
 //
 // When the engine has a worker pool (its config requested threads, or a
 // shared pool was injected), run() evaluates independent layers in
@@ -30,10 +32,6 @@
 #include "nn/mapper.h"
 #include "nn/models.h"
 
-namespace af::mem {
-class TileScheduler;
-}
-
 namespace af::nn {
 
 struct LayerReport {
@@ -47,8 +45,8 @@ struct LayerReport {
   arch::PowerResult conventional_power;
 
   // Memory-hierarchy footprint of the ArrayFlex execution at the chosen
-  // mode.  All zero when the engine runs with magic memory
-  // (MemoryConfig::enabled == false).
+  // mode: the engine's evaluate_cached(shape, k) fields.  All zero when the
+  // engine runs with magic memory (MemoryConfig::enabled == false).
   std::int64_t dram_bytes = 0;
   std::int64_t stall_cycles = 0;
   std::int64_t spad_peak_bytes = 0;
@@ -94,7 +92,6 @@ class InferenceRunner {
   // The runner shares the engine (and thereby its config, clock, energy
   // params and worker pool); build one with engine::EngineBuilder.
   explicit InferenceRunner(std::shared_ptr<engine::Engine> engine);
-  ~InferenceRunner();
 
   LayerReport evaluate_layer(const Layer& layer) const;
   ModelReport run(const Model& model) const;
@@ -104,10 +101,6 @@ class InferenceRunner {
 
  private:
   std::shared_ptr<engine::Engine> engine_;
-  // Present iff the engine's MemoryConfig is enabled; plans per-layer data
-  // movement for the footprint fields.  plan() is const and pure, so the
-  // parallel layer fan-out in run stays race-free.
-  std::unique_ptr<mem::TileScheduler> tiles_;
 };
 
 }  // namespace af::nn

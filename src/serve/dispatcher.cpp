@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <condition_variable>
 #include <functional>
-#include <limits>
 #include <thread>
 #include <utility>
 
@@ -354,33 +353,22 @@ int Dispatcher::route(const Request& r) const {
 // charged to their own tenants' deficits in their own queues, so
 // partitioned deques never cost batching efficiency: a short local round
 // pays a few extra probes exactly when the worker was about to go stealing
-// anyway, and deep deques (the loaded case) never probe at all.
+// anyway, and deep deques (the loaded case) never probe at all.  The byte
+// budget continues across deques under the local sweep's rule
+// (RiderFilter): fused riders pay their private bytes wherever they queue.
 void Dispatcher::top_up(Batch& batch, int swept) {
   // An expired-only batch (the popped head was overdue) has no front() to
   // match riders against — the worker just resolves the expiries.
   if (batch.requests.empty()) return;
   int budget = max_batch_ - static_cast<int>(batch.requests.size());
   if (budget <= 0) return;
-  // The byte budget continues across deques: what assemble_batch already
-  // admitted counts against it (same contract as the local sweep).
-  std::int64_t byte_budget = std::numeric_limits<std::int64_t>::max();
-  if (max_batch_bytes_ > 0) {
-    byte_budget = max_batch_bytes_;
-    for (const Request& r : batch.requests) byte_budget -= r.drr_bytes;
-    if (byte_budget <= 0) return;
-  }
+  RiderFilter filter(batch, max_batch_bytes_);
   for (std::size_t i = 0; i < slots_.size() && budget > 0; ++i) {
     if (static_cast<int>(i) == swept) continue;
     RequestQueue& q = slots_[i]->queue;
     if (q.approx_size() == 0) continue;
     std::vector<Request> riders = q.pop_all_if(
-        [&](const Request& r) {
-          if (!compatible(batch.requests.front(), r)) return false;
-          if (r.drr_bytes > byte_budget) return false;
-          byte_budget -= r.drr_bytes;
-          return true;
-        },
-        budget);
+        [&](const Request& r) { return filter.admit(r); }, budget);
     budget -= static_cast<int>(riders.size());
     for (Request& r : riders) batch.requests.push_back(std::move(r));
   }

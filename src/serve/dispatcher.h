@@ -72,7 +72,7 @@ struct DispatcherOptions {
   // Coalescing cap per dispatch; 1 disables batching.
   int max_batch = 8;
   // Byte budget per batch (summed Request::drr_bytes, the projected DRAM
-  // traffic); 0 = unlimited.  See assemble_batch.
+  // traffic); 0 = unlimited.  See RiderFilter.
   std::int64_t max_batch_bytes = 0;
   // Slot space: the most shards the server may ever scale to.
   int max_shards = 1;

@@ -12,7 +12,8 @@
 // runtime-reconfigurable dataflow.
 //
 // Registered policies (engine_info --reconfig-policies; the README's
-// "Reconfiguration policies" table mirrors these names, CI diffs the two):
+// "Reconfiguration policies" table mirrors these names, ctest
+// readme_registries diffs the two):
 //
 //   "argmin"  stateless per-request Eq. 6 argmin — today's admission
 //             behaviour, optimal per GEMM, oblivious to drain cost.

@@ -30,6 +30,28 @@ bool compatible(const Request& head, const Request& r) {
   return head.model == r.model;
 }
 
+RiderFilter::RiderFilter(const Batch& batch, std::int64_t max_batch_bytes)
+    : batch_(batch),
+      bytes_left_(max_batch_bytes > 0
+                      ? max_batch_bytes
+                      : std::numeric_limits<std::int64_t>::max()) {
+  for (const Request& r : batch.requests) board(r, /*must_fit=*/false);
+}
+
+bool RiderFilter::admit(const Request& r) {
+  return compatible(batch_.requests.front(), r) && board(r, /*must_fit=*/true);
+}
+
+bool RiderFilter::board(const Request& r, bool must_fit) {
+  const bool fuses =
+      std::find(aboard_.begin(), aboard_.end(), r.b.get()) != aboard_.end();
+  const std::int64_t charge = fuses ? r.drr_rider_bytes : r.drr_bytes;
+  if (must_fit && charge > bytes_left_) return false;
+  bytes_left_ = std::max<std::int64_t>(0, bytes_left_ - charge);
+  if (!fuses && r.b != nullptr) aboard_.push_back(r.b.get());
+  return true;
+}
+
 Batch assemble_batch(Request head, RequestQueue& queue, int max_batch,
                      std::int64_t max_batch_bytes) {
   Batch batch;
@@ -51,38 +73,11 @@ Batch assemble_batch(Request head, RequestQueue& queue, int max_batch,
   if (max_batch > 1) {
     // One sweep over the backlog, keyed by the head's (mode, backend) /
     // model, instead of a rescan of the whole queue per rider —
-    // O(batch x backlog) under the lock.  The byte
-    // budget (when set) is spent inside the predicate: a rider whose
-    // projected DRAM traffic no longer fits keeps its queue position.
-    std::int64_t byte_budget =
-        max_batch_bytes > 0
-            ? std::max<std::int64_t>(0, max_batch_bytes -
-                                            batch.requests.front().drr_bytes)
-            : std::numeric_limits<std::int64_t>::max();
-    // Weight matrices already aboard the batch.  A rider sharing one will
-    // fuse with that member in the executor (the B panel streams ONCE for
-    // the whole stack), so it is charged only its private A+C bytes
-    // (drr_rider_bytes); charging full drr_bytes double-counted the shared
-    // panel per rider and under-filled decode batches.
-    std::vector<const gemm::Mat32*> aboard_bs;
-    if (batch.kind == RequestKind::kGemm &&
-        batch.requests.front().b != nullptr) {
-      aboard_bs.push_back(batch.requests.front().b.get());
-    }
+    // O(batch x backlog) under the lock.  A rider whose bytes no longer
+    // fit keeps its queue position.
+    RiderFilter filter(batch, max_batch_bytes);
     std::vector<Request> riders = queue.pop_all_if(
-        [&](const Request& r) {
-          if (!compatible(batch.requests.front(), r)) return false;
-          const bool fuses =
-              r.b != nullptr &&
-              std::find(aboard_bs.begin(), aboard_bs.end(), r.b.get()) !=
-                  aboard_bs.end();
-          const std::int64_t charge = fuses ? r.drr_rider_bytes : r.drr_bytes;
-          if (charge > byte_budget) return false;
-          byte_budget -= charge;
-          if (!fuses && r.b != nullptr) aboard_bs.push_back(r.b.get());
-          return true;
-        },
-        max_batch - 1);
+        [&](const Request& r) { return filter.admit(r); }, max_batch - 1);
     for (Request& r : riders) batch.requests.push_back(std::move(r));
   }
   return batch;

@@ -26,6 +26,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "serve/queue.h"
@@ -51,13 +52,42 @@ struct Batch {
 // True when `r` can join a batch headed by `head` (see file comment).
 bool compatible(const Request& head, const Request& r);
 
+// The one rider rule of both batch sweeps — assemble_batch over the home
+// deque and the dispatcher's top-up over the others.  A rider must be
+// compatible with the batch head, and its projected DRAM traffic must fit
+// what is left of `max_batch_bytes` (0 = unlimited).  A rider sharing a
+// weight matrix already aboard fuses with that member in the executor (the
+// B panel streams ONCE for the whole stack), so it is charged only its
+// private A+C bytes (Request::drr_rider_bytes); any other request pays its
+// full drr_bytes.  Construction charges every request already in `batch`,
+// in order, so a top-up continues from exactly the budget the local sweep
+// left.  `batch` must be non-empty and outlive the filter; it may grow
+// between calls.
+class RiderFilter {
+ public:
+  RiderFilter(const Batch& batch, std::int64_t max_batch_bytes);
+
+  // True when `r` may join; it is then charged and its weights go aboard.
+  bool admit(const Request& r);
+
+ private:
+  // Charges `r` and puts its weights aboard.  With `must_fit` a charge
+  // past what is left refuses `r` instead; without, the budget bottoms out
+  // at zero (the head always dispatches).
+  bool board(const Request& r, bool must_fit);
+
+  const Batch& batch_;
+  std::int64_t bytes_left_;
+  std::vector<const gemm::Mat32*> aboard_;
+};
+
 // Batch formation around an already-popped head: one pop_all_if sweep
 // collects up to max_batch - 1 compatible riders from `queue` — the
 // shard's own deque, or a steal victim's, whose whole DRR round moves with
 // exactly this call.
 //
 // `max_batch_bytes` (0 = unlimited) additionally caps the batch's summed
-// projected DRAM traffic (Request::drr_bytes): with the memory hierarchy
+// projected DRAM traffic, charged by RiderFilter: with the memory hierarchy
 // enabled, a fused run's DMA stream scales with its data footprint, so a
 // byte budget keeps one batch from parking the array behind a DRAM
 // transfer longer than the latency SLO.  The head always dispatches even

@@ -162,7 +162,6 @@ struct Server::Shard {
   // ServerOptions::degrade_spad_fraction); built lazily on first degraded
   // batch, null when the knob is off or the memory hierarchy is disabled.
   std::shared_ptr<engine::Engine> degrade_engine;
-  std::unique_ptr<nn::InferenceRunner> runner;
   // Per-request fidelity overrides, built lazily and cached.  Touched only
   // by this shard's worker thread.
   std::map<std::string, std::shared_ptr<engine::Engine>> override_engines;
@@ -359,25 +358,34 @@ void Server::pause_serving(bool paused) {
 }
 
 void Server::acquire_shard(Shard& shard) {
-  shard.engine = engine_builder_.build(options_.backend);
-  if (options_.audit_fraction > 0.0 && !shard.engine->measures()) {
-    shard.audit_engine = engine_builder_.build("cycle");
-  }
-  shard.runner = std::make_unique<nn::InferenceRunner>(shard.engine);
-  // A slot re-acquired after retiring while quarantined starts clean: fault
-  // history cleared, routing ban lifted.
+  install_engine(shard, engine_builder_.build(options_.backend));
+}
+
+void Server::install_engine(Shard& shard,
+                            std::shared_ptr<engine::Engine> engine) {
+  shard.engine = std::move(engine);
+  shard.audit_engine =
+      options_.audit_fraction > 0.0 && !shard.engine->measures()
+          ? engine_builder_.build("cycle")
+          : nullptr;
+  // Caches wired to a previous engine go with it.
+  shard.override_engines.clear();
+  shard.degrade_engine.reset();
+  // A slot re-acquired after retiring while quarantined, or recovered by a
+  // probe, starts clean: fault history cleared, routing ban lifted.
   shard.fault_streak = 0;
-  shard.quarantined.store(false);
-  dispatcher_->set_banned(shard.index, false);
+  {
+    std::lock_guard<std::mutex> lock(shard_stats_mutex_);
+    shard.stats.quarantined = false;
+    shard.stats.backend = shard.engine->name();
+    shard.stats.current_k = 0;  // the new array configures from scratch
+  }
   dispatcher_->set_shard_mode(shard.index, 0);
-  std::lock_guard<std::mutex> lock(shard_stats_mutex_);
-  shard.stats.backend = shard.engine->name();
-  shard.stats.quarantined = false;
-  shard.stats.current_k = 0;  // a (re)acquired array configures from scratch
+  shard.quarantined.store(false, std::memory_order_release);
+  dispatcher_->set_banned(shard.index, false);
 }
 
 void Server::release_shard(Shard& shard) {
-  shard.runner.reset();
   shard.override_engines.clear();
   shard.audit_engine.reset();
   shard.degrade_engine.reset();
@@ -887,25 +895,8 @@ bool Server::probe_quarantined(Shard& shard) {
                   .k;
     probe.want_output = false;
     fresh->run_gemm(probe);
-    // Healthy: swap the fresh engine in, drop caches wired to the sick
-    // one, rejoin the routing pool.
-    shard.engine = std::move(fresh);
-    if (options_.audit_fraction > 0.0 && !shard.engine->measures()) {
-      shard.audit_engine = engine_builder_.build("cycle");
-    }
-    shard.runner = std::make_unique<nn::InferenceRunner>(shard.engine);
-    shard.override_engines.clear();
-    shard.degrade_engine.reset();
-    shard.fault_streak = 0;
-    {
-      std::lock_guard<std::mutex> lock(shard_stats_mutex_);
-      shard.stats.quarantined = false;
-      shard.stats.backend = shard.engine->name();
-      shard.stats.current_k = 0;  // the new array configures from scratch
-    }
-    dispatcher_->set_shard_mode(shard.index, 0);
-    shard.quarantined.store(false, std::memory_order_release);
-    dispatcher_->set_banned(shard.index, false);
+    // Healthy: swap the fresh engine in and rejoin the routing pool.
+    install_engine(shard, std::move(fresh));
     return true;
   } catch (...) {
     return false;  // still sick; the worker loop probes again next interval
@@ -1190,7 +1181,7 @@ void Server::execute_infer_batch(Shard& shard, Batch& batch) {
   // model once on their shared behalf), so per-tenant books sum to what the
   // shards actually spent.
   const nn::ModelReport report =
-      shard.runner->run(*batch.requests.front().model);
+      nn::InferenceRunner(shard.engine).run(*batch.requests.front().model);
   const double share = 1.0 / static_cast<double>(batch.requests.size());
 
   {

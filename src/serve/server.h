@@ -47,10 +47,11 @@
 // routes one request to any registered engine, validated at admission.
 //
 // Simulation threading: all shards share ONE optional util::ThreadPool
-// (ServerOptions::sim_threads), injected into every engine and runner —
-// never a pool per component, so an S-shard server runs at most
-// live_shards worker threads + sim_threads pool threads regardless of
-// nesting (see the shared-pool contract in arch/array.h).
+// (ServerOptions::sim_threads), injected into every engine (a runner
+// works on its engine's pool) — never a pool per component, so an S-shard
+// server runs at most live_shards worker threads + sim_threads pool
+// threads regardless of nesting (see the shared-pool contract in
+// arch/array.h).
 //
 // Accounting: per-tenant latency/queue-wait percentiles / energy / MACs /
 // served share via TenantAccountant, per-shard utilization via
@@ -239,8 +240,8 @@ struct ServerOptions {
 };
 
 // Overload-policy registry (mirrors the engine name contract:
-// the README's policy matrix must list exactly these names — CI diffs the
-// two).
+// the README's policy matrix must list exactly these names — ctest
+// readme_registries diffs the two).
 enum class OverloadPolicy { kBlock, kReject, kDegrade };
 OverloadPolicy parse_overload_policy(const std::string& name);
 std::vector<std::string> overload_policy_names();
@@ -380,7 +381,8 @@ class Server {
   // Batched cost queries: prices every shape in one call — one admission
   // check, one queue hop, one pooled completion slot for the whole batch —
   // and the shard answers through Engine::evaluate_batch (vectorized
-  // closed forms + the shared CostEstimate cache).  Results are EXACTLY
+  // closed forms + the shared CostEstimate cache) on every backend — a
+  // "cycle" shard simulates nothing for it.  Results are EXACTLY
   // equal to a cost-only submit_gemm ({.want_output = false}) per shape,
   // in submission order; submit.k = 0 resolves each shape's mode by the
   // Eq. 6 argmin.
@@ -517,10 +519,15 @@ class Server {
   void prepare_mode(Shard& shard, int k, bool stolen = false);
 
   // Engine lifecycle on scale events: acquire builds the shard's serving
-  // (and audit) engine through engine_builder_ and marks it live; release
-  // drops them after the worker joined.
+  // engine through engine_builder_ and installs it; release drops the
+  // engines after the worker joined.
   void acquire_shard(Shard& shard);
   void release_shard(Shard& shard);
+  // The one install path (acquire_shard and a successful recovery probe):
+  // `engine` becomes the shard's serving engine with a fresh audit engine
+  // and no cached override or degrade engines, and the shard starts clean —
+  // fault streak cleared, quarantine and routing ban lifted, mode 0.
+  void install_engine(Shard& shard, std::shared_ptr<engine::Engine> engine);
   void start_worker(Shard& shard);
   // The batch's execution engine: the shard default, or the per-request
   // override built lazily (and cached) on the shard.

@@ -1,10 +1,10 @@
 // The batched/memoized cost path's contract: every fast path — SoA
-// evaluate_batch, the sharded CostCache behind evaluate_cached /
-// evaluate_sparse_cached, and the pooled submit_gemm_batch serving path —
-// returns estimates EXACTLY equal to the scalar virtual evaluate() it
-// replaces, on every backend; the cache never serves a stale entry across
-// a config or energy-parameter change; and the batched serving path keeps
-// the server's books balanced under multi-producer pressure.  The batched
+// evaluate_batch, the sharded CostCache behind evaluate_cached, and the
+// pooled submit_gemm_batch serving path — returns estimates EXACTLY equal
+// to the scalar evaluate() it replaces, on every backend; the cache never
+// serves a stale entry across a config or energy-parameter change; and the
+// batched serving path keeps the server's books balanced under
+// multi-producer pressure.  The batched
 // paths must also pay their way: no slower than the scalar loops they
 // replace.
 
@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "arch/sparse.h"
 #include "engine/cost_cache.h"
 #include "engine/engine.h"
 #include "gemm/matrix.h"
@@ -52,16 +51,12 @@ std::vector<gemm::GemmShape> random_shapes(int count, std::int64_t max_dim,
   return shapes;
 }
 
-// --- exact equality: batched and cached vs the scalar virtual evaluate -----
+// --- exact equality: batched and cached vs the scalar evaluate ------------
 
 TEST(CostPathTest, EvaluateBatchMatchesScalarOnEveryBackend) {
   Rng rng(101);
-  for (const std::string& backend : {"analytic", "cycle"}) {
-    // The cycle backend MEASURES (full simulation per mode probed), so its
-    // sweep stays small; the analytic one gets a broader randomized set.
-    const bool cheap = backend == "analytic";
-    const auto shapes = random_shapes(cheap ? 48 : 4, cheap ? 96 : 20,
-                                      cheap ? 64 : 12, rng);
+  for (const std::string& backend : registered_backends()) {
+    const auto shapes = random_shapes(48, 96, 64, rng);
     auto engine = EngineBuilder().config(config_for(8, 8)).build(backend);
     auto reference = EngineBuilder().config(config_for(8, 8)).build(backend);
     for (const int k : {0, 1, 2, 4}) {
@@ -78,10 +73,8 @@ TEST(CostPathTest, EvaluateBatchMatchesScalarOnEveryBackend) {
 
 TEST(CostPathTest, CachedEvaluateMatchesUncachedAndCounts) {
   Rng rng(202);
-  for (const std::string& backend : {"analytic", "cycle"}) {
-    const bool cheap = backend == "analytic";
-    const auto shapes = random_shapes(cheap ? 32 : 3, cheap ? 80 : 16,
-                                      cheap ? 48 : 8, rng);
+  for (const std::string& backend : registered_backends()) {
+    const auto shapes = random_shapes(32, 80, 48, rng);
     auto engine = EngineBuilder().config(config_for(8, 8)).build(backend);
     const std::int64_t miss0 = engine->cost_cache()->misses();
     for (const int k : {0, 2}) {
@@ -95,29 +88,6 @@ TEST(CostPathTest, CachedEvaluateMatchesUncachedAndCounts) {
     }
     EXPECT_GT(engine->cost_cache()->misses(), miss0) << backend;
     EXPECT_GT(engine->cost_cache()->hits(), 0) << backend;
-  }
-}
-
-TEST(CostPathTest, SparseCachedMatchesUncached) {
-  Rng rng(303);
-  auto engine = EngineBuilder().config(config_for(8, 8)).build("analytic");
-  for (int i = 0; i < 16; ++i) {
-    const gemm::GemmShape shape{rng.next_in(8, 64), rng.next_in(8, 64),
-                                rng.next_in(1, 32)};
-    const double density = 0.1 + 0.8 * rng.next_double();
-    const arch::TileOccupancy occupancy =
-        arch::TileOccupancy::synthetic(shape, 8, 8, density, rng);
-    if (occupancy.nonzero_tiles() == 0) continue;
-    for (const int k : {0, 1, 2}) {
-      const CostEstimate uncached = engine->evaluate_sparse(shape, k,
-                                                            occupancy);
-      EXPECT_TRUE(exactly_equal(
-          engine->evaluate_sparse_cached(shape, k, occupancy), uncached))
-          << "sparse miss, k=" << k;
-      EXPECT_TRUE(exactly_equal(
-          engine->evaluate_sparse_cached(shape, k, occupancy), uncached))
-          << "sparse hit, k=" << k;
-    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/cost_cache.h"
 #include "engine/engine.h"
 #include "nn/models.h"
 #include "nn/runner.h"
@@ -275,6 +276,51 @@ TEST(RunnerMemoryTest, PaperModelMemoryTotalsArePinned) {
     EXPECT_EQ(r.arrayflex_dram_bytes, pin.dram_bytes) << where;
     EXPECT_EQ(r.spad_peak_bytes, pin.spad_peak_bytes) << where;
   }
+}
+
+TEST(RunnerMemoryTest, RunnerAndEngineShareOnePlanPerShape) {
+  // A memory-enabled layer's fields are the engine's cached estimate at
+  // the chosen mode: after a run, evaluate_batch over the same shapes
+  // answers from the cost cache (no new miss) with exactly the runner's
+  // per-layer fields.
+  arch::ArrayConfig config = arch::ArrayConfig::square(16);
+  config.mem.enabled = true;
+  config.mem.spad_bytes = std::int64_t{64} << 20;
+  config.mem.dram_bytes_per_cycle = 4;
+  const Model model = resnet34();
+  std::vector<gemm::GemmShape> shapes;
+  for (const Layer& l : model.layers) shapes.push_back(gemm_shape(l));
+
+  const std::shared_ptr<engine::Engine> eng = analytic(config);
+  const ModelReport report = InferenceRunner(eng).run(model);
+  EXPECT_GT(report.arrayflex_dram_bytes, 0);
+  const std::int64_t misses = eng->cost_cache()->misses();
+  const std::vector<engine::CostEstimate> batch =
+      eng->evaluate_batch(shapes, 0);
+  EXPECT_EQ(eng->cost_cache()->misses(), misses);
+  ASSERT_EQ(batch.size(), report.layers.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const LayerReport& l = report.layers[i];
+    EXPECT_EQ(batch[i].k, l.arrayflex.k) << l.name;
+    EXPECT_EQ(batch[i].dram_bytes, l.dram_bytes) << l.name;
+    EXPECT_EQ(batch[i].stall_cycles, l.stall_cycles) << l.name;
+    EXPECT_EQ(batch[i].spad_peak_bytes, l.spad_peak_bytes) << l.name;
+    EXPECT_EQ(batch[i].cycles, l.arrayflex.cycles + l.stall_cycles)
+        << l.name;
+  }
+
+  // A chaos engine that throws on every run_gemm still reports the same
+  // totals: a report never executes a GEMM.
+  engine::ChaosOptions chaos;
+  chaos.throw_every_n = 1;
+  const ModelReport flaky = InferenceRunner(engine::EngineBuilder()
+                                                .config(config)
+                                                .chaos(chaos)
+                                                .build("chaos"))
+                                .run(model);
+  EXPECT_EQ(flaky.arrayflex_dram_bytes, report.arrayflex_dram_bytes);
+  EXPECT_EQ(flaky.arrayflex_stall_cycles, report.arrayflex_stall_cycles);
+  EXPECT_EQ(flaky.arrayflex_time_ps, report.arrayflex_time_ps);
 }
 
 TEST_F(RunnerTest, EvaluateSingleLayerStandalone) {

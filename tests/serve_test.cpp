@@ -357,6 +357,70 @@ TEST(DispatcherTest, ShortRoundsTopUpWithCompatibleRidersAcrossDeques) {
   EXPECT_EQ(d.steals(), 0);  // riders are coalescing, not steals
 }
 
+// A request on weight matrix `w` projecting 1000 DRAM bytes alone and 400
+// when it fuses with a same-weight member already aboard.
+Request same_weight_request(std::uint64_t id, const std::string& tenant,
+                            std::shared_ptr<const gemm::Mat32> w) {
+  Request r = make_tenant_request(id, tenant, 1);
+  r.b = std::move(w);
+  r.drr_bytes = 1000;
+  r.drr_rider_bytes = 400;
+  return r;
+}
+
+TEST(DispatcherTest, TopUpChargesFusedRidersTheirPrivateBytes) {
+  // Affinity routing puts other tenants' same-weight requests in other
+  // deques, so cross-tenant fusion riders arrive through the top-up sweep.
+  // It must charge them like the local sweep does: 1000 for the head, then
+  // 400 per fused rider, so all three fit an 1800-byte budget wherever the
+  // riders queue.
+  DispatcherOptions opts = two_slots();
+  opts.max_batch_bytes = 1800;
+  const std::string home0 = tenants_homed_at(0, 2)[0];
+  const std::string home1 = tenants_homed_at(1, 2)[0];
+  auto w = std::make_shared<const gemm::Mat32>(4, 4);
+
+  Dispatcher local(opts);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(local.submit(same_weight_request(i, home0, w)));
+  }
+  auto one_deque = local.next_batch(0);
+  ASSERT_TRUE(one_deque.has_value());
+  EXPECT_EQ(one_deque->requests.size(), 3u);
+
+  Dispatcher split(opts);
+  ASSERT_TRUE(split.submit(same_weight_request(0, home0, w)));
+  ASSERT_TRUE(split.submit(same_weight_request(1, home1, w)));
+  ASSERT_TRUE(split.submit(same_weight_request(2, home1, w)));
+  auto topped_up = split.next_batch(0);
+  ASSERT_TRUE(topped_up.has_value());
+  EXPECT_EQ(topped_up->requests.size(), 3u);
+  EXPECT_EQ(split.depth(), 0u);
+}
+
+TEST(DispatcherTest, TopUpContinuesFromTheBudgetTheLocalSweepLeft) {
+  // The local sweep fuses one rider (1000 + 400 of 1800), so the top-up
+  // has 400 bytes left: one more fused rider fits, the next keeps its
+  // queue position.
+  DispatcherOptions opts = two_slots();
+  opts.max_batch_bytes = 1800;
+  const std::string home0 = tenants_homed_at(0, 2)[0];
+  const std::string home1 = tenants_homed_at(1, 2)[0];
+  auto w = std::make_shared<const gemm::Mat32>(4, 4);
+  Dispatcher d(opts);
+  ASSERT_TRUE(d.submit(same_weight_request(0, home0, w)));
+  ASSERT_TRUE(d.submit(same_weight_request(1, home0, w)));
+  ASSERT_TRUE(d.submit(same_weight_request(2, home1, w)));
+  ASSERT_TRUE(d.submit(same_weight_request(3, home1, w)));
+  auto batch = d.next_batch(0);
+  ASSERT_TRUE(batch.has_value());
+  ASSERT_EQ(batch->requests.size(), 3u);
+  EXPECT_EQ(batch->requests[0].id, 0u);
+  EXPECT_EQ(batch->requests[1].id, 1u);
+  EXPECT_EQ(batch->requests[2].id, 2u);
+  EXPECT_EQ(d.depth(), 1u);
+}
+
 TEST(DispatcherTest, ScaleDownDrainsRetiredDequesIntoTheLiveSet) {
   Dispatcher d(two_slots());
   const std::string home1 = tenants_homed_at(1, 2)[0];
