@@ -1,7 +1,5 @@
 #include "hw/compiled_netlist.h"
 
-#include <algorithm>
-
 #include "util/status.h"
 
 namespace af::hw {
@@ -9,7 +7,6 @@ namespace af::hw {
 CompiledNetlist::CompiledNetlist(const Netlist& nl)
     : nl_(nl), num_nets_(nl.num_nets()), num_cells_(nl.num_cells()) {
   const std::size_t n_cells = static_cast<std::size_t>(num_cells_);
-  const std::size_t n_nets = static_cast<std::size_t>(num_nets_);
 
   // Flat pin tables.
   types_.resize(n_cells);
@@ -64,30 +61,41 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl)
     if (lvl > max_level) max_level = lvl;
   }
 
-  // Bucket the combinational cells by level (counting sort keeps the
-  // schedule stable with respect to cell order within a level).
-  const int num_levels = num_cells_ > static_cast<int>(dff_cells_.size())
-                             ? max_level + 1
-                             : 0;
-  level_offset_.assign(static_cast<std::size_t>(num_levels) + 1, 0);
+  // Sort the combinational cells by (level, type) with a counting sort,
+  // which keeps cell order within a key, then cut the schedule into one
+  // tape run per key.
+  num_levels_ = num_cells_ > static_cast<int>(dff_cells_.size())
+                    ? max_level + 1
+                    : 0;
+  const auto key = [&](int ci) {
+    return static_cast<std::size_t>(level_[static_cast<std::size_t>(ci)]) *
+               kNumCellTypes +
+           static_cast<std::size_t>(types_[static_cast<std::size_t>(ci)]);
+  };
+  std::vector<std::int32_t> cursor(
+      static_cast<std::size_t>(num_levels_) * kNumCellTypes + 1, 0);
   for (int ci = 0; ci < num_cells_; ++ci) {
-    const int lvl = level_[static_cast<std::size_t>(ci)];
-    if (lvl >= 0) ++level_offset_[static_cast<std::size_t>(lvl) + 1];
+    if (level_[static_cast<std::size_t>(ci)] >= 0) ++cursor[key(ci) + 1];
   }
-  for (std::size_t l = 1; l < level_offset_.size(); ++l) {
-    level_offset_[l] += level_offset_[l - 1];
+  for (std::size_t k = 1; k < cursor.size(); ++k) cursor[k] += cursor[k - 1];
+  schedule_.resize(static_cast<std::size_t>(cursor.back()));
+  for (int ci = 0; ci < num_cells_; ++ci) {
+    if (level_[static_cast<std::size_t>(ci)] < 0) continue;
+    schedule_[static_cast<std::size_t>(cursor[key(ci)]++)] = ci;
   }
-  schedule_.resize(static_cast<std::size_t>(
-      num_levels > 0 ? level_offset_.back() : 0));
-  {
-    std::vector<std::int32_t> cursor(level_offset_.begin(),
-                                     level_offset_.end() - 1);
-    for (int ci = 0; ci < num_cells_; ++ci) {
-      const int lvl = level_[static_cast<std::size_t>(ci)];
-      if (lvl < 0) continue;
-      schedule_[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(lvl)]++)] = ci;
+  tape_pins_.reserve(pins_in_.size() + pins_out_.size());
+  for (std::size_t i = 0; i < schedule_.size(); ++i) {
+    const int ci = schedule_[i];
+    if (i == 0 || key(ci) != key(schedule_[i - 1])) {
+      tape_.push_back(TapeRun{types_[static_cast<std::size_t>(ci)],
+                              static_cast<std::int32_t>(i), 0,
+                              static_cast<std::int32_t>(tape_pins_.size())});
     }
+    ++tape_.back().size;
+    tape_pins_.insert(tape_pins_.end(), cell_inputs(ci),
+                      cell_inputs(ci) + num_cell_inputs(ci));
+    tape_pins_.insert(tape_pins_.end(), cell_outputs(ci),
+                      cell_outputs(ci) + num_cell_outputs(ci));
   }
 
   // Full order: DFFs (no combinational dependencies) first, then the
@@ -96,60 +104,6 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl)
   full_order_.insert(full_order_.end(), dff_cells_.begin(), dff_cells_.end());
   full_order_.insert(full_order_.end(), schedule_.begin(), schedule_.end());
   AF_ASSERT(full_order_.size() == n_cells, "compiled schedule lost cells");
-
-  // CSR net -> combinational fanout.
-  fanout_offset_.assign(n_nets + 1, 0);
-  for (int ci = 0; ci < num_cells_; ++ci) {
-    if (types_[static_cast<std::size_t>(ci)] == CellType::kDff) continue;
-    const NetId* in = cell_inputs(ci);
-    const int n_in = num_cell_inputs(ci);
-    for (int i = 0; i < n_in; ++i) {
-      ++fanout_offset_[static_cast<std::size_t>(in[i]) + 1];
-    }
-  }
-  for (std::size_t n = 1; n < fanout_offset_.size(); ++n) {
-    fanout_offset_[n] += fanout_offset_[n - 1];
-  }
-  fanout_cells_.resize(static_cast<std::size_t>(fanout_offset_.back()));
-  {
-    std::vector<std::int32_t> cursor(fanout_offset_.begin(),
-                                     fanout_offset_.end() - 1);
-    for (int ci = 0; ci < num_cells_; ++ci) {
-      if (types_[static_cast<std::size_t>(ci)] == CellType::kDff) continue;
-      const NetId* in = cell_inputs(ci);
-      const int n_in = num_cell_inputs(ci);
-      for (int i = 0; i < n_in; ++i) {
-        fanout_cells_[static_cast<std::size_t>(
-            cursor[static_cast<std::size_t>(in[i])]++)] = ci;
-      }
-    }
-  }
-  // Deduplicate cells that consume the same net on several pins so the
-  // event wavefront marks each consumer once.
-  for (std::size_t n = 0; n < n_nets; ++n) {
-    auto begin = fanout_cells_.begin() + fanout_offset_[n];
-    auto end = fanout_cells_.begin() + fanout_offset_[n + 1];
-    std::sort(begin, end);
-  }
-  {
-    std::vector<int> dedup;
-    dedup.reserve(fanout_cells_.size());
-    std::vector<std::int32_t> new_offset(n_nets + 1, 0);
-    for (std::size_t n = 0; n < n_nets; ++n) {
-      const std::int32_t begin = fanout_offset_[n];
-      const std::int32_t end = fanout_offset_[n + 1];
-      for (std::int32_t i = begin; i < end; ++i) {
-        if (i == begin ||
-            fanout_cells_[static_cast<std::size_t>(i)] !=
-                fanout_cells_[static_cast<std::size_t>(i - 1)]) {
-          dedup.push_back(fanout_cells_[static_cast<std::size_t>(i)]);
-        }
-      }
-      new_offset[n + 1] = static_cast<std::int32_t>(dedup.size());
-    }
-    fanout_cells_ = std::move(dedup);
-    fanout_offset_ = std::move(new_offset);
-  }
 }
 
 }  // namespace af::hw

@@ -9,12 +9,13 @@
 //
 //   * contiguous pin tables (one NetId array for all input pins, one for all
 //     output pins, indexed by per-cell offsets);
-//   * a CSR net -> combinational-fanout adjacency (which cells must
-//     re-evaluate when a net changes), the backbone of event-driven
-//     simulation;
-//   * a levelized schedule: combinational cells bucketed by logic depth, so
-//     a dirty-cell wavefront can sweep levels in ascending order and
-//     evaluate every cell at most once per eval;
+//   * a levelized schedule: combinational cells sorted by logic depth, and
+//     within a level by cell type;
+//   * the gate tape, that schedule cut into runs of one cell type on one
+//     level, each with its cells' pins laid out back to back.  NetlistSim
+//     sweeps the tape once per eval with the cell-type dispatch outside the
+//     inner loop; cells of one level never feed each other, so a run's
+//     cells are independent;
 //   * the DFF cell list, so clock edges latch registers without scanning
 //     the whole design.
 //
@@ -32,6 +33,16 @@
 #include "hw/netlist.h"
 
 namespace af::hw {
+
+// One run of the gate tape: `size` combinational cells of one type on one
+// logic level, schedule()[first .. first + size).  Each cell's pins sit in
+// the tape's pin array as its input nets followed by its output nets.
+struct TapeRun {
+  CellType type;
+  std::int32_t first;  // index of the run's first cell in schedule()
+  std::int32_t size;   // number of cells
+  std::int32_t pins;   // index of the run's first pin in the tape pin array
+};
 
 class CompiledNetlist {
  public:
@@ -61,25 +72,26 @@ class CompiledNetlist {
            out_offset_[static_cast<std::size_t>(ci)];
   }
 
-  // --- levelized schedule -------------------------------------------------
+  // --- levelized schedule and gate tape ----------------------------------
 
   // Logic depth of a combinational cell: 0 for TIE cells, otherwise
   // 1 + max depth over driving cells (DFF / primary-input drivers count as
   // depth 0).  -1 for DFFs, which are not part of the combinational
   // schedule.
   int level_of(int ci) const { return level_[static_cast<std::size_t>(ci)]; }
-  int num_levels() const {
-    return static_cast<int>(level_offset_.size()) - 1;
-  }
-  // All combinational cells (TIEs included) in ascending level order; a
-  // valid topological order of the combinational subgraph.
+  int num_levels() const { return num_levels_; }
+  // All combinational cells (TIEs included) in ascending level order, and
+  // by cell type within a level: a valid topological order of the
+  // combinational subgraph, and the cell order of the tape.
   const std::vector<int>& schedule() const { return schedule_; }
-  const int* level_cells(int level) const {
-    return schedule_.data() + level_offset_[static_cast<std::size_t>(level)];
+
+  // The tape's runs, in schedule order.
+  const std::vector<TapeRun>& tape() const { return tape_; }
+  const int* run_cells(const TapeRun& run) const {
+    return schedule_.data() + run.first;
   }
-  int level_size(int level) const {
-    return level_offset_[static_cast<std::size_t>(level) + 1] -
-           level_offset_[static_cast<std::size_t>(level)];
+  const NetId* run_pins(const TapeRun& run) const {
+    return tape_pins_.data() + run.pins;
   }
 
   // DFF cell indices, in cell order.
@@ -89,23 +101,11 @@ class CompiledNetlist {
   // combinational schedule).  Used by full-order evaluation and STA.
   const std::vector<int>& full_order() const { return full_order_; }
 
-  // --- CSR net -> combinational fanout ------------------------------------
-
-  // Combinational cells with at least one input pin on `net`; each cell
-  // appears once.  DFF consumers are excluded: a D pin is only sampled at a
-  // clock edge, so a data change never forces combinational re-evaluation.
-  const int* fanout_cells(NetId net) const {
-    return fanout_cells_.data() + fanout_offset_[static_cast<std::size_t>(net)];
-  }
-  int fanout_size(NetId net) const {
-    return fanout_offset_[static_cast<std::size_t>(net) + 1] -
-           fanout_offset_[static_cast<std::size_t>(net)];
-  }
-
  private:
   const Netlist& nl_;
   int num_nets_ = 0;
   int num_cells_ = 0;
+  int num_levels_ = 0;
 
   std::vector<CellType> types_;
   std::vector<std::int32_t> in_offset_;   // size num_cells + 1
@@ -113,14 +113,12 @@ class CompiledNetlist {
   std::vector<NetId> pins_in_;
   std::vector<NetId> pins_out_;
 
-  std::vector<int> level_;         // per cell; -1 for DFFs
-  std::vector<int> schedule_;      // combinational cells by ascending level
-  std::vector<std::int32_t> level_offset_;  // size num_levels + 1
+  std::vector<int> level_;     // per cell; -1 for DFFs
+  std::vector<int> schedule_;  // combinational cells by (level, type)
+  std::vector<TapeRun> tape_;
+  std::vector<NetId> tape_pins_;  // per scheduled cell: inputs, then outputs
   std::vector<int> dff_cells_;
   std::vector<int> full_order_;
-
-  std::vector<std::int32_t> fanout_offset_;  // size num_nets + 1
-  std::vector<int> fanout_cells_;
 };
 
 }  // namespace af::hw

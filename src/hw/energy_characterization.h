@@ -2,12 +2,20 @@
 //
 // Derives the per-op entries of arch::EnergyParams from measured gate-level
 // toggles instead of hand-fit constants: an ArrayFlex PE netlist is driven
-// with random operand streams on the 64-lane bit-parallel simulator, per-cell
+// with random operand streams on NetlistSim's 64-lane gate tape, per-cell
 // toggle counts are priced with the standard-cell switching energies (exactly
 // what hw::power_from_activity does), and each hierarchical group's energy is
 // divided by the number of simulated MAC operations.  This is the
 // simulation-calibrated analog of a SAIF-annotated power characterization run
 // and an alternative to EnergyParams::generic28nm()'s paper-anchored fit.
+//
+// The stimulus sequence (cfg + weights latch, one warm-up step, `cycles`
+// streamed steps, a final eval) is what SimEquivalenceTest replays on the
+// six design_sweep variants against 64 scalar reference simulators, and
+// calibration_probe's golden pins the default run's energies.  Random
+// stimulus changes the inputs of 41% (8-bit PE) to 95% (32-bit) of the
+// cells on every cycle, which is why the simulator sweeps every cell rather
+// than tracking which ones changed.
 //
 // Only zero-delay-observable parameters are measured:
 //   e_mult_fj, e_csa_fj, e_bypass_mux_fj, e_cpa_fj   — per-op group energy;

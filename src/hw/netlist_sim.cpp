@@ -1,6 +1,6 @@
 #include "hw/netlist_sim.h"
 
-#include <bit>
+#include <algorithm>
 #include <numeric>
 
 #include "util/math.h"
@@ -11,6 +11,56 @@ namespace {
 
 inline std::uint64_t broadcast(bool v) { return v ? ~std::uint64_t{0} : 0; }
 
+// Branch-free popcount.  std::popcount becomes a libgcc call on the baseline
+// x86-64 ISA, which has no POPCNT instruction.
+inline std::uint64_t popcount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return (x * 0x0101010101010101ULL) >> 56;
+}
+
+// In-place transpose of a 64x64 bit matrix: afterwards bit c of rows[r] is
+// what bit r of rows[c] was.  Six rounds of block swaps, halving the block
+// size each round.
+void transpose64(std::uint64_t* rows) {
+  std::uint64_t m = 0x00000000FFFFFFFFULL;
+  for (int j = 32; j != 0; j >>= 1, m ^= m << j) {
+    for (int k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const std::uint64_t t = ((rows[k] >> j) ^ rows[k | j]) & m;
+      rows[k] ^= t << j;
+      rows[k | j] ^= t;
+    }
+  }
+}
+
+// Evaluates one tape run of `kType` cells (kIn inputs, kOut outputs each):
+// computes every cell's outputs from the current net words and adds the
+// lanes of `mask` that flipped to the cell's toggle count.  The run's cells
+// sit on one level, so none reads another's output.
+template <CellType kType, int kIn, int kOut>
+void eval_run(const NetId* pins, const int* cells, int size,
+              std::uint64_t* values, std::uint64_t* toggles,
+              std::uint64_t mask) {
+  AF_ASSERT(cell_info(kType).num_inputs == kIn &&
+                cell_info(kType).num_outputs == kOut,
+            "tape arity differs from the library for "
+                << cell_type_name(kType));
+  for (int c = 0; c < size; ++c, pins += kIn + kOut) {
+    std::uint64_t in[kIn > 0 ? kIn : 1] = {};
+    std::uint64_t out[kOut] = {};
+    for (int i = 0; i < kIn; ++i) in[i] = values[pins[i]];
+    eval_cell_u64(kType, in, out);
+    std::uint64_t flips = 0;
+    for (int o = 0; o < kOut; ++o) {
+      std::uint64_t& net = values[pins[kIn + o]];
+      flips += popcount64((net ^ out[o]) & mask);
+      net = out[o];
+    }
+    toggles[cells[c]] += flips;
+  }
+}
+
 }  // namespace
 
 NetlistSim::NetlistSim(const Netlist& nl, SimEngine engine)
@@ -19,20 +69,14 @@ NetlistSim::NetlistSim(const Netlist& nl, SimEngine engine)
       engine_(engine),
       values_(static_cast<std::size_t>(cn_.num_nets()), 0),
       dff_state_(static_cast<std::size_t>(cn_.num_cells()), 0),
-      toggles_(static_cast<std::size_t>(cn_.num_cells()), 0),
-      dirty_(static_cast<std::size_t>(cn_.num_cells()), 0),
-      dirty_levels_(static_cast<std::size_t>(cn_.num_levels())),
-      dff_pending_(static_cast<std::size_t>(cn_.num_cells()), 0) {}
+      toggles_(static_cast<std::size_t>(cn_.num_cells()), 0) {}
 
 NetlistSim::NetlistSim(const CompiledNetlist& cn, SimEngine engine)
     : cn_(cn),
       engine_(engine),
       values_(static_cast<std::size_t>(cn_.num_nets()), 0),
       dff_state_(static_cast<std::size_t>(cn_.num_cells()), 0),
-      toggles_(static_cast<std::size_t>(cn_.num_cells()), 0),
-      dirty_(static_cast<std::size_t>(cn_.num_cells()), 0),
-      dirty_levels_(static_cast<std::size_t>(cn_.num_levels())),
-      dff_pending_(static_cast<std::size_t>(cn_.num_cells()), 0) {}
+      toggles_(static_cast<std::size_t>(cn_.num_cells()), 0) {}
 
 const Bus& NetlistSim::find_bus(const std::string& name) const {
   const Netlist& nl = cn_.netlist();
@@ -43,32 +87,14 @@ const Bus& NetlistSim::find_bus(const std::string& name) const {
   return out_it->second;
 }
 
-void NetlistSim::mark_fanout(NetId net) {
-  const int* fan = cn_.fanout_cells(net);
-  const int n = cn_.fanout_size(net);
-  for (int i = 0; i < n; ++i) {
-    const int ci = fan[i];
-    if (!dirty_[static_cast<std::size_t>(ci)]) {
-      dirty_[static_cast<std::size_t>(ci)] = 1;
-      dirty_levels_[static_cast<std::size_t>(cn_.level_of(ci))].push_back(ci);
-    }
-  }
-}
-
-void NetlistSim::set_input_word(NetId net, std::uint64_t word) {
-  std::uint64_t& slot = values_[static_cast<std::size_t>(net)];
-  if (slot == word) return;
-  slot = word;
-  if (engine_ == SimEngine::kEventDriven && !first_eval_) mark_fanout(net);
-}
-
 void NetlistSim::set_input(const std::string& bus, const BitVec& value) {
   const Bus& nets = cn_.netlist().input(bus);
   AF_CHECK(value.width() == static_cast<int>(nets.size()),
            "bus '" << bus << "' width " << nets.size()
                    << " != value width " << value.width());
   for (std::size_t i = 0; i < nets.size(); ++i) {
-    set_input_word(nets[i], broadcast(value.bit(static_cast<int>(i))));
+    values_[static_cast<std::size_t>(nets[i])] =
+        broadcast(value.bit(static_cast<int>(i)));
   }
 }
 
@@ -80,23 +106,19 @@ void NetlistSim::set_input_u64(const std::string& bus, std::uint64_t value) {
 
 void NetlistSim::set_input_lanes(const std::string& bus,
                                  const std::uint64_t* values, int n) {
-  AF_CHECK(engine_ == SimEngine::kEventDriven,
-           "set_input_lanes requires the event-driven engine");
+  AF_CHECK(engine_ == SimEngine::kLevelizedTape,
+           "set_input_lanes requires the tape engine");
   AF_CHECK(n >= 1 && n <= kLanes, "lane count " << n << " out of range");
   const Bus& nets = cn_.netlist().input(bus);
   AF_CHECK(nets.size() <= 64, "bus '" << bus << "' wider than 64 bits");
-  // Transpose: bit i of lane value l becomes lane bit l of net i's word.
-  // Lanes beyond n replicate the last vector so they never toggle on their
-  // own.
+  // Row l holds lane l's bus value; lanes beyond n repeat the last vector.
+  // The transpose turns row i into net i's word: bit l of bus bit i.
+  std::uint64_t rows[kLanes];
+  std::copy(values, values + n, rows);
+  std::fill(rows + n, rows + kLanes, values[n - 1]);
+  transpose64(rows);
   for (std::size_t i = 0; i < nets.size(); ++i) {
-    std::uint64_t word = 0;
-    for (int l = 0; l < n; ++l) {
-      word |= ((values[l] >> i) & 1u) << l;
-    }
-    if (((values[n - 1] >> i) & 1u) != 0 && n < kLanes) {
-      word |= ~mask_low_bits(n);
-    }
-    set_input_word(nets[i], word);
+    values_[static_cast<std::size_t>(nets[i])] = rows[i];
   }
 }
 
@@ -107,102 +129,62 @@ void NetlistSim::set_input_lanes(const std::string& bus,
 
 void NetlistSim::set_active_lanes(int n) {
   AF_CHECK(n >= 1 && n <= kLanes, "active lane count " << n << " out of range");
-  AF_CHECK(engine_ == SimEngine::kEventDriven || n == 1,
+  AF_CHECK(engine_ == SimEngine::kLevelizedTape || n == 1,
            "the reference engine is scalar (1 lane)");
   lane_mask_ = mask_low_bits(n);
 }
 
-int NetlistSim::active_lanes() const { return std::popcount(lane_mask_); }
-
-void NetlistSim::mark_dff_pending(int cell_index) {
-  if (!dff_pending_[static_cast<std::size_t>(cell_index)]) {
-    dff_pending_[static_cast<std::size_t>(cell_index)] = 1;
-    pending_dffs_.push_back(cell_index);
-  }
+int NetlistSim::active_lanes() const {
+  return static_cast<int>(popcount64(lane_mask_));
 }
 
-void NetlistSim::first_full_pass() {
-  // Establish the baseline: evaluate every cell once, counting no toggles
-  // (matches the reference engine's first eval).
-  std::uint64_t in[4];
-  std::uint64_t out[2];
-  for (const int ci : cn_.dff_cells()) {
-    const NetId q = cn_.cell_outputs(ci)[0];
-    values_[static_cast<std::size_t>(q)] =
-        dff_state_[static_cast<std::size_t>(ci)];
-  }
-  for (const int ci : cn_.schedule()) {
-    const NetId* ins = cn_.cell_inputs(ci);
-    const int n_in = cn_.num_cell_inputs(ci);
-    for (int i = 0; i < n_in; ++i) {
-      in[i] = values_[static_cast<std::size_t>(ins[i])];
-    }
-    eval_cell_u64(cn_.cell_type(ci), in, out);
-    const NetId* outs = cn_.cell_outputs(ci);
-    const int n_out = cn_.num_cell_outputs(ci);
-    for (int i = 0; i < n_out; ++i) {
-      values_[static_cast<std::size_t>(outs[i])] = out[i];
-    }
-    ++cells_evaluated_;
-  }
-  // Any events recorded before the first eval are subsumed by the full pass.
-  std::fill(dirty_.begin(), dirty_.end(), 0);
-  for (auto& bucket : dirty_levels_) bucket.clear();
-  std::fill(dff_pending_.begin(), dff_pending_.end(), 0);
-  pending_dffs_.clear();
+void NetlistSim::eval_tape() {
+  // The first eval establishes the baseline and counts no toggles, as the
+  // reference engine's does.
+  const std::uint64_t mask = first_eval_ ? 0 : lane_mask_;
   first_eval_ = false;
-}
+  std::uint64_t* values = values_.data();
+  std::uint64_t* toggles = toggles_.data();
 
-void NetlistSim::eval_event_driven() {
-  if (first_eval_) {
-    first_full_pass();
-    return;
-  }
-
-  // Present freshly latched / forced DFF states on their Q nets.
-  for (const int ci : pending_dffs_) {
-    dff_pending_[static_cast<std::size_t>(ci)] = 0;
-    const NetId q = cn_.cell_outputs(ci)[0];
-    const std::uint64_t prev = values_[static_cast<std::size_t>(q)];
+  // Present the latched / forced DFF states on their Q nets.
+  for (const int ci : cn_.dff_cells()) {
+    std::uint64_t& q = values[cn_.cell_outputs(ci)[0]];
     const std::uint64_t next = dff_state_[static_cast<std::size_t>(ci)];
-    if (prev == next) continue;
-    toggles_[static_cast<std::size_t>(ci)] +=
-        static_cast<std::uint64_t>(std::popcount((prev ^ next) & lane_mask_));
-    values_[static_cast<std::size_t>(q)] = next;
-    mark_fanout(q);
+    toggles[ci] += popcount64((q ^ next) & mask);
+    q = next;
   }
-  pending_dffs_.clear();
 
-  // Level-ordered wavefront: a cell's fanout always sits on a deeper level,
-  // so each dirty cell evaluates exactly once per eval.
-  std::uint64_t in[4];
-  std::uint64_t out[2];
-  const int num_levels = cn_.num_levels();
-  for (int lev = 0; lev < num_levels; ++lev) {
-    std::vector<int>& bucket = dirty_levels_[static_cast<std::size_t>(lev)];
-    for (std::size_t bi = 0; bi < bucket.size(); ++bi) {
-      const int ci = bucket[bi];
-      dirty_[static_cast<std::size_t>(ci)] = 0;
-      const NetId* ins = cn_.cell_inputs(ci);
-      const int n_in = cn_.num_cell_inputs(ci);
-      for (int i = 0; i < n_in; ++i) {
-        in[i] = values_[static_cast<std::size_t>(ins[i])];
-      }
-      eval_cell_u64(cn_.cell_type(ci), in, out);
-      ++cells_evaluated_;
-      const NetId* outs = cn_.cell_outputs(ci);
-      const int n_out = cn_.num_cell_outputs(ci);
-      for (int i = 0; i < n_out; ++i) {
-        const NetId n = outs[i];
-        const std::uint64_t prev = values_[static_cast<std::size_t>(n)];
-        if (prev == out[i]) continue;
-        toggles_[static_cast<std::size_t>(ci)] += static_cast<std::uint64_t>(
-            std::popcount((prev ^ out[i]) & lane_mask_));
-        values_[static_cast<std::size_t>(n)] = out[i];
-        mark_fanout(n);
-      }
+  for (const TapeRun& run : cn_.tape()) {
+    const NetId* pins = cn_.run_pins(run);
+    const int* cells = cn_.run_cells(run);
+    const int n = run.size;
+    switch (run.type) {
+#define AF_TAPE_CASE(type, in, out)                                    \
+  case CellType::type:                                                 \
+    eval_run<CellType::type, in, out>(pins, cells, n, values, toggles, \
+                                      mask);                           \
+    break;
+      AF_TAPE_CASE(kTie0, 0, 1)
+      AF_TAPE_CASE(kTie1, 0, 1)
+      AF_TAPE_CASE(kInv, 1, 1)
+      AF_TAPE_CASE(kBuf, 1, 1)
+      AF_TAPE_CASE(kNand2, 2, 1)
+      AF_TAPE_CASE(kNor2, 2, 1)
+      AF_TAPE_CASE(kAnd2, 2, 1)
+      AF_TAPE_CASE(kOr2, 2, 1)
+      AF_TAPE_CASE(kXor2, 2, 1)
+      AF_TAPE_CASE(kXnor2, 2, 1)
+      AF_TAPE_CASE(kAoi21, 3, 1)
+      AF_TAPE_CASE(kOai21, 3, 1)
+      AF_TAPE_CASE(kMux2, 3, 1)
+      AF_TAPE_CASE(kHalfAdder, 2, 2)
+      AF_TAPE_CASE(kFullAdder, 3, 2)
+      AF_TAPE_CASE(kClockGate, 1, 1)
+#undef AF_TAPE_CASE
+      case CellType::kDff:
+        AF_ASSERT(false, "DFF on the combinational tape");
+        break;
     }
-    bucket.clear();
   }
 }
 
@@ -227,7 +209,6 @@ void NetlistSim::eval_reference() {
       in[i] = (values_[static_cast<std::size_t>(ins[i])] & 1u) != 0;
     }
     eval_cell(type, in, out);
-    ++cells_evaluated_;
     const NetId* outs = cn_.cell_outputs(ci);
     const int n_out = cn_.num_cell_outputs(ci);
     for (int i = 0; i < n_out; ++i) {
@@ -243,8 +224,8 @@ void NetlistSim::eval_reference() {
 }
 
 void NetlistSim::eval() {
-  if (engine_ == SimEngine::kEventDriven) {
-    eval_event_driven();
+  if (engine_ == SimEngine::kLevelizedTape) {
+    eval_tape();
   } else {
     eval_reference();
   }
@@ -255,12 +236,8 @@ void NetlistSim::step() {
   // Latch from the precomputed DFF list (the seed scanned every cell here).
   for (const int ci : cn_.dff_cells()) {
     const NetId d = cn_.cell_inputs(ci)[0];
-    const std::uint64_t next = values_[static_cast<std::size_t>(d)];
-    dff_state_[static_cast<std::size_t>(ci)] = next;
-    if (engine_ == SimEngine::kEventDriven &&
-        next != values_[static_cast<std::size_t>(cn_.cell_outputs(ci)[0])]) {
-      mark_dff_pending(ci);
-    }
+    dff_state_[static_cast<std::size_t>(ci)] =
+        values_[static_cast<std::size_t>(d)];
   }
 }
 
@@ -303,13 +280,7 @@ void NetlistSim::set_dff_state(int cell_index, bool value) {
            "cell index out of range");
   AF_CHECK(cn_.cell_type(cell_index) == CellType::kDff,
            "cell " << cell_index << " is not a DFF");
-  const std::uint64_t next = broadcast(value);
-  dff_state_[static_cast<std::size_t>(cell_index)] = next;
-  if (engine_ == SimEngine::kEventDriven &&
-      next !=
-          values_[static_cast<std::size_t>(cn_.cell_outputs(cell_index)[0])]) {
-    mark_dff_pending(cell_index);
-  }
+  dff_state_[static_cast<std::size_t>(cell_index)] = broadcast(value);
 }
 
 std::uint64_t NetlistSim::total_toggles() const {

@@ -8,13 +8,15 @@
 //
 // Two engines share one interface:
 //
-//   * SimEngine::kEventDriven (default) — compiled, event-driven, 64-lane
+//   * SimEngine::kLevelizedTape (default) — compiled, levelized, 64-lane
 //     bit-parallel.  Nets carry a uint64_t word whose bit `l` is stimulus
-//     lane `l`, so one eval() applies up to 64 independent input vectors;
-//     toggles accumulate via popcount over the active lanes.  eval() sweeps
-//     a dirty-cell wavefront through the CompiledNetlist's CSR fanout in
-//     level order, so steady-state cost is proportional to switching
-//     activity, not design size, and every cell evaluates at most once.
+//     lane `l`, so one eval() applies up to 64 independent input vectors.
+//     eval() sweeps the CompiledNetlist's gate tape once: every
+//     combinational cell evaluates on every eval, in runs of one cell type
+//     with the type dispatch outside the inner loop, and each output's
+//     flipped active lanes are popcounted into its cell's toggle count.
+//     Random stimulus re-evaluates most of a datapath on every cycle, so
+//     skipping quiet cells would cost more than it saves.
 //
 //   * SimEngine::kReferenceFullOrder — the original engine: re-evaluates
 //     the entire topological order per eval(), one scalar lane.  Kept as
@@ -38,7 +40,7 @@
 namespace af::hw {
 
 enum class SimEngine : std::uint8_t {
-  kEventDriven,        // compiled + event-driven + 64-lane bit-parallel
+  kLevelizedTape,      // compiled gate tape, 64-lane bit-parallel
   kReferenceFullOrder, // full topological order, one scalar lane (oracle)
 };
 
@@ -49,11 +51,11 @@ class NetlistSim {
 
   // Compiles the netlist privately.
   explicit NetlistSim(const Netlist& nl,
-                      SimEngine engine = SimEngine::kEventDriven);
+                      SimEngine engine = SimEngine::kLevelizedTape);
   // Shares an existing compilation (e.g. with Sta or other sims); the
   // CompiledNetlist must outlive the simulator.
   explicit NetlistSim(const CompiledNetlist& cn,
-                      SimEngine engine = SimEngine::kEventDriven);
+                      SimEngine engine = SimEngine::kLevelizedTape);
 
   SimEngine engine() const { return engine_; }
   const CompiledNetlist& compiled() const { return cn_; }
@@ -80,11 +82,11 @@ class NetlistSim {
   // Force a DFF state (by cell index); used to initialize registers.
   void set_dff_state(int cell_index, bool value);
 
-  // --- 64-lane API (event-driven engine only) -----------------------------
+  // --- 64-lane API (tape engine only) ------------------------------------
 
   // Load `n` (1..64) stimulus vectors onto an input bus: values[l] is the
-  // bus value for lane l.  Lanes n..63 replicate values[n-1] so inactive
-  // lanes never generate spurious events.
+  // bus value for lane l.  Lanes n..63 replicate values[n-1], so every lane
+  // carries a vector the caller supplied.
   void set_input_lanes(const std::string& bus, const std::uint64_t* values,
                        int n);
   void set_input_lanes(const std::string& bus,
@@ -106,19 +108,10 @@ class NetlistSim {
   std::uint64_t total_toggles() const;
   void reset_activity();
 
-  // Diagnostic: cell evaluations performed so far (word-wide in the
-  // event-driven engine, scalar in the reference engine).  Event-driven
-  // evals of a quiet design should barely move this counter.
-  std::uint64_t cells_evaluated() const { return cells_evaluated_; }
-
  private:
   const Bus& find_bus(const std::string& name) const;
-  void set_input_word(NetId net, std::uint64_t word);
-  void mark_fanout(NetId net);
-  void mark_dff_pending(int cell_index);
-  void eval_event_driven();
+  void eval_tape();
   void eval_reference();
-  void first_full_pass();
 
   std::unique_ptr<const CompiledNetlist> owned_;
   const CompiledNetlist& cn_;
@@ -129,15 +122,6 @@ class NetlistSim {
   std::vector<std::uint64_t> toggles_;    // per cell
   std::uint64_t lane_mask_ = 1;           // active lanes for toggle counting
   bool first_eval_ = true;
-  std::uint64_t cells_evaluated_ = 0;
-
-  // Event-driven machinery: per-cell dirty flags plus per-level worklists
-  // (fanout always lands on a strictly deeper level, so one ascending sweep
-  // evaluates each dirty cell exactly once).
-  std::vector<std::uint8_t> dirty_;
-  std::vector<std::vector<int>> dirty_levels_;
-  std::vector<int> pending_dffs_;  // DFFs whose q must present a new state
-  std::vector<std::uint8_t> dff_pending_;
 };
 
 }  // namespace af::hw

@@ -221,12 +221,12 @@ TEST(NetlistSimTest, LaneApiValidation) {
   Netlist nl;
   const Bus a = nl.new_bus(2);
   nl.bind_input("a", a);
-  NetlistSim evt(nl);
+  NetlistSim tape(nl);
   const std::uint64_t v[2] = {1, 2};
-  EXPECT_THROW(evt.set_input_lanes("a", v, 0), Error);
-  EXPECT_THROW(evt.set_input_lanes("a", v, 65), Error);
-  EXPECT_THROW(evt.set_active_lanes(0), Error);
-  EXPECT_THROW(evt.get_u64_lane("a", 64), Error);
+  EXPECT_THROW(tape.set_input_lanes("a", v, 0), Error);
+  EXPECT_THROW(tape.set_input_lanes("a", v, 65), Error);
+  EXPECT_THROW(tape.set_active_lanes(0), Error);
+  EXPECT_THROW(tape.get_u64_lane("a", 64), Error);
 
   NetlistSim ref(nl, SimEngine::kReferenceFullOrder);
   EXPECT_THROW(ref.set_input_lanes("a", v, 2), Error);
@@ -273,11 +273,28 @@ TEST(CompiledNetlistTest, LevelizesAndIndexesStructure) {
   EXPECT_EQ(cn.dff_cells()[0], ff);
   EXPECT_EQ(cn.schedule().size(), 2u);
   EXPECT_EQ(cn.full_order().size(), 3u);
-  // CSR fanout: net m feeds only g1; the DFF's D pin is not combinational
-  // fanout.
-  ASSERT_EQ(cn.fanout_size(m), 1);
-  EXPECT_EQ(cn.fanout_cells(m)[0], g1);
-  EXPECT_EQ(cn.fanout_size(y), 0);
+  // Gate tape: each run holds one cell type on one level, runs follow level
+  // order, and every combinational cell appears exactly once.
+  std::vector<int> seen(static_cast<std::size_t>(cn.num_cells()), 0);
+  int prev_level = 0;
+  for (const TapeRun& run : cn.tape()) {
+    ASSERT_GT(run.size, 0);
+    const int level = cn.level_of(cn.run_cells(run)[0]);
+    EXPECT_GE(level, prev_level);
+    prev_level = level;
+    for (int i = 0; i < run.size; ++i) {
+      const int ci = cn.run_cells(run)[i];
+      EXPECT_EQ(cn.cell_type(ci), run.type);
+      EXPECT_EQ(cn.level_of(ci), level);
+      ++seen[static_cast<std::size_t>(ci)];
+    }
+  }
+  EXPECT_EQ(seen, (std::vector<int>{1, 1, 0}));
+  // A run's pins are its cells' inputs then outputs, back to back.
+  ASSERT_EQ(cn.tape().size(), 2u);
+  const NetId* g1_pins = cn.run_pins(cn.tape()[1]);
+  EXPECT_EQ(g1_pins[0], m);
+  EXPECT_EQ(g1_pins[1], y);
   // Flat pin tables mirror the cells.
   EXPECT_EQ(cn.num_cell_inputs(g0), 2);
   EXPECT_EQ(cn.cell_inputs(g0)[0], a[0]);

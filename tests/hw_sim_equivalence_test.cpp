@@ -1,11 +1,13 @@
-// Engine-equivalence contract for the gate-level simulator: the compiled
-// event-driven 64-lane engine must match the reference full-order scalar
-// eval on every net value and every per-cell toggle count, over randomized
-// netlists (DFF feedback included), randomized eval/step interleavings, and
-// the real datapath builders.
+// Engine-equivalence contract for the gate-level simulator: the 64-lane
+// gate-tape engine must match the reference full-order scalar eval on every
+// net value and every per-cell toggle count, over randomized netlists (DFF
+// feedback included), randomized eval/step interleavings, partial lane
+// sets, and the real datapath builders, including the PE netlists that
+// characterize_energy prices.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "hw/compiled_netlist.h"
 #include "hw/netlist.h"
 #include "hw/netlist_sim.h"
+#include "util/math.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -91,13 +94,13 @@ RandomDesign make_random_design(Rng& rng, int input_bits, int num_dffs,
   return d;
 }
 
-void expect_same_state(const NetlistSim& ref, const NetlistSim& evt,
+void expect_same_state(const NetlistSim& ref, const NetlistSim& tape,
                        int num_nets, const char* when) {
   for (NetId n = 0; n < num_nets; ++n) {
-    ASSERT_EQ(ref.net_value(n), evt.net_value(n))
+    ASSERT_EQ(ref.net_value(n), tape.net_value(n))
         << "net " << n << " diverged " << when;
   }
-  ASSERT_EQ(ref.toggles(), evt.toggles()) << "toggle counts diverged " << when;
+  ASSERT_EQ(ref.toggles(), tape.toggles()) << "toggle counts diverged " << when;
 }
 
 TEST(SimEquivalenceTest, RandomNetlistsScalar) {
@@ -111,7 +114,7 @@ TEST(SimEquivalenceTest, RandomNetlistsScalar) {
 
     const CompiledNetlist cn(d.nl);
     NetlistSim ref(cn, SimEngine::kReferenceFullOrder);
-    NetlistSim evt(cn, SimEngine::kEventDriven);
+    NetlistSim tape(cn, SimEngine::kLevelizedTape);
     const std::uint64_t mask =
         input_bits >= 64 ? ~0ULL : ((1ULL << input_bits) - 1);
 
@@ -121,92 +124,179 @@ TEST(SimEquivalenceTest, RandomNetlistsScalar) {
       if (rng.next_below(10) != 0) {
         const std::uint64_t v = rng.next_u64() & mask;
         ref.set_input_u64("in", v);
-        evt.set_input_u64("in", v);
+        tape.set_input_u64("in", v);
       }
       if (num_dffs > 0 && rng.next_below(8) == 0) {
         const int ci = d.dff_cells[rng.next_below(d.dff_cells.size())];
         const bool v = rng.next_below(2) != 0;
         ref.set_dff_state(ci, v);
-        evt.set_dff_state(ci, v);
+        tape.set_dff_state(ci, v);
       }
       if (rng.next_below(3) == 0) {
         ref.eval();
-        evt.eval();
+        tape.eval();
       } else {
         ref.step();
-        evt.step();
+        tape.step();
       }
-      expect_same_state(ref, evt, cn.num_nets(),
+      expect_same_state(ref, tape, cn.num_nets(),
                         format("trial %d op %d", trial, op).c_str());
     }
-    ASSERT_EQ(ref.total_toggles(), evt.total_toggles());
+    ASSERT_EQ(ref.total_toggles(), tape.total_toggles());
   }
 }
 
 TEST(SimEquivalenceTest, RandomNetlists64Lane) {
+  // n supplied lanes and n active lanes: the tape must match n scalar
+  // reference sims, and lanes n..63, which repeat lane n-1's stimulus, must
+  // track lane n-1 on every net.
   Rng rng(77);
-  for (int trial = 0; trial < 3; ++trial) {
-    const int input_bits = 4 + static_cast<int>(rng.next_below(10));
-    const int num_dffs = 2 + static_cast<int>(rng.next_below(10));
-    const int num_comb =
-        num_dffs + 30 + static_cast<int>(rng.next_below(80));
-    RandomDesign d = make_random_design(rng, input_bits, num_dffs, num_comb);
+  for (const int n : {1, 7, 63, 64}) {
+    for (int trial = 0; trial < 3; ++trial) {
+      const int input_bits = 4 + static_cast<int>(rng.next_below(10));
+      const int num_dffs = 2 + static_cast<int>(rng.next_below(10));
+      const int num_comb =
+          num_dffs + 30 + static_cast<int>(rng.next_below(80));
+      RandomDesign d = make_random_design(rng, input_bits, num_dffs, num_comb);
 
-    const CompiledNetlist cn(d.nl);
-    // 64 scalar reference simulators, one per lane, each fed its own
-    // stimulus stream...
-    std::vector<std::unique_ptr<NetlistSim>> refs;
-    for (int l = 0; l < kLanes; ++l) {
-      refs.push_back(
-          std::make_unique<NetlistSim>(cn, SimEngine::kReferenceFullOrder));
-    }
-    // ...against ONE bit-parallel simulator carrying all 64 streams.
-    NetlistSim evt(cn, SimEngine::kEventDriven);
-    evt.set_active_lanes(kLanes);
-    const std::uint64_t mask =
-        input_bits >= 64 ? ~0ULL : ((1ULL << input_bits) - 1);
-
-    std::vector<std::uint64_t> lane_vals(kLanes);
-    for (int op = 0; op < 30; ++op) {
-      for (auto& v : lane_vals) v = rng.next_u64() & mask;
-      for (int l = 0; l < kLanes; ++l) {
-        refs[static_cast<std::size_t>(l)]->set_input_u64(
-            "in", lane_vals[static_cast<std::size_t>(l)]);
+      const CompiledNetlist cn(d.nl);
+      // n scalar reference simulators, one per lane, each fed its own
+      // stimulus stream...
+      std::vector<std::unique_ptr<NetlistSim>> refs;
+      for (int l = 0; l < n; ++l) {
+        refs.push_back(
+            std::make_unique<NetlistSim>(cn, SimEngine::kReferenceFullOrder));
       }
-      evt.set_input_lanes("in", lane_vals);
-      const bool do_step = rng.next_below(2) == 0;
-      for (int l = 0; l < kLanes; ++l) {
+      // ...against ONE bit-parallel simulator carrying all n streams.
+      NetlistSim tape(cn, SimEngine::kLevelizedTape);
+      tape.set_active_lanes(n);
+      const std::uint64_t mask =
+          input_bits >= 64 ? ~0ULL : ((1ULL << input_bits) - 1);
+
+      std::vector<std::uint64_t> lane_vals(static_cast<std::size_t>(n));
+      for (int op = 0; op < 30; ++op) {
+        for (auto& v : lane_vals) v = rng.next_u64() & mask;
+        for (int l = 0; l < n; ++l) {
+          refs[static_cast<std::size_t>(l)]->set_input_u64(
+              "in", lane_vals[static_cast<std::size_t>(l)]);
+        }
+        tape.set_input_lanes("in", lane_vals);
+        const bool do_step = rng.next_below(2) == 0;
+        for (auto& ref : refs) {
+          if (do_step) {
+            ref->step();
+          } else {
+            ref->eval();
+          }
+        }
         if (do_step) {
-          refs[static_cast<std::size_t>(l)]->step();
+          tape.step();
         } else {
-          refs[static_cast<std::size_t>(l)]->eval();
+          tape.eval();
+        }
+        for (NetId net = 0; net < cn.num_nets(); ++net) {
+          for (int l = 0; l < n; ++l) {
+            ASSERT_EQ(refs[static_cast<std::size_t>(l)]->net_value(net),
+                      tape.net_value_lane(net, l))
+                << "n " << n << " trial " << trial << " op " << op
+                << " lane " << l << " net " << net;
+          }
+          for (int l = n; l < kLanes; ++l) {
+            ASSERT_EQ(tape.net_value_lane(net, n - 1),
+                      tape.net_value_lane(net, l))
+                << "n " << n << " trial " << trial << " op " << op
+                << " inactive lane " << l << " net " << net;
+          }
         }
       }
-      if (do_step) {
-        evt.step();
-      } else {
-        evt.eval();
-      }
-      // Every net, every lane.
-      for (int l = 0; l < kLanes; l += 7) {
-        for (NetId n = 0; n < cn.num_nets(); ++n) {
-          ASSERT_EQ(refs[static_cast<std::size_t>(l)]->net_value(n),
-                    evt.net_value_lane(n, l))
-              << "trial " << trial << " op " << op << " lane " << l << " net "
-              << n;
+      // Per-cell toggles of the wide engine == sum over lanes of the scalar
+      // reference toggles.
+      for (int ci = 0; ci < cn.num_cells(); ++ci) {
+        std::uint64_t want = 0;
+        for (const auto& ref : refs) {
+          want += ref->toggles()[static_cast<std::size_t>(ci)];
         }
+        ASSERT_EQ(want, tape.toggles()[static_cast<std::size_t>(ci)])
+            << "n " << n << " trial " << trial << " cell " << ci
+            << " toggles";
       }
     }
-    // Per-cell toggles of the wide engine == sum over lanes of the scalar
-    // reference toggles.
-    for (int ci = 0; ci < cn.num_cells(); ++ci) {
-      std::uint64_t want = 0;
+  }
+}
+
+TEST(SimEquivalenceTest, CharacterizedPeNetlists64Lane) {
+  // The six PE variants characterize_energy prices for design_sweep, driven
+  // through its stimulus sequence: cfg + weights latch, one warm-up step,
+  // streamed activations and partial sums, then a final eval.
+  Rng rng(21);
+  for (const int bits : {8, 16, 32}) {
+    for (const MultiplierStyle style :
+         {MultiplierStyle::kBooth, MultiplierStyle::kWallace}) {
+      Netlist nl;
+      PeDatapathOptions opt{bits, 64};
+      opt.multiplier = style;
+      build_arrayflex_pe(nl, opt);
+      const CompiledNetlist cn(nl);
+      std::vector<std::unique_ptr<NetlistSim>> refs;
       for (int l = 0; l < kLanes; ++l) {
-        want += refs[static_cast<std::size_t>(l)]
-                    ->toggles()[static_cast<std::size_t>(ci)];
+        refs.push_back(
+            std::make_unique<NetlistSim>(cn, SimEngine::kReferenceFullOrder));
       }
-      ASSERT_EQ(want, evt.toggles()[static_cast<std::size_t>(ci)])
-          << "cell " << ci << " toggles";
+      NetlistSim tape(cn, SimEngine::kLevelizedTape);
+      tape.set_active_lanes(kLanes);
+
+      const std::uint64_t in_mask = mask_low_bits(bits);
+      const std::uint64_t psum_mask = mask_low_bits(std::min(64, 2 * bits + 4));
+      std::vector<std::uint64_t> lane_vals(kLanes);
+      const auto drive_lanes = [&](const char* bus, std::uint64_t mask) {
+        for (auto& v : lane_vals) v = rng.next_u64() & mask;
+        for (int l = 0; l < kLanes; ++l) {
+          refs[static_cast<std::size_t>(l)]->set_input_u64(
+              bus, lane_vals[static_cast<std::size_t>(l)]);
+        }
+        tape.set_input_lanes(bus, lane_vals);
+      };
+      const auto drive_all = [&](const char* bus, std::uint64_t value) {
+        for (auto& ref : refs) ref->set_input_u64(bus, value);
+        tape.set_input_u64(bus, value);
+      };
+      const auto step_all = [&] {
+        for (auto& ref : refs) ref->step();
+        tape.step();
+      };
+
+      drive_all("cfg_h", 0);
+      drive_all("cfg_v", 0);
+      drive_lanes("w_in", in_mask);
+      drive_lanes("a_in", in_mask);
+      drive_lanes("s_in", psum_mask);
+      drive_all("c_in", 0);
+      step_all();  // cfg + weights latch
+      step_all();  // warm-up
+      for (int cycle = 0; cycle < 4; ++cycle) {
+        drive_lanes("a_in", in_mask);
+        drive_lanes("s_in", psum_mask);
+        step_all();
+      }
+      for (auto& ref : refs) ref->eval();
+      tape.eval();
+
+      for (int l = 0; l < kLanes; ++l) {
+        ASSERT_EQ(refs[static_cast<std::size_t>(l)]->get_u64("psum_out"),
+                  tape.get_u64_lane("psum_out", l))
+            << bits << "-bit style " << static_cast<int>(style) << " lane "
+            << l;
+      }
+      for (int ci = 0; ci < cn.num_cells(); ++ci) {
+        std::uint64_t want = 0;
+        for (const auto& ref : refs) {
+          want += ref->toggles()[static_cast<std::size_t>(ci)];
+        }
+        ASSERT_EQ(want, tape.toggles()[static_cast<std::size_t>(ci)])
+            << bits << "-bit style " << static_cast<int>(style) << " cell "
+            << ci << " (" << nl.cell(ci).name << ") toggles";
+      }
+      EXPECT_GT(tape.total_toggles(), 0u);
     }
   }
 }
@@ -220,21 +310,21 @@ TEST(SimEquivalenceTest, WallaceMultiplierAllEnginesAgree) {
   nl.bind_output("p", build_wallace_multiplier(nl, a, b));
   const CompiledNetlist cn(nl);
   NetlistSim ref(cn, SimEngine::kReferenceFullOrder);
-  NetlistSim evt(cn, SimEngine::kEventDriven);
+  NetlistSim tape(cn, SimEngine::kLevelizedTape);
   Rng rng(3);
   for (int i = 0; i < 200; ++i) {
     const std::uint64_t x = rng.next_u64() & 0xFF;
     const std::uint64_t y = rng.next_u64() & 0xFF;
     ref.set_input_u64("a", x);
     ref.set_input_u64("b", y);
-    evt.set_input_u64("a", x);
-    evt.set_input_u64("b", y);
+    tape.set_input_u64("a", x);
+    tape.set_input_u64("b", y);
     ref.eval();
-    evt.eval();
+    tape.eval();
     ASSERT_EQ(ref.get_u64("p"), x * y);
-    ASSERT_EQ(evt.get_u64("p"), x * y);
+    ASSERT_EQ(tape.get_u64("p"), x * y);
   }
-  EXPECT_EQ(ref.toggles(), evt.toggles());
+  EXPECT_EQ(ref.toggles(), tape.toggles());
 }
 
 TEST(SimEquivalenceTest, DffHeavyCollapsedColumnViaStep) {
@@ -242,61 +332,34 @@ TEST(SimEquivalenceTest, DffHeavyCollapsedColumnViaStep) {
   build_collapsed_column(nl, /*k=*/3, /*use_csa=*/true, {8, 16});
   const CompiledNetlist cn(nl);
   NetlistSim ref(cn, SimEngine::kReferenceFullOrder);
-  NetlistSim evt(cn, SimEngine::kEventDriven);
+  NetlistSim tape(cn, SimEngine::kLevelizedTape);
   Rng rng(9);
   for (int i = 0; i < 3; ++i) {
     const std::uint64_t w = rng.next_u64() & 0xFF;
     ref.set_input_u64(format("w_in%d", i), w);
-    evt.set_input_u64(format("w_in%d", i), w);
+    tape.set_input_u64(format("w_in%d", i), w);
     ref.set_input_u64(format("a_in%d", i), 0);
-    evt.set_input_u64(format("a_in%d", i), 0);
+    tape.set_input_u64(format("a_in%d", i), 0);
   }
   for (const char* bus : {"s_in", "c_in"}) {
     ref.set_input_u64(bus, 0);
-    evt.set_input_u64(bus, 0);
+    tape.set_input_u64(bus, 0);
   }
   ref.step();
-  evt.step();
+  tape.step();
   for (int cycle = 0; cycle < 40; ++cycle) {
     for (int i = 0; i < 3; ++i) {
       const std::uint64_t av = rng.next_u64() & 0xFF;
       ref.set_input_u64(format("a_in%d", i), av);
-      evt.set_input_u64(format("a_in%d", i), av);
+      tape.set_input_u64(format("a_in%d", i), av);
     }
     ref.step();
-    evt.step();
-    ASSERT_EQ(ref.get_u64("psum_out"), evt.get_u64("psum_out"))
+    tape.step();
+    ASSERT_EQ(ref.get_u64("psum_out"), tape.get_u64("psum_out"))
         << "cycle " << cycle;
-    ASSERT_EQ(ref.toggles(), evt.toggles()) << "cycle " << cycle;
+    ASSERT_EQ(ref.toggles(), tape.toggles()) << "cycle " << cycle;
   }
-  EXPECT_GT(evt.total_toggles(), 0u);
-}
-
-TEST(SimEquivalenceTest, EventEngineSkipsQuietLogic) {
-  // The whole point of event-driven evaluation: untouched cones don't
-  // re-evaluate.  A quiet eval must not evaluate anything, and a single-bit
-  // input wiggle must evaluate only its fanout cone.
-  Netlist nl;
-  const Bus a = nl.new_bus(16);
-  const Bus b = nl.new_bus(16);
-  nl.bind_input("a", a);
-  nl.bind_input("b", b);
-  nl.bind_output("p", build_wallace_multiplier(nl, a, b));
-  const CompiledNetlist cn(nl);
-  NetlistSim sim(cn);
-  sim.set_input_u64("a", 0x1234);
-  sim.set_input_u64("b", 0x00FF);
-  sim.eval();
-  const std::uint64_t after_first = sim.cells_evaluated();
-  EXPECT_EQ(after_first, static_cast<std::uint64_t>(cn.num_cells()));
-  sim.eval();  // nothing changed
-  EXPECT_EQ(sim.cells_evaluated(), after_first);
-  sim.set_input_u64("a", 0x1234 ^ (1ULL << 15));  // wiggle the MSB
-  sim.eval();
-  const std::uint64_t cone = sim.cells_evaluated() - after_first;
-  EXPECT_GT(cone, 0u);
-  EXPECT_LT(cone, static_cast<std::uint64_t>(cn.num_cells()) / 2)
-      << "MSB fanout cone should be far smaller than the full design";
+  EXPECT_GT(tape.total_toggles(), 0u);
 }
 
 }  // namespace

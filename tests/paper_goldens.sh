@@ -2,6 +2,8 @@
 # The paper-outputs check (ctest paper_goldens): runs each paper-facing
 # binary in its own empty scratch directory and byte-compares its stdout,
 # and every CSV it writes, with the files committed under tests/golden/.
+# calibration_probe is among them: it prints the gate-level characterized
+# per-op energies, so the golden also pins the netlist simulator's toggles.
 # A mismatch prints a unified diff and fails the test.
 #
 #   bash tests/paper_goldens.sh BIN_DIR GOLDEN_DIR [--update]
@@ -22,7 +24,7 @@ update=${3:-}
 binaries=(bench_fig5_layer_sweep bench_fig6_area bench_fig7_convnext_layers
           bench_fig8_total_time bench_fig9_power bench_eq7_model
           bench_clock_table bench_ablation_csa bench_ablation_power_method
-          bench_ext_asymmetric bench_ext_sparse)
+          bench_ext_asymmetric bench_ext_sparse calibration_probe)
 
 scratch=$(mktemp -d)
 trap 'rm -rf "$scratch"' EXIT
