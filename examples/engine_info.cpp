@@ -1,6 +1,6 @@
-// Prints the engine::make backend registry and the serving/fleet policy
+// Prints the engine::make backend registry and the serving policy
 // registries — the machine-checkable sources of truth behind the README's
-// "Execution engines", policy and router tables.  The one-key-per-line
+// "Execution engines" and policy tables.  The one-key-per-line
 // flags feed ctest readme_registries (tests/readme_registries.sh), which
 // fails when a registry and its README table disagree.
 //
@@ -9,8 +9,6 @@
 //                                  # "Execution engines" table)
 //   $ ./engine_info --policies     # one overload-policy key per line
 //                                  # (README "Overload policies" table)
-//   $ ./engine_info --routers      # one fleet-router key per line
-//                                  # (README "Routers" table)
 //   $ ./engine_info --memory       # one MemoryConfig knob per line
 //                                  # (README "Memory hierarchy" table)
 //   $ ./engine_info --reconfig-policies
@@ -23,7 +21,6 @@
 
 #include "arch/config.h"
 #include "engine/engine.h"
-#include "fleet/router.h"
 #include "gemm/reference.h"
 #include "serve/server.h"
 
@@ -34,12 +31,6 @@ int main(int argc, char** argv) {
   const bool names_only = flag == "--names";
   if (flag == "--policies") {
     for (const std::string& name : serve::overload_policy_names()) {
-      std::cout << name << "\n";
-    }
-    return 0;
-  }
-  if (flag == "--routers") {
-    for (const std::string& name : fleet::registered_routers()) {
       std::cout << name << "\n";
     }
     return 0;
@@ -98,15 +89,5 @@ int main(int argc, char** argv) {
   std::cout << "\nThe policy stamps each admitted GEMM's pipeline mode k; the\n"
                "executing shard drains its array only when consecutive\n"
                "batches disagree (tests/serve_test.cpp pins both policies).\n";
-
-  std::cout << "\nfleet::make_router registry ("
-            << fleet::registered_routers().size() << " routers)\n\n";
-  for (const std::string& name : fleet::registered_routers()) {
-    std::cout << "  \"" << name << "\"\n"
-              << "    " << fleet::router_description(name) << "\n";
-  }
-  std::cout << "\nEvery router is a pure function of (key, loads): placement\n"
-               "is deterministic and never lands on an unroutable server\n"
-               "(tests/fleet_test.cpp pins both properties).\n";
   return 0;
 }

@@ -45,20 +45,8 @@ ActivityCounters predict_tile_activity_asym(const ArrayConfig& config,
 
 ActivityCounters predict_gemm_activity(const gemm::GemmShape& shape,
                                        const ArrayConfig& config, int k) {
-  const std::int64_t tiles =
-      gemm::tile_count(shape, config.rows, config.cols);
-  ActivityCounters per = predict_tile_activity(config, shape.t, k);
-  ActivityCounters out;
-  out.mult_ops = per.mult_ops * tiles;
-  out.csa_ops = per.csa_ops * tiles;
-  out.cpa_ops = per.cpa_ops * tiles;
-  out.hreg_writes = per.hreg_writes * tiles;
-  out.vreg_writes = per.vreg_writes * tiles;
-  out.wreg_writes = per.wreg_writes * tiles;
-  out.acc_writes = per.acc_writes * tiles;
-  out.hreg_bypassed_bit_cycles = per.hreg_bypassed_bit_cycles * tiles;
-  out.vreg_bypassed_bit_cycles = per.vreg_bypassed_bit_cycles * tiles;
-  out.streaming_cycles = per.streaming_cycles * tiles;
+  ActivityCounters out = predict_tile_activity(config, shape.t, k);
+  out *= gemm::tile_count(shape, config.rows, config.cols);
   return out;
 }
 

@@ -35,6 +35,20 @@ ActivityCounters& ActivityCounters::operator+=(const ActivityCounters& o) {
   return *this;
 }
 
+ActivityCounters& ActivityCounters::operator*=(std::int64_t factor) {
+  mult_ops *= factor;
+  csa_ops *= factor;
+  cpa_ops *= factor;
+  hreg_writes *= factor;
+  vreg_writes *= factor;
+  wreg_writes *= factor;
+  acc_writes *= factor;
+  hreg_bypassed_bit_cycles *= factor;
+  vreg_bypassed_bit_cycles *= factor;
+  streaming_cycles *= factor;
+  return *this;
+}
+
 TileRunStats& TileRunStats::operator+=(const TileRunStats& o) {
   total_cycles += o.total_cycles;
   preload_cycles += o.preload_cycles;

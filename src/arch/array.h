@@ -51,6 +51,8 @@ struct ActivityCounters {
   std::int64_t streaming_cycles = 0;
 
   ActivityCounters& operator+=(const ActivityCounters& o);
+  // Every counter times `factor` — n identical tiles' worth of one tile.
+  ActivityCounters& operator*=(std::int64_t factor);
 
   // Exact equality over every counter (defaulted, so a newly added field
   // can never silently fall out of the engine facade's audit cross-check

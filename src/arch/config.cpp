@@ -23,18 +23,6 @@ const char* reuse_strategy_name(ReuseStrategy strategy) {
                       << static_cast<int>(strategy));
 }
 
-ReuseStrategy parse_reuse_strategy(const std::string& name) {
-  for (const ReuseStrategy s :
-       {ReuseStrategy::kAuto, ReuseStrategy::kAStationary,
-        ReuseStrategy::kBStationary, ReuseStrategy::kOutputStationary}) {
-    if (name == reuse_strategy_name(s)) return s;
-  }
-  AF_CHECK(false, "unknown reuse strategy \""
-                      << name
-                      << "\" (known: \"auto\", \"a_stationary\", "
-                         "\"b_stationary\", \"output_stationary\")");
-}
-
 void MemoryConfig::validate() const {
   if (!enabled) return;  // disabled knobs are never read
   AF_CHECK(spad_bytes > 0,

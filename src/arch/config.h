@@ -45,11 +45,9 @@ enum class ReuseStrategy {
   kOutputStationary,
 };
 
-// Canonical name ("auto", "a_stationary", "b_stationary",
-// "output_stationary") and its inverse; parse throws af::Error on unknown
-// names, listing the registry.
+// Canonical name: "auto", "a_stationary", "b_stationary",
+// "output_stationary".
 const char* reuse_strategy_name(ReuseStrategy strategy);
-ReuseStrategy parse_reuse_strategy(const std::string& name);
 
 // Scratchpad/DRAM hierarchy in front of the array.  Disabled by default:
 // the seed's magic-memory behavior (operands appear at the array edge for

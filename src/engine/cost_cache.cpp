@@ -47,14 +47,14 @@ void CostCache::insert(std::uint64_t fingerprint,
   shard.estimates.try_emplace(key, estimate);
 }
 
-std::shared_ptr<const std::vector<arch::ModeSweepEntry>> CostCache::find_sweep(
+std::shared_ptr<const ModePlan> CostCache::find_plan(
     std::uint64_t fingerprint, const gemm::GemmShape& shape) const {
   const Key key{fingerprint, shape.m, shape.n, shape.t, /*k=*/0};
   Shard& shard = shard_for(key);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
-    const auto it = shard.sweeps.find(key);
-    if (it != shard.sweeps.end()) {
+    const auto it = shard.plans.find(key);
+    if (it != shard.plans.end()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       return it->second;
     }
@@ -63,13 +63,13 @@ std::shared_ptr<const std::vector<arch::ModeSweepEntry>> CostCache::find_sweep(
   return nullptr;
 }
 
-void CostCache::insert_sweep(
-    std::uint64_t fingerprint, const gemm::GemmShape& shape,
-    std::shared_ptr<const std::vector<arch::ModeSweepEntry>> sweep) {
+void CostCache::insert_plan(std::uint64_t fingerprint,
+                            const gemm::GemmShape& shape,
+                            std::shared_ptr<const ModePlan> plan) {
   const Key key{fingerprint, shape.m, shape.n, shape.t, /*k=*/0};
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.sweeps.try_emplace(key, std::move(sweep));
+  shard.plans.try_emplace(key, std::move(plan));
 }
 
 std::int64_t CostCache::hits() const {
@@ -85,7 +85,7 @@ std::int64_t CostCache::size() const {
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mutex);
     total += static_cast<std::int64_t>(shard.estimates.size() +
-                                       shard.sweeps.size());
+                                       shard.plans.size());
   }
   return total;
 }

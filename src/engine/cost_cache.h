@@ -13,19 +13,20 @@
 //              The full finalized dense estimate — memory-aware re-timing
 //              and DRAM pricing included.
 //
-//   sweeps     (fingerprint, shape) -> vector<ModeSweepEntry>
-//              The optimizer's compute-only per-mode projection (Eq. 6
-//              argmin inputs).  Cached separately from estimates because
-//              with the memory hierarchy enabled the finalized time
-//              includes DMA stalls while mode SELECTION deliberately does
-//              not — the two disagree by design and must not share entries.
+//   plans      (fingerprint, shape) -> ModePlan
+//              The optimizer's compute-only per-mode projection and its
+//              Eq. 6 winner (Engine::plan).  Cached separately from
+//              estimates because with the memory hierarchy enabled the
+//              finalized time includes DMA stalls while mode SELECTION
+//              deliberately does not — the two disagree by design and must
+//              not share entries.
 //
 // Invalidation is structural, not epochal: every key carries the owning
 // engine's 64-bit cost fingerprint (geometry + supported modes + memory
 // knobs + per-mode clock periods + all EnergyParams), so an engine built
 // over different wiring can share the same cache object and never read a
 // stale entry — changed config or energy params simply hash to keys nobody
-// else writes.  clear() exists for tests and explicit resets.
+// else writes.
 //
 // Thread safety: fully internally synchronized.  Keys hash across
 // `kShards` independent mutex-guarded maps so concurrent admission threads
@@ -42,9 +43,7 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <vector>
 
-#include "arch/optimizer.h"
 #include "engine/engine.h"
 #include "gemm/reference.h"
 
@@ -65,13 +64,12 @@ class CostCache {
   void insert(std::uint64_t fingerprint, const gemm::GemmShape& shape, int k,
               const CostEstimate& estimate);
 
-  // Sweep store (compute-only mode projections, winner flagged).  Values
+  // Plan store (compute-only mode projections, winner flagged).  Values
   // are shared_ptr so a hit is a refcount bump, not a vector copy.
-  std::shared_ptr<const std::vector<arch::ModeSweepEntry>> find_sweep(
+  std::shared_ptr<const ModePlan> find_plan(
       std::uint64_t fingerprint, const gemm::GemmShape& shape) const;
-  void insert_sweep(
-      std::uint64_t fingerprint, const gemm::GemmShape& shape,
-      std::shared_ptr<const std::vector<arch::ModeSweepEntry>> sweep);
+  void insert_plan(std::uint64_t fingerprint, const gemm::GemmShape& shape,
+                   std::shared_ptr<const ModePlan> plan);
 
   // Cumulative lookup counters across both stores (relaxed; serving stats).
   std::int64_t hits() const;
@@ -86,7 +84,7 @@ class CostCache {
     std::int64_t m = 0;
     std::int64_t n = 0;
     std::int64_t t = 0;
-    int k = 0;  // 0 marks a sweep entry (real modes are >= 1)
+    int k = 0;  // 0 marks a plan entry (real modes are >= 1)
 
     bool operator==(const Key&) const = default;
   };
@@ -98,9 +96,7 @@ class CostCache {
   struct Shard {
     mutable std::mutex mutex;
     std::unordered_map<Key, CostEstimate, KeyHash> estimates;
-    std::unordered_map<Key, std::shared_ptr<const std::vector<arch::ModeSweepEntry>>,
-                       KeyHash>
-        sweeps;
+    std::unordered_map<Key, std::shared_ptr<const ModePlan>, KeyHash> plans;
   };
 
   static constexpr std::size_t kShards = 16;

@@ -129,10 +129,10 @@ util::ThreadPool* Engine::pool() const {
 }
 
 int Engine::resolve_mode(const gemm::GemmShape& shape, int k) const {
-  // The Eq. 6 argmin goes through the cached optimizer sweep: one
-  // projection per distinct shape instead of one per call — the fix for
-  // the per-admission argmin re-deriving every mode per request.
-  if (k == 0) return best_mode_cached(shape).k;
+  // The Eq. 6 argmin goes through the memoized plan: one projection per
+  // distinct shape instead of one per call — the fix for the per-admission
+  // argmin re-deriving every mode per request.
+  if (k == 0) return plan(shape)->best.k;
   AF_CHECK(config_.supports(k), "mode k=" << k << " not supported by "
                                           << config_.to_string());
   return k;
@@ -154,20 +154,9 @@ CostEstimate Engine::evaluate_sparse(
   // full T, so the per-tile counters are identical across tiles and the
   // sparse total is simply per-tile x nnz (the dense model's `x tiles`,
   // with the skipped tiles gone).
-  const arch::ActivityCounters per =
+  arch::ActivityCounters activity =
       arch::predict_tile_activity(config_, shape.t, mode);
-  const std::int64_t nnz = occupancy.nonzero_tiles();
-  arch::ActivityCounters activity;
-  activity.mult_ops = per.mult_ops * nnz;
-  activity.csa_ops = per.csa_ops * nnz;
-  activity.cpa_ops = per.cpa_ops * nnz;
-  activity.hreg_writes = per.hreg_writes * nnz;
-  activity.vreg_writes = per.vreg_writes * nnz;
-  activity.wreg_writes = per.wreg_writes * nnz;
-  activity.acc_writes = per.acc_writes * nnz;
-  activity.hreg_bypassed_bit_cycles = per.hreg_bypassed_bit_cycles * nnz;
-  activity.vreg_bypassed_bit_cycles = per.vreg_bypassed_bit_cycles * nnz;
-  activity.streaming_cycles = per.streaming_cycles * nnz;
+  activity *= occupancy.nonzero_tiles();
   return finalized(shape, mode,
                    arch::sparse_total_latency_cycles(shape, config_, mode,
                                                      occupancy),
@@ -300,24 +289,17 @@ CostEstimate Engine::evaluate_cached(const gemm::GemmShape& shape, int k) {
   return est;
 }
 
-std::shared_ptr<const std::vector<arch::ModeSweepEntry>> Engine::sweep_cached(
+std::shared_ptr<const ModePlan> Engine::plan(
     const gemm::GemmShape& shape) const {
-  if (auto hit = cache_->find_sweep(fingerprint_, shape)) return hit;
-  auto sweep = std::make_shared<const std::vector<arch::ModeSweepEntry>>(
-      optimizer_.sweep(shape));
-  // First-writer-wins under a racing miss: both computed identical values.
-  cache_->insert_sweep(fingerprint_, shape, sweep);
-  return sweep;
-}
-
-arch::ModeDecision Engine::best_mode_cached(
-    const gemm::GemmShape& shape) const {
-  const auto sweep = sweep_cached(shape);
-  for (const arch::ModeSweepEntry& entry : *sweep) {
-    if (entry.is_best) return entry.decision;
+  if (auto hit = cache_->find_plan(fingerprint_, shape)) return hit;
+  auto fresh = std::make_shared<ModePlan>();
+  fresh->modes = optimizer_.sweep(shape);
+  for (const arch::ModeSweepEntry& entry : fresh->modes) {
+    if (entry.is_best) fresh->best = entry.decision;
   }
-  // Unreachable (sweep always flags a winner); kept for defensiveness.
-  return optimizer_.best_mode(shape);
+  // First-writer-wins under a racing miss: both computed identical values.
+  cache_->insert_plan(fingerprint_, shape, fresh);
+  return fresh;
 }
 
 // ----------------------------------------------------------------- builder

@@ -138,6 +138,13 @@ bool exactly_equal(const arch::ActivityCounters& a,
                    const arch::ActivityCounters& b);
 bool exactly_equal(const CostEstimate& a, const CostEstimate& b);
 
+// The Eq. 6 mode plan of one shape: every supported mode's compute-only
+// projection (PipelineOptimizer::sweep, winner flagged) and the winner.
+struct ModePlan {
+  std::vector<arch::ModeSweepEntry> modes;
+  arch::ModeDecision best;
+};
+
 struct RunResult {
   // Present iff the request asked for the output.
   std::optional<gemm::Mat64> out;
@@ -201,18 +208,15 @@ class Engine {
   // Memoized evaluate(): answers from the cost cache keyed by
   // (cost_fingerprint, shape, k) and falls back to evaluate() on a miss —
   // so the cached result is exactly the uncached one by construction.
-  // k = 0 resolves the Eq. 6 argmin through the cached optimizer sweep
-  // first.
+  // k = 0 resolves the Eq. 6 argmin through plan() first.
   CostEstimate evaluate_cached(const gemm::GemmShape& shape, int k = 0);
 
-  // Memoized compute-only mode projections (PipelineOptimizer::sweep /
-  // best_mode): ONE optimizer pass per distinct shape instead of one per
-  // admission.  The admission argmin, the sticky reconfig policy and the
-  // inference runner all share these entries.  Thread-safe (the cache is
-  // internally synchronized); the returned sweep is immutable and shared.
-  std::shared_ptr<const std::vector<arch::ModeSweepEntry>> sweep_cached(
-      const gemm::GemmShape& shape) const;
-  arch::ModeDecision best_mode_cached(const gemm::GemmShape& shape) const;
+  // The memoized Eq. 6 mode plan of `shape`: ONE optimizer pass per
+  // distinct shape instead of one per admission.  Every k = 0 resolution,
+  // the admission argmin, the sticky reconfig policy, the quarantine probe
+  // and the inference runner read it.  Thread-safe (the cache is
+  // internally synchronized); the returned plan is immutable and shared.
+  std::shared_ptr<const ModePlan> plan(const gemm::GemmShape& shape) const;
 
   // 64-bit structural key of everything a CostEstimate depends on: array
   // geometry, bit widths, supported modes, memory knobs, per-mode clock
@@ -221,7 +225,7 @@ class Engine {
   // CostCache with no epoch-based invalidation (see engine/cost_cache.h).
   std::uint64_t cost_fingerprint() const { return fingerprint_; }
 
-  // The memoization store behind evaluate_cached / sweep_cached /
+  // The memoization store behind evaluate_cached / plan /
   // evaluate_batch.  Private per engine by default; inject a shared one
   // via EngineBuilder::cost_cache (the serve::Server path: admission,
   // reconfig and every shard engine of a backend share entries).
@@ -230,7 +234,6 @@ class Engine {
   // --- the wiring the engine owns (previously duplicated per call site) ---
   const arch::ArrayConfig& config() const { return config_; }
   const arch::ClockModel& clock() const { return *clock_; }
-  const arch::EnergyParams& energy_params() const { return energy_; }
   const arch::SaPowerModel& power() const { return power_; }
   const arch::PipelineOptimizer& optimizer() const { return optimizer_; }
   // Worker pool for host-side parallelism (nullptr = serial): the private

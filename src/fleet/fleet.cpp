@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <type_traits>
 #include <utility>
 
@@ -12,6 +13,7 @@ namespace af::fleet {
 namespace {
 
 using serve::Clock;
+using serve::deadline_after;
 
 [[noreturn]] void throw_code(ErrorCode code, const std::string& message) {
   throw Error(message, code);
@@ -19,11 +21,6 @@ using serve::Clock;
 
 double ms_until(Clock::time_point when, Clock::time_point now) {
   return std::chrono::duration<double, std::milli>(when - now).count();
-}
-
-Clock::duration from_ms(double ms) {
-  return std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double, std::milli>(ms));
 }
 
 }  // namespace
@@ -88,8 +85,14 @@ struct Fleet::Node {
 };
 
 Fleet::Fleet(std::vector<FleetServerSpec> specs, FleetOptions options)
-    : specs_(std::move(specs)), options_(std::move(options)) {
+    : specs_(std::move(specs)),
+      options_(std::move(options)),
+      router_(options_.router_options) {
   AF_CHECK(!specs_.empty(), "a fleet needs at least one server spec");
+  AF_CHECK(options_.router == "affinity",
+           "unknown router \"" << options_.router
+                               << "\"; the fleet has one placement, "
+                                  "\"affinity\"");
   AF_CHECK(options_.max_failovers >= 0,
            "max_failovers must be non-negative, got " << options_.max_failovers);
   AF_CHECK(options_.hedge_ms >= 0.0,
@@ -101,7 +104,6 @@ Fleet::Fleet(std::vector<FleetServerSpec> specs, FleetOptions options)
   AF_CHECK(options_.block_retry_ms > 0.0,
            "block_retry_ms must be positive, got " << options_.block_retry_ms);
   overload_policy_ = serve::parse_overload_policy(options_.overload_policy);
-  router_ = make_router(options_.router, options_.router_options);
 
   nodes_.reserve(specs_.size());
   for (std::size_t i = 0; i < specs_.size(); ++i) {
@@ -257,7 +259,7 @@ int Fleet::try_place(const TicketPtr<R>& ticket, int exclude, PlaceKind kind,
   int first = -1;
   {
     std::lock_guard<std::mutex> lock(router_mutex_);
-    first = router_->place(affinity_key(ticket->tenant), loads);
+    first = router_.place(affinity_key(ticket->tenant), loads);
   }
   if (first < 0) return -1;
   std::vector<int> candidates{first};
@@ -303,11 +305,13 @@ std::future<R> Fleet::admit(const std::string& tenant,
   if (admission_closed_.load()) {
     throw_code(ErrorCode::kShutdown, "submit on a shut-down fleet");
   }
+  AF_CHECK(!std::isnan(submit.admission_timeout_ms),
+           "admission_timeout_ms must not be NaN");
   ticket->tenant = tenant;
   ticket->submit = submit;
   ticket->enqueue = Clock::now();
   if (submit.deadline_ms > 0.0) {
-    ticket->deadline = ticket->enqueue + from_ms(submit.deadline_ms);
+    ticket->deadline = deadline_after(ticket->enqueue, submit.deadline_ms);
   }
   std::future<R> future = ticket->promise.get_future();
 
@@ -318,7 +322,7 @@ std::future<R> Fleet::admit(const std::string& tenant,
   }
   const Clock::time_point admission_deadline =
       submit.admission_timeout_ms >= 0.0
-          ? ticket->enqueue + from_ms(submit.admission_timeout_ms)
+          ? deadline_after(ticket->enqueue, submit.admission_timeout_ms)
           : Clock::time_point::max();
   [[maybe_unused]] bool degraded_already = false;
   try {
@@ -364,7 +368,8 @@ std::future<R> Fleet::admit(const std::string& tenant,
         throw_code(ErrorCode::kShutdown,
                    "fleet shut down while blocked on admission");
       }
-      std::this_thread::sleep_for(from_ms(options_.block_retry_ms));
+      std::this_thread::sleep_until(
+          deadline_after(Clock::now(), options_.block_retry_ms));
     }
   } catch (...) {
     // Nothing was admitted: unwind the books so a thrown submit is not a
@@ -445,7 +450,7 @@ void Fleet::collector_loop(Node& node) {
       // order locks both ways across collectors).
       std::vector<TicketPtr<serve::GemmResult>> to_hedge;
       const Clock::time_point now = Clock::now();
-      const Clock::duration hedge_after = from_ms(options_.hedge_ms);
+      const Clock::time_point horizon = deadline_after(now, options_.hedge_ms);
       for (const Pending& entry : node.pending) {
         // Only GEMMs hedge: a losing duplicate still runs, and for an
         // inference that is the whole model again on a second server.
@@ -453,10 +458,11 @@ void Fleet::collector_loop(Node& node) {
         if (attempt == nullptr || attempt->hedge) continue;
         Ticket<serve::GemmResult>& ticket = *attempt->ticket;
         if (ticket.resolved.load()) continue;
-        const bool slow = now - ticket.enqueue >= hedge_after;
+        const bool slow =
+            now >= deadline_after(ticket.enqueue, options_.hedge_ms);
         const bool near_deadline =
             ticket.deadline != Clock::time_point::max() &&
-            ticket.deadline - now <= hedge_after;
+            ticket.deadline <= horizon;
         if (!slow && !near_deadline) continue;
         if (ticket.hedged.exchange(true)) continue;
         to_hedge.push_back(attempt->ticket);
@@ -510,7 +516,8 @@ void Fleet::failover(const TicketPtr<R>& ticket, int from,
       if (!overloaded_everywhere) break;  // no survivor to take it
       // All survivors overloaded: back off briefly and try again on the
       // remaining failover budget rather than dropping a live request.
-      std::this_thread::sleep_for(from_ms(options_.block_retry_ms));
+      std::this_thread::sleep_until(
+          deadline_after(Clock::now(), options_.block_retry_ms));
     } catch (const Error&) {
       break;  // deadline tripped, or no survivor takes the request as valid
     }
@@ -583,11 +590,10 @@ void Fleet::prober_loop() {
   // microseconds — proves admission AND a worker dispatch round-trip.
   const auto probe_b = std::make_shared<const gemm::Mat32>(2, 2);
   const gemm::Mat32 probe_a(1, 2);
-  const auto timeout =
-      std::chrono::duration<double, std::milli>(options_.probe_timeout_ms);
   std::unique_lock<std::mutex> wait_lock(prober_mutex_);
   while (!admission_closed_.load()) {
-    prober_cv_.wait_for(wait_lock, from_ms(options_.probe_interval_ms));
+    prober_cv_.wait_until(
+        wait_lock, deadline_after(Clock::now(), options_.probe_interval_ms));
     if (admission_closed_.load()) break;
     for (auto& node_ptr : nodes_) {
       Node& node = *node_ptr;
@@ -609,7 +615,9 @@ void Fleet::prober_loop() {
         submit.admission_timeout_ms = 0.0;
         std::future<serve::GemmResult> future =
             server->submit_gemm("__fleet_probe__", probe_a, probe_b, submit);
-        if (future.wait_for(timeout) == std::future_status::ready) {
+        if (future.wait_until(deadline_after(
+                Clock::now(), options_.probe_timeout_ms)) ==
+            std::future_status::ready) {
           future.get();  // throws on kDeadlineExceeded etc.
           ok = true;
         }
@@ -693,7 +701,7 @@ void Fleet::drain_server(int server, double flush_timeout_ms) {
   // Flush: the server keeps serving, so its pending set drains through the
   // collector naturally; give it the budget before quiescing the rest.
   const Clock::time_point flush_deadline =
-      Clock::now() + from_ms(flush_timeout_ms);
+      deadline_after(Clock::now(), flush_timeout_ms);
   while (Clock::now() < flush_deadline) {
     {
       std::lock_guard<std::mutex> lock(node.mutex);
@@ -733,7 +741,6 @@ void Fleet::restart_server(int server) {
 
 FleetStats Fleet::stats() const {
   FleetStats out;
-  out.router = router_->name();
   out.submitted = submitted_.load();
   out.resolved_ok = resolved_ok_.load();
   out.resolved_err = resolved_err_.load();

@@ -1,7 +1,7 @@
 // Fault-tolerant fleet: N serve::Servers behind a health-checked router.
 //
 //   clients ──submit──▶ Fleet ──place──▶ serve::Server[0..N)   (possibly
-//                        │ (Router: "affinity" | "hash" | "p2c")  heterogeneous)
+//                        │ (Router: hash home, p2c spill)         heterogeneous)
 //                        ├─ prober thread: tiny cost-only probes per server;
 //                        │  a util::Latch drives healthy <-> unhealthy
 //                        ├─ per-server collector thread: waits the server
@@ -78,7 +78,9 @@ struct FleetServerSpec {
 };
 
 struct FleetOptions {
-  // Placement policy (fleet::make_router registry key).
+  // The one placement's old registry name, kept so existing option sets
+  // still compile; anything but "affinity" throws kInvalidArgument.  Pure
+  // hashing is router_options.spill_factor = +inf.
   std::string router = "affinity";
   RouterOptions router_options;
 
@@ -129,7 +131,6 @@ struct FleetServerSummary {
 };
 
 struct FleetStats {
-  std::string router;
   std::int64_t submitted = 0;     // tickets accepted by Fleet::submit_*
   std::int64_t resolved_ok = 0;   // tickets resolved with a value
   std::int64_t resolved_err = 0;  // tickets resolved with a typed error
@@ -204,7 +205,6 @@ class Fleet {
 
   int num_servers() const { return static_cast<int>(nodes_.size()); }
   ServerHealth health(int server) const;
-  const std::string& router() const { return router_->name(); }
 
   FleetStats stats() const;
 
@@ -286,8 +286,8 @@ class Fleet {
   std::vector<FleetServerSpec> specs_;
   FleetOptions options_;
   serve::OverloadPolicy overload_policy_ = serve::OverloadPolicy::kReject;
-  std::unique_ptr<Router> router_;
-  mutable std::mutex router_mutex_;  // Router::place is not thread-safe
+  Router router_;
+  std::mutex router_mutex_;  // Router::place is not thread-safe
   std::vector<std::unique_ptr<Node>> nodes_;
   std::thread prober_;
   std::mutex prober_mutex_;

@@ -134,10 +134,6 @@ void NetlistSim::set_active_lanes(int n) {
   lane_mask_ = mask_low_bits(n);
 }
 
-int NetlistSim::active_lanes() const {
-  return static_cast<int>(popcount64(lane_mask_));
-}
-
 void NetlistSim::eval_tape() {
   // The first eval establishes the baseline and counts no toggles, as the
   // reference engine's does.

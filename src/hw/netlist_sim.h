@@ -95,7 +95,6 @@ class NetlistSim {
   // Number of lanes whose transitions count toward toggles() (default 1, so
   // scalar use matches the reference engine exactly).
   void set_active_lanes(int n);
-  int active_lanes() const;
 
   std::uint64_t get_u64_lane(const std::string& bus, int lane) const;
   bool net_value_lane(NetId net, int lane) const;

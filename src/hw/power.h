@@ -25,7 +25,6 @@ struct PowerBreakdown {
   double dynamic_mw = 0.0;
   double clock_mw = 0.0;
   double leakage_mw = 0.0;
-  double total_mw() const { return dynamic_mw + clock_mw + leakage_mw; }
   std::map<std::string, double> by_group_mw;  // first name component
 };
 

@@ -34,9 +34,6 @@ struct TimingReport {
   // Minimum clock period implied by the worst path (includes setup when the
   // endpoint is a DFF and clk-to-q when the startpoint is a DFF).
   double min_period_ps = 0.0;
-  double max_frequency_ghz() const {
-    return min_period_ps > 0 ? 1e3 / min_period_ps : 0.0;
-  }
   // Worst path, startpoint first.
   std::vector<TimingPathStep> critical_path;
   // Where the worst path ends: "output:<bus>" or "dff:<cell>".

@@ -59,8 +59,8 @@ LayerReport InferenceRunner::evaluate_layer(const Layer& layer) const {
   report.k_hat = optimizer.continuous_k_hat(report.shape);
   // Memoized through the engine's shared cost cache: repeated layers (and
   // repeated inferences of the same model, the serving steady state) pay
-  // the Eq. 6 sweep once and answer every repeat from the sweep store.
-  report.arrayflex = engine_->best_mode_cached(report.shape);
+  // the Eq. 6 sweep once and answer every repeat from the plan store.
+  report.arrayflex = engine_->plan(report.shape)->best;
   report.conventional = optimizer.conventional(report.shape);
   report.arrayflex_power = power.arrayflex(report.shape, report.arrayflex.k);
   report.conventional_power = power.conventional(report.shape);

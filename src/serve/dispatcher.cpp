@@ -20,8 +20,7 @@ constexpr std::uint64_t kStealSeed = 0x517cc1b727220a95ULL;
 // One shard's deque plus the state its worker parks on.
 struct Dispatcher::Slot {
   explicit Slot(const DispatcherOptions& o)
-      : queue(o.queue_capacity, o.drr_quantum, o.drr_deadline_urgent_ms,
-              o.drr_deadline_weight_cap) {}
+      : queue(o.queue_capacity, o.drr_quantum) {}
 
   RequestQueue queue;
   // Quarantined (set_banned): skipped by submit routing, still covered by
@@ -59,11 +58,11 @@ Dispatcher::Dispatcher(const DispatcherOptions& options)
 
 Dispatcher::~Dispatcher() = default;
 
-SubmitResult Dispatcher::submit_for(Request& r,
-                                    std::chrono::microseconds timeout) {
+SubmitResult Dispatcher::submit_until(Request& r, Clock::time_point deadline) {
   if (failpoint_) failpoint_("submit");
   const int home = route(r);
-  switch (slots_[static_cast<std::size_t>(home)]->queue.push_for(r, timeout)) {
+  switch (
+      slots_[static_cast<std::size_t>(home)]->queue.push_until(r, deadline)) {
     case PushResult::kAccepted:
       wake_for(home);
       return SubmitResult::kAccepted;

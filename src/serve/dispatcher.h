@@ -43,7 +43,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -63,12 +62,6 @@ struct DispatcherOptions {
   // domain).
   std::size_t queue_capacity = 256;
   std::int64_t drr_quantum = RequestQueue::kDefaultQuantum;
-  // Deadline-weighted DRR (see the RequestQueue constructor): requests
-  // within `drr_deadline_urgent_ms` of their deadline earn their tenant a
-  // multiplied quantum, capped at `drr_deadline_weight_cap` x the fair
-  // share.  0 (the default) disables the weighting.
-  std::int64_t drr_deadline_urgent_ms = 0;
-  std::int64_t drr_deadline_weight_cap = 8;
   // Coalescing cap per dispatch; 1 disables batching.
   int max_batch = 8;
   // Byte budget per batch (summed Request::drr_bytes, the projected DRAM
@@ -87,7 +80,7 @@ struct DispatcherOptions {
   std::function<void(const char* site)> failpoint;
 };
 
-// Outcome of a timed submit_for: routed and queued, still full after the
+// Outcome of a timed submit_until: routed and queued, still full after the
 // wait (the request stays with the caller), or closed for good.
 enum class SubmitResult { kAccepted, kWouldBlock, kClosed };
 
@@ -106,16 +99,17 @@ class Dispatcher {
   // Routes one request.  Blocks while the home deque is full (admission
   // backpressure); returns false — dropping the request — once closed.
   bool submit(Request r) {
-    return submit_for(r, std::chrono::microseconds::max()) ==
+    return submit_until(r, Clock::time_point::max()) ==
            SubmitResult::kAccepted;
   }
 
-  // Timed admission: waits up to `timeout` for deque space (0 probes
-  // non-blocking, microseconds::max() blocks like submit).  Moves from `r`
-  // only on kAccepted — on kWouldBlock/kClosed the request and its promise
-  // stay with the caller, who fails it with a typed error (the reject
-  // overload policy and client admission timeouts ride on this).
-  SubmitResult submit_for(Request& r, std::chrono::microseconds timeout);
+  // Timed admission: waits until `deadline` for deque space (a past
+  // deadline probes non-blocking, Clock::time_point::max() blocks like
+  // submit).  Moves from `r` only on kAccepted — on kWouldBlock/kClosed the
+  // request and its promise stay with the caller, who fails it with a
+  // typed error (the reject overload policy and client admission timeouts
+  // ride on this).
+  SubmitResult submit_until(Request& r, Clock::time_point deadline);
 
   // Blocks (parked) for shard `shard`'s next batch.  Returns nullopt when
   // the shard has been retired by set_live_shards, when the dispatcher is

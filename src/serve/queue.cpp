@@ -18,33 +18,22 @@ std::int64_t deadline_ns(Clock::time_point deadline) {
 
 }  // namespace
 
-RequestQueue::RequestQueue(std::size_t capacity, std::int64_t quantum,
-                           std::int64_t deadline_urgent_ms,
-                           std::int64_t deadline_weight_cap)
-    : capacity_(capacity),
-      quantum_(quantum),
-      deadline_urgent_ns_(deadline_urgent_ms * 1'000'000),
-      weight_cap_(deadline_weight_cap) {
+RequestQueue::RequestQueue(std::size_t capacity, std::int64_t quantum)
+    : capacity_(capacity), quantum_(quantum) {
   AF_CHECK(capacity > 0, "request queue needs a positive capacity");
   AF_CHECK(quantum > 0, "DRR quantum must be positive");
-  AF_CHECK(deadline_urgent_ms >= 0,
-           "deadline_urgent_ms must be non-negative");
-  AF_CHECK(deadline_weight_cap >= 1,
-           "deadline_weight_cap must be at least 1");
 }
 
 bool RequestQueue::push(Request r) {
-  return push_for(r, std::chrono::microseconds::max()) ==
-         PushResult::kAccepted;
+  return push_until(r, Clock::time_point::max()) == PushResult::kAccepted;
 }
 
-PushResult RequestQueue::push_for(Request& r,
-                                  std::chrono::microseconds timeout) {
+PushResult RequestQueue::push_until(Request& r, Clock::time_point deadline) {
   std::unique_lock<std::mutex> lock(mutex_);
   const auto admissible = [this] { return closed_ || total_ < capacity_; };
-  if (timeout == std::chrono::microseconds::max()) {
+  if (deadline == Clock::time_point::max()) {
     not_full_.wait(lock, admissible);
-  } else if (!not_full_.wait_for(lock, timeout, admissible)) {
+  } else if (!not_full_.wait_until(lock, deadline, admissible)) {
     return PushResult::kFull;
   }
   if (closed_) return PushResult::kClosed;
@@ -80,21 +69,6 @@ Request RequestQueue::take_front_locked() {
   return r;
 }
 
-std::int64_t RequestQueue::quantum_for_locked(const TenantQueue& tq,
-                                              std::int64_t now_ns) const {
-  if (deadline_urgent_ns_ == 0) return quantum_;
-  const std::int64_t dl = deadline_ns(tq.items.front().deadline);
-  if (dl == std::numeric_limits<std::int64_t>::max()) return quantum_;
-  const std::int64_t slack = dl - now_ns;
-  if (slack >= deadline_urgent_ns_) return quantum_;
-  // Inside the urgent window the weight ramps hyperbolically from 1 to the
-  // cap as slack runs out; at or past the deadline the cap applies.
-  const std::int64_t weight =
-      slack <= 0 ? weight_cap_
-                 : std::min(weight_cap_, deadline_urgent_ns_ / slack);
-  return quantum_ * std::max<std::int64_t>(1, weight);
-}
-
 void RequestQueue::retire_if_empty_locked(const std::string& tenant) {
   auto it = tenants_.find(tenant);
   if (it == tenants_.end() || !it->second.items.empty()) return;
@@ -128,15 +102,6 @@ Request RequestQueue::pop_drr_locked() {
   // — a head request costing thousands of quanta dispatches in O(ring)
   // work under the lock, with shares identical to circling that many
   // times.
-  // One clock read per pop, not per visit: the urgency weight of a head
-  // request moves far slower than the DRR pointer.  With the weighting
-  // disabled (the default) the clock is never read at all.
-  const std::int64_t now_ns =
-      deadline_urgent_ns_ > 0
-          ? std::chrono::duration_cast<std::chrono::nanoseconds>(
-                Clock::now().time_since_epoch())
-                .count()
-          : 0;
   std::size_t fruitless = 0;
   for (;;) {
     if (ring_pos_ >= ring_.size()) ring_pos_ = 0;
@@ -159,7 +124,7 @@ Request RequestQueue::pop_drr_locked() {
     }
     if (!tq.credited) {
       tq.credited = true;
-      tq.deficit += quantum_for_locked(tq, now_ns);
+      tq.deficit += quantum_;
       continue;  // retry this tenant with the fresh credit
     }
     tq.credited = false;  // visit over; keep the accumulated deficit
@@ -173,18 +138,16 @@ Request RequestQueue::pop_drr_locked() {
       std::int64_t min_rounds = 0;
       for (const std::string& name : ring_) {
         const TenantQueue& t = tenants_[name];
-        const std::int64_t per_round = quantum_for_locked(t, now_ns);
         const std::int64_t shortfall =
             t.items.front().drr_cost - t.deficit;
         const std::int64_t rounds =
-            shortfall <= 0 ? 0 : (shortfall + per_round - 1) / per_round;
+            shortfall <= 0 ? 0 : (shortfall + quantum_ - 1) / quantum_;
         if (min_rounds == 0 || rounds < min_rounds) min_rounds = rounds;
         if (rounds == 0) break;
       }
       if (min_rounds > 0) {
         for (const std::string& name : ring_) {
-          TenantQueue& t = tenants_[name];
-          t.deficit += min_rounds * quantum_for_locked(t, now_ns);
+          tenants_[name].deficit += min_rounds * quantum_;
         }
       }
     }

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -47,7 +46,7 @@
 
 namespace af::serve {
 
-// Result of a timed admission attempt (push_for).  The request is consumed
+// Result of a timed admission attempt (push_until).  The request is consumed
 // only on kAccepted; on kFull/kClosed it stays with the caller, promise
 // intact, so the caller can fail it with a typed error.
 enum class PushResult { kAccepted, kFull, kClosed };
@@ -60,18 +59,8 @@ class RequestQueue {
   // larger quanta allow longer per-tenant bursts.
   static constexpr std::int64_t kDefaultQuantum = 1 << 20;
 
-  // DEADLINE-WEIGHTED DRR: when `deadline_urgent_ms` > 0, a tenant whose
-  // head request is inside that window of its deadline earns a multiplied
-  // quantum — credit = quantum x clamp(urgent / slack, 1, weight_cap) — so
-  // urgent tenants drain faster as the clock runs out, up to weight_cap x
-  // the fair share (requests at or past their deadline get the full cap;
-  // the reaper expires them soon after anyway).  Long-run shares of
-  // deadline-free traffic are unchanged, and the default (0) disables the
-  // weighting entirely: no clock is read on the pop path.
   explicit RequestQueue(std::size_t capacity,
-                        std::int64_t quantum = kDefaultQuantum,
-                        std::int64_t deadline_urgent_ms = 0,
-                        std::int64_t deadline_weight_cap = 8);
+                        std::int64_t quantum = kDefaultQuantum);
 
   RequestQueue(const RequestQueue&) = delete;
   RequestQueue& operator=(const RequestQueue&) = delete;
@@ -80,11 +69,11 @@ class RequestQueue {
   // once the queue is closed.
   bool push(Request r);
 
-  // Timed admission: waits up to `timeout` for space (0 = non-blocking
-  // probe; microseconds::max() = block like push).  Moves from `r` only on
-  // kAccepted — on kFull/kClosed the request (and its promise) stays valid
-  // with the caller.
-  PushResult push_for(Request& r, std::chrono::microseconds timeout);
+  // Timed admission: waits until `deadline` for space (a past deadline is
+  // a non-blocking probe; Clock::time_point::max() blocks like push).
+  // Moves from `r` only on kAccepted — on kFull/kClosed the request (and
+  // its promise) stays valid with the caller.
+  PushResult push_until(Request& r, Clock::time_point deadline);
 
   // The DRR-selected request (see file comment), or nullopt when nothing
   // is queued right now.  Never blocks: the dispatcher probes its own
@@ -174,12 +163,6 @@ class RequestQueue {
   // Serves tenants_[ring_[ring_pos_]]'s head request; caller holds the
   // lock and guarantees the tenant is backlogged.
   Request take_front_locked();
-  // The quantum this tenant earns on a DRR visit: quantum_, scaled by the
-  // deadline-urgency weight of its head request (see the constructor
-  // comment).  `now_ns` is the clock captured once per pop_drr_locked
-  // (unused, and never read, when the weighting is disabled).
-  std::int64_t quantum_for_locked(const TenantQueue& tq,
-                                  std::int64_t now_ns) const;
   // The DRR selection loop behind try_pop(); caller holds the lock and
   // guarantees total_ > 0.
   Request pop_drr_locked();
@@ -209,8 +192,6 @@ class RequestQueue {
   std::atomic<std::int64_t> approx_bytes_{0};  // mirror of bytes_total_
   const std::size_t capacity_;
   const std::int64_t quantum_;
-  const std::int64_t deadline_urgent_ns_;  // 0 = deadline weighting off
-  const std::int64_t weight_cap_;
   bool closed_ = false;
 };
 

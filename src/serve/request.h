@@ -25,6 +25,27 @@ namespace af::serve {
 
 using Clock = std::chrono::steady_clock;
 
+// The instant `ms` milliseconds after `from`, saturating: a budget past the
+// last instant the steady clock can represent (+inf included) is
+// Clock::time_point::max(), which every deadline and wait in serve/ and
+// fleet/ reads as "never".  A non-positive (or NaN) budget is `from`
+// itself.  The one conversion from a millisecond budget to the clock — a
+// bare duration_cast of a double is undefined once it overflows the rep.
+inline Clock::time_point deadline_after(Clock::time_point from, double ms) {
+  if (!(ms > 0.0)) return from;
+  const double ticks = std::chrono::duration<double, Clock::period>(
+                           std::chrono::duration<double, std::milli>(ms))
+                           .count();
+  const Clock::rep room = (Clock::time_point::max() - from).count();
+  // `room` rounds to at most 2^63 as a double, so a `ticks` below it casts
+  // to Clock::rep exactly; the integer compare catches the last few ticks
+  // that rounding hides.
+  if (!(ticks < static_cast<double>(room))) return Clock::time_point::max();
+  const auto span = static_cast<Clock::rep>(ticks);
+  return span >= room ? Clock::time_point::max()
+                      : from + Clock::duration(span);
+}
+
 // Pooled completion slot of the batched cost path (serve/batch_slot.h);
 // forward-declared so this header stays light — only the server and the
 // executors need the full type.

@@ -23,10 +23,10 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
 
 // Maps SubmitOptions::admission_timeout_ms onto the dispatcher's timed
 // submit: negative = wait forever (classic blocking admission).
-std::chrono::microseconds admission_timeout(double timeout_ms) {
-  if (timeout_ms < 0.0) return std::chrono::microseconds::max();
-  return std::chrono::microseconds(
-      static_cast<std::int64_t>(timeout_ms * 1000.0));
+Clock::time_point admission_deadline(Clock::time_point now,
+                                     double timeout_ms) {
+  if (timeout_ms < 0.0) return Clock::time_point::max();
+  return deadline_after(now, timeout_ms);
 }
 
 // The ErrorCode carried by an in-flight exception (kUnknown for anything
@@ -274,8 +274,6 @@ Server::Server(const arch::ArrayConfig& shard_config, ServerOptions options)
   DispatcherOptions dispatch;
   dispatch.queue_capacity = options_.queue_capacity;
   dispatch.drr_quantum = options_.drr_quantum;
-  dispatch.drr_deadline_urgent_ms = options_.drr_deadline_urgent_ms;
-  dispatch.drr_deadline_weight_cap = options_.drr_deadline_weight_cap;
   dispatch.max_batch = options_.max_batch;
   dispatch.max_batch_bytes = options_.max_batch_bytes;
   dispatch.max_shards = max_shards_;
@@ -501,6 +499,8 @@ void Server::admit(const std::string& tenant, const SubmitOptions& submit,
     throw Error("submit on a shut-down server", ErrorCode::kShutdown);
   }
   AF_CHECK(submit.deadline_ms >= 0.0, "deadline_ms must be non-negative");
+  AF_CHECK(!std::isnan(submit.admission_timeout_ms),
+           "admission_timeout_ms must not be NaN");
   // Overload policy fires before any admission work: a rejected request
   // costs the client one atomic read and one depth estimate — a batch of N
   // shapes too, not N, though its rejection counts every shape.
@@ -520,16 +520,14 @@ void Server::stamp(Request& r, const std::string& tenant,
       submit.max_retries >= 0 ? submit.max_retries : options_.max_retries;
   r.enqueue_time = now;
   if (submit.deadline_ms > 0.0) {
-    r.deadline = now + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double, std::milli>(
-                               submit.deadline_ms));
+    r.deadline = deadline_after(now, submit.deadline_ms);
   }
 }
 
 void Server::enqueue(Request& r, const SubmitOptions& submit,
                      std::int64_t count) {
-  switch (dispatcher_->submit_for(
-      r, admission_timeout(submit.admission_timeout_ms))) {
+  switch (dispatcher_->submit_until(
+      r, admission_deadline(r.enqueue_time, submit.admission_timeout_ms))) {
     case SubmitResult::kAccepted:
       return;
     case SubmitResult::kWouldBlock:
@@ -574,26 +572,22 @@ std::future<GemmResult> Server::submit_gemm(
   } else if (reconfig_.kind == ReconfigPolicyKind::kArgmin) {
     // The stateless default keeps the historical lock-free admission path,
     // now memoized: the first request of a shape pays the Eq. 6 argmin,
-    // every repeat answers from the shared cost cache's sweep store.
-    r.decided_k = admission_engine_->best_mode_cached(r.shape).k;
+    // every repeat answers from the shared cost cache's plan store.
+    r.decided_k = admission_engine_->plan(r.shape)->best.k;
   } else {
     // Runtime reconfiguration: feed the policy this request's full mode
-    // sweep plus the drain price a switch would bill (prepare_mode charges
+    // plan plus the drain price a switch would bill (prepare_mode charges
     // reconfig_cycles at the NEW mode's clock — price it at the
     // challenger's period, i.e. the mode a switch would move to).  The
-    // sweep itself is memoized in the shared cache (policies re-project
+    // plan itself is memoized in the shared cache (policies re-project
     // the same shapes every request; re-deriving every mode per admission
     // was the hot path's single biggest line item).
-    const std::shared_ptr<const std::vector<arch::ModeSweepEntry>> sweep =
-        admission_engine_->sweep_cached(r.shape);
-    double best_period_ps = sweep->front().decision.period_ps;
-    for (const arch::ModeSweepEntry& e : *sweep) {
-      if (e.is_best) best_period_ps = e.decision.period_ps;
-    }
-    const double drain_ps =
-        static_cast<double>(options_.reconfig_cycles) * best_period_ps;
+    const std::shared_ptr<const engine::ModePlan> plan =
+        admission_engine_->plan(r.shape);
+    const double drain_ps = static_cast<double>(options_.reconfig_cycles) *
+                            plan->best.period_ps;
     std::lock_guard<std::mutex> lock(reconfig_mutex_);
-    r.decided_k = reconfig_.decide(*sweep, drain_ps);
+    r.decided_k = reconfig_.decide(plan->modes, drain_ps);
   }
   r.a = std::move(a);
   r.b = std::move(b);
@@ -857,7 +851,7 @@ void Server::handle_batch_failure(Shard& shard, Batch& batch,
     // Blocking resubmit (the request was already admitted once — the
     // backpressure debate is over); fails only when shutdown closed the
     // dispatcher, and those orphans get a typed kShutdown below.
-    if (dispatcher_->submit_for(r, std::chrono::microseconds::max()) !=
+    if (dispatcher_->submit_until(r, Clock::time_point::max()) !=
         SubmitResult::kAccepted) {
       orphaned.push_back(std::move(r));
     }
@@ -890,9 +884,9 @@ bool Server::probe_quarantined(Shard& shard) {
     engine::GemmRequest probe;
     probe.a = &a;
     probe.b = &b;
-    probe.k = admission_engine_
-                  ->best_mode_cached(gemm::GemmShape{1, shard_config_.rows, 1})
-                  .k;
+    probe.k =
+        admission_engine_->plan(gemm::GemmShape{1, shard_config_.rows, 1})
+            ->best.k;
     probe.want_output = false;
     fresh->run_gemm(probe);
     // Healthy: swap the fresh engine in and rejoin the routing pool.

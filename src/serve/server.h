@@ -127,15 +127,6 @@ struct ServerOptions {
   // DRR quantum in cost units (MACs) credited per scheduling round — see
   // serve/queue.h.  Any positive value gives equal long-run tenant shares.
   std::int64_t drr_quantum = RequestQueue::kDefaultQuantum;
-  // Deadline-weighted DRR (see the RequestQueue constructor): a tenant
-  // whose head request is within this window of its deadline earns a
-  // multiplied quantum — credit = quantum x clamp(urgent / slack, 1, cap)
-  // — so urgent work drains faster as its budget runs out instead of
-  // expiring behind fair-share peers.  0 (the default) disables the
-  // weighting; long-run shares of deadline-free traffic are unchanged
-  // either way.
-  std::int64_t drr_deadline_urgent_ms = 0;
-  std::int64_t drr_deadline_weight_cap = 8;
   // Byte budget per coalesced batch (summed projected DRAM traffic,
   // Request::drr_bytes); 0 = unlimited.  With the memory hierarchy enabled
   // a fused run's DMA stream scales with its footprint, so this keeps one
@@ -254,14 +245,17 @@ struct SubmitOptions {
   int k = 0;                 // pipeline mode (0 = optimizer's choice)
   bool want_output = true;   // false = cost-only traffic
   std::string backend;       // per-request engine override ("" = shard's)
-  // Wall-clock budget from submission; 0 = none.  An overdue request is
-  // failed with af::Error(kDeadlineExceeded) — reaped while queued by the
-  // dispatcher sweep, or at the shard right before execution.
+  // Wall-clock budget from submission; 0 = none, and so is a budget past
+  // what the steady clock can represent (+inf included; see
+  // serve::deadline_after).  An overdue request is failed with
+  // af::Error(kDeadlineExceeded) — reaped while queued by the dispatcher
+  // sweep, or at the shard right before execution.
   double deadline_ms = 0.0;
   // How long submit may block on a full queue before failing with
-  // kOverloaded: < 0 = wait forever (the classic blocking submit),
-  // 0 = never block, > 0 = bounded wait.  Independent of the overload
-  // POLICY check, which fires before the queue is even tried.
+  // kOverloaded: < 0 = wait forever (the classic blocking submit), and so
+  // does a wait past what the steady clock can represent; 0 = never
+  // block, > 0 = bounded wait; NaN is rejected.  Independent of the
+  // overload POLICY check, which fires before the queue is even tried.
   double admission_timeout_ms = -1.0;
   // Engine-fault retry budget for this request; -1 = ServerOptions default.
   int max_retries = -1;
@@ -425,12 +419,6 @@ class Server {
   // dispatcher's backlog-cost mirror.  The load signal the fleet router's
   // power-of-two-choices placement compares servers by.
   std::int64_t backlog_cost_macs() const { return dispatcher_->approx_cost(); }
-
-  // Queued projected DRAM traffic right now, in bytes — the bandwidth
-  // twin of backlog_cost_macs, from the dispatcher's backlog-bytes mirror.
-  std::int64_t backlog_cost_bytes() const {
-    return dispatcher_->approx_bytes();
-  }
 
   // Closes admission, drains every accepted request, joins the autoscaler
   // and the shard workers.  Idempotent; the destructor calls it.

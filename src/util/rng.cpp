@@ -59,11 +59,4 @@ double Rng::next_double() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
-std::vector<std::int32_t> Rng::int32_vector(std::size_t n, std::int32_t lo,
-                                            std::int32_t hi) {
-  std::vector<std::int32_t> out(n);
-  for (auto& v : out) v = static_cast<std::int32_t>(next_in(lo, hi));
-  return out;
-}
-
 }  // namespace af

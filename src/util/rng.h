@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace af {
 
@@ -39,10 +38,6 @@ class Rng {
 
   // Uniform double in [0, 1).
   double next_double();
-
-  // Convenience: vector of `n` signed values in [lo, hi].
-  std::vector<std::int32_t> int32_vector(std::size_t n, std::int32_t lo,
-                                         std::int32_t hi);
 
  private:
   std::uint64_t state_[4];

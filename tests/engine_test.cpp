@@ -20,6 +20,7 @@
 #include "arch/clocking.h"
 #include "arch/latency.h"
 #include "arch/sparse.h"
+#include "engine/cost_cache.h"
 #include "engine/engine.h"
 #include "mem/tile_scheduler.h"
 #include "gemm/reference.h"
@@ -372,6 +373,46 @@ TEST(EngineEquivalenceTest, ModeZeroPicksTheSameArgminOnBothBackends) {
     EXPECT_EQ(fast.k, exact.cost.k);
     EXPECT_EQ(fast.k, analytic->optimizer().best_mode(shape).k);
     expect_costs_exactly_equal(fast, exact.cost, "argmin shape");
+  }
+}
+
+TEST(EnginePlanTest, PlanIsTheMemoizedOptimizerSweep) {
+  // plan(shape) is optimizer().sweep(shape) entry for entry, its winner is
+  // optimizer().best_mode(shape), and a repeat call is one cache hit that
+  // hands back the same shared plan.
+  Rng rng(6060);
+  for (int geometry = 0; geometry < 8; ++geometry) {
+    const int rows = 4 * static_cast<int>(rng.next_in(1, 16));
+    const int cols = 4 * static_cast<int>(rng.next_in(1, 16));
+    auto eng = EngineBuilder().config(config_for(rows, cols)).build("analytic");
+    const arch::PipelineOptimizer& optimizer = eng->optimizer();
+    for (int iter = 0; iter < 25; ++iter) {
+      const gemm::GemmShape shape{rng.next_in(1, 512), rng.next_in(1, 512),
+                                  rng.next_in(1, 512)};
+      const std::int64_t misses = eng->cost_cache()->misses();
+      const std::shared_ptr<const ModePlan> plan = eng->plan(shape);
+      EXPECT_EQ(eng->cost_cache()->misses(), misses + 1);
+
+      const std::vector<arch::ModeSweepEntry> sweep = optimizer.sweep(shape);
+      ASSERT_EQ(plan->modes.size(), sweep.size());
+      for (std::size_t i = 0; i < sweep.size(); ++i) {
+        const arch::ModeSweepEntry& got = plan->modes[i];
+        EXPECT_EQ(got.decision.k, sweep[i].decision.k);
+        EXPECT_EQ(got.decision.cycles, sweep[i].decision.cycles);
+        EXPECT_EQ(got.decision.period_ps, sweep[i].decision.period_ps);
+        EXPECT_EQ(got.decision.time_ps, sweep[i].decision.time_ps);
+        EXPECT_EQ(got.is_best, sweep[i].is_best);
+      }
+      const arch::ModeDecision best = optimizer.best_mode(shape);
+      EXPECT_EQ(plan->best.k, best.k);
+      EXPECT_EQ(plan->best.cycles, best.cycles);
+      EXPECT_EQ(plan->best.period_ps, best.period_ps);
+      EXPECT_EQ(plan->best.time_ps, best.time_ps);
+
+      const std::int64_t hits = eng->cost_cache()->hits();
+      EXPECT_EQ(eng->plan(shape), plan);
+      EXPECT_EQ(eng->cost_cache()->hits(), hits + 1);
+    }
   }
 }
 

@@ -1,4 +1,4 @@
-// Fleet suite: router registry + placement determinism, and the fleet's
+// Fleet suite: placement determinism and spill, and the fleet's
 // headline contract — no request ever lost or double-served, even when
 // whole servers die mid-flight.  The chaos stress gate at the bottom is
 // the CI fault-injection target: 4 servers, concurrent clients, a crash
@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -32,6 +33,22 @@ namespace {
 
 using std::chrono::milliseconds;
 
+// spill_factor = +inf: the router never leaves the consistent-hash home.
+constexpr double kNeverSpill = std::numeric_limits<double>::infinity();
+
+RouterOptions never_spill(RouterOptions options = {}) {
+  options.spill_factor = kNeverSpill;
+  return options;
+}
+
+// A spill factor every loaded home exceeds: placement is pure power of two
+// choices whenever the routable mean backlog is non-zero.
+RouterOptions always_spill() {
+  RouterOptions options;
+  options.spill_factor = 1e-9;
+  return options;
+}
+
 std::vector<ServerLoad> uniform_loads(int n) {
   std::vector<ServerLoad> loads(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -41,25 +58,9 @@ std::vector<ServerLoad> uniform_loads(int n) {
   return loads;
 }
 
-// ---- router registry ------------------------------------------------------
+// ---- affinity key ---------------------------------------------------------
 
-TEST(RouterRegistryTest, NamesParseDescribeAndReject) {
-  const std::vector<std::string> names = registered_routers();
-  ASSERT_EQ(names.size(), 3u);
-  EXPECT_EQ(names[0], "affinity");
-  EXPECT_EQ(names[1], "hash");
-  EXPECT_EQ(names[2], "p2c");
-  for (const std::string& name : names) {
-    EXPECT_FALSE(router_description(name).empty()) << name;
-    EXPECT_EQ(make_router(name)->name(), name);
-  }
-  EXPECT_THROW(make_router("round-robin"), Error);
-  EXPECT_THROW(router_description("round-robin"), Error);
-  // The quoted list every unknown-name error embeds.
-  EXPECT_EQ(registered_router_list(), "\"affinity\", \"hash\", \"p2c\"");
-}
-
-TEST(RouterRegistryTest, AffinityKeyIsStableAndSpreads) {
+TEST(RouterTest, AffinityKeyIsStableAndSpreads) {
   EXPECT_EQ(affinity_key("tenant-a"), affinity_key("tenant-a"));
   // 100 tenants should not collide (64-bit keys; a collision here means
   // the hash is broken, not unlucky).
@@ -70,18 +71,18 @@ TEST(RouterRegistryTest, AffinityKeyIsStableAndSpreads) {
   EXPECT_EQ(keys.size(), 100u);
 }
 
-// ---- consistent hashing ---------------------------------------------------
+// ---- consistent hashing (spill_factor = +inf) -----------------------------
 
 TEST(HashRouterTest, PlacementIsDeterministicAndBalanced) {
-  const auto router = make_router("hash");
+  Router router(never_spill());
   const std::vector<ServerLoad> loads = uniform_loads(4);
   std::map<int, int> per_slot;
   for (int i = 0; i < 4000; ++i) {
     const std::uint64_t key = affinity_key("tenant-" + std::to_string(i));
-    const int slot = router->place(key, loads);
+    const int slot = router.place(key, loads);
     ASSERT_GE(slot, 0);
     ASSERT_LT(slot, 4);
-    EXPECT_EQ(slot, router->place(key, loads)) << "placement not stable";
+    EXPECT_EQ(slot, router.place(key, loads)) << "placement not stable";
     per_slot[slot] += 1;
   }
   // Virtual nodes keep the split roughly even: every slot sees traffic
@@ -93,19 +94,19 @@ TEST(HashRouterTest, PlacementIsDeterministicAndBalanced) {
 }
 
 TEST(HashRouterTest, ServerLeaveMovesOnlyItsOwnKeys) {
-  const auto router = make_router("hash");
+  Router router(never_spill());
   std::vector<ServerLoad> loads = uniform_loads(4);
   constexpr int kKeys = 4000;
   std::vector<int> before(kKeys);
   for (int i = 0; i < kKeys; ++i) {
     before[static_cast<std::size_t>(i)] =
-        router->place(affinity_key("k" + std::to_string(i)), loads);
+        router.place(affinity_key("k" + std::to_string(i)), loads);
   }
   // Slot 2 leaves (health, not ring membership: the ring is static).
   loads[2].routable = false;
   int moved = 0;
   for (int i = 0; i < kKeys; ++i) {
-    const int now = router->place(affinity_key("k" + std::to_string(i)), loads);
+    const int now = router.place(affinity_key("k" + std::to_string(i)), loads);
     ASSERT_NE(now, 2) << "placed on the dead server";
     if (now != before[static_cast<std::size_t>(i)]) {
       // ONLY keys that lived on the dead slot may move...
@@ -119,71 +120,85 @@ TEST(HashRouterTest, ServerLeaveMovesOnlyItsOwnKeys) {
   // The slot rejoins: every key goes home again (placement has no memory).
   loads[2].routable = true;
   for (int i = 0; i < kKeys; ++i) {
-    EXPECT_EQ(router->place(affinity_key("k" + std::to_string(i)), loads),
+    EXPECT_EQ(router.place(affinity_key("k" + std::to_string(i)), loads),
               before[static_cast<std::size_t>(i)]);
   }
 }
 
-// ---- power of two choices -------------------------------------------------
+// ---- power of two choices (every loaded home spills) ----------------------
 
 TEST(P2cRouterTest, NeverPlacesOnAnUnroutableServer) {
-  const auto router = make_router("p2c");
+  Router router(always_spill());
   std::vector<ServerLoad> loads = uniform_loads(6);
+  for (auto& load : loads) load.backlog_macs = 1000;
   loads[0].routable = false;  // dead
   loads[3].routable = false;  // quarantined
   loads[5].routable = false;  // draining
   for (int i = 0; i < 2000; ++i) {
-    const int slot = router->place(static_cast<std::uint64_t>(i), loads);
+    const int slot = router.place(static_cast<std::uint64_t>(i), loads);
     ASSERT_TRUE(slot == 1 || slot == 2 || slot == 4) << "picked " << slot;
   }
   for (auto& load : loads) load.routable = false;
-  EXPECT_EQ(router->place(7, loads), -1);
+  EXPECT_EQ(router.place(7, loads), -1);
 }
 
 TEST(P2cRouterTest, TwoServersAlwaysPickTheLighterOne) {
-  const auto router = make_router("p2c");
+  Router router(always_spill());
   std::vector<ServerLoad> loads = uniform_loads(2);
   loads[0].backlog_macs = 1 << 20;
-  loads[1].backlog_macs = 0;
+  loads[1].backlog_macs = 1;
   // With two routable servers both draws always cover both candidates, so
   // p2c degenerates to exact least-loaded: deterministic.
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(router->place(static_cast<std::uint64_t>(i), loads), 1);
+    EXPECT_EQ(router.place(static_cast<std::uint64_t>(i), loads), 1);
   }
-  loads[0].backlog_macs = 0;
+  loads[0].backlog_macs = 1;
   loads[1].backlog_macs = 1 << 20;
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(router->place(static_cast<std::uint64_t>(i), loads), 0);
+    EXPECT_EQ(router.place(static_cast<std::uint64_t>(i), loads), 0);
   }
 }
 
-// ---- affinity (hash home + load-aware spill) ------------------------------
+// ---- hash home + load-aware spill (the default spill_factor) --------------
 
 TEST(AffinityRouterTest, StaysHomeUntilTheHomeDrowns) {
   RouterOptions options;
   options.spill_factor = 2.0;
-  const auto affinity = make_router("affinity", options);
-  const auto hash = make_router("hash", options);
+  Router affinity(options);
+  Router hash(never_spill(options));
   std::vector<ServerLoad> loads = uniform_loads(3);
   const std::uint64_t key = affinity_key("sticky-tenant");
-  const int home = hash->place(key, loads);
+  const int home = hash.place(key, loads);
 
   // Balanced fleet: affinity == hash (locality wins).
   for (auto& load : loads) load.backlog_macs = 1000;
-  EXPECT_EQ(affinity->place(key, loads), home);
+  EXPECT_EQ(affinity.place(key, loads), home);
   // Home moderately ahead but under spill_factor x mean: still home.
   loads[static_cast<std::size_t>(home)].backlog_macs = 1800;
-  EXPECT_EQ(affinity->place(key, loads), home);
+  EXPECT_EQ(affinity.place(key, loads), home);
   // Home far past the spill threshold: placement leaves it.
   loads[static_cast<std::size_t>(home)].backlog_macs = 100000;
-  const int spilled = affinity->place(key, loads);
+  const int spilled = affinity.place(key, loads);
   EXPECT_NE(spilled, home);
   ASSERT_GE(spilled, 0);
   EXPECT_TRUE(loads[static_cast<std::size_t>(spilled)].routable);
+  // The same drowning home under spill_factor = +inf: pure hashing stays.
+  EXPECT_EQ(hash.place(key, loads), home);
   // Dead home: spill even with zero backlog anywhere.
   for (auto& load : loads) load.backlog_macs = 0;
   loads[static_cast<std::size_t>(home)].routable = false;
-  EXPECT_NE(affinity->place(key, loads), home);
+  EXPECT_NE(affinity.place(key, loads), home);
+}
+
+TEST(AffinityRouterTest, RejectsANonPositiveSpillFactor) {
+  RouterOptions options;
+  options.spill_factor = 0.0;
+  EXPECT_THROW(Router{options}, Error);
+  options.spill_factor = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(Router{options}, Error);
+  options.spill_factor = 1.0;
+  options.replicas = 0;
+  EXPECT_THROW(Router{options}, Error);
 }
 
 // ---- fleet fixtures -------------------------------------------------------
@@ -203,15 +218,15 @@ class FleetTest : public ::testing::Test {
         gemm::random_matrix(rng, n, m, -50, 50));
   }
 
-  // A tenant whose "hash" home (under `options`) is `want` among `n`
-  // routable servers — how tests steer traffic at a specific server.
+  // A tenant whose consistent-hash home (under `options`) is `want` among
+  // `n` routable servers — how tests steer traffic at a specific server.
   static std::string tenant_homed_at(int want, int n,
                                      const RouterOptions& options = {}) {
-    const auto router = make_router("hash", options);
+    Router router(never_spill(options));
     const std::vector<ServerLoad> loads = uniform_loads(n);
     for (int i = 0; i < 10000; ++i) {
       const std::string tenant = "homed-" + std::to_string(i);
-      if (router->place(affinity_key(tenant), loads) == want) return tenant;
+      if (router.place(affinity_key(tenant), loads) == want) return tenant;
     }
     ADD_FAILURE() << "no tenant homed at server " << want;
     return "";
@@ -235,12 +250,53 @@ class FleetTest : public ::testing::Test {
   }
 };
 
+TEST_F(FleetTest, RejectsAnyRouterButAffinity) {
+  // One placement is left; its old registry name is the only one accepted.
+  for (const char* name : {"hash", "p2c", "round-robin", ""}) {
+    FleetOptions options;
+    options.router = name;
+    try {
+      Fleet fleet({small_spec()}, options);
+      ADD_FAILURE() << "router \"" << name << "\" accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument)
+          << name << ": " << error_code_name(e.code());
+    }
+  }
+  const FleetOptions defaults;
+  EXPECT_EQ(defaults.router, "affinity");
+  EXPECT_NO_THROW({ Fleet fleet({small_spec()}, defaults); });
+}
+
+// A budget the steady clock cannot represent is no budget at all: the
+// deadline never expires and the admission wait lasts until space frees.
+constexpr double kBeyondTheClockMs[] = {
+    1e13, 1e300, std::numeric_limits<double>::infinity()};
+
+TEST_F(FleetTest, DeadlineBeyondTheClockNeverExpires) {
+  Fleet fleet({small_spec(), small_spec()});
+  Rng rng(89);
+  auto weights = random_weights(rng, 16, 8);
+  for (const double deadline_ms : kBeyondTheClockMs) {
+    const gemm::Mat32 a = gemm::random_matrix(rng, 2, 16, -5, 5);
+    try {
+      const serve::GemmResult r =
+          fleet.submit_gemm("t", a, weights, {.deadline_ms = deadline_ms})
+              .get();
+      EXPECT_EQ(gemm::first_mismatch(r.out, gemm::reference_gemm(a, *weights)),
+                "");
+    } catch (const Error& e) {
+      ADD_FAILURE() << deadline_ms << " ms: " << error_code_name(e.code());
+    }
+  }
+  EXPECT_EQ(fleet.stats().resolved_ok, 3);
+}
+
 TEST_F(FleetTest, ServesAcrossServersBitIdenticalAndBalanced) {
   std::vector<FleetServerSpec> specs(3, small_spec());
   specs[1].config = arch::ArrayConfig::square(8);  // heterogeneous on purpose
   Fleet fleet(std::move(specs));
   EXPECT_EQ(fleet.num_servers(), 3);
-  EXPECT_EQ(fleet.router(), "affinity");
 
   Rng rng(31);
   auto weights = random_weights(rng, 16, 8);
@@ -295,7 +351,8 @@ TEST_F(FleetTest, SameTenantKeepsItsHomeServer) {
 
 TEST_F(FleetTest, KillServerFailsOverQueuedWorkWithoutLoss) {
   FleetOptions options;
-  options.router = "hash";  // pin tenants to homes deterministically
+  // Pin tenants to homes deterministically: never spill.
+  options.router_options.spill_factor = kNeverSpill;
   Fleet fleet({small_spec(), small_spec()}, options);
   const std::string victim_tenant = tenant_homed_at(0, 2);
   const std::string other_tenant = tenant_homed_at(1, 2);
@@ -347,7 +404,7 @@ TEST_F(FleetTest, KillServerFailsOverQueuedWorkWithoutLoss) {
 
 TEST_F(FleetTest, KillingEveryServerDeliversTypedUnavailable) {
   FleetOptions options;
-  options.router = "hash";
+  options.router_options.spill_factor = kNeverSpill;
   options.max_failovers = 2;
   Fleet fleet({small_spec(), small_spec()}, options);
   Rng rng(37);
@@ -405,7 +462,7 @@ TEST_F(FleetTest, KillingEveryServerDeliversTypedUnavailable) {
 
 TEST_F(FleetTest, HedgingUnsticksAStalledServerFirstResultWins) {
   FleetOptions options;
-  options.router = "hash";
+  options.router_options.spill_factor = kNeverSpill;
   options.hedge_ms = 10.0;
   Fleet fleet({small_spec(), small_spec()}, options);
   const std::string stuck_tenant = tenant_homed_at(0, 2);
@@ -453,7 +510,7 @@ TEST_F(FleetTest, HedgingUnsticksAStalledServerFirstResultWins) {
 
 TEST_F(FleetTest, DrainThenRestartIsALosslessRollingRestart) {
   FleetOptions options;
-  options.router = "hash";
+  options.router_options.spill_factor = kNeverSpill;
   Fleet fleet({small_spec(), small_spec()}, options);
   const std::string tenant = tenant_homed_at(0, 2);
 
@@ -493,7 +550,7 @@ TEST_F(FleetTest, DrainThenRestartIsALosslessRollingRestart) {
 
 TEST_F(FleetTest, ProberMarksAStalledServerUnhealthyThenRecoversIt) {
   FleetOptions options;
-  options.router = "hash";
+  options.router_options.spill_factor = kNeverSpill;
   options.probe_interval_ms = 2.0;
   options.probe_timeout_ms = 20.0;
   options.unhealthy_after = 2;
@@ -633,7 +690,7 @@ TEST_F(FleetTest, OverloadComposesBlockUntilSpaceFrees) {
 
 TEST_F(FleetTest, RoutesWholeInferencesAndFailsThemOver) {
   FleetOptions options;
-  options.router = "hash";
+  options.router_options.spill_factor = kNeverSpill;
   Fleet fleet({small_spec(), small_spec()}, options);
   const std::string tenant = tenant_homed_at(0, 2);
   auto model = std::make_shared<nn::Model>(nn::mobilenet_v1());
@@ -692,6 +749,11 @@ TEST_F(FleetTest, MalformedRequestsThrowInvalidArgumentAndBookNothing) {
   expect_invalid("empty model", [&] {
     fleet.submit_inference("t", std::make_shared<nn::Model>());
   });
+  expect_invalid("NaN admission timeout", [&] {
+    fleet.submit_gemm(
+        "t", gemm::random_matrix(rng, 2, 16, -5, 5), weights,
+        {.admission_timeout_ms = std::numeric_limits<double>::quiet_NaN()});
+  });
   const FleetStats stats = fleet.stats();
   EXPECT_EQ(stats.submitted, 0);
   EXPECT_EQ(stats.resolved(), 0);
@@ -705,7 +767,7 @@ TEST_F(FleetTest, HeterogeneousFleetPlacesAModeOnlySomeServersSupport) {
   std::vector<FleetServerSpec> specs{small_spec(), small_spec()};
   specs[1].config.supported_k = {1, 2};
   FleetOptions options;
-  options.router = "hash";
+  options.router_options.spill_factor = kNeverSpill;
   Fleet fleet(std::move(specs), options);
   const std::string tenant = tenant_homed_at(1, 2);
 
@@ -794,9 +856,35 @@ TEST_F(FleetFullServerTest, DegradePolicyMakesAnInferenceWaitLikeBlock) {
   EXPECT_EQ(stats.resolved_ok, 2);
 }
 
+TEST_F(FleetFullServerTest, AdmissionTimeoutBeyondTheClockWaitsForSpace) {
+  for (const double timeout_ms : kBeyondTheClockMs) {
+    auto fleet = full_fleet("block");
+    const gemm::Mat32 a = gemm::random_matrix(rng_, 2, 16, -5, 5);
+    std::future<serve::GemmResult> future;
+    std::exception_ptr error;
+    std::atomic<bool> returned{false};
+    std::thread client([&] {
+      try {
+        future = fleet->submit_gemm("patient", a, weights_,
+                                    {.admission_timeout_ms = timeout_ms});
+      } catch (...) {
+        error = std::current_exception();
+      }
+      returned.store(true);
+    });
+    std::this_thread::sleep_for(milliseconds(50));
+    EXPECT_FALSE(returned.load()) << timeout_ms << " ms did not wait";
+    fleet->stall_server(0, false);  // capacity frees as the queue drains
+    client.join();
+    EXPECT_FALSE(error) << timeout_ms << " ms: submit threw";
+    if (!error) EXPECT_GT(future.get().cycles, 0);
+    EXPECT_GT(filler_.get().cycles, 0);
+  }
+}
+
 TEST_F(FleetTest, InferenceIsNeverHedged) {
   FleetOptions options;
-  options.router = "hash";
+  options.router_options.spill_factor = kNeverSpill;
   options.hedge_ms = 10.0;
   Fleet fleet({small_spec(), small_spec()}, options);
   const std::string tenant = tenant_homed_at(0, 2);

@@ -44,9 +44,6 @@ check --names \
 check --policies \
   '/^### Overload policies/{f=1;next} /^#/{f=0} f' \
   "serve overload-policy registry vs README Overload policies table"
-check --routers \
-  '/^### Routers/{f=1;next} /^#/{f=0} f' \
-  "fleet::make_router registry vs README Routers table"
 check --reconfig-policies \
   '/^### Reconfiguration policies/{f=1;next} /^#/{f=0} f' \
   "serve reconfiguration-policy registry vs README Reconfiguration policies table"

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -29,7 +30,6 @@
 namespace af::serve {
 namespace {
 
-using std::chrono::microseconds;
 using std::chrono::milliseconds;
 
 Request make_gemm_request(std::uint64_t id, const std::string& tenant) {
@@ -178,10 +178,11 @@ TEST(ChaosEngineTest, WrapsTheCycleBackendAndRefusesItself) {
 TEST(RequestQueueRobustnessTest, TimedPushKeepsTheRequestOnRejection) {
   RequestQueue q(1);
   Request first = make_gemm_request(0, "t");
-  EXPECT_EQ(q.push_for(first, microseconds(0)), PushResult::kAccepted);
+  EXPECT_EQ(q.push_until(first, Clock::now()), PushResult::kAccepted);
 
   Request second = make_gemm_request(1, "t");
-  EXPECT_EQ(q.push_for(second, microseconds(2000)), PushResult::kFull);
+  EXPECT_EQ(q.push_until(second, Clock::now() + milliseconds(2)),
+            PushResult::kFull);
   // The rejected request is untouched: its promise still resolves.
   std::future<GemmResult> future = second.gemm_promise.get_future();
   second.gemm_promise.set_value(GemmResult{});
@@ -189,7 +190,7 @@ TEST(RequestQueueRobustnessTest, TimedPushKeepsTheRequestOnRejection) {
 
   q.close();
   Request third = make_gemm_request(2, "t");
-  EXPECT_EQ(q.push_for(third, microseconds(0)), PushResult::kClosed);
+  EXPECT_EQ(q.push_until(third, Clock::now()), PushResult::kClosed);
 }
 
 TEST(RequestQueueRobustnessTest, ReaperRemovesOnlyOverdueRequests) {
@@ -202,10 +203,10 @@ TEST(RequestQueueRobustnessTest, ReaperRemovesOnlyOverdueRequests) {
   Request expired_b = make_gemm_request(2, "b");
   expired_b.deadline = now - milliseconds(1);
   Request no_deadline = make_gemm_request(3, "b");
-  ASSERT_EQ(q.push_for(expired_a, microseconds(0)), PushResult::kAccepted);
-  ASSERT_EQ(q.push_for(live_a, microseconds(0)), PushResult::kAccepted);
-  ASSERT_EQ(q.push_for(expired_b, microseconds(0)), PushResult::kAccepted);
-  ASSERT_EQ(q.push_for(no_deadline, microseconds(0)), PushResult::kAccepted);
+  ASSERT_EQ(q.push_until(expired_a, Clock::now()), PushResult::kAccepted);
+  ASSERT_EQ(q.push_until(live_a, Clock::now()), PushResult::kAccepted);
+  ASSERT_EQ(q.push_until(expired_b, Clock::now()), PushResult::kAccepted);
+  ASSERT_EQ(q.push_until(no_deadline, Clock::now()), PushResult::kAccepted);
 
   std::vector<Request> reaped = q.remove_expired(Clock::now());
   ASSERT_EQ(reaped.size(), 2u);
@@ -576,6 +577,69 @@ TEST_P(AdmissionBooksTest, AdmissionTimeoutRefusalBooksEveryLogicalRequest) {
   Accepted first = submit(*server);
   expect_overloaded_refusal(*server, std::move(first),
                             {.admission_timeout_ms = 0.0});
+}
+
+// A budget the steady clock cannot represent is no budget at all: such a
+// deadline never expires and such an admission wait blocks until space
+// frees.  (1e13 ms is past 2^63 ns: a bare conversion overflows the
+// clock's rep.)
+constexpr double kBeyondTheClockMs[] = {
+    1e13, 1e16, 1e300, std::numeric_limits<double>::infinity()};
+
+TEST_P(AdmissionBooksTest, DeadlineBeyondTheClockNeverExpires) {
+  auto server = paused_server({});
+  std::vector<Accepted> accepted;
+  for (const double deadline_ms : kBeyondTheClockMs) {
+    accepted.push_back(submit(*server, {.deadline_ms = deadline_ms}));
+  }
+  server->pause_serving(false);
+  for (Accepted& a : accepted) EXPECT_NO_THROW(a.wait());
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.expired, 0);
+  EXPECT_EQ(stats.completed, stats.submitted);
+}
+
+TEST_P(AdmissionBooksTest, AdmissionTimeoutBeyondTheClockWaitsForSpace) {
+  for (const double timeout_ms : kBeyondTheClockMs) {
+    ServerOptions opts;
+    opts.queue_capacity = 1;  // the first submission fills the one deque
+    auto server = paused_server(opts);
+    Accepted first = submit(*server);
+    Accepted second;
+    std::exception_ptr error;
+    std::atomic<bool> returned{false};
+    std::thread client([&] {
+      try {
+        second = submit(*server, {.admission_timeout_ms = timeout_ms});
+      } catch (...) {
+        error = std::current_exception();
+      }
+      returned.store(true);
+    });
+    std::this_thread::sleep_for(milliseconds(30));
+    EXPECT_FALSE(returned.load()) << timeout_ms << " ms did not wait";
+    server->pause_serving(false);  // the first drains, space frees
+    client.join();
+    EXPECT_FALSE(error) << timeout_ms << " ms: submit threw";
+    first.wait();
+    if (!error) second.wait();
+    EXPECT_EQ(server->stats().rejected, 0) << timeout_ms << " ms";
+  }
+}
+
+TEST_P(AdmissionBooksTest, NanAdmissionTimeoutIsInvalid) {
+  auto server = paused_server({});
+  try {
+    submit(*server,
+           {.admission_timeout_ms = std::numeric_limits<double>::quiet_NaN()});
+    ADD_FAILURE() << "expected kInvalidArgument";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument)
+        << error_code_name(e.code());
+  }
+  const ServerStats stats = server->stats();
+  EXPECT_EQ(stats.submitted, 0);
+  EXPECT_EQ(stats.rejected, 0);
 }
 
 // A failure after admission books the same way: `expired` and `unserved`
