@@ -13,11 +13,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/array.h"
@@ -138,23 +140,48 @@ BENCHMARK(BM_EngineRunGemm)
     ->Args({1, 1})
     ->Args({1, 0});
 
-// The golden-model GEMM and the served-output kernel on the same operands.
+// The golden-model GEMM and both served-output kernels (multiply picks
+// the AVX2 one when the CPU has it) on the same full-range int32 operands:
+// X (t x m) = A (t x n) x B (n x m).
 void BM_Gemm(benchmark::State& state,
              gemm::Mat64 (*gemm_fn)(const gemm::Mat32&, const gemm::Mat32&)) {
-  const std::int64_t n = state.range(0);
+  const std::int64_t t = state.range(0);
+  const std::int64_t n = state.range(1);
+  const std::int64_t m = state.range(2);
   Rng rng(2);
-  const gemm::Mat32 a = gemm::random_matrix(rng, 32, n, -100, 100);
-  const gemm::Mat32 b = gemm::random_matrix(rng, n, n, -100, 100);
+  const gemm::Mat32 a = gemm::random_matrix(rng, t, n, INT32_MIN, INT32_MAX);
+  const gemm::Mat32 b = gemm::random_matrix(rng, n, m, INT32_MIN, INT32_MAX);
   for (auto _ : state) {
     benchmark::DoNotOptimize(gemm_fn(a, b));
   }
   state.counters["MACs/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * 32 * n * n),
+      static_cast<double>(state.iterations() * t * n * m),
       benchmark::Counter::kIsRate);
 }
+// Two square B's at t = 32, then the six transformer phase GEMMs of the
+// benchmark's transformer_fleet model (d_model 64, 2 heads, d_ff 256,
+// kv_len 512) as (n, m) -- QKV projection, attention score, attention
+// context, output projection, MLP up, MLP down -- at t = 1 (a decode
+// step), 10 and 272 (a prefill).
+void gemm_shapes(benchmark::internal::Benchmark* bench) {
+  bench->ArgNames({"t", "n", "m"});
+  bench->Args({32, 64, 64})->Args({32, 128, 128});
+  for (const std::int64_t t : {1, 10, 272}) {
+    for (const auto& [n, m] : {std::pair<std::int64_t, std::int64_t>{64, 192},
+                               {32, 512},
+                               {512, 32},
+                               {64, 64},
+                               {64, 256},
+                               {256, 64}}) {
+      bench->Args({t, n, m});
+    }
+  }
+}
 BENCHMARK_CAPTURE(BM_Gemm, reference_gemm, &gemm::reference_gemm)
-    ->Arg(64)->Arg(128);
-BENCHMARK_CAPTURE(BM_Gemm, multiply, &gemm::multiply)->Arg(64)->Arg(128);
+    ->Apply(gemm_shapes);
+BENCHMARK_CAPTURE(BM_Gemm, multiply_portable, &gemm::detail::multiply_portable)
+    ->Apply(gemm_shapes);
+BENCHMARK_CAPTURE(BM_Gemm, multiply, &gemm::multiply)->Apply(gemm_shapes);
 
 void BM_AnalyticLatencyModel(benchmark::State& state) {
   const arch::ArrayConfig cfg = config_for(128);

@@ -68,6 +68,21 @@ struct Fleet::Attempt {
 
 struct Fleet::Node {
   int index = -1;
+  // The collector's wake-up call: a settle on this node's server (its
+  // settle callback), a new pending entry, or stop.  It has its own mutex,
+  // not `mutex`, so a shard worker settling a promise never waits behind
+  // the collector's scan.  Declared before `server`, which calls it.
+  std::mutex wake_mutex;
+  std::condition_variable wake_cv;
+  bool woken = false;  // guarded by wake_mutex
+  void wake() {
+    {
+      std::lock_guard<std::mutex> lock(wake_mutex);
+      if (woken) return;  // whoever set it has notified
+      woken = true;
+    }
+    wake_cv.notify_one();
+  }
   // Replaced wholesale by restart_server; submit paths copy the
   // shared_ptr under `mutex` and call the server unlocked.
   std::shared_ptr<serve::Server> server;
@@ -78,8 +93,7 @@ struct Fleet::Node {
   std::int64_t placed = 0;
   std::int64_t probe_failures = 0;
   std::deque<Pending> pending;
-  mutable std::mutex mutex;  // guards everything above (except index)
-  std::condition_variable cv;
+  mutable std::mutex mutex;  // guards `server` through `pending`
   std::thread collector;
   std::atomic<bool> stop{false};
 };
@@ -111,8 +125,7 @@ Fleet::Fleet(std::vector<FleetServerSpec> specs, FleetOptions options)
     node->index = static_cast<int>(i);
     node->probe_failing =
         util::Latch(options_.unhealthy_after, options_.healthy_after);
-    node->server =
-        std::make_shared<serve::Server>(specs_[i].config, specs_[i].options);
+    node->server = make_server(*node);
     nodes_.push_back(std::move(node));
   }
   for (auto& node : nodes_) {
@@ -125,6 +138,12 @@ Fleet::Fleet(std::vector<FleetServerSpec> specs, FleetOptions options)
 }
 
 Fleet::~Fleet() { shutdown(); }
+
+std::shared_ptr<serve::Server> Fleet::make_server(Node& node) const {
+  const FleetServerSpec& spec = specs_[static_cast<std::size_t>(node.index)];
+  return std::make_shared<serve::Server>(spec.config, spec.options,
+                                         [&node] { node.wake(); });
+}
 
 void Fleet::shutdown() {
   std::lock_guard<std::mutex> shutdown_lock(shutdown_mutex_);
@@ -148,7 +167,7 @@ void Fleet::shutdown() {
   }
   for (auto& node : nodes_) {
     node->stop.store(true);
-    node->cv.notify_all();
+    node->wake();
   }
   for (auto& node : nodes_) {
     if (node->collector.joinable()) node->collector.join();
@@ -227,7 +246,7 @@ void Fleet::submit_to(int server, const TicketPtr<R>& ticket, PlaceKind kind) {
     node.placed += 1;
     node.pending.push_back(std::move(attempt));
   }
-  node.cv.notify_all();
+  node.wake();
 }
 
 namespace {
@@ -421,62 +440,90 @@ bool Fleet::failover_safe(const std::exception_ptr& eptr) {
 }
 
 void Fleet::collector_loop(Node& node) {
-  std::unique_lock<std::mutex> lock(node.mutex);
+  std::vector<Pending> ready;
+  std::vector<TicketPtr<serve::GemmResult>> to_hedge;
   while (true) {
-    bool handled = false;
-    for (std::size_t i = 0; i < node.pending.size(); ++i) {
-      const bool ready = std::visit(
-          [](const auto& attempt) {
-            return attempt.future.wait_for(std::chrono::seconds(0)) ==
-                   std::future_status::ready;
-          },
-          node.pending[i]);
-      if (!ready) continue;
-      Pending taken = std::move(node.pending[i]);
-      node.pending.erase(node.pending.begin() +
-                         static_cast<std::ptrdiff_t>(i));
-      lock.unlock();
-      std::visit([this, &node](auto& attempt) { handle_ready(node, attempt); },
-                 taken);
-      lock.lock();
-      handled = true;
-      break;  // re-scan: the deque may have changed while unlocked
+    // Clear the wake flag BEFORE the scan: a settle, a new entry or stop
+    // that lands after this sets it again, so the wait below cannot sleep
+    // through it.
+    {
+      std::lock_guard<std::mutex> lock(node.wake_mutex);
+      node.woken = false;
     }
-    if (handled) continue;
+    Clock::time_point next_hedge = Clock::time_point::max();
+    bool done = false;
+    {
+      std::lock_guard<std::mutex> lock(node.mutex);
+      // Ready attempts move out to `ready`; the rest keep their order.
+      auto kept = node.pending.begin();
+      for (auto it = node.pending.begin(); it != node.pending.end(); ++it) {
+        const bool is_ready = std::visit(
+            [](const auto& attempt) {
+              return attempt.future.wait_for(std::chrono::seconds(0)) ==
+                     std::future_status::ready;
+            },
+            *it);
+        if (is_ready) {
+          ready.push_back(std::move(*it));
+        } else {
+          if (kept != it) *kept = std::move(*it);
+          ++kept;
+        }
+      }
+      node.pending.erase(kept, node.pending.end());
 
-    if (options_.hedge_ms > 0.0 && !admission_closed_.load()) {
-      // Claim hedge candidates under the lock, submit them outside it
-      // (submitting locks ANOTHER node's mutex; holding ours too would
-      // order locks both ways across collectors).
-      std::vector<TicketPtr<serve::GemmResult>> to_hedge;
-      const Clock::time_point now = Clock::now();
-      const Clock::time_point horizon = deadline_after(now, options_.hedge_ms);
-      for (const Pending& entry : node.pending) {
-        // Only GEMMs hedge: a losing duplicate still runs, and for an
-        // inference that is the whole model again on a second server.
-        const auto* attempt = std::get_if<Attempt<serve::GemmResult>>(&entry);
-        if (attempt == nullptr || attempt->hedge) continue;
-        Ticket<serve::GemmResult>& ticket = *attempt->ticket;
-        if (ticket.resolved.load()) continue;
-        const bool slow =
-            now >= deadline_after(ticket.enqueue, options_.hedge_ms);
-        const bool near_deadline =
-            ticket.deadline != Clock::time_point::max() &&
-            ticket.deadline <= horizon;
-        if (!slow && !near_deadline) continue;
-        if (ticket.hedged.exchange(true)) continue;
-        to_hedge.push_back(attempt->ticket);
+      // Claim the GEMM tickets due for a hedge and note when the next one
+      // falls due: hedge_ms after submission, or hedge_ms before the
+      // deadline, whichever comes first.  Only GEMMs hedge: a losing
+      // duplicate still runs, and for an inference that is the whole model
+      // again on a second server.
+      if (options_.hedge_ms > 0.0 && !admission_closed_.load()) {
+        const Clock::time_point now = Clock::now();
+        for (const Pending& entry : node.pending) {
+          const auto* attempt =
+              std::get_if<Attempt<serve::GemmResult>>(&entry);
+          if (attempt == nullptr || attempt->hedge) continue;
+          Ticket<serve::GemmResult>& ticket = *attempt->ticket;
+          if (ticket.resolved.load() || ticket.hedged.load()) continue;
+          const double before_deadline_ms =
+              ticket.deadline == Clock::time_point::max()
+                  ? options_.hedge_ms
+                  : ms_until(ticket.deadline, ticket.enqueue) -
+                        options_.hedge_ms;
+          const Clock::time_point due = deadline_after(
+              ticket.enqueue, std::min(options_.hedge_ms, before_deadline_ms));
+          if (now < due) {
+            next_hedge = std::min(next_hedge, due);
+          } else if (!ticket.hedged.exchange(true)) {
+            to_hedge.push_back(attempt->ticket);
+          }
+        }
       }
-      if (!to_hedge.empty()) {
-        lock.unlock();
-        for (const auto& ticket : to_hedge) issue_hedge(ticket, node.index);
-        lock.lock();
-        continue;
-      }
+      done = node.stop.load() && node.pending.empty();
     }
 
-    if (node.stop.load() && node.pending.empty()) break;
-    node.cv.wait_for(lock, std::chrono::microseconds(200));
+    // Resolving, failing over and hedging happen unlocked: they lock OTHER
+    // nodes' mutexes, and holding ours too would order locks both ways
+    // across collectors.
+    if (!ready.empty() || !to_hedge.empty()) {
+      for (Pending& entry : ready) {
+        std::visit(
+            [this, &node](auto& attempt) { handle_ready(node, attempt); },
+            entry);
+      }
+      for (const auto& ticket : to_hedge) issue_hedge(ticket, node.index);
+      ready.clear();
+      to_hedge.clear();
+      continue;
+    }
+    if (done) return;
+    std::unique_lock<std::mutex> lock(node.wake_mutex);
+    const auto woken = [&node] { return node.woken; };
+    if (next_hedge == Clock::time_point::max()) {
+      node.wake_cv.wait(lock, woken);
+    } else {
+      node.wake_cv.wait_until(lock, next_hedge, woken);
+    }
   }
 }
 
@@ -730,9 +777,7 @@ void Fleet::restart_server(int server) {
   // The old server's promises were all resolved by quiesce, so dropping
   // the last shared_ptr here destroys it safely; any of its futures still
   // in `pending` stay valid (futures outlive their promise).
-  node.server = std::make_shared<serve::Server>(
-      specs_[static_cast<std::size_t>(server)].config,
-      specs_[static_cast<std::size_t>(server)].options);
+  node.server = make_server(node);
   node.probe_failing.reset();
   node.health = ServerHealth::kHealthy;
 }

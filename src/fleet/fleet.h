@@ -4,8 +4,9 @@
 //                        │ (Router: hash home, p2c spill)         heterogeneous)
 //                        ├─ prober thread: tiny cost-only probes per server;
 //                        │  a util::Latch drives healthy <-> unhealthy
-//                        ├─ per-server collector thread: waits the server
-//                        │  futures, resolves tickets, fails over, hedges
+//                        ├─ per-server collector thread: woken by its
+//                        │  server's settles, resolves tickets, fails
+//                        │  over, hedges
 //                        └─ failpoints: kill_server (crash), stall_server,
 //                           drain_server (rolling restart), restart_server
 //
@@ -257,8 +258,13 @@ class Fleet {
   template <class R>
   void submit_to(int server, const TicketPtr<R>& ticket, PlaceKind kind);
 
-  // One node's collector loop: polls pending futures, resolves tickets
-  // (CAS), fails over never-executed work, issues hedges.
+  // Builds node's server from its spec, with the settle callback that
+  // wakes the node's collector.
+  std::shared_ptr<serve::Server> make_server(Node& node) const;
+
+  // One node's collector loop: resolves tickets whose server futures are
+  // ready (CAS), fails over never-executed work and issues hedges, then
+  // sleeps until a settle, a new entry, stop or the next hedge falls due.
   void collector_loop(Node& node);
   template <class R>
   void handle_ready(Node& node, Attempt<R>& attempt);

@@ -180,8 +180,11 @@ struct Server::Shard {
   explicit Shard(int idx) : index(idx) { stats.shard = idx; }
 };
 
-Server::Server(const arch::ArrayConfig& shard_config, ServerOptions options)
-    : shard_config_(shard_config), options_(options) {
+Server::Server(const arch::ArrayConfig& shard_config, ServerOptions options,
+               std::function<void()> on_settle)
+    : shard_config_(shard_config),
+      options_(options),
+      on_settle_(std::move(on_settle)) {
   AF_CHECK(options_.num_shards >= 1, "server needs at least one shard");
   AF_CHECK(options_.max_batch >= 1, "max_batch must be at least 1");
   AF_CHECK(options_.audit_fraction >= 0.0 && options_.audit_fraction <= 1.0,
@@ -732,7 +735,9 @@ void Server::fail_requests(std::vector<Request>& requests,
       const std::int64_t count = static_cast<std::int64_t>(r.slot->count());
       tenants_.record_error(r.tenant, code);
       book(count);
-      if (!r.slot->fail(error)) {
+      if (r.slot->fail(error)) {
+        settled();
+      } else {
         unbook(count);
         AF_ASSERT(false,
                   "batch slot settled twice (request " << r.id << ")");
@@ -750,7 +755,9 @@ void Server::fail_requests(std::vector<Request>& requests,
     } catch (const std::future_error&) {
       unbook(1);
       AF_ASSERT(false, "promise settled twice (request " << r.id << ")");
+      continue;
     }
+    settled();
   }
 }
 
@@ -1122,6 +1129,7 @@ void Server::execute_gemm_batch(Shard& shard, Batch& batch) {
                     r.shape.t * r.shape.n * r.shape.m);
     completed_.fetch_add(1);
     r.gemm_promise.set_value(std::move(result));
+    settled();
   }
 }
 
@@ -1155,7 +1163,9 @@ void Server::execute_cost_batch(Shard& shard, Batch& batch) {
                     /*energy_pj=*/0.0, /*sim_time_ps=*/0.0, r.drr_cost);
     answered += count;
     completed_.fetch_add(count);
-    if (!slot.complete(std::move(results))) {
+    if (slot.complete(std::move(results))) {
+      settled();
+    } else {
       completed_.fetch_sub(count);
       promise_double_sets_.fetch_add(1);
       AF_ASSERT(false, "batch slot settled twice (request " << r.id << ")");
@@ -1201,6 +1211,7 @@ void Server::execute_infer_batch(Shard& shard, Batch& batch) {
     completed_.fetch_add(1);
     result.report = report;
     r.infer_promise->set_value(std::move(result));
+    settled();
   }
 }
 

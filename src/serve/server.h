@@ -62,6 +62,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -344,8 +345,13 @@ class Server {
  public:
   // `shard_config` describes one shard's array; its SimOptions thread count
   // is ignored (the server controls simulation threading via options).
+  // `on_settle`, when set, is called once after every promise or batch slot
+  // the server settles, with a value or an error, on the settling thread (a
+  // shard worker, or the caller of quiesce); it must not throw or block.
+  // fleet::Fleet wakes the server's collector with it.
   explicit Server(const arch::ArrayConfig& shard_config,
-                  ServerOptions options = {});
+                  ServerOptions options = {},
+                  std::function<void()> on_settle = {});
   ~Server();  // drains accepted work, then stops the shards
 
   Server(const Server&) = delete;
@@ -470,6 +476,10 @@ class Server {
   // Never touches the array configuration (no prepare_mode, no drain) —
   // planning traffic must not stall execution.
   void execute_cost_batch(Shard& shard, Batch& batch);
+  // Calls on_settle_, if set: after each promise or batch slot settled.
+  void settled() const {
+    if (on_settle_) on_settle_();
+  }
   // Core failure delivery: fails each request's promise (or batch slot)
   // with `error` and counts per-tenant errors under `code`.  Each settled request's logical
   // count (a batch's shapes, else 1) moves `completed_` and, when given,
@@ -594,6 +604,7 @@ class Server {
   mutable std::mutex shard_stats_mutex_;  // guards every Shard::stats
   std::mutex shutdown_mutex_;
   std::atomic<bool> shut_down_{false};
+  std::function<void()> on_settle_;  // see the constructor
 };
 
 }  // namespace af::serve

@@ -19,6 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "fleet/fleet.h"
 #include "fleet/router.h"
 #include "gemm/reference.h"
@@ -290,6 +292,35 @@ TEST_F(FleetTest, DeadlineBeyondTheClockNeverExpires) {
     }
   }
   EXPECT_EQ(fleet.stats().resolved_ok, 3);
+}
+
+// Process CPU time (user + system, every thread) so far, in ms.
+double process_cpu_ms() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto ms = [](const timeval& tv) {
+    return 1e3 * static_cast<double>(tv.tv_sec) +
+           1e-3 * static_cast<double>(tv.tv_usec);
+  };
+  return ms(usage.ru_utime) + ms(usage.ru_stime);
+}
+
+TEST_F(FleetTest, IdleFleetSleeps) {
+  // No hedging and no prober: with nothing pending, each collector waits
+  // for its server to settle something instead of polling.
+  Fleet fleet({small_spec(), small_spec()});
+  Rng rng(97);
+  auto weights = random_weights(rng, 16, 8);
+  for (int i = 0; i < 4; ++i) {  // every thread has run once
+    fleet.submit_gemm("t-" + std::to_string(i),
+                      gemm::random_matrix(rng, 2, 16, -5, 5), weights)
+        .get();
+  }
+  const double before = process_cpu_ms();
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const double used = process_cpu_ms() - before;
+  EXPECT_LT(used, 10.0) << "an idle 2-server fleet used " << used
+                        << " ms of CPU in 1 s";
 }
 
 TEST_F(FleetTest, ServesAcrossServersBitIdenticalAndBalanced) {

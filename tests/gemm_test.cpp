@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "gemm/matrix.h"
 #include "gemm/multiply.h"
 #include "gemm/quantize.h"
@@ -105,30 +110,92 @@ TEST_P(GemmContractTest, ModularAccumulationWraps) {
   EXPECT_EQ(static_cast<std::uint64_t>(x.at(0, 0)), p * 4u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Kernels, GemmContractTest,
-                         ::testing::Values(&reference_gemm, &multiply),
-                         [](const ::testing::TestParamInfo<GemmFn>& info) {
-                           return info.param == &multiply
-                                      ? std::string("multiply")
-                                      : std::string("reference_gemm");
-                         });
+std::string kernel_name(const ::testing::TestParamInfo<GemmFn>& info) {
+  if (info.param == &multiply) return "multiply";
+  if (info.param == &detail::multiply_portable) return "multiply_portable";
+  return "reference_gemm";
+}
 
-TEST(MultiplyTest, MatchesReferenceExactly) {
+INSTANTIATE_TEST_SUITE_P(Kernels, GemmContractTest,
+                         ::testing::Values(&reference_gemm,
+                                           &detail::multiply_portable,
+                                           &multiply),
+                         kernel_name);
+
+// Both served-output kernels against the oracle: multiply (the AVX2
+// register-blocked kernel on a CPU that has AVX2) and the portable kernel
+// it falls back to.
+class MultiplyTest : public ::testing::TestWithParam<GemmFn> {
+ protected:
+  // Full-range int32 operands, so the 64-bit accumulations wrap.
+  void expect_matches_reference(Rng& rng, const GemmShape& s) {
+    const Mat32 a = random_matrix(rng, s.t, s.n, INT32_MIN, INT32_MAX);
+    const Mat32 b = random_matrix(rng, s.n, s.m, INT32_MIN, INT32_MAX);
+    EXPECT_EQ(first_mismatch(GetParam()(a, b), reference_gemm(a, b)), "")
+        << s.t << "x" << s.n << "x" << s.m;
+  }
+};
+
+TEST_P(MultiplyTest, MatchesReferenceExactly) {
   // Two transformer shapes (a decode QKV projection, a prefill attention
-  // context), then random widths 1..70, which cover every remainder of the
-  // vectorized inner loop.  The full int32 range makes accumulations wrap.
+  // context), then random shapes 1..70 on every side.
   Rng rng(12);
   std::vector<GemmShape> shapes = {{192, 64, 1}, {32, 512, 272}};
   for (int i = 0; i < 300; ++i) {
     shapes.push_back({rng.next_in(1, 70), rng.next_in(1, 70), rng.next_in(1, 70)});
   }
-  for (const GemmShape& s : shapes) {
-    const Mat32 a = random_matrix(rng, s.t, s.n, INT32_MIN, INT32_MAX);
-    const Mat32 b = random_matrix(rng, s.n, s.m, INT32_MIN, INT32_MAX);
-    ASSERT_EQ(first_mismatch(multiply(a, b), reference_gemm(a, b)), "")
-        << s.t << "x" << s.n << "x" << s.m;
+  for (const GemmShape& s : shapes) expect_matches_reference(rng, s);
+}
+
+TEST_P(MultiplyTest, EveryBlockRemainder) {
+  // t 1..9 and m 1..40 reach every remainder of the 4-row blocks, the
+  // 8-column blocks and the leftover rows' 32-column blocks, and the
+  // column tail; n runs 1..70.
+  Rng rng(13);
+  for (std::int64_t t = 1; t <= 9; ++t) {
+    for (std::int64_t m = 1; m <= 40; ++m) {
+      expect_matches_reference(rng, {m, rng.next_in(1, 70), t});
+    }
   }
 }
+
+TEST_P(MultiplyTest, TransformerPhaseShapes) {
+  // The six phase GEMMs of a d_model 64, 2-head, d_ff 256, kv_len 512
+  // transformer as (m, n): QKV projection, attention score, attention
+  // context, output projection, MLP up, MLP down -- at a decode step
+  // (t = 1), a fused decode batch (10) and a prefill (272).
+  Rng rng(14);
+  const std::pair<std::int64_t, std::int64_t> phases[] = {
+      {192, 64}, {512, 32}, {32, 512}, {64, 64}, {256, 64}, {64, 256}};
+  for (const std::int64_t t : {1, 10, 272}) {
+    for (const auto& [m, n] : phases) expect_matches_reference(rng, {m, n, t});
+  }
+}
+
+TEST_P(MultiplyTest, WrapsAtTheInt32Extremes) {
+  // Every product of INT32_MIN and INT32_MAX operands is near +-2^62, so
+  // a 70-deep sum wraps many times; the oracle wraps the same way.
+  Rng rng(15);
+  Mat32 a(9, 70);
+  Mat32 b(70, 40);
+  for (Mat32* mat : {&a, &b}) {
+    for (std::int64_t r = 0; r < mat->rows(); ++r) {
+      for (std::int64_t c = 0; c < mat->cols(); ++c) {
+        mat->at(r, c) = rng.next_below(2) == 0 ? INT32_MIN : INT32_MAX;
+      }
+    }
+  }
+  EXPECT_EQ(first_mismatch(GetParam()(a, b), reference_gemm(a, b)), "");
+  // All INT32_MIN: each product is 2^62, and 70 of them sum to
+  // 70 * 2^62 = 2^63 (mod 2^64), INT64_MIN.
+  const Mat64 x = GetParam()(Mat32(9, 70, INT32_MIN), Mat32(70, 40, INT32_MIN));
+  for (const std::int64_t v : x.data()) ASSERT_EQ(v, INT64_MIN);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, MultiplyTest,
+                         ::testing::Values(&detail::multiply_portable,
+                                           &multiply),
+                         kernel_name);
 
 TEST(MacModTest, MatchesWideArithmetic) {
   Rng rng(9);

@@ -710,6 +710,111 @@ TEST_F(ServeTest, PauseHoldsWorkSubmittedAfterItReturns) {
   EXPECT_EQ(served, 0) << "GEMMs served despite a pause before submit";
 }
 
+// The settle callback (fleet::Fleet wakes its collectors with it) is called
+// once per settled promise or batch slot, on every path that settles one.
+// Each case shuts its server down before counting: the callback runs after
+// the settle, and shutdown joins the threads that call it.
+class SettleCallbackTest : public ServeTest {
+ protected:
+  // One shard, so what is submitted under a pause leaves as one batch.
+  std::unique_ptr<Server> make_server() {
+    ServerOptions opts;
+    opts.num_shards = 1;
+    return std::make_unique<Server>(shard16(), opts,
+                                    [this] { settles_.fetch_add(1); });
+  }
+  std::future<GemmResult> submit(Server& server, Rng& rng,
+                                 const SubmitOptions& submit = {}) {
+    return server.submit_gemm("t", gemm::random_matrix(rng, 2, 16, -10, 10),
+                              weights_, submit);
+  }
+  BatchTicket submit_batch(Server& server, const SubmitOptions& submit = {}) {
+    const std::vector<gemm::GemmShape> shapes(4, gemm::GemmShape{16, 16, 4});
+    return server.submit_gemm_batch("t", shapes, submit);
+  }
+  std::shared_ptr<const nn::Model> model() const {
+    nn::TransformerConfig config;
+    config.d_model = 32;
+    config.n_heads = 2;
+    config.d_ff = 64;
+    config.n_blocks = 1;
+    return std::make_shared<const nn::Model>(nn::decode_model(config, 16));
+  }
+
+  std::atomic<int> settles_{0};
+  std::shared_ptr<gemm::Mat32> weights_ = [] {
+    Rng rng(19);
+    return random_weights(rng, 16, 8);
+  }();
+};
+
+TEST_F(SettleCallbackTest, OncePerServedGemmEvenWhenFused) {
+  Rng rng(20);
+  auto server = make_server();
+  server->pause_serving(true);  // the six fuse into one batch
+  std::vector<std::future<GemmResult>> futures;
+  for (int i = 0; i < 6; ++i) futures.push_back(submit(*server, rng));
+  server->pause_serving(false);
+  std::int64_t fused = 0;
+  for (auto& f : futures) fused = std::max(fused, f.get().batch_requests);
+  server->shutdown();
+  EXPECT_GT(fused, 1);
+  EXPECT_EQ(settles_.load(), 6);
+}
+
+TEST_F(SettleCallbackTest, OncePerServedInference) {
+  auto server = make_server();
+  const auto m = model();
+  server->pause_serving(true);  // the two coalesce into one run
+  auto first = server->submit_inference("t", m);
+  auto second = server->submit_inference("u", m);
+  server->pause_serving(false);
+  first.get();
+  second.get();
+  server->shutdown();
+  EXPECT_EQ(server->stats().shards[0].batches, 1);
+  EXPECT_EQ(settles_.load(), 2);
+}
+
+TEST_F(SettleCallbackTest, OncePerCostBatchSlotNotPerShape) {
+  auto server = make_server();
+  std::vector<BatchTicket> tickets;
+  for (int i = 0; i < 3; ++i) tickets.push_back(submit_batch(*server));
+  for (BatchTicket& ticket : tickets) EXPECT_EQ(ticket.get().size(), 4u);
+  server->shutdown();
+  EXPECT_EQ(settles_.load(), 3);
+}
+
+TEST_F(SettleCallbackTest, OncePerDeadlineReapedRequest) {
+  Rng rng(21);
+  auto server = make_server();
+  const SubmitOptions overdue{.deadline_ms = 1e-6};
+  std::vector<std::future<GemmResult>> futures;
+  for (int i = 0; i < 3; ++i) futures.push_back(submit(*server, rng, overdue));
+  BatchTicket ticket = submit_batch(*server, overdue);
+  for (auto& f : futures) EXPECT_THROW(f.get(), Error);
+  EXPECT_THROW(ticket.get(), Error);
+  server->shutdown();
+  EXPECT_EQ(server->stats().expired, 3 + 4);  // the batch's four shapes
+  EXPECT_EQ(settles_.load(), 4);
+}
+
+TEST_F(SettleCallbackTest, OncePerRequestQuiesceStrands) {
+  Rng rng(22);
+  auto server = make_server();
+  server->pause_serving(true);
+  std::vector<std::future<GemmResult>> futures;
+  for (int i = 0; i < 3; ++i) futures.push_back(submit(*server, rng));
+  BatchTicket ticket = submit_batch(*server);
+  auto inference = server->submit_inference("t", model());
+  server->quiesce();
+  for (auto& f : futures) EXPECT_THROW(f.get(), Error);
+  EXPECT_THROW(ticket.get(), Error);
+  EXPECT_THROW(inference.get(), Error);
+  EXPECT_EQ(server->stats().unserved, 3 + 4 + 1);
+  EXPECT_EQ(settles_.load(), 5);
+}
+
 // Core correctness must hold identically on every registered backend: the
 // analytic engine's outputs come from the reference GEMM and its costs
 // from the exactness-pinned closed forms, so a client cannot tell the
