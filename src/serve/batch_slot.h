@@ -84,12 +84,6 @@ class BatchSlot {
     return true;
   }
 
-  // Non-blocking readiness probe (future::wait_for(0s) semantics).
-  bool settled() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return settled_;
-  }
-
   // Client-side wait: blocks until settled, then moves the results out or
   // rethrows the worker's error (future::get semantics, one-shot).
   std::vector<engine::CostEstimate> take() {
@@ -156,11 +150,6 @@ class BatchTicket {
   BatchTicket& operator=(const BatchTicket&) = delete;
 
   bool valid() const { return slot_ != nullptr; }
-
-  // True once the worker has settled the batch — get() will not block.
-  bool ready() const {
-    return slot_ != nullptr && slot_->settled();
-  }
 
   std::vector<engine::CostEstimate> get() {
     AF_CHECK(slot_ != nullptr, "BatchTicket::get on an empty ticket");

@@ -430,10 +430,16 @@ void Server::control_loop() {
   while (!scale_cv_.wait_for(lock, interval,
                              [this] { return shut_down_.load(); })) {
     const int live = live_shards_.load();
-    // One drain per tick feeds BOTH consumers — drain() empties the
-    // window, so the latch and the autoscaler must share the sample.
-    const Pressure p = sample(static_cast<double>(dispatcher_->depth()),
-                              wait_window_.drain().p99_ms);
+    // One read per tick feeds BOTH consumers — the window resets here, so
+    // the latch and the autoscaler must share the sample.
+    double wait_p99_ms = 0.0;
+    {
+      std::lock_guard<std::mutex> waits_lock(wait_mutex_);
+      if (waits_.count() > 0) wait_p99_ms = waits_.quantile(0.99);
+      waits_ = {};
+    }
+    const Pressure p =
+        sample(static_cast<double>(dispatcher_->depth()), wait_p99_ms);
     if (overload_policy_ != OverloadPolicy::kBlock) {
       overloaded_.store(overload_.update(hot(p, at), cool(p, exit_at)));
     }
@@ -458,6 +464,12 @@ Pressure Server::sample(double depth, double wait_p99_ms) const {
   return {depth / live, wait_p99_ms,
           static_cast<double>(dispatcher_->approx_cost()) / live,
           static_cast<double>(dispatcher_->approx_bytes()) / live};
+}
+
+void Server::sample_wait(double queue_ms) {
+  if (!control_enabled_) return;
+  std::lock_guard<std::mutex> lock(wait_mutex_);
+  waits_.add(queue_ms);
 }
 
 bool Server::under_pressure() const {
@@ -1011,23 +1023,25 @@ void Server::execute_gemm_batch(Shard& shard, Batch& batch) {
       want_output = want_output || batch.requests[i].want_output;
       degraded_run = degraded_run || batch.requests[i].degraded;
     }
-    gemm::Mat32 stacked(total_t, head.shape.n);
-    std::int64_t row = 0;
-    for (const std::size_t i : members) {
-      const gemm::Mat32& a = batch.requests[i].a;
-      for (std::int64_t t = 0; t < a.rows(); ++t, ++row) {
-        for (std::int64_t c = 0; c < a.cols(); ++c) {
-          stacked.at(row, c) = a.at(t, c);
-        }
+    // A group of one runs on its own activations; a larger group stacks
+    // its members' row-major A blocks end to end.
+    const bool fused = members.size() > 1;
+    gemm::Mat32 stacked;
+    if (fused) {
+      stacked = gemm::Mat32(total_t, head.shape.n);
+      std::int32_t* next = stacked.mutable_data();
+      for (const std::size_t i : members) {
+        const std::vector<std::int32_t>& a = batch.requests[i].a.data();
+        next = std::copy(a.begin(), a.end(), next);
       }
     }
 
     engine::GemmRequest run_request;
-    run_request.a = &stacked;
+    run_request.a = fused ? &stacked : &head.a;
     run_request.b = head.b.get();
     run_request.k = k;
     run_request.want_output = want_output;
-    const engine::RunResult run = engine->run_gemm(run_request);
+    engine::RunResult run = engine->run_gemm(run_request);
     batch_time_ps += run.cost.time_ps;
     batch_energy_pj += run.cost.energy_pj;
 
@@ -1057,26 +1071,27 @@ void Server::execute_gemm_batch(Shard& shard, Batch& batch) {
       }
     }
 
-    // Unstack the fused product (when computed).  Energy is attributed by
-    // each request's share of the fused rows; completion (and thus
-    // simulated service time) is the whole fused run for every member.
-    row = 0;
+    // Split the product (when computed) into one row block per member; a
+    // cost-only rider fused with output-wanting requests declined its
+    // block, so its GemmResult::out stays empty, as submit_gemm documents.
+    // Energy is attributed by each request's share of the fused rows;
+    // completion (and thus simulated service time) is the whole fused run
+    // for every member.
+    std::int64_t row = 0;
     for (const std::size_t i : members) {
       const Request& r = batch.requests[i];
       GemmResult& result = results[i];
       if (run.out.has_value() && r.want_output) {
-        result.out = gemm::Mat64(r.shape.t, r.shape.m);
-        for (std::int64_t t = 0; t < r.shape.t; ++t, ++row) {
-          for (std::int64_t c = 0; c < r.shape.m; ++c) {
-            result.out.at(t, c) = run.out->at(row, c);
-          }
+        if (fused) {
+          result.out = gemm::Mat64(r.shape.t, r.shape.m);
+          const auto block = run.out->data().begin() + row * r.shape.m;
+          std::copy(block, block + r.shape.t * r.shape.m,
+                    result.out.mutable_data());
+        } else {
+          result.out = std::move(*run.out);
         }
-      } else if (run.out.has_value()) {
-        // A cost-only rider fused with output-wanting requests: its rows
-        // exist in the fused product but it declined them — skip the copy
-        // and keep GemmResult::out empty, as submit_gemm documents.
-        row += r.shape.t;
       }
+      row += r.shape.t;
       result.k = k;
       result.shard = shard.index;
       result.batch_requests = batch_requests;
@@ -1113,11 +1128,7 @@ void Server::execute_gemm_batch(Shard& shard, Batch& batch) {
     Request& r = batch.requests[i];
     GemmResult& result = results[i];
     result.latency_ms = ms_between(r.enqueue_time, Clock::now());
-    // The wait window's consumers are the control thread's autoscaler and
-    // overload latch; when neither runs nothing drains it, so sampling
-    // would grow it without bound (and cost a shared mutex per request
-    // for nothing).
-    if (control_enabled_) wait_window_.sample(result.queue_ms);
+    sample_wait(result.queue_ms);
     // Tenant books use the same row-share as energy, so summing tenants'
     // sim_time reproduces the shards' busy time; the full fused-run time
     // stays visible in GemmResult::time_ps (the request's service time).
@@ -1152,7 +1163,7 @@ void Server::execute_cost_batch(Shard& shard, Batch& batch) {
         engine->evaluate_batch(slot.shapes(), r.decided_k);
     const std::int64_t count = static_cast<std::int64_t>(results.size());
     const double queue_ms = ms_between(r.enqueue_time, dispatch_time);
-    if (control_enabled_) wait_window_.sample(queue_ms);
+    sample_wait(queue_ms);
     // Cost queries perform no simulated hardware work: the tenant books
     // record the serving latency and the query volume (drr_cost = shape
     // count), but zero energy and zero sim time — summing tenants'
@@ -1202,7 +1213,7 @@ void Server::execute_infer_batch(Shard& shard, Batch& batch) {
 
   for (Request& r : batch.requests) {
     const double queue_ms = ms_between(r.enqueue_time, dispatch_time);
-    if (control_enabled_) wait_window_.sample(queue_ms);  // see GEMM path
+    sample_wait(queue_ms);
     InferenceResult result;
     result.latency_ms = ms_between(r.enqueue_time, Clock::now());
     tenants_.record(r.tenant, /*is_inference=*/true, result.latency_ms,

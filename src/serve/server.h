@@ -56,6 +56,9 @@
 // Accounting: per-tenant latency/queue-wait percentiles / energy / MACs /
 // served share via TenantAccountant, per-shard utilization via
 // ShardSnapshot, dispatcher steals and scale events via ServerStats.
+// Every latency distribution (the tenants' and the control thread's wait
+// window) is a log-bucketed sim::Histogram: its percentiles never
+// under-report and over-report by at most 1/64.
 
 #pragma once
 
@@ -82,6 +85,7 @@
 #include "serve/request.h"
 #include "serve/scheduler.h"
 #include "serve/tenant_stats.h"
+#include "sim/stats.h"
 #include "util/hysteresis.h"
 #include "util/status.h"
 
@@ -509,6 +513,9 @@ class Server {
   // The queue's Pressure now: `depth` and the dispatcher's backlog mirrors
   // divided by the live shard count, plus the given window p99.
   Pressure sample(double depth, double wait_p99_ms) const;
+  // Adds one enqueue->dispatch wait to waits_.  Only the control thread
+  // reads the window, so without one this skips the shared mutex.
+  void sample_wait(double queue_ms);
   // Mode bookkeeping before a GEMM batch runs in mode k: counts the switch
   // and bills the drain (time at the new mode's clock, leakage energy) to
   // the shard when it was configured differently, publishes the new mode
@@ -531,9 +538,10 @@ class Server {
   // override built lazily (and cached) on the shard.
   engine::Engine* engine_for(Shard& shard, const Batch& batch);
 
-  // Control thread: one Pressure sample per tick (the wait window drained
-  // once) feeds BOTH the autoscaler streaks and the overload latch.  Runs
-  // whenever autoscaling is enabled OR the overload policy is not "block".
+  // Control thread: one Pressure sample per tick (the wait window read and
+  // reset once) feeds BOTH the autoscaler streaks and the overload latch.
+  // Runs whenever autoscaling is enabled OR the overload policy is not
+  // "block".
   void control_loop();
   void grow_to(int want);
   void shrink_to(int want);
@@ -566,7 +574,6 @@ class Server {
   SlotPool slot_pool_;
   std::unique_ptr<Dispatcher> dispatcher_;
   TenantAccountant tenants_;
-  LatencyWindow wait_window_;  // autoscaler pressure signal
   std::vector<std::unique_ptr<Shard>> shards_;  // max_shards_ slots
 
   std::atomic<int> live_shards_{0};
@@ -605,6 +612,13 @@ class Server {
   std::mutex shutdown_mutex_;
   std::atomic<bool> shut_down_{false};
   std::function<void()> on_settle_;  // see the constructor
+  // The control thread's wait window: shard workers add each request's
+  // enqueue->dispatch wait (sample_wait), control_loop reads the p99 and
+  // resets it every tick, so the signal covers only waits since the
+  // previous decision (a long-gone burst cannot keep the pool inflated).
+  // The p99 never under-reports and over-reports by at most 1/64.
+  std::mutex wait_mutex_;
+  sim::Histogram waits_;
 };
 
 }  // namespace af::serve

@@ -1,8 +1,10 @@
-// Per-tenant serving accounting: request counts, wall-clock latency
-// distribution (mean/min/max via sim::RunningStat, percentiles via a
-// sim::Histogram), simulated hardware time, attributed energy (from the
-// power models' per-run pricing) and MAC volume.  Thread-safe; shard
-// workers record concurrently, stats() snapshots under the same lock.
+// Per-tenant serving accounting: request counts, wall-clock latency and
+// queue-wait distributions (one log-bucketed sim::Histogram each: mean
+// and max from the samples, p50/p99 that never under-report and
+// over-report by at most 1/64), simulated hardware time, attributed
+// energy (from the power models' per-run pricing) and MAC volume.
+// Thread-safe; shard workers record concurrently, stats() snapshots under
+// the same lock.
 
 #pragma once
 
@@ -53,13 +55,6 @@ struct TenantSnapshot {
 
 class TenantAccountant {
  public:
-  // Latencies land in a histogram of kLatencyBuckets buckets over
-  // [0, kLatencyHistMaxMs) for percentile extraction, the same on every
-  // server; slower samples clamp into the top bucket (their exact values
-  // still reach the RunningStat's max).
-  static constexpr double kLatencyHistMaxMs = 10e3;
-  static constexpr int kLatencyBuckets = 4096;
-
   void record(const std::string& tenant, bool is_inference,
               double latency_ms, double queue_ms, double energy_pj,
               double sim_time_ps, std::int64_t macs);
@@ -87,37 +82,12 @@ class TenantAccountant {
     std::int64_t macs = 0;
     double energy_pj = 0.0;
     double sim_time_ps = 0.0;
-    sim::RunningStat latency_ms;
-    sim::RunningStat queue_ms;
-    sim::Histogram latency_hist{0.0, kLatencyHistMaxMs, kLatencyBuckets};
+    sim::Histogram latency_ms;
+    sim::Histogram queue_ms;
   };
 
   mutable std::mutex mutex_;
   std::map<std::string, Account> accounts_;
-};
-
-// Windowed queue-wait collector for the autoscaler: shard workers sample
-// the enqueue->dispatch wait of every request they pick up; the autoscaler
-// drains the window each control tick and reads its p99, so the scaling
-// signal reflects only waits since the previous decision (a long-gone
-// burst cannot keep the pool inflated).
-class LatencyWindow {
- public:
-  struct Stats {
-    std::int64_t count = 0;
-    double p99_ms = 0.0;
-    double max_ms = 0.0;
-  };
-
-  void sample(double ms);
-  // Returns the window's stats and resets it.  Exact p99 (nth_element over
-  // the drained samples), not a histogram estimate: autoscale windows are
-  // small and the threshold comparison should not be off by a bucket.
-  Stats drain();
-
- private:
-  mutable std::mutex mutex_;
-  std::vector<double> samples_;
 };
 
 }  // namespace af::serve

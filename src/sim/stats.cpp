@@ -1,11 +1,10 @@
 #include "sim/stats.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <sstream>
 
 #include "util/status.h"
-#include "util/strings.h"
 
 namespace af::sim {
 
@@ -51,52 +50,64 @@ double RunningStat::variance() const {
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
-Histogram::Histogram(double lo, double hi, int buckets)
-    : lo_(lo), hi_(hi), counts_(static_cast<std::size_t>(buckets), 0) {
-  AF_CHECK(buckets > 0, "histogram needs at least one bucket");
-  AF_CHECK(hi > lo, "histogram range must be non-empty");
+namespace {
+
+constexpr double kBottomEdge = 1.0 / (1LL << -Histogram::kMinExponent);
+constexpr double kTopEdge =
+    static_cast<double>(1LL << Histogram::kMaxExponent);
+constexpr int kMantissaBits = 52;
+constexpr int kExponentBias = 1023;
+
+// x's bucket: the octave from the biased exponent, the sub-bucket from the
+// top kSubBucketBits of the mantissa.  Requires x < kTopEdge.
+std::size_t bucket_of(double x) {
+  if (!(x >= kBottomEdge)) return 0;
+  const auto bits = std::bit_cast<std::uint64_t>(x);
+  const std::uint64_t octave =
+      (bits >> kMantissaBits) - (kExponentBias + Histogram::kMinExponent);
+  const std::uint64_t sub =
+      (bits >> (kMantissaBits - Histogram::kSubBucketBits)) &
+      (Histogram::kSubBuckets - 1);
+  return static_cast<std::size_t>(octave * Histogram::kSubBuckets + sub);
 }
 
+// The exclusive upper edge of bucket i (exact in a double): every sample
+// in the bucket lies below it.
+double upper_edge(int i) {
+  constexpr double kSubWidth = 1.0 / Histogram::kSubBuckets;
+  return std::ldexp(1.0 + (i % Histogram::kSubBuckets + 1) * kSubWidth,
+                    Histogram::kMinExponent + i / Histogram::kSubBuckets);
+}
+
+}  // namespace
+
 void Histogram::add(double x) {
-  const double frac = (x - lo_) / (hi_ - lo_);
-  int idx = static_cast<int>(frac * static_cast<double>(counts_.size()));
-  idx = std::clamp(idx, 0, static_cast<int>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
+  ++count_;
+  sum_ += x;
+  min_ = std::min(min_, x);
+  max_ = std::max(max_, x);
+  if (x >= kTopEdge) {
+    ++overflow_;
+  } else {
+    ++counts_[bucket_of(x)];
+  }
+}
+
+double Histogram::mean() const {
+  return count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
 }
 
 double Histogram::quantile(double q) const {
-  AF_CHECK(total_ > 0, "quantile of an empty histogram");
-  q = std::clamp(q, 0.0, 1.0);
-  const double step = (hi_ - lo_) / static_cast<double>(counts_.size());
-  const double target = q * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cumulative + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double frac =
-          (target - cumulative) / static_cast<double>(counts_[i]);
-      return lo_ + step * (static_cast<double>(i) + std::clamp(frac, 0.0, 1.0));
-    }
-    cumulative = next;
+  AF_CHECK(count_ > 0, "quantile of an empty histogram");
+  const double n = static_cast<double>(count_);
+  const std::int64_t rank = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(std::ceil(std::clamp(q, 0.0, 1.0) * n)));
+  std::int64_t seen = 0;
+  for (int i = 0; i < kBuckets; ++i) {
+    seen += counts_[static_cast<std::size_t>(i)];
+    if (seen >= rank) return std::clamp(upper_edge(i), min_, max_);
   }
-  return hi_;
-}
-
-std::int64_t Histogram::bucket_count(int i) const {
-  AF_CHECK(i >= 0 && i < buckets(), "bucket index out of range");
-  return counts_[static_cast<std::size_t>(i)];
-}
-
-std::string Histogram::render() const {
-  std::ostringstream out;
-  const double step = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double b0 = lo_ + step * static_cast<double>(i);
-    out << format("[%10.3f, %10.3f): %lld\n", b0, b0 + step,
-                  static_cast<long long>(counts_[i]));
-  }
-  return out.str();
+  return max_;  // the rank is among the overflow samples
 }
 
 }  // namespace af::sim

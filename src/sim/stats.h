@@ -1,11 +1,11 @@
-// Lightweight statistics collectors for simulation runs and sweeps.
+// Lightweight statistics collectors for simulation runs, sweeps and
+// serving latencies.
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace af::sim {
 
@@ -32,27 +32,46 @@ class RunningStat {
   double max_ = -std::numeric_limits<double>::infinity();
 };
 
-// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-// edge buckets.
+// Log-bucketed (HDR-style) histogram of non-negative samples; the serving
+// layer records latencies in ms.  Each power of two from 2^kMinExponent
+// (~1 us) up to 2^kMaxExponent (~70 min) splits into kSubBuckets equal
+// buckets, indexed from the double's exponent and top mantissa bits.
+// Samples below the bottom edge share the first bucket; samples at or
+// above the top edge are counted by overflow().  count, mean, min and max
+// come from the samples themselves, not from the buckets.
+//
+// quantile(q) is nearest-rank: the upper edge of the bucket holding the
+// ceil(q * count)-th smallest sample, clamped into [min, max].  It never
+// under-reports, over-reports by at most 1/kSubBuckets of the true value
+// (a sample below the bottom edge reads as at most the first bucket's
+// upper edge), and is exactly max when the rank falls in max's bucket or
+// in the overflow.  The layout is fixed, so two histograms merge by adding
+// counts.
 class Histogram {
  public:
-  Histogram(double lo, double hi, int buckets);
+  static constexpr int kSubBucketBits = 6;
+  static constexpr int kSubBuckets = 1 << kSubBucketBits;
+  static constexpr int kMinExponent = -10;
+  static constexpr int kMaxExponent = 22;
+
   void add(double x);
-  std::int64_t bucket_count(int i) const;
-  int buckets() const { return static_cast<int>(counts_.size()); }
-  std::int64_t total() const { return total_; }
-  // Estimated q-quantile (q in [0, 1]), linearly interpolated inside the
-  // bucket where the cumulative count crosses q * total.  Resolution is one
-  // bucket width — the serving layer's latency percentiles (p50/p99) use
-  // this with a few thousand buckets.  Requires at least one sample.
+  std::int64_t count() const { return count_; }
+  std::int64_t overflow() const { return overflow_; }
+  double mean() const;  // 0 for no samples
+  double min() const { return min_; }
+  double max() const { return max_; }
+  // q in [0, 1].  Requires at least one sample.
   double quantile(double q) const;
-  // "lo..hi: count" lines for reports.
-  std::string render() const;
 
  private:
-  double lo_, hi_;
-  std::vector<std::int64_t> counts_;
-  std::int64_t total_ = 0;
+  static constexpr int kBuckets = (kMaxExponent - kMinExponent) * kSubBuckets;
+
+  std::int64_t count_ = 0;
+  std::int64_t overflow_ = 0;
+  double sum_ = 0.0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
+  std::array<std::int64_t, kBuckets> counts_{};
 };
 
 }  // namespace af::sim

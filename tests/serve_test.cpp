@@ -890,18 +890,21 @@ TEST_P(ServeBackendTest, CostOnlyTrafficSkipsOutputs) {
   EXPECT_EQ(full.out.rows(), 6);
 
   // A burst mixing cost-only and output-wanting requests over the same
-  // weights/shape/mode: whether or not the scheduler fuses them, each
-  // request's out honours ITS OWN flag (a cost-only rider in a fused run
-  // must come back empty; its neighbours still get their exact rows).
+  // weights/shape/mode, fused into one run: each request's out honours ITS
+  // OWN flag (a cost-only rider in a fused run must come back empty; its
+  // neighbours still get their exact rows).
   std::vector<gemm::Mat32> inputs;
   std::vector<std::future<GemmResult>> futures;
+  server.pause_serving(true);  // the four fuse into one run
   for (int i = 0; i < 4; ++i) {
     inputs.push_back(gemm::random_matrix(rng, 5, 32, -50, 50));
     futures.push_back(server.submit_gemm("pricer", inputs.back(), weights,
                                          {.k = 1, .want_output = i % 2 == 0}));
   }
+  server.pause_serving(false);
   for (int i = 0; i < 4; ++i) {
     GemmResult burst = futures[static_cast<std::size_t>(i)].get();
+    EXPECT_EQ(burst.fused_rows, 20) << "burst " << i;
     if (i % 2 == 0) {
       const gemm::Mat64 want = gemm::reference_gemm(
           inputs[static_cast<std::size_t>(i)], *weights);
@@ -1195,6 +1198,34 @@ TEST_F(ServeTest, ShutdownDrainsAcceptedWorkAndRefusesNew) {
                Error);
 }
 
+TEST(TenantAccountantTest, SubMillisecondPercentilesTrackTheNearestRank) {
+  // Cost queries finish in tens of microseconds: a tenant's p50 and p99
+  // must resolve such latencies, not report the top of a coarse bucket.
+  TenantAccountant books;
+  Rng rng(5);
+  std::vector<double> latencies;
+  for (int i = 0; i < 100000; ++i) {
+    const double ms = 0.02 + 0.18 * rng.next_double();
+    latencies.push_back(ms);
+    books.record("t", /*is_inference=*/false, ms, /*queue_ms=*/0.5 * ms,
+                 /*energy_pj=*/0.0, /*sim_time_ps=*/0.0, /*macs=*/1);
+  }
+  std::sort(latencies.begin(), latencies.end());
+  const auto nearest_rank = [&](double q) {
+    const double n = static_cast<double>(latencies.size());
+    return latencies[static_cast<std::size_t>(std::ceil(q * n)) - 1];
+  };
+  const std::vector<TenantSnapshot> tenants = books.snapshot();
+  ASSERT_EQ(tenants.size(), 1u);
+  const TenantSnapshot& t = tenants.front();
+  EXPECT_GE(t.p50_latency_ms, nearest_rank(0.50));
+  EXPECT_LE(t.p50_latency_ms, nearest_rank(0.50) * 1.02);
+  EXPECT_GE(t.p99_latency_ms, nearest_rank(0.99));
+  EXPECT_LE(t.p99_latency_ms, nearest_rank(0.99) * 1.02);
+  EXPECT_EQ(t.max_latency_ms, latencies.back());
+  EXPECT_EQ(t.max_queue_ms, 0.5 * latencies.back());
+}
+
 TEST_F(ServeTest, TenantTimeAndEnergyBooksBalanceForGemms) {
   ServerOptions opts;
   opts.num_shards = 2;
@@ -1451,24 +1482,6 @@ TEST_F(ServeTest, StealingSpreadsAHotTenantAcrossShards) {
 }
 
 // ---- queue-pressure autoscaling -------------------------------------------
-
-TEST(LatencyWindowTest, NearestRankP99RoundsUpOnSmallWindows) {
-  // The autoscaler's pressure signal: a tiny window must surface its slow
-  // sample (nearest-rank p99 of n=2 is the MAX), or trickle traffic with
-  // long waits would never trip the grow threshold.
-  LatencyWindow window;
-  window.sample(0.02);
-  window.sample(80.0);
-  LatencyWindow::Stats stats = window.drain();
-  EXPECT_EQ(stats.count, 2);
-  EXPECT_EQ(stats.p99_ms, 80.0);
-  EXPECT_EQ(stats.max_ms, 80.0);
-  // drain resets the window.
-  EXPECT_EQ(window.drain().count, 0);
-  // 200 samples: nearest-rank p99 is the 198th order statistic.
-  for (int i = 1; i <= 200; ++i) window.sample(static_cast<double>(i));
-  EXPECT_EQ(window.drain().p99_ms, 198.0);
-}
 
 // The autoscaler's control tick exactly as Server::control_loop runs it on
 // synthetic Pressure samples: both streaks tick every time, the grow

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "sim/report.h"
 #include "sim/stats.h"
 #include "sim/vcd.h"
+#include "util/rng.h"
 #include "util/status.h"
 
 namespace af::sim {
@@ -106,42 +110,92 @@ TEST(RunningStatTest, SelfMergeDoublesEverySample) {
   EXPECT_EQ(empty.count(), 0);
 }
 
-TEST(HistogramTest, QuantileInterpolatesWithinBuckets) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i) + 0.5);
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(h.quantile(0.99), 99.0, 1.0);
-  EXPECT_NEAR(h.quantile(0.0), 0.0, 1.0);
-  EXPECT_NEAR(h.quantile(1.0), 100.0, 1.0);
-  EXPECT_LE(h.quantile(0.5), h.quantile(0.99));
+// The q-quantile of sorted samples by nearest rank: the ceil(q * n)-th
+// smallest.
+double nearest_rank(const std::vector<double>& sorted, double q) {
+  const double n = static_cast<double>(sorted.size());
+  const auto rank =
+      std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(q * n)));
+  return sorted[rank - 1];
 }
 
-TEST(HistogramTest, QuantileOfSinglePointMass) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 5; ++i) h.add(3.5);  // all in bucket [3, 4)
-  EXPECT_GE(h.quantile(0.5), 3.0);
-  EXPECT_LE(h.quantile(0.5), 4.0);
-  EXPECT_GE(h.quantile(0.99), 3.0);
-  EXPECT_LE(h.quantile(0.99), 4.0);
+// Never under-reports; over-reports by at most one sub-bucket (1/64).
+constexpr double kMaxOverReport = 1.0 + 1.0 / Histogram::kSubBuckets;
+
+TEST(HistogramTest, LogUniformQuantilesBoundTheExactNearestRank) {
+  Rng rng(7);
+  for (const int n : {2, 3, 10, 101, 1000, 100000}) {
+    Histogram h;
+    std::vector<double> samples;
+    double sum = 0.0;
+    for (int i = 0; i < n; ++i) {
+      const double ms = 1e-3 * std::pow(1e7, rng.next_double());  // 1us-10s
+      h.add(ms);
+      samples.push_back(ms);
+      sum += ms;
+    }
+    std::sort(samples.begin(), samples.end());
+    EXPECT_EQ(h.count(), n);
+    EXPECT_EQ(h.overflow(), 0);
+    EXPECT_EQ(h.min(), samples.front());
+    EXPECT_EQ(h.max(), samples.back());
+    EXPECT_DOUBLE_EQ(h.mean(), sum / n);
+    for (const double q : {0.0, 0.5, 0.9, 0.99, 1.0}) {
+      const double exact = nearest_rank(samples, q);
+      EXPECT_GE(h.quantile(q), exact) << "n " << n << " q " << q;
+      EXPECT_LE(h.quantile(q), exact * kMaxOverReport)
+          << "n " << n << " q " << q;
+    }
+    EXPECT_EQ(h.quantile(1.0), samples.back());
+  }
+}
+
+TEST(HistogramTest, PointMassIsEveryQuantile) {
+  // Below the bottom edge, in range, and past the top edge; n = 1 and 5.
+  for (const double ms : {0.0, 2e-4, 0.0123, 1.0, 3.7e3, 1e9}) {
+    for (const int n : {1, 5}) {
+      Histogram h;
+      for (int i = 0; i < n; ++i) h.add(ms);
+      for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+        EXPECT_EQ(h.quantile(q), ms) << ms << " n " << n << " q " << q;
+      }
+    }
+  }
+}
+
+TEST(HistogramTest, OverflowCountsSamplesAboveTheTopEdge) {
+  const double top = std::ldexp(1.0, Histogram::kMaxExponent);
+  Histogram h;
+  for (int i = 1; i <= 99; ++i) h.add(static_cast<double>(i));
+  h.add(3.0 * top);
+  EXPECT_EQ(h.overflow(), 1);
+  EXPECT_EQ(h.count(), 100);
+  EXPECT_EQ(h.max(), 3.0 * top);
+  EXPECT_EQ(h.quantile(1.0), 3.0 * top);
+  EXPECT_GE(h.quantile(0.5), 50.0);  // in-range ranks are unaffected
+  EXPECT_LE(h.quantile(0.5), 50.0 * kMaxOverReport);
 }
 
 TEST(HistogramTest, QuantileOfEmptyHistogramThrows) {
-  Histogram h(0.0, 1.0, 4);
+  Histogram h;
   EXPECT_THROW(h.quantile(0.5), Error);
 }
 
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bucket 0
-  h.add(9.5);   // bucket 4
-  h.add(-3.0);  // clamps to 0
-  h.add(42.0);  // clamps to 4
-  EXPECT_EQ(h.bucket_count(0), 2);
-  EXPECT_EQ(h.bucket_count(4), 2);
-  EXPECT_EQ(h.total(), 4);
-  EXPECT_FALSE(h.render().empty());
-  EXPECT_THROW(Histogram(0.0, 0.0, 5), Error);
-  EXPECT_THROW(h.bucket_count(5), Error);
+TEST(HistogramTest, NearestRankP99RoundsUpOnSmallWindows) {
+  // The autoscaler's wait signal (Server::control_loop): a tiny window
+  // must surface its slow sample (nearest-rank p99 of n = 2 is the max),
+  // or trickle traffic with long waits would never trip the grow limit.
+  Histogram window;
+  window.add(0.02);
+  window.add(80.0);
+  EXPECT_EQ(window.count(), 2);
+  EXPECT_EQ(window.quantile(0.99), 80.0);
+  EXPECT_EQ(window.max(), 80.0);
+  // 200 samples: nearest-rank p99 is the 198th order statistic.
+  Histogram wide;
+  for (int i = 1; i <= 200; ++i) wide.add(static_cast<double>(i));
+  EXPECT_GE(wide.quantile(0.99), 198.0);
+  EXPECT_LE(wide.quantile(0.99), 198.0 * kMaxOverReport);
 }
 
 TEST(VcdTest, WritesWellFormedFile) {
