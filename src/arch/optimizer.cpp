@@ -36,15 +36,16 @@ ModeDecision PipelineOptimizer::best_mode(const gemm::GemmShape& shape) const {
 
 std::vector<ModeSweepEntry> PipelineOptimizer::sweep(
     const gemm::GemmShape& shape) const {
-  const ModeDecision best = best_mode(shape);
   std::vector<ModeSweepEntry> out;
   out.reserve(config_.supported_k.size());
+  std::size_t best = 0;  // the first minimum, as in best_mode
   for (const int k : config_.supported_k) {
-    ModeSweepEntry e;
-    e.decision = evaluate(shape, k);
-    e.is_best = (k == best.k);
-    out.push_back(e);
+    out.push_back({evaluate(shape, k), false});
+    if (out.back().decision.time_ps < out[best].decision.time_ps) {
+      best = out.size() - 1;
+    }
   }
+  out[best].is_best = true;
   return out;
 }
 

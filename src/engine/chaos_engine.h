@@ -4,13 +4,13 @@
 // Production hardening (retry, quarantine, deadline, audit) is only as
 // good as its tests, and real engines in this repo never fail once their
 // inputs validate.  ChaosEngine supplies the missing failures ON SCHEDULE:
-// throw-on-run (af::Error with ErrorCode::kEngineFault), injected latency
-// spikes, and wrong-cycle results (a +1 cycle perturbation the sampled
-// audit replay is designed to catch).  Every draw is a pure function of
-// (seed, run counter), so a given construction replays the identical fault
-// sequence — chaos stress tests are bit-reproducible, and a REBUILT chaos
-// engine restarts its schedule from run 1 (which is how a quarantine
-// recovery probe can succeed against a throw_every_n engine).
+// a throw every Nth run (af::Error with ErrorCode::kEngineFault), a delay
+// before every run, and +1-cycle results (the smallest lie the sampled
+// audit replay must catch).  Each fault is a pure function of the run
+// counter, so a given construction replays the identical fault sequence —
+// chaos stress tests are bit-reproducible, and a REBUILT chaos engine
+// restarts its schedule from run 1 (which is how a quarantine recovery
+// probe can succeed against a throw_every_n engine).
 //
 // Faults hit run_gemm only.  The cost queries are Engine's closed forms,
 // the same on every backend, so admission decisions stay correct while
@@ -35,16 +35,10 @@ class ChaosEngine final : public Engine {
 
   RunResult run_gemm(const GemmRequest& request) override;
 
-  // Runs attempted so far (fault draws consumed) — test introspection.
-  std::uint64_t runs() const { return runs_.load(); }
-
  private:
-  // True when the seeded per-run draw for `salt` lands under `rate`.
-  bool draw(double rate, std::uint64_t run, std::uint64_t salt) const;
-
   std::shared_ptr<Engine> inner_;
   ChaosOptions options_;
-  std::atomic<std::uint64_t> runs_{0};
+  std::atomic<std::uint64_t> runs_{0};  // run_gemm calls so far
 };
 
 }  // namespace af::engine

@@ -386,7 +386,7 @@ const std::map<std::string, BackendEntry>& registry() {
               b.peek_shared_pool());
         }}},
       {"chaos",
-       {"fault-injection wrapper around any registered backend: seeded "
+       {"fault-injection wrapper around any registered backend: "
         "deterministic throw-on-run, latency spikes and wrong-cycle results "
         "(EngineBuilder::chaos); injects nothing by default",
         [](const EngineBuilder& b) -> std::shared_ptr<Engine> {

@@ -22,10 +22,10 @@
 //              outputs and counters are MEASURED cycle by cycle.  Ground
 //              truth, slow.
 //   "chaos"    ChaosEngine — deterministic fault injection wrapped around
-//              any other backend's run_gemm (engine/chaos_engine.h): seeded
-//              throw-on-run, latency spikes, wrong-cycle results.  The
-//              serving layer's failure-path test rig; injects nothing by
-//              default.
+//              any other backend's run_gemm (engine/chaos_engine.h): a
+//              throw every Nth run, a delay on every run, +1-cycle
+//              results.  The serving layer's failure-path test rig;
+//              injects nothing by default.
 //   "analytic" AnalyticEngine — run_gemm prices from the closed forms
 //              (latency/activity/power, pinned cycle-for-cycle and
 //              counter-for-counter against the simulator by
@@ -286,23 +286,19 @@ class Engine {
 };
 
 // Fault-injection knobs of the "chaos" backend (engine/chaos_engine.h), a
-// wrapper around any other registered backend.  Every failure draw is
-// seeded and counter-based — a given construction replays the exact same
-// fault sequence, which is what makes chaos stress tests reproducible.
-// The defaults inject NOTHING: a bare `make("chaos", builder)` is a
-// transparent analytic wrapper (so registry-wide smoke tests stay green);
-// tests and harnesses turn on faults via EngineBuilder::chaos.
+// wrapper around any other registered backend.  Every fault is a function
+// of the run counter alone, so a given construction replays the exact same
+// fault sequence — what makes chaos stress tests reproducible.  The
+// defaults inject NOTHING: a bare `make("chaos", builder)` is a transparent
+// analytic wrapper (so registry-wide smoke tests stay green); tests and
+// harnesses turn on faults via EngineBuilder::chaos.
 struct ChaosOptions {
   std::string inner = "analytic";  // wrapped backend (any non-chaos key)
-  std::uint64_t seed = 0x5eedULL;
   // Deterministic throw-on-run: every Nth run_gemm throws af::Error with
   // ErrorCode::kEngineFault (0 disables).
   int throw_every_n = 0;
-  // Seeded-random injections, probability per run_gemm in [0, 1]:
-  double throw_rate = 0.0;       // throw kEngineFault
-  double wrong_cost_rate = 0.0;  // perturb the returned cycle count (+1)
-  double delay_rate = 0.0;       // sleep delay_ms before executing
-  double delay_ms = 0.0;         // latency-spike duration
+  bool wrong_cost = false;  // every run reports one cycle too many
+  double delay_ms = 0.0;    // every run sleeps this long first (0 = never)
 };
 
 // Fluent owner of the config/clock/energy/thread-pool wiring.  Every field

@@ -88,8 +88,8 @@ struct Fleet::Node {
   std::shared_ptr<serve::Server> server;
   ServerHealth health = ServerHealth::kHealthy;
   // On while the probes are failing: update(!ok, ok) per probe, so it flips
-  // after unhealthy_after failures and back after healthy_after successes.
-  util::Latch probe_failing;
+  // after kUnhealthyAfter failures and back after kHealthyAfter successes.
+  util::Latch probe_failing{kUnhealthyAfter, kHealthyAfter};
   std::int64_t placed = 0;
   std::int64_t probe_failures = 0;
   std::deque<Pending> pending;
@@ -101,30 +101,20 @@ struct Fleet::Node {
 Fleet::Fleet(std::vector<FleetServerSpec> specs, FleetOptions options)
     : specs_(std::move(specs)),
       options_(std::move(options)),
-      router_(options_.router_options) {
+      router_(options_.spill_factor) {
   AF_CHECK(!specs_.empty(), "a fleet needs at least one server spec");
   AF_CHECK(options_.router == "affinity",
            "unknown router \"" << options_.router
                                << "\"; the fleet has one placement, "
                                   "\"affinity\"");
-  AF_CHECK(options_.max_failovers >= 0,
-           "max_failovers must be non-negative, got " << options_.max_failovers);
   AF_CHECK(options_.hedge_ms >= 0.0,
            "hedge_ms must be non-negative, got " << options_.hedge_ms);
-  AF_CHECK(options_.probe_timeout_ms > 0.0,
-           "probe_timeout_ms must be positive, got " << options_.probe_timeout_ms);
-  AF_CHECK(options_.unhealthy_after >= 1 && options_.healthy_after >= 1,
-           "probe streak thresholds must be at least 1");
-  AF_CHECK(options_.block_retry_ms > 0.0,
-           "block_retry_ms must be positive, got " << options_.block_retry_ms);
   overload_policy_ = serve::parse_overload_policy(options_.overload_policy);
 
   nodes_.reserve(specs_.size());
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     auto node = std::make_unique<Node>();
     node->index = static_cast<int>(i);
-    node->probe_failing =
-        util::Latch(options_.unhealthy_after, options_.healthy_after);
     node->server = make_server(*node);
     nodes_.push_back(std::move(node));
   }
@@ -387,8 +377,7 @@ std::future<R> Fleet::admit(const std::string& tenant,
         throw_code(ErrorCode::kShutdown,
                    "fleet shut down while blocked on admission");
       }
-      std::this_thread::sleep_until(
-          deadline_after(Clock::now(), options_.block_retry_ms));
+      std::this_thread::sleep_until(deadline_after(Clock::now(), kBlockRetryMs));
     }
   } catch (...) {
     // Nothing was admitted: unwind the books so a thrown submit is not a
@@ -554,7 +543,7 @@ void Fleet::failover(const TicketPtr<R>& ticket, int from,
                 ErrorCode::kDeadlineExceeded));
       break;
     }
-    if (ticket->failovers.fetch_add(1) >= options_.max_failovers) break;
+    if (ticket->failovers.fetch_add(1) >= kMaxFailovers) break;
     try {
       bool overloaded_everywhere = false;
       const int slot =
@@ -563,8 +552,7 @@ void Fleet::failover(const TicketPtr<R>& ticket, int from,
       if (!overloaded_everywhere) break;  // no survivor to take it
       // All survivors overloaded: back off briefly and try again on the
       // remaining failover budget rather than dropping a live request.
-      std::this_thread::sleep_until(
-          deadline_after(Clock::now(), options_.block_retry_ms));
+      std::this_thread::sleep_until(deadline_after(Clock::now(), kBlockRetryMs));
     } catch (const Error&) {
       break;  // deadline tripped, or no survivor takes the request as valid
     }
@@ -658,12 +646,11 @@ void Fleet::prober_loop() {
       try {
         serve::SubmitOptions submit;
         submit.want_output = false;
-        submit.deadline_ms = options_.probe_timeout_ms;
+        submit.deadline_ms = kProbeTimeoutMs;
         submit.admission_timeout_ms = 0.0;
         std::future<serve::GemmResult> future =
             server->submit_gemm("__fleet_probe__", probe_a, probe_b, submit);
-        if (future.wait_until(deadline_after(
-                Clock::now(), options_.probe_timeout_ms)) ==
+        if (future.wait_until(deadline_after(Clock::now(), kProbeTimeoutMs)) ==
             std::future_status::ready) {
           future.get();  // throws on kDeadlineExceeded etc.
           ok = true;

@@ -33,11 +33,12 @@
 //     First result wins; the loser is cancelled by the CAS and counted.
 //
 // Health: a prober thread runs tiny cost-only GEMMs against every
-// routable server each probe_interval_ms; unhealthy_after consecutive
-// probe failures (timeout or error) mark the server unhealthy — pulled
-// from routing while its in-flight work continues — and healthy_after
-// consecutive successes re-admit it.  kill/drain transitions are
-// explicit: kDead servers never rejoin until restart_server.
+// routable server each probe_interval_ms; kUnhealthyAfter consecutive
+// probe failures (an error, or no answer within kProbeTimeoutMs) mark the
+// server unhealthy — pulled from routing while its in-flight work
+// continues — and kHealthyAfter successes re-admit it.  kill/drain
+// transitions are explicit: kDead servers never rejoin until
+// restart_server.
 //
 // Overload composes across the fleet: a server rejecting with kOverloaded
 // (or kInvalidArgument, e.g. a mode only other slots support) just
@@ -80,25 +81,15 @@ struct FleetServerSpec {
 
 struct FleetOptions {
   // The one placement's old registry name, kept so existing option sets
-  // still compile; anything but "affinity" throws kInvalidArgument.  Pure
-  // hashing is router_options.spill_factor = +inf.
+  // still compile; anything but "affinity" throws kInvalidArgument.
   std::string router = "affinity";
-  RouterOptions router_options;
+  // The Router's spill threshold (fleet/router.h): spill off the hash home
+  // past spill_factor x the routable mean backlog; +inf is pure hashing.
+  double spill_factor = 2.0;
 
   // Health probing.  probe_interval_ms <= 0 disables the prober thread
   // entirely (health then only changes via kill/drain/restart).
   double probe_interval_ms = 0.0;
-  // Wall-clock budget of one probe; a probe that neither completes nor
-  // fails within this window counts as a failure (how a stalled server is
-  // detected: its queue accepts the probe but no worker ever serves it).
-  double probe_timeout_ms = 50.0;
-  int unhealthy_after = 3;  // consecutive probe failures -> unroutable
-  int healthy_after = 2;    // consecutive probe successes -> routable again
-
-  // Failover budget per ticket: how many times a never-executed request
-  // (kUnavailable / kShutdown / post-retry kEngineFault) may be re-placed
-  // on a surviving server before its error is delivered to the client.
-  int max_failovers = 3;
   // Hedged submits: a GEMM ticket still unresolved hedge_ms after
   // submission — or within hedge_ms of its deadline — gets a duplicate on a
   // different server (first result wins, loser cancelled by the resolution
@@ -109,9 +100,20 @@ struct FleetOptions {
   // "reject" throws kOverloaded, "block" retries placement with backoff,
   // "degrade" re-places a GEMM cost-only (an inference blocks instead).
   std::string overload_policy = "reject";
-  // Backoff between fleet-level "block" placement retries.
-  double block_retry_ms = 0.5;
 };
+
+// Fixed probe, failover and backoff settings.  A probe unanswered after
+// kProbeTimeoutMs fails (how a stall shows: the queue accepts the probe but
+// no worker serves it).  A ticket's never-executed request (kUnavailable /
+// kShutdown / post-retry kEngineFault) is re-placed on a survivor at most
+// kMaxFailovers times before its error reaches the client.  kBlockRetryMs
+// spaces "block" placement retries, and failovers while every survivor is
+// overloaded.
+inline constexpr double kProbeTimeoutMs = 50.0;
+inline constexpr int kUnhealthyAfter = 3;
+inline constexpr int kHealthyAfter = 2;
+inline constexpr int kMaxFailovers = 3;
+inline constexpr double kBlockRetryMs = 0.5;
 
 enum class ServerHealth { kHealthy, kUnhealthy, kDraining, kDead };
 std::string to_string(ServerHealth health);

@@ -7,12 +7,15 @@
 
 namespace af::fleet {
 
-Router::Router(const RouterOptions& options) : options_(options) {
-  AF_CHECK(options_.replicas > 0,
-           "router replicas must be positive, got " << options_.replicas);
-  AF_CHECK(options_.spill_factor > 0.0,
-           "router spill_factor must be positive, got "
-               << options_.spill_factor);
+// Virtual nodes per server slot on the consistent-hash ring: enough to
+// flatten the key distribution while the ring stays a few KB.
+constexpr int kReplicas = 64;
+// Seeds the ring point hashes and the spill draws.
+constexpr std::uint64_t kSeed = 0x8096c1f7ab5a3d21ULL;
+
+Router::Router(double spill_factor) : spill_factor_(spill_factor) {
+  AF_CHECK(spill_factor_ > 0.0,
+           "router spill_factor must be positive, got " << spill_factor_);
 }
 
 int Router::place(std::uint64_t key, const std::vector<ServerLoad>& loads) {
@@ -31,7 +34,7 @@ int Router::place(std::uint64_t key, const std::vector<ServerLoad>& loads) {
     const double mean =
         static_cast<double>(total) / static_cast<double>(routable);
     if (mean > 0.0 && static_cast<double>(loads[slot].backlog_macs) >
-                          options_.spill_factor * mean) {
+                          spill_factor_ * mean) {
       const int spilled = spill(loads);
       if (spilled >= 0) return spilled;
     }
@@ -39,7 +42,7 @@ int Router::place(std::uint64_t key, const std::vector<ServerLoad>& loads) {
   return slot;
 }
 
-// Ring points are a pure function of (seed, slot, replica), NOT of the
+// Ring points are a pure function of (slot, replica), NOT of the
 // routable set — so the ring never rebuilds.  A placement walks clockwise
 // from the key's position until it meets a routable slot; when a slot
 // leaves (unroutable), exactly the keys whose walk first met that slot
@@ -48,7 +51,7 @@ int Router::place(std::uint64_t key, const std::vector<ServerLoad>& loads) {
 int Router::home(std::uint64_t key, const std::vector<ServerLoad>& loads) {
   ensure_ring(static_cast<int>(loads.size()));
   if (ring_.empty()) return -1;
-  const std::uint64_t point = splitmix64(options_.seed ^ splitmix64(key));
+  const std::uint64_t point = splitmix64(kSeed ^ splitmix64(key));
   auto it = std::lower_bound(
       ring_.begin(), ring_.end(), point,
       [](const RingPoint& p, std::uint64_t v) { return p.point < v; });
@@ -72,8 +75,8 @@ int Router::spill(const std::vector<ServerLoad>& loads) {
   if (routable.empty()) return -1;
   if (routable.size() == 1) return routable[0];
   const std::uint64_t draw = draws_++;
-  const std::uint64_t r1 = splitmix64(options_.seed ^ (2 * draw));
-  const std::uint64_t r2 = splitmix64(options_.seed ^ (2 * draw + 1));
+  const std::uint64_t r1 = splitmix64(kSeed ^ (2 * draw));
+  const std::uint64_t r2 = splitmix64(kSeed ^ (2 * draw + 1));
   const int a = routable[r1 % routable.size()];
   int b = routable[r2 % routable.size()];
   if (a == b) b = routable[(r2 + 1) % routable.size()];
@@ -83,13 +86,12 @@ int Router::spill(const std::vector<ServerLoad>& loads) {
 void Router::ensure_ring(int slots) {
   if (slots == ring_slots_) return;
   ring_.clear();
-  ring_.reserve(static_cast<std::size_t>(slots) *
-                static_cast<std::size_t>(options_.replicas));
+  ring_.reserve(static_cast<std::size_t>(slots) * kReplicas);
   for (int s = 0; s < slots; ++s) {
-    for (int r = 0; r < options_.replicas; ++r) {
+    for (int r = 0; r < kReplicas; ++r) {
       const std::uint64_t point = splitmix64(
-          options_.seed ^ (static_cast<std::uint64_t>(s) * 0x100000001b3ULL +
-                           static_cast<std::uint64_t>(r)));
+          kSeed ^ (static_cast<std::uint64_t>(s) * 0x100000001b3ULL +
+                   static_cast<std::uint64_t>(r)));
       ring_.push_back(RingPoint{point, s});
     }
   }

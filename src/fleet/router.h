@@ -4,8 +4,9 @@
 // (healthy AND admitting), and the server's queued simulated work in MACs
 // (the dispatcher's lock-free backlog-cost mirror, serve::Server::
 // backlog_cost_macs) — never the servers themselves, so placement is a pure
-// function of (key, loads) plus the router's own seeded state and can be
-// unit-tested without a single server thread (tests/fleet_test.cpp).
+// function of (key, loads) plus the router's own draw counter and can be
+// unit-tested without a single server thread (tests/fleet_test.cpp).  One
+// fixed seed hashes the ring and the draws: every run places alike.
 //
 // One placement, two stages:
 //   home   consistent hashing on the affinity key over a ring of virtual
@@ -14,7 +15,7 @@
 //          server leaves only ~1/N of keys move (pinned by
 //          tests/fleet_test.cpp).
 //   spill  power of two choices: when the home's backlog exceeds
-//          spill_factor x the routable mean, two seeded draws among the
+//          spill_factor x the routable mean, two hashed draws among the
 //          routable servers, lower backlog_macs wins — locality until the
 //          home is the bottleneck, balance after.  spill_factor = +inf
 //          never spills (pure consistent hashing).
@@ -36,22 +37,12 @@ struct ServerLoad {
   std::int64_t backlog_macs = 0;
 };
 
-struct RouterOptions {
-  // Virtual nodes per server slot on the consistent-hash ring.  More
-  // replicas flatten the key distribution; 64 keeps the ring a few KB.
-  int replicas = 64;
-  // Seeds the ring point hashes and the spill draws; placement is a
-  // deterministic replay for a fixed seed and load sequence.
-  std::uint64_t seed = 0x8096c1f7ab5a3d21ULL;
+class Router {
+ public:
   // Spill off the hash home when its backlog exceeds spill_factor x the
   // mean routable backlog (and that mean is non-zero).  Must be positive;
   // +inf never spills.
-  double spill_factor = 2.0;
-};
-
-class Router {
- public:
-  explicit Router(const RouterOptions& options = {});
+  explicit Router(double spill_factor);
 
   // Picks the slot for `key` given this instant's loads, or -1 when no
   // slot is routable.  Never returns an unroutable slot (pinned by
@@ -72,7 +63,7 @@ class Router {
   // slot arrays; membership churn is the routable flag, not the count).
   void ensure_ring(int slots);
 
-  RouterOptions options_;
+  double spill_factor_;
   std::vector<RingPoint> ring_;
   int ring_slots_ = -1;
   std::uint64_t draws_ = 0;  // spill draws so far

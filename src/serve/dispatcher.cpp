@@ -19,8 +19,7 @@ constexpr std::uint64_t kStealSeed = 0x517cc1b727220a95ULL;
 
 // One shard's deque plus the state its worker parks on.
 struct Dispatcher::Slot {
-  explicit Slot(const DispatcherOptions& o)
-      : queue(o.queue_capacity, o.drr_quantum) {}
+  explicit Slot(const DispatcherOptions& o) : queue(o.queue_capacity) {}
 
   RequestQueue queue;
   // Quarantined (set_banned): skipped by submit routing, still covered by

@@ -1,17 +1,19 @@
 // The dispatch layer between request admission and the shard workers — the
 // serving control plane's hot path.
 //
-// Per-shard bounded DRR deques.  submit() routes by affinity_hash — tenant
-// identity for GEMMs, model identity for inferences — so a tenant's
-// same-mode, same-weight stream (and concurrent submissions of one model)
-// lands in ONE deque where the coalescing sweep and same-weight fusion find
-// their batches locally, and producers hashing to different homes never
-// contend.  A shard whose own deque runs dry steals from a random victim:
-// it pops the victim's DRR-selected head and assembles the riders from the
-// victim's deque — a WHOLE DRR round moves, so per-tenant fairness is the
-// victim's DRR order (the thief only changes which engine executes it).  The steal scan prefers victims whose
-// pending round is already in the thief's configured pipeline mode, so the
-// stolen batch skips the reconfiguration drain.  Rounds shorter than
+// Per-shard bounded DRR deques, each crediting a backlogged tenant
+// RequestQueue::kDefaultQuantum MACs a round.  submit() routes by
+// affinity_hash — tenant identity for GEMMs, model identity for
+// inferences — so a tenant's same-mode, same-weight stream (and concurrent
+// submissions of one model) lands in ONE deque where the coalescing sweep
+// and same-weight fusion find their batches locally, and producers hashing
+// to different homes never contend.  A shard whose own deque runs dry
+// steals from a random victim: it pops the victim's DRR-selected head and
+// assembles the riders from the victim's deque — a WHOLE DRR round moves,
+// so per-tenant fairness is the victim's DRR order (the thief only changes
+// which engine executes it).  The steal scan prefers victims whose pending
+// round is already in the thief's configured pipeline mode, so the stolen
+// batch skips the reconfiguration drain.  Rounds shorter than
 // max_batch top up with compatible riders from the other deques (each
 // charged to its own tenant's deficit).  queue_capacity bounds each deque
 // separately: an N-shard dispatcher queues up to N x queue_capacity.
@@ -61,7 +63,6 @@ struct DispatcherOptions {
   // Admission bound of each home deque (each is its own backpressure
   // domain).
   std::size_t queue_capacity = 256;
-  std::int64_t drr_quantum = RequestQueue::kDefaultQuantum;
   // Coalescing cap per dispatch; 1 disables batching.
   int max_batch = 8;
   // Byte budget per batch (summed Request::drr_bytes, the projected DRAM

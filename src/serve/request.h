@@ -99,11 +99,10 @@ struct Request {
   Clock::time_point deadline = Clock::time_point::max();
   bool expired(Clock::time_point now) const { return deadline <= now; }
 
-  // Engine-fault retry budget (SubmitOptions::max_retries) and the
-  // attempts already burned.  A failing shard stamps avoid_shard before
-  // resubmitting, so the retry routes to a DIFFERENT shard even before the
-  // quarantine machinery pulls the bad one from the pool.
-  int max_retries = 0;
+  // Engine-fault retries already burned (the budget is ServerOptions::
+  // max_retries).  A failing shard stamps avoid_shard before resubmitting,
+  // so the retry routes to a DIFFERENT shard even before the quarantine
+  // machinery pulls the bad one from the pool.
   int attempts = 0;
   int avoid_shard = -1;
 

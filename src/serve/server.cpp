@@ -200,10 +200,6 @@ Server::Server(const arch::ArrayConfig& shard_config, ServerOptions options,
            "max_shards, got min="
                << min_shards_ << " num=" << options_.num_shards
                << " max=" << max_shards_);
-  AF_CHECK(options_.control_interval_ms > 0.0,
-           "control_interval_ms must be positive");
-  AF_CHECK(options_.grow_patience >= 1 && options_.shrink_patience >= 1,
-           "autoscale patience must be at least one tick");
   overload_policy_ = parse_overload_policy(options_.overload_policy);
   check_pressure("grow_at", options_.grow_at, autoscale_enabled_);
   check_pressure("shrink_at", options_.shrink_at, autoscale_enabled_);
@@ -217,16 +213,9 @@ Server::Server(const arch::ArrayConfig& shard_config, ServerOptions options,
                           << ") must sit below grow_at." << kTermNames[i]
                           << " (" << grow[i] << ")");
   }
-  grow_ = util::Streak(options_.grow_patience);
-  shrink_ = util::Streak(options_.shrink_patience);
   AF_CHECK(options_.max_retries >= 0, "max_retries must be non-negative");
-  AF_CHECK(options_.retry_backoff_base_ms >= 0.0 &&
-               options_.retry_backoff_max_ms >= 0.0,
-           "retry backoff must be non-negative");
   AF_CHECK(options_.quarantine_after_faults >= 0,
            "quarantine_after_faults must be non-negative");
-  AF_CHECK(options_.quarantine_probe_interval_ms > 0.0,
-           "quarantine_probe_interval_ms must be positive");
   AF_CHECK(options_.degrade_spad_fraction > 0.0 &&
                options_.degrade_spad_fraction <= 1.0,
            "degrade_spad_fraction must be in (0, 1]");
@@ -276,7 +265,6 @@ Server::Server(const arch::ArrayConfig& shard_config, ServerOptions options,
 
   DispatcherOptions dispatch;
   dispatch.queue_capacity = options_.queue_capacity;
-  dispatch.drr_quantum = options_.drr_quantum;
   dispatch.max_batch = options_.max_batch;
   dispatch.max_batch_bytes = options_.max_batch_bytes;
   dispatch.max_shards = max_shards_;
@@ -419,8 +407,7 @@ void Server::start_worker(Shard& shard) {
 
 void Server::control_loop() {
   std::unique_lock<std::mutex> lock(scale_mutex_);
-  const auto interval = std::chrono::duration<double, std::milli>(
-      options_.control_interval_ms);
+  const std::chrono::duration<double, std::milli> interval(kControlIntervalMs);
   // The latch exits only once every enabled term sits below half its
   // limit — the band between is the dead zone, so a load hovering at the
   // trip point cannot flap admission decisions tick to tick.
@@ -531,8 +518,6 @@ void Server::stamp(Request& r, const std::string& tenant,
                    const SubmitOptions& submit, Clock::time_point now) {
   r.id = next_id_.fetch_add(1);
   r.tenant = tenant;
-  r.max_retries =
-      submit.max_retries >= 0 ? submit.max_retries : options_.max_retries;
   r.enqueue_time = now;
   if (submit.deadline_ms > 0.0) {
     r.deadline = deadline_after(now, submit.deadline_ms);
@@ -719,7 +704,7 @@ void Server::shard_loop(Shard& shard) {
   }
 }
 
-void Server::fail_requests(std::vector<Request>& requests,
+void Server::fail_requests(std::span<Request> requests,
                            std::exception_ptr error, ErrorCode code,
                            std::atomic<std::int64_t>* bucket) {
   // All accounting lands before the promise resolves, so a client that
@@ -836,7 +821,8 @@ void Server::handle_batch_failure(Shard& shard, Batch& batch,
   std::vector<Request> terminal;
   std::vector<Request> retry;
   for (Request& r : batch.requests) {
-    if (engine_fault && r.attempts < r.max_retries && !r.expired(now)) {
+    if (engine_fault && r.attempts < options_.max_retries &&
+        !r.expired(now)) {
       retry.push_back(std::move(r));
     } else {
       terminal.push_back(std::move(r));
@@ -857,14 +843,9 @@ void Server::handle_batch_failure(Shard& shard, Batch& batch,
     retries_.fetch_add(1);
     tenants_.record_retry(r.tenant);
   }
-  if (options_.retry_backoff_base_ms > 0.0) {
-    const double backoff_ms =
-        std::min(options_.retry_backoff_max_ms,
-                 options_.retry_backoff_base_ms *
-                     std::ldexp(1.0, worst_attempts));
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(backoff_ms));
-  }
+  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+      std::min(kRetryBackoffMaxMs,
+               kRetryBackoffBaseMs * std::ldexp(1.0, worst_attempts))));
   std::vector<Request> orphaned;
   for (Request& r : retry) {
     // Blocking resubmit (the request was already admitted once — the
@@ -885,8 +866,8 @@ void Server::handle_batch_failure(Shard& shard, Batch& batch,
 }
 
 bool Server::probe_quarantined(Shard& shard) {
-  std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-      options_.quarantine_probe_interval_ms));
+  std::this_thread::sleep_for(
+      std::chrono::duration<double, std::milli>(kQuarantineProbeIntervalMs));
   if (shut_down_.load() || shard.index >= live_shards_.load()) return false;
   try {
     // A fresh engine, not the sick one: rebuilding resets per-engine state
@@ -1007,13 +988,17 @@ void Server::execute_gemm_batch(Shard& shard, Batch& batch) {
 
   const std::int64_t batch_requests =
       static_cast<std::int64_t>(batch.requests.size());
+  std::int64_t runs = 0;
   double batch_time_ps = 0.0;
   double batch_energy_pj = 0.0;
   std::int64_t batch_audits = 0;
   std::int64_t batch_audit_mismatches = 0;
   std::vector<GemmResult> results(batch.requests.size());
 
-  for (auto& [key, members] : groups) {
+  // One hardware run over `members` (indices into batch.requests), filling
+  // their results.  Throws what the engine throws, before touching any
+  // result or total.
+  const auto run_members = [&](std::span<const std::size_t> members) {
     const Request& head = batch.requests[members.front()];
     std::int64_t total_t = 0;
     bool want_output = false;
@@ -1042,6 +1027,7 @@ void Server::execute_gemm_batch(Shard& shard, Batch& batch) {
     run_request.k = k;
     run_request.want_output = want_output;
     engine::RunResult run = engine->run_gemm(run_request);
+    ++runs;
     batch_time_ps += run.cost.time_ps;
     batch_energy_pj += run.cost.energy_pj;
 
@@ -1108,6 +1094,42 @@ void Server::execute_gemm_batch(Shard& shard, Batch& batch) {
       result.audited = audited;
       result.degraded = r.degraded;
     }
+  };
+
+  // Called in a handler: a request whose own run failed validation (a
+  // shape no scratchpad plan fits, say) fails alone; any other throw is an
+  // engine fault, rethrown to the batch-level retry and quarantine path.
+  std::vector<std::exception_ptr> invalid;  // sized on the first failure
+  std::int64_t invalid_count = 0;
+  const auto fail_alone = [&](std::size_t i) {
+    if (code_of(std::current_exception()) != ErrorCode::kInvalidArgument) {
+      throw;
+    }
+    if (invalid.empty()) invalid.resize(batch.requests.size());
+    invalid[i] = std::current_exception();
+    ++invalid_count;
+  };
+  for (const auto& [key, members] : groups) {
+    try {
+      run_members(members);
+    } catch (...) {
+      if (members.size() == 1) {
+        fail_alone(members.front());
+        continue;
+      }
+      if (code_of(std::current_exception()) != ErrorCode::kInvalidArgument) {
+        throw;
+      }
+      // Stacking can raise T past every plan that each member fits alone:
+      // each member runs, and is served or failed, on its own.
+      for (const std::size_t& i : members) {
+        try {
+          run_members({&i, 1});
+        } catch (...) {
+          fail_alone(i);
+        }
+      }
+    }
   }
 
   {
@@ -1115,8 +1137,8 @@ void Server::execute_gemm_batch(Shard& shard, Batch& batch) {
     // that waits on its result always sees the books already balanced.
     std::lock_guard<std::mutex> lock(shard_stats_mutex_);
     shard.stats.batches += 1;
-    shard.stats.requests += batch_requests;
-    shard.stats.fused_runs += static_cast<std::int64_t>(groups.size());
+    shard.stats.requests += batch_requests - invalid_count;
+    shard.stats.fused_runs += runs;
     shard.stats.audit_runs += batch_audits;
     shard.stats.audit_mismatches += batch_audit_mismatches;
     shard.stats.busy_time_ps += batch_time_ps;
@@ -1126,6 +1148,10 @@ void Server::execute_gemm_batch(Shard& shard, Batch& batch) {
 
   for (std::size_t i = 0; i < batch.requests.size(); ++i) {
     Request& r = batch.requests[i];
+    if (!invalid.empty() && invalid[i]) {
+      fail_requests({&r, 1}, invalid[i], ErrorCode::kInvalidArgument);
+      continue;
+    }
     GemmResult& result = results[i];
     result.latency_ms = ms_between(r.enqueue_time, Clock::now());
     sample_wait(result.queue_ms);
@@ -1154,13 +1180,28 @@ void Server::execute_cost_batch(Shard& shard, Batch& batch) {
   engine::Engine* engine = engine_for(shard, batch);
 
   std::int64_t answered = 0;
-  for (Request& r : batch.requests) {
+  for (std::size_t i = 0; i < batch.requests.size(); ++i) {
+    Request& r = batch.requests[i];
     // The slot is read/settled through a local reference; the shared_ptr
     // stays on the request so a double-settle (if the request were ever
     // replayed) still hits the guard instead of a dead slot.
     BatchSlot& slot = *r.slot;
-    std::vector<engine::CostEstimate> results =
-        engine->evaluate_batch(slot.shapes(), r.decided_k);
+    std::vector<engine::CostEstimate> results;
+    try {
+      results = engine->evaluate_batch(slot.shapes(), r.decided_k);
+    } catch (...) {
+      // Shapes that fail validation fail their own request alone.  On an
+      // engine fault the settled requests leave the batch, and only the
+      // rest take the batch-level failure path.
+      if (code_of(std::current_exception()) != ErrorCode::kInvalidArgument) {
+        const auto first = batch.requests.begin();
+        batch.requests.erase(first, first + static_cast<std::ptrdiff_t>(i));
+        throw;
+      }
+      fail_requests({&r, 1}, std::current_exception(),
+                    ErrorCode::kInvalidArgument);
+      continue;
+    }
     const std::int64_t count = static_cast<std::int64_t>(results.size());
     const double queue_ms = ms_between(r.enqueue_time, dispatch_time);
     sample_wait(queue_ms);

@@ -27,9 +27,9 @@
 //
 // Autoscaling: with min_shards < max_shards the server runs a
 // queue-pressure autoscaler — a control thread building one Pressure
-// sample every control_interval_ms, growing the live shard set when the
-// sample is hot() against grow_at for grow_patience consecutive ticks and
-// shrinking it when it is cool() against shrink_at for shrink_patience
+// sample every kControlIntervalMs, growing the live shard set when the
+// sample is hot() against grow_at for kGrowPatience consecutive ticks and
+// shrinking it when it is cool() against shrink_at for kShrinkPatience
 // ticks (hysteresis: two util::Streaks that reset each other, so a
 // square-wave load cannot flap the pool).  Growing a shard acquires its
 // engine through the server's EngineBuilder; shrinking drains the shard's
@@ -129,9 +129,6 @@ struct ServerOptions {
   // deque holds this many requests (each deque is its own backpressure
   // domain), so an N-shard server queues up to N x queue_capacity.
   std::size_t queue_capacity = 256;
-  // DRR quantum in cost units (MACs) credited per scheduling round — see
-  // serve/queue.h.  Any positive value gives equal long-run tenant shares.
-  std::int64_t drr_quantum = RequestQueue::kDefaultQuantum;
   // Byte budget per coalesced batch (summed projected DRAM traffic,
   // Request::drr_bytes); 0 = unlimited.  With the memory hierarchy enabled
   // a fused run's DMA stream scales with its footprint, so this keeps one
@@ -164,22 +161,17 @@ struct ServerOptions {
   // INITIAL live count.
   int min_shards = 0;
   int max_shards = 0;
-  // Period of the control thread, which builds one Pressure sample per tick
-  // and feeds it to both the autoscaler and the overload latch.
-  double control_interval_ms = 10.0;
-  // Grow one shard when hot(sample, grow_at) for grow_patience consecutive
-  // ticks.  The default listens to queue depth and the wall-clock p99 wait.
-  // A "cycle" pool, whose waits reflect simulation speed rather than
-  // hardware pressure, scales on queued MACs instead ({4, 0, 4e6, 0}); a
-  // bandwidth-bound pool on queued DRAM bytes ({4, 0, 0, 16e6}).
+  // Grow one shard when hot(sample, grow_at) for kGrowPatience consecutive
+  // control ticks.  The default listens to queue depth and the wall-clock
+  // p99 wait.  A "cycle" pool, whose waits reflect simulation speed rather
+  // than hardware pressure, scales on queued MACs instead ({4, 0, 4e6, 0});
+  // a bandwidth-bound pool on queued DRAM bytes ({4, 0, 0, 16e6}).
   Pressure grow_at{4.0, 5.0, 0.0, 0.0};
   // Shrink one shard when the sample is not hot against grow_at and is
-  // cool(sample, shrink_at) for shrink_patience consecutive ticks.  The gap
+  // cool(sample, shrink_at) for kShrinkPatience consecutive ticks.  The gap
   // between the two bands is the hysteresis dead zone, so every term
   // enabled in both must sit strictly lower here.
   Pressure shrink_at{0.5, 1.0, 0.0, 0.0};
-  int grow_patience = 2;
-  int shrink_patience = 8;
 
   // --- robustness: overload policy, retry, quarantine (PR 6) ---------------
   // What admission does when the server is overloaded (see overload_at).
@@ -204,20 +196,16 @@ struct ServerOptions {
   // overload can be bandwidth-borne — shallow queues of huge-footprint
   // GEMMs — which depth and wait both under-report.
   Pressure overload_at{16.0, 50.0, 0.0, 0.0};
-  // Default engine-fault retry budget per request (SubmitOptions can
-  // override): a request whose shard engine threw kEngineFault is
-  // resubmitted to a different shard up to this many times with capped
-  // exponential backoff.  0 = fail on first fault (pre-PR-6 behaviour).
+  // Engine-fault retry budget per request: a request whose shard engine
+  // threw kEngineFault is resubmitted to a different shard up to this many
+  // times with capped exponential backoff.  0 = fail on the first fault.
   int max_retries = 0;
-  double retry_backoff_base_ms = 0.1;
-  double retry_backoff_max_ms = 5.0;
   // Consecutive engine faults on one shard before it is quarantined —
   // banned from submit routing, its deque drained to healthy shards, its
-  // worker probing for recovery instead of serving (0 = never quarantine).
+  // worker probing for recovery instead of serving (0 = never quarantine):
+  // each probe rebuilds the shard's engine and runs a tiny GEMM; success
+  // rejoins the pool.
   int quarantine_after_faults = 0;
-  // Recovery probe cadence of a quarantined shard: each probe rebuilds the
-  // shard's engine and runs a tiny GEMM; success rejoins the pool.
-  double quarantine_probe_interval_ms = 5.0;
   // Degrade-mode scratchpad shrink: with the memory hierarchy enabled and
   // this fraction < 1, GEMMs admitted under the "degrade" policy are served
   // on an engine whose scratchpad holds only this fraction of the
@@ -234,6 +222,19 @@ struct ServerOptions {
   // a deterministic throw_every_n engine.
   engine::ChaosOptions chaos;
 };
+
+// Fixed cadences.  The control thread builds one Pressure sample every
+// kControlIntervalMs for the autoscaler and the overload latch; the pool
+// moves one shard after kGrowPatience hot or kShrinkPatience cool ticks.
+// A retry waits kRetryBackoffBaseMs x 2^attempts, at most
+// kRetryBackoffMaxMs; a quarantined shard probes every
+// kQuarantineProbeIntervalMs.
+inline constexpr double kControlIntervalMs = 10.0;
+inline constexpr int kGrowPatience = 2;
+inline constexpr int kShrinkPatience = 8;
+inline constexpr double kRetryBackoffBaseMs = 0.1;
+inline constexpr double kRetryBackoffMaxMs = 5.0;
+inline constexpr double kQuarantineProbeIntervalMs = 5.0;
 
 // Overload-policy registry (mirrors the engine name contract:
 // the README's policy matrix must list exactly these names — ctest
@@ -262,8 +263,6 @@ struct SubmitOptions {
   // block, > 0 = bounded wait; NaN is rejected.  Independent of the
   // overload POLICY check, which fires before the queue is even tried.
   double admission_timeout_ms = -1.0;
-  // Engine-fault retry budget for this request; -1 = ServerOptions default.
-  int max_retries = -1;
 };
 
 struct ShardSnapshot {
@@ -370,8 +369,8 @@ class Server {
   // cheapest way to price millions of GEMMs.  submit.backend pins THIS
   // request to a specific registered engine regardless of the shard
   // default — fidelity routing per submission, layered on top of audit
-  // sampling.  Deadline, bounded admission wait and retry budget as in
-  // SubmitOptions; by default submit blocks while the queue is full.
+  // sampling.  Deadline and bounded admission wait as in SubmitOptions; by
+  // default submit blocks while the queue is full.
   // Throws af::Error(kInvalidArgument) for a malformed request (operand
   // shapes, an unsupported mode, an unknown backend — listed with the
   // registry), kOverloaded when the "reject" policy sheds the request or
@@ -394,7 +393,8 @@ class Server {
   // completed move by shapes.size()).  SubmitOptions::want_output is
   // ignored (the batched path is cost-only by construction); deadline,
   // admission timeout, retries and the backend override apply to the
-  // batch as a unit.  Throws like submit_gemm; BatchTicket::get() blocks
+  // batch as a unit, except that a request whose own shapes fail the
+  // engine's validation fails alone.  Throws like submit_gemm; BatchTicket::get() blocks
   // for the estimates and rethrows a serving-side failure.
   BatchTicket submit_gemm_batch(const std::string& tenant,
                                 std::span<const gemm::GemmShape> shapes,
@@ -420,7 +420,6 @@ class Server {
   // Currently live shards (autoscaling moves this between min/max bounds).
   int num_shards() const { return live_shards_.load(); }
   int max_shards() const { return static_cast<int>(shards_.size()); }
-  const arch::ArrayConfig& shard_config() const { return shard_config_; }
   const std::string& backend() const { return options_.backend; }
 
   ServerStats stats() const;
@@ -459,8 +458,8 @@ class Server {
   // The admission steps every submit shares, in order.  admit: the
   // shutdown and deadline_ms checks, then the "reject" policy check (before
   // any admission work), whose refusal books `count` logical requests — a
-  // batch's shape count, 1 otherwise.  stamp: the id, tenant, retry budget,
-  // enqueue time `now` and deadline every Request carries.  enqueue:
+  // batch's shape count, 1 otherwise.  stamp: the id, tenant, enqueue time
+  // `now` and deadline every Request carries.  enqueue:
   // pushes `r`, whose `count` requests the caller has already added to
   // submitted_ (a fast worker may complete them before the push returns,
   // and stats() must never show completed > submitted); a refusal unbooks
@@ -473,12 +472,15 @@ class Server {
   void enqueue(Request& r, const SubmitOptions& submit, std::int64_t count);
 
   void shard_loop(Shard& shard);
+  // One hardware run per fusion group; a fused run that fails validation
+  // re-runs member by member.  A request whose own run fails validation
+  // fails alone; an engine fault throws to handle_batch_failure.
   void execute_gemm_batch(Shard& shard, Batch& batch);
   void execute_infer_batch(Shard& shard, Batch& batch);
   // Batched cost queries: answers each request's shapes through the
-  // engine's vectorized evaluate_batch and completes its pooled slot.
-  // Never touches the array configuration (no prepare_mode, no drain) —
-  // planning traffic must not stall execution.
+  // engine's vectorized evaluate_batch and completes its pooled slot, with
+  // the same validation rule.  Never touches the array configuration (no
+  // prepare_mode, no drain) — planning traffic must not stall execution.
   void execute_cost_batch(Shard& shard, Batch& batch);
   // Calls on_settle_, if set: after each promise or batch slot settled.
   void settled() const {
@@ -490,7 +492,7 @@ class Server {
   // `bucket` (`expired_` or `unserved_`).  A promise that was already
   // satisfied is a double-set bug: counted in
   // ServerStats::promise_double_sets and fatal in debug builds.
-  void fail_requests(std::vector<Request>& requests, std::exception_ptr error,
+  void fail_requests(std::span<Request> requests, std::exception_ptr error,
                      ErrorCode code,
                      std::atomic<std::int64_t>* bucket = nullptr);
   // Shard-side reaper half: fails batch.expired (reaped while queued) and
@@ -577,8 +579,8 @@ class Server {
   std::vector<std::unique_ptr<Shard>> shards_;  // max_shards_ slots
 
   std::atomic<int> live_shards_{0};
-  util::Streak grow_;                  // control-thread private, like
-  util::Streak shrink_;                // overload_ below
+  util::Streak grow_{kGrowPatience};      // control-thread private, like
+  util::Streak shrink_{kShrinkPatience};  // overload_ below
   std::thread autoscaler_;            // the control thread (see control_loop)
   bool control_enabled_ = false;       // autoscale or non-block policy
   std::mutex scale_mutex_;             // serializes scale transitions

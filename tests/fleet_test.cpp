@@ -38,18 +38,9 @@ using std::chrono::milliseconds;
 // spill_factor = +inf: the router never leaves the consistent-hash home.
 constexpr double kNeverSpill = std::numeric_limits<double>::infinity();
 
-RouterOptions never_spill(RouterOptions options = {}) {
-  options.spill_factor = kNeverSpill;
-  return options;
-}
-
 // A spill factor every loaded home exceeds: placement is pure power of two
 // choices whenever the routable mean backlog is non-zero.
-RouterOptions always_spill() {
-  RouterOptions options;
-  options.spill_factor = 1e-9;
-  return options;
-}
+constexpr double kAlwaysSpill = 1e-9;
 
 std::vector<ServerLoad> uniform_loads(int n) {
   std::vector<ServerLoad> loads(static_cast<std::size_t>(n));
@@ -76,7 +67,7 @@ TEST(RouterTest, AffinityKeyIsStableAndSpreads) {
 // ---- consistent hashing (spill_factor = +inf) -----------------------------
 
 TEST(HashRouterTest, PlacementIsDeterministicAndBalanced) {
-  Router router(never_spill());
+  Router router(kNeverSpill);
   const std::vector<ServerLoad> loads = uniform_loads(4);
   std::map<int, int> per_slot;
   for (int i = 0; i < 4000; ++i) {
@@ -96,7 +87,7 @@ TEST(HashRouterTest, PlacementIsDeterministicAndBalanced) {
 }
 
 TEST(HashRouterTest, ServerLeaveMovesOnlyItsOwnKeys) {
-  Router router(never_spill());
+  Router router(kNeverSpill);
   std::vector<ServerLoad> loads = uniform_loads(4);
   constexpr int kKeys = 4000;
   std::vector<int> before(kKeys);
@@ -130,7 +121,7 @@ TEST(HashRouterTest, ServerLeaveMovesOnlyItsOwnKeys) {
 // ---- power of two choices (every loaded home spills) ----------------------
 
 TEST(P2cRouterTest, NeverPlacesOnAnUnroutableServer) {
-  Router router(always_spill());
+  Router router(kAlwaysSpill);
   std::vector<ServerLoad> loads = uniform_loads(6);
   for (auto& load : loads) load.backlog_macs = 1000;
   loads[0].routable = false;  // dead
@@ -145,7 +136,7 @@ TEST(P2cRouterTest, NeverPlacesOnAnUnroutableServer) {
 }
 
 TEST(P2cRouterTest, TwoServersAlwaysPickTheLighterOne) {
-  Router router(always_spill());
+  Router router(kAlwaysSpill);
   std::vector<ServerLoad> loads = uniform_loads(2);
   loads[0].backlog_macs = 1 << 20;
   loads[1].backlog_macs = 1;
@@ -164,10 +155,8 @@ TEST(P2cRouterTest, TwoServersAlwaysPickTheLighterOne) {
 // ---- hash home + load-aware spill (the default spill_factor) --------------
 
 TEST(AffinityRouterTest, StaysHomeUntilTheHomeDrowns) {
-  RouterOptions options;
-  options.spill_factor = 2.0;
-  Router affinity(options);
-  Router hash(never_spill(options));
+  Router affinity(2.0);
+  Router hash(kNeverSpill);
   std::vector<ServerLoad> loads = uniform_loads(3);
   const std::uint64_t key = affinity_key("sticky-tenant");
   const int home = hash.place(key, loads);
@@ -193,14 +182,8 @@ TEST(AffinityRouterTest, StaysHomeUntilTheHomeDrowns) {
 }
 
 TEST(AffinityRouterTest, RejectsANonPositiveSpillFactor) {
-  RouterOptions options;
-  options.spill_factor = 0.0;
-  EXPECT_THROW(Router{options}, Error);
-  options.spill_factor = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(Router{options}, Error);
-  options.spill_factor = 1.0;
-  options.replicas = 0;
-  EXPECT_THROW(Router{options}, Error);
+  EXPECT_THROW(Router{0.0}, Error);
+  EXPECT_THROW(Router{std::numeric_limits<double>::quiet_NaN()}, Error);
 }
 
 // ---- fleet fixtures -------------------------------------------------------
@@ -220,11 +203,10 @@ class FleetTest : public ::testing::Test {
         gemm::random_matrix(rng, n, m, -50, 50));
   }
 
-  // A tenant whose consistent-hash home (under `options`) is `want` among
-  // `n` routable servers — how tests steer traffic at a specific server.
-  static std::string tenant_homed_at(int want, int n,
-                                     const RouterOptions& options = {}) {
-    Router router(never_spill(options));
+  // A tenant whose consistent-hash home is `want` among `n` routable
+  // servers — how tests steer traffic at a specific server.
+  static std::string tenant_homed_at(int want, int n) {
+    Router router(kNeverSpill);
     const std::vector<ServerLoad> loads = uniform_loads(n);
     for (int i = 0; i < 10000; ++i) {
       const std::string tenant = "homed-" + std::to_string(i);
@@ -383,7 +365,7 @@ TEST_F(FleetTest, SameTenantKeepsItsHomeServer) {
 TEST_F(FleetTest, KillServerFailsOverQueuedWorkWithoutLoss) {
   FleetOptions options;
   // Pin tenants to homes deterministically: never spill.
-  options.router_options.spill_factor = kNeverSpill;
+  options.spill_factor = kNeverSpill;
   Fleet fleet({small_spec(), small_spec()}, options);
   const std::string victim_tenant = tenant_homed_at(0, 2);
   const std::string other_tenant = tenant_homed_at(1, 2);
@@ -435,8 +417,7 @@ TEST_F(FleetTest, KillServerFailsOverQueuedWorkWithoutLoss) {
 
 TEST_F(FleetTest, KillingEveryServerDeliversTypedUnavailable) {
   FleetOptions options;
-  options.router_options.spill_factor = kNeverSpill;
-  options.max_failovers = 2;
+  options.spill_factor = kNeverSpill;
   Fleet fleet({small_spec(), small_spec()}, options);
   Rng rng(37);
   auto weights = random_weights(rng, 16, 8);
@@ -493,7 +474,7 @@ TEST_F(FleetTest, KillingEveryServerDeliversTypedUnavailable) {
 
 TEST_F(FleetTest, HedgingUnsticksAStalledServerFirstResultWins) {
   FleetOptions options;
-  options.router_options.spill_factor = kNeverSpill;
+  options.spill_factor = kNeverSpill;
   options.hedge_ms = 10.0;
   Fleet fleet({small_spec(), small_spec()}, options);
   const std::string stuck_tenant = tenant_homed_at(0, 2);
@@ -541,7 +522,7 @@ TEST_F(FleetTest, HedgingUnsticksAStalledServerFirstResultWins) {
 
 TEST_F(FleetTest, DrainThenRestartIsALosslessRollingRestart) {
   FleetOptions options;
-  options.router_options.spill_factor = kNeverSpill;
+  options.spill_factor = kNeverSpill;
   Fleet fleet({small_spec(), small_spec()}, options);
   const std::string tenant = tenant_homed_at(0, 2);
 
@@ -581,16 +562,13 @@ TEST_F(FleetTest, DrainThenRestartIsALosslessRollingRestart) {
 
 TEST_F(FleetTest, ProberMarksAStalledServerUnhealthyThenRecoversIt) {
   FleetOptions options;
-  options.router_options.spill_factor = kNeverSpill;
+  options.spill_factor = kNeverSpill;
   options.probe_interval_ms = 2.0;
-  options.probe_timeout_ms = 20.0;
-  options.unhealthy_after = 2;
-  options.healthy_after = 2;
   Fleet fleet({small_spec(), small_spec()}, options);
 
   fleet.stall_server(0);
-  // The prober needs unhealthy_after failed probes, each up to
-  // probe_timeout_ms: well under this deadline.
+  // The prober needs kUnhealthyAfter failed probes, each up to
+  // kProbeTimeoutMs: well under this deadline.
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (fleet.health(0) != ServerHealth::kUnhealthy &&
          std::chrono::steady_clock::now() < deadline) {
@@ -631,11 +609,11 @@ TEST_F(FleetTest, ProberMarksAStalledServerUnhealthyThenRecoversIt) {
 
 TEST(FleetProberLatchTest, FailureAndSuccessStreaksFlipHealth) {
   // The prober's per-server state on a synthetic probe trace, updated as
-  // the prober does: update(!ok, ok), on = unhealthy.  Defaults: 3
-  // consecutive failures to pull a server, 2 consecutive successes to
-  // re-admit it; any opposite result starts the pending streak over.
-  const FleetOptions defaults;
-  util::Latch unhealthy(defaults.unhealthy_after, defaults.healthy_after);
+  // the prober does: update(!ok, ok), on = unhealthy.  kUnhealthyAfter = 3
+  // consecutive failures pull a server, kHealthyAfter = 2 consecutive
+  // successes re-admit it; any opposite result starts the pending streak
+  // over.
+  util::Latch unhealthy(kUnhealthyAfter, kHealthyAfter);
   std::vector<bool> trace;
   for (const bool ok : {false, false, true, false, false, false, true, false,
                         true, true, false}) {
@@ -695,7 +673,6 @@ TEST_F(FleetTest, OverloadComposesBlockUntilSpaceFrees) {
   spec.options.queue_capacity = 2;
   FleetOptions options;
   options.overload_policy = "block";
-  options.block_retry_ms = 0.5;
   Fleet fleet({spec}, options);
   fleet.stall_server(0);
 
@@ -721,7 +698,7 @@ TEST_F(FleetTest, OverloadComposesBlockUntilSpaceFrees) {
 
 TEST_F(FleetTest, RoutesWholeInferencesAndFailsThemOver) {
   FleetOptions options;
-  options.router_options.spill_factor = kNeverSpill;
+  options.spill_factor = kNeverSpill;
   Fleet fleet({small_spec(), small_spec()}, options);
   const std::string tenant = tenant_homed_at(0, 2);
   auto model = std::make_shared<nn::Model>(nn::mobilenet_v1());
@@ -798,7 +775,7 @@ TEST_F(FleetTest, HeterogeneousFleetPlacesAModeOnlySomeServersSupport) {
   std::vector<FleetServerSpec> specs{small_spec(), small_spec()};
   specs[1].config.supported_k = {1, 2};
   FleetOptions options;
-  options.router_options.spill_factor = kNeverSpill;
+  options.spill_factor = kNeverSpill;
   Fleet fleet(std::move(specs), options);
   const std::string tenant = tenant_homed_at(1, 2);
 
@@ -915,7 +892,7 @@ TEST_F(FleetFullServerTest, AdmissionTimeoutBeyondTheClockWaitsForSpace) {
 
 TEST_F(FleetTest, InferenceIsNeverHedged) {
   FleetOptions options;
-  options.router_options.spill_factor = kNeverSpill;
+  options.spill_factor = kNeverSpill;
   options.hedge_ms = 10.0;
   Fleet fleet({small_spec(), small_spec()}, options);
   const std::string tenant = tenant_homed_at(0, 2);
@@ -949,19 +926,14 @@ TEST_F(FleetTest, FleetChaosStressLosesNothingAndDoubleServesNothing) {
   spec.options.num_shards = 2;
   spec.options.min_shards = 1;
   spec.options.max_shards = 2;
-  spec.options.control_interval_ms = 2.0;
   spec.options.max_batch = 4;
   spec.options.backend = "chaos";
   spec.options.chaos.throw_every_n = 9;
   spec.options.max_retries = 3;
-  spec.options.retry_backoff_base_ms = 0.05;
-  spec.options.retry_backoff_max_ms = 0.5;
   FleetOptions options;
   options.router = "affinity";
   options.hedge_ms = 25.0;
   options.probe_interval_ms = 5.0;
-  options.probe_timeout_ms = 50.0;
-  options.max_failovers = 3;
   Fleet fleet({spec, spec, spec, spec}, options);
 
   constexpr int kClients = 4;

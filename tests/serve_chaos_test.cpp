@@ -115,9 +115,9 @@ TEST(ChaosEngineTest, ScheduledThrowsAreDeterministicAndReplayable) {
   }
 }
 
-TEST(ChaosEngineTest, WrongCostRateOnePerturbsEveryRunByOneCycle) {
+TEST(ChaosEngineTest, WrongCostPerturbsEveryRunByOneCycle) {
   engine::ChaosOptions chaos;
-  chaos.wrong_cost_rate = 1.0;
+  chaos.wrong_cost = true;
   engine::EngineBuilder builder;
   builder.square(8).chaos(chaos);
   const auto engine = builder.build("chaos");
@@ -141,7 +141,7 @@ TEST(ChaosEngineTest, WrongCostRateOnePerturbsEveryRunByOneCycle) {
 
 TEST(ChaosEngineTest, DefaultsInjectNothing) {
   engine::EngineBuilder builder;
-  builder.square(8);  // default ChaosOptions: all rates zero
+  builder.square(8);  // default ChaosOptions: no fault switched on
   const auto chaos = builder.build("chaos");
   const auto plain = builder.build("analytic");
   EXPECT_FALSE(chaos->measures());  // transparent over the analytic inner
@@ -366,8 +366,7 @@ TEST_F(ServeChaosTest, RejectPolicyShedsUnderPressureAndServesTheRest) {
   opts.num_shards = 1;
   opts.max_batch = 1;  // no coalescing: pressure shows up as queue depth
   opts.backend = "chaos";
-  opts.chaos.delay_rate = 1.0;  // every run sleeps — a slow engine
-  opts.chaos.delay_ms = 20.0;
+  opts.chaos.delay_ms = 20.0;  // every run sleeps — a slow engine
   opts.overload_policy = "reject";
   opts.overload_at = {.depth = 1.0};  // only the instantaneous depth trips
   Server server(shard16(), opts);
@@ -404,7 +403,6 @@ TEST_F(ServeChaosTest, DegradePolicyServesCostOnlyUnderPressureThenRecovers) {
   opts.num_shards = 1;
   opts.max_batch = 1;
   opts.backend = "chaos";
-  opts.chaos.delay_rate = 1.0;
   opts.chaos.delay_ms = 20.0;
   opts.overload_policy = "degrade";
   opts.overload_at = {.depth = 1.0};
@@ -723,8 +721,6 @@ TEST_F(ServeChaosTest, RetriesResubmitFaultedRequestsUntilServed) {
   opts.backend = "chaos";
   opts.chaos.throw_every_n = 3;  // each shard faults every third run
   opts.max_retries = 4;
-  opts.retry_backoff_base_ms = 0.05;
-  opts.retry_backoff_max_ms = 0.5;
   Server server(shard16(), opts);
 
   Rng rng(17);
@@ -754,10 +750,7 @@ TEST_F(ServeChaosTest, QuarantineBenchesFaultyShardsAndRecoversThem) {
   opts.backend = "chaos";
   opts.chaos.throw_every_n = 3;
   opts.max_retries = 6;
-  opts.retry_backoff_base_ms = 0.05;
-  opts.retry_backoff_max_ms = 0.5;
   opts.quarantine_after_faults = 1;  // bench a shard on its first fault
-  opts.quarantine_probe_interval_ms = 1.0;
   Server server(shard16(), opts);
 
   Rng rng(19);
@@ -779,6 +772,47 @@ TEST_F(ServeChaosTest, QuarantineBenchesFaultyShardsAndRecoversThem) {
   std::int64_t shard_faults = 0;
   for (const ShardSnapshot& s : stats.shards) shard_faults += s.engine_faults;
   EXPECT_EQ(shard_faults, stats.engine_faults);
+}
+
+// A cost batch whose own shapes fail validation fails alone: the batch
+// answered before it in the same dispatch stays answered, exactly once.
+// No plan fits a 4096 x 4096 x 512 GEMM's tiles in a 4 KB scratchpad,
+// while a 16 x 16 x 1 GEMM fits.
+TEST_F(ServeChaosTest, InvalidCostBatchFailsAloneAndSettlesNothingTwice) {
+  arch::ArrayConfig config = shard16();
+  config.mem.enabled = true;
+  config.mem.spad_bytes = 4096;
+  ServerOptions opts;
+  opts.num_shards = 1;
+  Server server(config, opts);
+
+  const std::vector<gemm::GemmShape> fits{{.m = 16, .n = 16, .t = 1}};
+  const std::vector<gemm::GemmShape> fits_nothing{
+      {.m = 4096, .n = 4096, .t = 512}};
+  server.pause_serving(true);  // both batches ride one dispatch
+  BatchTicket a = server.submit_gemm_batch("a", fits, {.k = 1});
+  BatchTicket b = server.submit_gemm_batch("b", fits_nothing, {.k = 1});
+  server.pause_serving(false);
+
+  const std::vector<engine::CostEstimate> got = a.get();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_GT(got[0].cycles, 0);
+  try {
+    b.get();
+    FAIL() << "expected kInvalidArgument";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.promise_double_sets, 0);
+  EXPECT_EQ(stats.submitted, 2);
+  EXPECT_EQ(stats.completed, 2);
+  ASSERT_EQ(stats.tenants.size(), 2u);
+  for (const TenantSnapshot& t : stats.tenants) {
+    const bool is_a = t.tenant == "a";
+    EXPECT_EQ(t.requests, is_a ? 1 : 0) << t.tenant;
+    EXPECT_EQ(t.faults, is_a ? 0 : 1) << t.tenant;
+  }
 }
 
 // ---- server-scoped failpoints (the fleet layer's crash/stall hooks) -------
@@ -881,7 +915,6 @@ TEST_F(ServeChaosTest, LocalityAwareStealingAvoidsReconfigurationDrains) {
   opts.num_shards = 2;
   opts.max_batch = 1;      // no coalescing: steals have many targets
   opts.backend = "chaos";  // every run sleeps, so the hot deque backs up
-  opts.chaos.delay_rate = 1.0;
   opts.chaos.delay_ms = 1.0;
   Server server(shard16(), opts);
 
@@ -917,15 +950,11 @@ TEST_F(ServeChaosTest, ChaosStressLosesNothingAndDoubleServesNothing) {
   opts.num_shards = 2;
   opts.min_shards = 1;
   opts.max_shards = 4;
-  opts.control_interval_ms = 2.0;
   opts.max_batch = 4;
   opts.backend = "chaos";
   opts.chaos.throw_every_n = 7;
   opts.max_retries = 3;
-  opts.retry_backoff_base_ms = 0.05;
-  opts.retry_backoff_max_ms = 0.5;
   opts.quarantine_after_faults = 2;
-  opts.quarantine_probe_interval_ms = 1.0;
   Server server(shard16(), opts);
 
   constexpr int kClients = 4;

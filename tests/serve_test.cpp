@@ -445,17 +445,19 @@ TEST(DispatcherTest, StolenRoundsKeepDrrSharesWithinOneRequest) {
   // Four tenants with equal MAC volume in different request sizes, all
   // homed on slot 0 of a two-slot dispatcher.  Slot 1 owns nothing, so
   // every one of its dispatches steals a round from slot 0, and the
-  // quantum sits below the bigger requests, so tenants interleave across
-  // rounds.  Stealing changes which worker executes a round, never whose
-  // turn it is: while all four are backlogged, each tenant's share of the
-  // dispatched MACs stays within one (the largest) request of 1/4.
+  // dispatcher's quantum sits below the bigger requests, so tenants
+  // interleave across rounds.  Stealing changes which worker executes a
+  // round, never whose turn it is: while all four are backlogged, each
+  // tenant's share of the dispatched MACs stays within one (the largest)
+  // request of 1/4.
   DispatcherOptions opts = two_slots();
   opts.max_batch = 1;
-  opts.drr_quantum = 64;
   Dispatcher d(opts);
   const std::vector<std::string> tenants = tenants_homed_at(0, 2, 4);
-  const std::vector<std::int64_t> sizes = {64, 128, 256, 512};
-  constexpr std::int64_t kMacsPerTenant = 4096;
+  constexpr std::int64_t kQuantum = RequestQueue::kDefaultQuantum;
+  const std::vector<std::int64_t> sizes = {kQuantum, 2 * kQuantum,
+                                           4 * kQuantum, 8 * kQuantum};
+  constexpr std::int64_t kMacsPerTenant = 64 * kQuantum;
   std::map<std::string, int> left;
   std::uint64_t id = 0;
   for (std::size_t t = 0; t < tenants.size(); ++t) {
@@ -1057,6 +1059,114 @@ TEST_F(ServeTest, SameWeightRequestsFuseBehindAPlug) {
   EXPECT_EQ(stats.shards[0].current_k, 4);
 }
 
+// A 16x16 array with an 18 KB scratchpad: one t = 64, n = m = 64 GEMM
+// fits a reuse strategy's footprint, but a fused run of eight (T = 512)
+// fits none.
+arch::ArrayConfig small_scratchpad16() {
+  arch::ArrayConfig config = arch::ArrayConfig::square(16);
+  config.mem.enabled = true;
+  config.mem.spad_bytes = 18432;
+  return config;
+}
+
+TEST_F(ServeTest, FusedRunThatFitsNoPlanServesEachMemberAlone) {
+  ServerOptions opts;
+  opts.num_shards = 1;
+  Server server(small_scratchpad16(), opts);
+  Rng rng(41);
+  auto weights = random_weights(rng, 64, 64);
+  // Alone, one request fits.
+  EXPECT_GT(server
+                .submit_gemm("fused", gemm::random_matrix(rng, 64, 64, -50, 50),
+                             weights, {.k = 1})
+                .get()
+                .cycles,
+            0);
+
+  // Eight against the same weights fuse to T = 512: whether a request is
+  // served must not depend on how many queued with it.
+  server.pause_serving(true);
+  std::vector<gemm::Mat32> inputs;
+  std::vector<std::future<GemmResult>> futures;
+  for (int i = 0; i < 8; ++i) {
+    inputs.push_back(gemm::random_matrix(rng, 64, 64, -50, 50));
+    futures.push_back(
+        server.submit_gemm("fused", inputs.back(), weights, {.k = 1}));
+  }
+  server.pause_serving(false);
+  for (int i = 0; i < 8; ++i) {
+    GemmResult r = futures[static_cast<std::size_t>(i)].get();
+    EXPECT_EQ(r.batch_requests, 8);
+    EXPECT_EQ(r.fused_rows, 64);  // re-run alone
+    const gemm::Mat64 want = gemm::reference_gemm(
+        inputs[static_cast<std::size_t>(i)], *weights);
+    EXPECT_EQ(gemm::first_mismatch(r.out, want), "") << "request " << i;
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 9);
+  EXPECT_EQ(stats.completed, 9);
+  EXPECT_EQ(stats.promise_double_sets, 0);
+  ASSERT_EQ(stats.shards.size(), 1u);
+  EXPECT_EQ(stats.shards[0].requests, 9);
+  EXPECT_EQ(stats.shards[0].batches, 2);
+  EXPECT_EQ(stats.shards[0].fused_runs, 9);  // the runs that executed
+  ASSERT_EQ(stats.tenants.size(), 1u);
+  EXPECT_EQ(stats.tenants[0].faults, 0);
+}
+
+TEST_F(ServeTest, FusionGroupWhoseOwnShapeFitsNoPlanFailsAlone) {
+  ServerOptions opts;
+  opts.num_shards = 1;
+  Server server(small_scratchpad16(), opts);
+  Rng rng(43);
+  auto small_weights = random_weights(rng, 64, 64);
+  auto big_weights = random_weights(rng, 64, 64);
+
+  // One dispatch, two fusion groups: two t = 32 requests (T = 64 fits)
+  // and two t = 512 requests, whose own shape fits no plan.
+  server.pause_serving(true);
+  std::vector<gemm::Mat32> inputs;
+  std::vector<std::future<GemmResult>> fits;
+  std::vector<std::future<GemmResult>> fits_nothing;
+  for (int i = 0; i < 2; ++i) {
+    inputs.push_back(gemm::random_matrix(rng, 32, 64, -50, 50));
+    fits.push_back(
+        server.submit_gemm("small", inputs.back(), small_weights, {.k = 1}));
+    fits_nothing.push_back(server.submit_gemm(
+        "big", gemm::random_matrix(rng, 512, 64, -50, 50), big_weights,
+        {.k = 1}));
+  }
+  server.pause_serving(false);
+  for (int i = 0; i < 2; ++i) {
+    GemmResult r = fits[static_cast<std::size_t>(i)].get();
+    EXPECT_EQ(r.batch_requests, 4);
+    EXPECT_EQ(r.fused_rows, 64);
+    const gemm::Mat64 want = gemm::reference_gemm(
+        inputs[static_cast<std::size_t>(i)], *small_weights);
+    EXPECT_EQ(gemm::first_mismatch(r.out, want), "") << "request " << i;
+    try {
+      fits_nothing[static_cast<std::size_t>(i)].get();
+      FAIL() << "expected kInvalidArgument";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+    }
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 4);
+  EXPECT_EQ(stats.completed, 4);
+  EXPECT_EQ(stats.promise_double_sets, 0);
+  ASSERT_EQ(stats.shards.size(), 1u);
+  EXPECT_EQ(stats.shards[0].requests, 2);
+  EXPECT_EQ(stats.shards[0].batches, 1);
+  EXPECT_EQ(stats.shards[0].fused_runs, 1);
+  ASSERT_EQ(stats.tenants.size(), 2u);
+  for (const TenantSnapshot& t : stats.tenants) {
+    const bool is_small = t.tenant == "small";
+    EXPECT_EQ(t.requests, is_small ? 2 : 0) << t.tenant;
+    EXPECT_EQ(t.faults, is_small ? 0 : 2) << t.tenant;
+  }
+}
+
 TEST_F(ServeTest, ModeSwitchAccounting) {
   ServerOptions opts;
   opts.num_shards = 1;
@@ -1448,7 +1558,6 @@ TEST_F(ServeTest, StealingSpreadsAHotTenantAcrossShards) {
   opts.max_batch = 1;
   opts.backend = "chaos";
   opts.chaos.inner = "cycle";
-  opts.chaos.delay_rate = 1.0;
   opts.chaos.delay_ms = 2.0;
   Server server(shard16(), opts);
 
@@ -1518,7 +1627,7 @@ TEST(AutoscaleHysteresisTest, SquareWaveLoadDoesNotFlap) {
     ASSERT_EQ(want, live) << "flapped at tick " << tick;
   }
 
-  // Sustained pressure grows — one shard per grow_patience ticks, capped.
+  // Sustained pressure grows — one shard per patience window, capped.
   std::vector<int> trace;
   for (int tick = 0; tick < 12; ++tick) {
     live = scaler.tick(live, {.depth = 100.0});
@@ -1558,7 +1667,7 @@ TEST(AutoscaleHysteresisTest, BacklogCostSquareWaveDoesNotFlapEither) {
     ASSERT_EQ(want, live) << "flapped at tick " << tick;
   }
 
-  // Sustained backlog grows one shard per grow_patience ticks, capped.
+  // Sustained backlog grows one shard per patience window, capped.
   std::vector<int> trace;
   for (int tick = 0; tick < 12; ++tick) {
     live = scaler.tick(live, {.backlog_macs = 5e6});
@@ -1591,12 +1700,13 @@ TEST_F(ServeTest, AutoscalerGrowsUnderLoadAndShrinksWhenIdle) {
   opts.num_shards = 1;
   opts.min_shards = 1;
   opts.max_shards = 4;
-  opts.backend = "cycle";  // slow enough that a burst builds real depth
+  // Each run sleeps 2 ms around the cycle simulation, so the burst holds
+  // real depth for many control ticks — kGrowPatience of them to grow.
+  opts.backend = "chaos";
+  opts.chaos.inner = "cycle";
+  opts.chaos.delay_ms = 2.0;
   opts.max_batch = 1;
-  opts.control_interval_ms = 5.0;
   opts.grow_at.depth = 2.0;
-  opts.grow_patience = 1;
-  opts.shrink_patience = 2;
   Server server(shard16(), opts);
   EXPECT_EQ(server.num_shards(), 1);
 
@@ -1620,7 +1730,7 @@ TEST_F(ServeTest, AutoscalerGrowsUnderLoadAndShrinksWhenIdle) {
   }
 
   // Idle: the pool must come back down to min_shards (poll with a generous
-  // deadline — the autoscaler needs shrink_patience quiet ticks per step).
+  // deadline — the autoscaler needs kShrinkPatience quiet ticks per step).
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (server.num_shards() > 1 &&
@@ -1654,10 +1764,7 @@ TEST_F(ServeTest, AutoscaleStressNeverDropsOrDoubleServesAcrossScaleEvents) {
   opts.min_shards = 1;
   opts.max_shards = 4;
   opts.backend = "cycle";
-  opts.control_interval_ms = 2.0;
   opts.grow_at.depth = 2.0;
-  opts.grow_patience = 1;
-  opts.shrink_patience = 2;
   Server server(shard16(), opts);
 
   Rng rng(909);
@@ -1679,9 +1786,10 @@ TEST_F(ServeTest, AutoscaleStressNeverDropsOrDoubleServesAcrossScaleEvents) {
       EXPECT_EQ(gemm::first_mismatch(r.out, want), "")
           << "cycle " << cycle << " request " << i;
     }
-    // Idle valley: long enough for at least one shrink tick at this
-    // interval/patience, so the next burst hits a scaled-down pool.
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    // Idle valley: long enough for a shrink at the control interval and
+    // patience, so the next burst hits a scaled-down pool.
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
+        3 * kShrinkPatience * kControlIntervalMs));
   }
 
   const ServerStats stats = server.stats();
@@ -1823,8 +1931,7 @@ void expect_backlog_trips_reject(double Pressure::*term) {
   opts.num_shards = 1;
   opts.max_batch = 1;
   opts.backend = "chaos";
-  opts.chaos.delay_rate = 1.0;  // every run sleeps — backlog builds
-  opts.chaos.delay_ms = 20.0;
+  opts.chaos.delay_ms = 20.0;  // every run sleeps — backlog builds
   opts.overload_policy = "reject";
   opts.overload_at = {};
   opts.overload_at.*term = 1.0;  // any queued byte / MAC is pressure
@@ -1880,7 +1987,6 @@ TEST_F(ServeTest, DegradeModeServesOnAShrunkScratchpad) {
   opts.num_shards = 1;
   opts.max_batch = 1;
   opts.backend = "chaos";
-  opts.chaos.delay_rate = 1.0;
   opts.chaos.delay_ms = 20.0;
   opts.overload_policy = "degrade";
   opts.overload_at = {.depth = 1.0};
