@@ -1,7 +1,5 @@
 #include "hw/energy_characterization.h"
 
-#include <vector>
-
 #include "hw/builders/pe_datapath.h"
 #include "hw/compiled_netlist.h"
 #include "hw/netlist.h"
@@ -22,12 +20,6 @@ std::string pe_group(const std::string& name) {
   return second == std::string::npos
              ? name.substr(first + 1)
              : name.substr(first + 1, second - first - 1);
-}
-
-std::vector<std::uint64_t> random_lanes(Rng& rng, std::uint64_t mask) {
-  std::vector<std::uint64_t> v(NetlistSim::kLanes);
-  for (auto& x : v) x = rng.next_u64() & mask;
-  return v;
 }
 
 }  // namespace
@@ -58,22 +50,29 @@ CharacterizedEnergy characterize_energy(
       options.acc_bits < 2 * options.input_bits + 4 ? options.acc_bits
                                                     : 2 * options.input_bits + 4);
 
+  // Loads one uniform draw per lane onto `bus`, lane 0 first.
+  std::uint64_t lanes[NetlistSim::kLanes];
+  const auto drive_random = [&](const char* bus, std::uint64_t mask) {
+    for (std::uint64_t& x : lanes) x = rng.next_u64() & mask;
+    sim.set_input_lanes(bus, lanes, NetlistSim::kLanes);
+  };
+
   // Normal (opaque) pipeline mode: the steady-state configuration whose
   // per-op energies the array power model prices.  The carry word between
   // PEs is zero in this mode.
   sim.set_input_u64("cfg_h", 0);
   sim.set_input_u64("cfg_v", 0);
-  sim.set_input_lanes("w_in", random_lanes(rng, in_mask));
-  sim.set_input_lanes("a_in", random_lanes(rng, in_mask));
-  sim.set_input_lanes("s_in", random_lanes(rng, psum_mask));
+  drive_random("w_in", in_mask);
+  drive_random("a_in", in_mask);
+  drive_random("s_in", psum_mask);
   sim.set_input_u64("c_in", 0);
   sim.step();  // cfg + weights latch
   sim.step();  // pipeline warm-up: first operands traverse the datapath
   sim.reset_activity();
 
   for (int cycle = 0; cycle < options.cycles; ++cycle) {
-    sim.set_input_lanes("a_in", random_lanes(rng, in_mask));
-    sim.set_input_lanes("s_in", random_lanes(rng, psum_mask));
+    drive_random("a_in", in_mask);
+    drive_random("s_in", psum_mask);
     sim.step();
   }
   sim.eval();  // present the final latch so its register toggles are counted

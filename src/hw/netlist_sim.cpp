@@ -11,14 +11,27 @@ namespace {
 
 inline std::uint64_t broadcast(bool v) { return v ? ~std::uint64_t{0} : 0; }
 
-// Branch-free popcount.  std::popcount becomes a libgcc call on the baseline
-// x86-64 ISA, which has no POPCNT instruction.
-inline std::uint64_t popcount64(std::uint64_t x) {
-  x -= (x >> 1) & 0x5555555555555555ULL;
-  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
-  return (x * 0x0101010101010101ULL) >> 56;
-}
+// The tape counts toggles through one of two popcounts, chosen by the
+// kernel it is instantiated into (pick_tape_kernel, below).  std::popcount
+// and __builtin_popcountll become a libgcc call on the baseline x86-64 ISA,
+// which has no POPCNT instruction, so the portable kernel counts with a
+// branch-free SWAR sequence; inlined into a target("popcnt") function, the
+// builtin is the one POPCNT instruction.  Both are always_inline: a copy
+// left out of line would be compiled for the baseline ISA.
+struct SwarPopcount {
+  [[gnu::always_inline]] static std::uint64_t count(std::uint64_t x) {
+    x -= (x >> 1) & 0x5555555555555555ULL;
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    return (x * 0x0101010101010101ULL) >> 56;
+  }
+};
+
+struct BuiltinPopcount {
+  [[gnu::always_inline]] static std::uint64_t count(std::uint64_t x) {
+    return static_cast<std::uint64_t>(__builtin_popcountll(x));
+  }
+};
 
 // In-place transpose of a 64x64 bit matrix: afterwards bit c of rows[r] is
 // what bit r of rows[c] was.  Six rounds of block swaps, halving the block
@@ -38,10 +51,12 @@ void transpose64(std::uint64_t* rows) {
 // computes every cell's outputs from the current net words and adds the
 // lanes of `mask` that flipped to the cell's toggle count.  The run's cells
 // sit on one level, so none reads another's output.
-template <CellType kType, int kIn, int kOut>
-void eval_run(const NetId* pins, const int* cells, int size,
-              std::uint64_t* values, std::uint64_t* toggles,
-              std::uint64_t mask) {
+template <class Popcount, CellType kType, int kIn, int kOut>
+[[gnu::always_inline]] inline void eval_run(const NetId* pins,
+                                            const int* cells, int size,
+                                            std::uint64_t* values,
+                                            std::uint64_t* toggles,
+                                            std::uint64_t mask) {
   AF_ASSERT(cell_info(kType).num_inputs == kIn &&
                 cell_info(kType).num_outputs == kOut,
             "tape arity differs from the library for "
@@ -54,11 +69,92 @@ void eval_run(const NetId* pins, const int* cells, int size,
     std::uint64_t flips = 0;
     for (int o = 0; o < kOut; ++o) {
       std::uint64_t& net = values[pins[kIn + o]];
-      flips += popcount64((net ^ out[o]) & mask);
+      flips += Popcount::count((net ^ out[o]) & mask);
       net = out[o];
     }
     toggles[cells[c]] += flips;
   }
+}
+
+// One eval of the gate tape: presents the latched / forced DFF states on
+// their Q nets, then sweeps every run, counting the lanes of `mask` that
+// flip.
+template <class Popcount>
+[[gnu::always_inline]] inline void sweep_tape(const CompiledNetlist& cn,
+                                              const std::uint64_t* dff_state,
+                                              std::uint64_t* values,
+                                              std::uint64_t* toggles,
+                                              std::uint64_t mask) {
+  for (const int ci : cn.dff_cells()) {
+    std::uint64_t& q = values[cn.cell_outputs(ci)[0]];
+    const std::uint64_t next = dff_state[ci];
+    toggles[ci] += Popcount::count((q ^ next) & mask);
+    q = next;
+  }
+
+  for (const TapeRun& run : cn.tape()) {
+    const NetId* pins = cn.run_pins(run);
+    const int* cells = cn.run_cells(run);
+    const int n = run.size;
+    switch (run.type) {
+#define AF_TAPE_CASE(type, in, out)                                          \
+  case CellType::type:                                                       \
+    eval_run<Popcount, CellType::type, in, out>(pins, cells, n, values,      \
+                                                toggles, mask);              \
+    break;
+      AF_TAPE_CASE(kTie0, 0, 1)
+      AF_TAPE_CASE(kTie1, 0, 1)
+      AF_TAPE_CASE(kInv, 1, 1)
+      AF_TAPE_CASE(kBuf, 1, 1)
+      AF_TAPE_CASE(kNand2, 2, 1)
+      AF_TAPE_CASE(kNor2, 2, 1)
+      AF_TAPE_CASE(kAnd2, 2, 1)
+      AF_TAPE_CASE(kOr2, 2, 1)
+      AF_TAPE_CASE(kXor2, 2, 1)
+      AF_TAPE_CASE(kXnor2, 2, 1)
+      AF_TAPE_CASE(kAoi21, 3, 1)
+      AF_TAPE_CASE(kOai21, 3, 1)
+      AF_TAPE_CASE(kMux2, 3, 1)
+      AF_TAPE_CASE(kHalfAdder, 2, 2)
+      AF_TAPE_CASE(kFullAdder, 3, 2)
+      AF_TAPE_CASE(kClockGate, 1, 1)
+#undef AF_TAPE_CASE
+      case CellType::kDff:
+        AF_ASSERT(false, "DFF on the combinational tape");
+        break;
+    }
+  }
+}
+
+using TapeKernel = void (*)(const CompiledNetlist& cn,
+                            const std::uint64_t* dff_state,
+                            std::uint64_t* values, std::uint64_t* toggles,
+                            std::uint64_t mask);
+
+// The portable kernel: the tape with the SWAR popcount, for any CPU.
+void sweep_tape_portable(const CompiledNetlist& cn,
+                         const std::uint64_t* dff_state, std::uint64_t* values,
+                         std::uint64_t* toggles, std::uint64_t mask) {
+  sweep_tape<SwarPopcount>(cn, dff_state, values, toggles, mask);
+}
+
+#if defined(__x86_64__)
+// The same loop compiled for POPCNT.  A target attribute, not a flag, so the
+// rest of the tree keeps the baseline ISA; and picked by pick_tape_kernel,
+// not by an ifunc clone, whose resolver would run before the
+// ThreadSanitizer runtime starts.
+__attribute__((target("popcnt"))) void sweep_tape_popcnt(
+    const CompiledNetlist& cn, const std::uint64_t* dff_state,
+    std::uint64_t* values, std::uint64_t* toggles, std::uint64_t mask) {
+  sweep_tape<BuiltinPopcount>(cn, dff_state, values, toggles, mask);
+}
+#endif
+
+TapeKernel pick_tape_kernel() {
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("popcnt")) return sweep_tape_popcnt;
+#endif
+  return sweep_tape_portable;
 }
 
 }  // namespace
@@ -139,49 +235,9 @@ void NetlistSim::eval_tape() {
   // reference engine's does.
   const std::uint64_t mask = first_eval_ ? 0 : lane_mask_;
   first_eval_ = false;
-  std::uint64_t* values = values_.data();
-  std::uint64_t* toggles = toggles_.data();
-
-  // Present the latched / forced DFF states on their Q nets.
-  for (const int ci : cn_.dff_cells()) {
-    std::uint64_t& q = values[cn_.cell_outputs(ci)[0]];
-    const std::uint64_t next = dff_state_[static_cast<std::size_t>(ci)];
-    toggles[ci] += popcount64((q ^ next) & mask);
-    q = next;
-  }
-
-  for (const TapeRun& run : cn_.tape()) {
-    const NetId* pins = cn_.run_pins(run);
-    const int* cells = cn_.run_cells(run);
-    const int n = run.size;
-    switch (run.type) {
-#define AF_TAPE_CASE(type, in, out)                                    \
-  case CellType::type:                                                 \
-    eval_run<CellType::type, in, out>(pins, cells, n, values, toggles, \
-                                      mask);                           \
-    break;
-      AF_TAPE_CASE(kTie0, 0, 1)
-      AF_TAPE_CASE(kTie1, 0, 1)
-      AF_TAPE_CASE(kInv, 1, 1)
-      AF_TAPE_CASE(kBuf, 1, 1)
-      AF_TAPE_CASE(kNand2, 2, 1)
-      AF_TAPE_CASE(kNor2, 2, 1)
-      AF_TAPE_CASE(kAnd2, 2, 1)
-      AF_TAPE_CASE(kOr2, 2, 1)
-      AF_TAPE_CASE(kXor2, 2, 1)
-      AF_TAPE_CASE(kXnor2, 2, 1)
-      AF_TAPE_CASE(kAoi21, 3, 1)
-      AF_TAPE_CASE(kOai21, 3, 1)
-      AF_TAPE_CASE(kMux2, 3, 1)
-      AF_TAPE_CASE(kHalfAdder, 2, 2)
-      AF_TAPE_CASE(kFullAdder, 3, 2)
-      AF_TAPE_CASE(kClockGate, 1, 1)
-#undef AF_TAPE_CASE
-      case CellType::kDff:
-        AF_ASSERT(false, "DFF on the combinational tape");
-        break;
-    }
-  }
+  static const TapeKernel picked = pick_tape_kernel();
+  const TapeKernel kernel = portable_tape_ ? sweep_tape_portable : picked;
+  kernel(cn_, dff_state_.data(), values_.data(), toggles_.data(), mask);
 }
 
 void NetlistSim::eval_reference() {
@@ -278,6 +334,12 @@ void NetlistSim::set_dff_state(int cell_index, bool value) {
            "cell " << cell_index << " is not a DFF");
   dff_state_[static_cast<std::size_t>(cell_index)] = broadcast(value);
 }
+
+namespace detail {
+
+void use_portable_tape(NetlistSim& sim) { sim.portable_tape_ = true; }
+
+}  // namespace detail
 
 std::uint64_t NetlistSim::total_toggles() const {
   return std::accumulate(toggles_.begin(), toggles_.end(), std::uint64_t{0});

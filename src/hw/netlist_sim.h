@@ -16,7 +16,10 @@
 //     with the type dispatch outside the inner loop, and each output's
 //     flipped active lanes are popcounted into its cell's toggle count.
 //     Random stimulus re-evaluates most of a datapath on every cycle, so
-//     skipping quiet cells would cost more than it saves.
+//     skipping quiet cells would cost more than it saves.  The sweep runs
+//     one of two kernels built from one loop, picked once at run time: the
+//     POPCNT instruction where the CPU has it, else a portable SWAR
+//     popcount (detail::use_portable_tape); both count the same toggles.
 //
 //   * SimEngine::kReferenceFullOrder — the original engine: re-evaluates
 //     the entire topological order per eval(), one scalar lane.  Kept as
@@ -38,6 +41,17 @@
 #include "hw/netlist.h"
 
 namespace af::hw {
+
+class NetlistSim;
+
+namespace detail {
+
+// Runs `sim`'s later eval() and step() calls through the portable tape
+// kernel, the one they run on a CPU without POPCNT, so the tests check both
+// kernels on any host.
+void use_portable_tape(NetlistSim& sim);
+
+}  // namespace detail
 
 enum class SimEngine : std::uint8_t {
   kLevelizedTape,      // compiled gate tape, 64-lane bit-parallel
@@ -108,6 +122,8 @@ class NetlistSim {
   void reset_activity();
 
  private:
+  friend void detail::use_portable_tape(NetlistSim& sim);
+
   const Bus& find_bus(const std::string& name) const;
   void eval_tape();
   void eval_reference();
@@ -121,6 +137,7 @@ class NetlistSim {
   std::vector<std::uint64_t> toggles_;    // per cell
   std::uint64_t lane_mask_ = 1;           // active lanes for toggle counting
   bool first_eval_ = true;
+  bool portable_tape_ = false;            // detail::use_portable_tape
 };
 
 }  // namespace af::hw

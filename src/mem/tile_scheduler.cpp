@@ -23,6 +23,38 @@ struct Group {
   Move burst;
 };
 
+// The DMA timeline between two visits, and the plan's running counters.
+// Every update of the times is a max-plus one (a max of sums), so it
+// commutes with adding one constant to all three; the counters only add.
+struct Timeline {
+  std::int64_t dma_free = 0;  // when the channel is next free
+  std::int64_t end1 = 0;      // compute end of the last visit
+  std::int64_t end2 = 0;      // ... and of the one before
+  std::int64_t transfers = 0;
+  std::int64_t read_bytes = 0;
+  std::int64_t write_bytes = 0;
+};
+
+// The steady-state jump.  If the stretch from `before` to `now` moved the
+// three times by one common d, and the next `run` stretches apply the same
+// updates, each of them moves the times by d again and the counters by the
+// same amounts: so apply all `run` at once and return d.  Returns 0 (times
+// untouched) when the times moved unevenly; d is never 0, since every
+// stretch computes at least one visit.
+std::int64_t jump(Timeline& now, const Timeline& before, std::int64_t run) {
+  const std::int64_t d = now.end1 - before.end1;
+  if (now.dma_free - before.dma_free != d || now.end2 - before.end2 != d) {
+    return 0;
+  }
+  now.dma_free += run * d;
+  now.end1 += run * d;
+  now.end2 += run * d;
+  now.transfers += run * (now.transfers - before.transfers);
+  now.read_bytes += run * (now.read_bytes - before.read_bytes);
+  now.write_bytes += run * (now.write_bytes - before.write_bytes);
+  return d;
+}
+
 }  // namespace
 
 TileScheduler::TileScheduler(const arch::ArrayConfig& config)
@@ -210,61 +242,89 @@ MemoryPlan TileScheduler::plan_one(const gemm::GemmShape& shape,
   // previous group's last (group-granular buffers), the visit itself
   // (spills) or a column's last (resident writebacks).  End times are
   // positive, so 0 doubles as "no such visit".
-  std::int64_t dma_free = 0;  // when the channel is next free
-  std::int64_t end1 = 0;      // compute end of visit v-1
-  std::int64_t end2 = 0;      // ... and of visit v-2
-  std::int64_t prev_group_end = 0;
+  //
+  // A dense grid jumps over runs of visits, and of groups, of one kind
+  // (the header says why that is exact); a sparse one walks every
+  // executed visit.
+  const bool dense = occupancy == nullptr;
+  Timeline t;
   std::vector<std::int64_t> col_end(m_outer ? 0 : col_tiles, 0);
   const auto issue = [&](const Move& m, std::int64_t not_before, bool write) {
-    dma_free = std::max(dma_free, not_before) + m.cycles;
-    ++out.dma_transfers;
-    (write ? out.dram_write_bytes : out.dram_read_bytes) += m.bytes;
+    t.dma_free = std::max(t.dma_free, not_before) + m.cycles;
+    ++t.transfers;
+    (write ? t.write_bytes : t.read_bytes) += m.bytes;
   };
   const auto compute = [&] {
-    end2 = end1;
-    end1 = std::max(end1, dma_free) + per_tile_cycles;
+    t.end2 = t.end1;
+    t.end1 = std::max(t.end1, t.dma_free) + per_tile_cycles;
   };
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    const std::int64_t outer = groups[gi].key;
+  const std::int64_t num_groups = static_cast<std::int64_t>(groups.size());
+  for (std::int64_t gi = 0; gi < num_groups; ++gi) {
+    const std::int64_t outer = groups[static_cast<std::size_t>(gi)].key;
     if (gi == 0 && strategy != arch::ReuseStrategy::kOutputStationary) {
-      issue(groups[gi].burst, 0, false);
+      issue(groups[0].burst, 0, false);
     }
+    const Timeline group_start = t;
     for (std::int64_t inner = 0; inner < inner_count; ++inner) {
       const std::int64_t i = m_outer ? inner : outer;
       const std::int64_t j = m_outer ? outer : inner;
-      if (occupancy != nullptr && !occupancy->is_nonzero(i, j)) continue;
+      if (!dense && !occupancy->is_nonzero(i, j)) continue;
       const int ei = edge(i, row_tiles);
       const int ej = edge(j, col_tiles);
+      const Timeline visit_start = t;
       if (m_outer) {
         // output_stationary / b_stationary: C(j) accumulates in a single
         // resident buffer; A (and, output_stationary, B) stream per visit.
-        issue(a_move[ei], end2, false);
+        issue(a_move[ei], t.end2, false);
         if (strategy == arch::ReuseStrategy::kOutputStationary) {
-          issue(b_move[ei][ej], end2, false);
+          issue(b_move[ei][ej], t.end2, false);
         }
         compute();
       } else {
         // a_stationary: A(i) is resident for the group, B streams per
         // visit, spilled partials reload on a column's revisit.
-        issue(b_move[ei][ej], end2, false);
+        issue(b_move[ei][ej], t.end2, false);
         if (!resident_c && col_end[static_cast<std::size_t>(j)] > 0) {
-          issue(c_move[ej], end2, false);  // reload
+          issue(c_move[ej], t.end2, false);  // reload
         }
         compute();
-        if (!resident_c) issue(c_move[ej], end1, true);  // spill out
-        col_end[static_cast<std::size_t>(j)] = end1;
+        if (!resident_c) issue(c_move[ej], t.end1, true);  // spill out
+        col_end[static_cast<std::size_t>(j)] = t.end1;
       }
+      // Dense, the visits before the group's last are of one kind: the
+      // same tile sizes, and (a_stationary) every column reloads or none.
+      const std::int64_t run = inner_count - 2 - inner;
+      if (!dense || run <= 0) continue;
+      const std::int64_t end1 = t.end1;
+      const std::int64_t d = jump(t, visit_start, run);
+      if (d == 0) continue;
+      if (!m_outer) {
+        for (std::int64_t q = 1; q <= run; ++q) {
+          col_end[static_cast<std::size_t>(j + q)] = end1 + q * d;
+        }
+      }
+      inner += run;
     }
     // Prefetch the next group's burst (b_stationary's B column group,
     // a_stationary's A panel) into the buffer freed when group gi-1
-    // finished; M-outer, then drain C(j), which the next group's first
-    // visit waits on.
-    if (gi + 1 < groups.size() &&
+    // finished, at group_start.end1; M-outer, then drain C(j), which the
+    // next group's first visit waits on.
+    if (gi + 1 < num_groups &&
         strategy != arch::ReuseStrategy::kOutputStationary) {
-      issue(groups[gi + 1].burst, prev_group_end, false);
+      issue(groups[static_cast<std::size_t>(gi + 1)].burst, group_start.end1,
+            false);
     }
-    if (m_outer) issue(c_move[edge(outer, col_tiles)], end1, true);
-    prev_group_end = end1;
+    if (m_outer) issue(c_move[edge(outer, col_tiles)], t.end1, true);
+    // Dense, groups 1 .. num_groups - 3 are of one kind: interior tiles,
+    // an interior burst to prefetch, and (a_stationary) every column
+    // reloads.  The timeline is a group's whole input, bar a_stationary's
+    // column ends, which each skipped group moves by the same d.
+    const std::int64_t group_run = num_groups - 3 - gi;
+    if (!dense || gi == 0 || group_run <= 0) continue;
+    const std::int64_t d = jump(t, group_start, group_run);
+    if (d == 0) continue;
+    for (std::int64_t& end : col_end) end += group_run * d;
+    gi += group_run;
   }
   if (resident_c) {
     for (std::int64_t j = 0; j < col_tiles; ++j) {
@@ -272,8 +332,11 @@ MemoryPlan TileScheduler::plan_one(const gemm::GemmShape& shape,
       if (last > 0) issue(c_move[edge(j, col_tiles)], last, true);
     }
   }
+  out.dma_transfers = t.transfers;
+  out.dram_read_bytes = t.read_bytes;
+  out.dram_write_bytes = t.write_bytes;
   out.compute_cycles = per_tile_cycles * visits;
-  out.total_cycles = std::max(end1, dma_free);
+  out.total_cycles = std::max(t.end1, t.dma_free);
   out.stall_cycles = out.total_cycles - out.compute_cycles;
   return out;
 }

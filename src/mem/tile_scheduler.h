@@ -30,6 +30,19 @@
 // engine backends re-time through this exact code, preserving the exact
 // analytic==cycle equivalence contract.
 //
+// The timeline is a max-plus recurrence in three times (channel free,
+// last two compute ends): each visit's update is a max of sums, so it
+// commutes with adding one constant to all three.  If a visit moved all
+// three by the same d and the next visit is of its kind (same tile sizes,
+// same reload decision), that visit moves them by d again, and so does
+// every later one of the kind.  A dense plan therefore jumps over the rest
+// of such a run: the times advance by run x d, the counters by run x the
+// visit's transfers and bytes, and the walk resumes at the group's edge
+// visit.  Interior groups repeat the same way and are jumped alike.  The
+// result is bit-identical to the visit-by-visit walk; a sparse occupancy
+// always walks, so planning a dense grid under an all-nonzero occupancy is
+// the in-library oracle the tests hold the jump to.
+//
 // Block-sparse GEMMs (arch::TileOccupancy) skip zero tiles' visits AND
 // their traffic; a column group with no executed visit moves no bytes at
 // all (its output is zero and DRAM is assumed zero-initialized).

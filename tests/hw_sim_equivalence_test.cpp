@@ -3,12 +3,14 @@
 // net value and every per-cell toggle count, over randomized netlists (DFF
 // feedback included), randomized eval/step interleavings, partial lane
 // sets, and the real datapath builders, including the PE netlists that
-// characterize_energy prices.
+// characterize_energy prices; and the tape's two kernels (POPCNT and
+// portable) must match each other on those PE netlists.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "hw/builders/multiplier.h"
@@ -297,6 +299,78 @@ TEST(SimEquivalenceTest, CharacterizedPeNetlists64Lane) {
             << ci << " (" << nl.cell(ci).name << ") toggles";
       }
       EXPECT_GT(tape.total_toggles(), 0u);
+    }
+  }
+}
+
+TEST(SimEquivalenceTest, BothTapeKernelsAgreeOnCharacterizedPeNetlists) {
+  // The tape runs the POPCNT kernel where the CPU has it, so the tests
+  // above may never run the portable one.  Drive the six PE variants
+  // through both, with characterize_energy's stimulus sequence: every net
+  // value and every per-cell toggle count must agree.
+  Rng rng(26);
+  for (const int bits : {8, 16, 32}) {
+    for (const MultiplierStyle style :
+         {MultiplierStyle::kBooth, MultiplierStyle::kWallace}) {
+      Netlist nl;
+      PeDatapathOptions opt{bits, 64};
+      opt.multiplier = style;
+      build_arrayflex_pe(nl, opt);
+      const CompiledNetlist cn(nl);
+      NetlistSim picked(cn);
+      NetlistSim portable(cn);
+      detail::use_portable_tape(portable);
+      for (NetlistSim* sim : {&picked, &portable}) {
+        sim->set_active_lanes(kLanes);
+      }
+
+      const std::uint64_t in_mask = mask_low_bits(bits);
+      const std::uint64_t psum_mask = mask_low_bits(std::min(64, 2 * bits + 4));
+      std::vector<std::uint64_t> lane_vals(kLanes);
+      const auto drive_lanes = [&](const char* bus, std::uint64_t mask) {
+        for (auto& v : lane_vals) v = rng.next_u64() & mask;
+        picked.set_input_lanes(bus, lane_vals);
+        portable.set_input_lanes(bus, lane_vals);
+      };
+      const auto drive_all = [&](const char* bus, std::uint64_t value) {
+        picked.set_input_u64(bus, value);
+        portable.set_input_u64(bus, value);
+      };
+      const auto step_both = [&] {
+        picked.step();
+        portable.step();
+      };
+      const auto expect_same = [&](const char* when) {
+        const std::string where = format("%d-bit style %d %s", bits,
+                                         static_cast<int>(style), when);
+        for (NetId n = 0; n < cn.num_nets(); ++n) {
+          for (const int lane : {0, 31, 63}) {
+            ASSERT_EQ(picked.net_value_lane(n, lane),
+                      portable.net_value_lane(n, lane))
+                << where << " net " << n << " lane " << lane;
+          }
+        }
+        ASSERT_EQ(picked.toggles(), portable.toggles()) << where;
+      };
+
+      drive_all("cfg_h", 0);
+      drive_all("cfg_v", 0);
+      drive_lanes("w_in", in_mask);
+      drive_lanes("a_in", in_mask);
+      drive_lanes("s_in", psum_mask);
+      drive_all("c_in", 0);
+      step_both();  // cfg + weights latch
+      step_both();  // warm-up
+      for (int cycle = 0; cycle < 32; ++cycle) {
+        drive_lanes("a_in", in_mask);
+        drive_lanes("s_in", psum_mask);
+        step_both();
+        expect_same("after a cycle");
+      }
+      picked.eval();
+      portable.eval();
+      expect_same("after the final eval");
+      EXPECT_GT(portable.total_toggles(), 0u);
     }
   }
 }

@@ -1,8 +1,9 @@
 // Unit tests for the scratchpad/DRAM memory hierarchy (src/mem/):
 // MemoryModel transfer timing, TileScheduler reuse strategies, DMA
 // double-buffering behavior, feasibility errors, sparse traffic skipping,
-// the serving-side traffic projection, and a randomized sweep holding
-// TileScheduler::plan to a transfer-list oracle (reference_plan).  The
+// the serving-side traffic projection, two randomized sweeps holding
+// TileScheduler::plan to a transfer-list oracle (reference_plan), and the
+// recorded plans of named paper layers.  The
 // cross-backend equivalence of the engine-integrated path lives in
 // tests/engine_test.cpp (EngineMemoryTest suite).
 
@@ -473,22 +474,30 @@ TEST(TileSchedulerTest, MismatchedOccupancyGridIsRejected) {
   }
 }
 
-TEST(TileSchedulerTest, RandomizedSweepMatchesTheTransferListOracle) {
-  // Non-square arrays, edge tiles, odd operand widths, zero DRAM latency,
-  // every reuse value, scratchpads one byte either side of each strategy's
-  // floor (and of a_stationary's resident-output size), dense and sparse
-  // occupancies: every MemoryPlan field equals reference_plan's, and the
-  // two throw together.
-  Rng rng(20240517);
+// Plans `iterations` random GEMMs on 1..max_side x 1..max_side arrays, with
+// m and n in 1..max_dim: odd operand widths, zero DRAM latency, every
+// reuse value, scratchpads one byte either side of each strategy's floor
+// (and of a_stationary's resident-output size), dense and sparse
+// occupancies.  Every MemoryPlan field must equal reference_plan's, the
+// two must throw together, and a dense plan must equal the plan of the
+// same grid under an all-nonzero occupancy, which walks every visit.
+struct SweepCounts {
+  int planned = 0;
+  int rejected = 0;
+  int dense_tiles_10k = 0;  // planned dense grids of 10,000 tiles or more
+};
+
+void sweep_against_oracle(std::uint64_t seed, int iterations, int max_side,
+                          std::int64_t max_dim, SweepCounts& counts) {
+  Rng rng(seed);
   constexpr arch::ReuseStrategy kReuse[] = {
       arch::ReuseStrategy::kAuto, arch::ReuseStrategy::kAStationary,
       arch::ReuseStrategy::kBStationary,
       arch::ReuseStrategy::kOutputStationary};
-  int planned = 0, rejected = 0;
-  for (int iter = 0; iter < 1500; ++iter) {
+  for (int iter = 0; iter < iterations; ++iter) {
     arch::ArrayConfig cfg;
-    cfg.rows = static_cast<int>(rng.next_in(1, 8));
-    cfg.cols = static_cast<int>(rng.next_in(1, 8));
+    cfg.rows = static_cast<int>(rng.next_in(1, max_side));
+    cfg.cols = static_cast<int>(rng.next_in(1, max_side));
     cfg.supported_k = {1};
     cfg.input_bits = static_cast<int>(rng.next_in(2, 32));
     cfg.acc_bits = static_cast<int>(rng.next_in(2 * cfg.input_bits, 64));
@@ -499,8 +508,8 @@ TEST(TileSchedulerTest, RandomizedSweepMatchesTheTransferListOracle) {
         rng.next_below(4) == 0 ? 0 : rng.next_in(1, 200);
     cfg.mem.reuse = kReuse[rng.next_below(4)];
     cfg.validate();
-    const gemm::GemmShape shape{rng.next_in(1, 40), rng.next_in(1, 40),
-                                rng.next_in(1, 24)};
+    const gemm::GemmShape shape{rng.next_in(1, max_dim),
+                                rng.next_in(1, max_dim), rng.next_in(1, 24)};
 
     // A scratchpad straddling one strategy's floor (or a_stationary's
     // resident-output size) by -1, 0 or +1 byte, or roomy.
@@ -534,9 +543,10 @@ TEST(TileSchedulerTest, RandomizedSweepMatchesTheTransferListOracle) {
         std::to_string(shape.m) + ", n=" + std::to_string(shape.n) +
         ", t=" + std::to_string(shape.t) + ") per_tile " +
         std::to_string(per_tile) + (occ ? " sparse" : " dense");
+    const TileScheduler scheduler(cfg);
     std::optional<MemoryPlan> got, want;
     try {
-      got = TileScheduler(cfg).plan(shape, per_tile, occ);
+      got = scheduler.plan(shape, per_tile, occ);
     } catch (const Error&) {
     }
     try {
@@ -545,16 +555,134 @@ TEST(TileSchedulerTest, RandomizedSweepMatchesTheTransferListOracle) {
     }
     ASSERT_EQ(got.has_value(), want.has_value()) << where;
     if (!got) {
-      ++rejected;
+      ++counts.rejected;
       continue;
     }
-    ++planned;
+    ++counts.planned;
     expect_plans_equal(*got, *want, where);
+    if (occ == nullptr) {
+      // Its own Rng, so the sweep's draws do not depend on this check.
+      Rng fill(1);
+      const arch::TileOccupancy all = arch::TileOccupancy::synthetic(
+          shape, cfg.rows, cfg.cols, 1.0, fill);
+      expect_plans_equal(*got, scheduler.plan(shape, per_tile, &all),
+                         where + " vs all-nonzero occupancy");
+      if (all.total_tiles() >= 10000) ++counts.dense_tiles_10k;
+    }
     if (::testing::Test::HasFailure()) return;
   }
+}
+
+TEST(TileSchedulerTest, RandomizedSweepMatchesTheTransferListOracle) {
+  // Non-square arrays up to 8x8 and grids up to 40 x 40 elements: many
+  // edge tiles and short runs.
+  SweepCounts counts;
+  sweep_against_oracle(20240517, 1500, 8, 40, counts);
   // Both sides of the feasibility edge were exercised.
-  EXPECT_GT(planned, 1000);
-  EXPECT_GT(rejected, 50);
+  EXPECT_GT(counts.planned, 1000);
+  EXPECT_GT(counts.rejected, 50);
+}
+
+TEST(TileSchedulerTest, LongGridSweepMatchesTheTransferListOracle) {
+  // Arrays up to 4x4 and m, n up to 600: groups of hundreds of visits and
+  // hundreds of groups, the long runs a dense plan steps over
+  // (TileScheduler's steady-state jump) rather than walks.
+  SweepCounts counts;
+  sweep_against_oracle(20261019, 300, 4, 600, counts);
+  EXPECT_GT(counts.planned, 150);
+  EXPECT_GT(counts.rejected, 50);
+  EXPECT_GT(counts.dense_tiles_10k, 20);
+}
+
+TEST(TileSchedulerTest, ChannelThatMovesUnevenlyIsNotJumped) {
+  // A spilling a_stationary plan on a zero-latency channel in which a
+  // visit moves both compute ends by one amount and the DMA channel by
+  // another.  A jump that checked only the compute ends would step over
+  // the rest of that run with the wrong channel time; a randomized search
+  // for such plans found this one.
+  arch::ArrayConfig cfg;
+  cfg.rows = 2;
+  cfg.cols = 3;
+  cfg.supported_k = {1};
+  cfg.input_bits = 31;
+  cfg.acc_bits = 64;
+  cfg.mem.enabled = true;
+  cfg.mem.spad_bytes = 1089;
+  cfg.mem.dram_bytes_per_cycle = 22;
+  cfg.mem.dram_latency_cycles = 0;
+  cfg.mem.reuse = arch::ReuseStrategy::kAStationary;
+  cfg.validate();
+  const gemm::GemmShape shape{33, 37, 5};
+  const MemoryPlan got = TileScheduler(cfg).plan(shape, 409);
+  expect_plans_equal(got, reference_plan(cfg, shape, 409, nullptr), "oracle");
+  Rng fill(1);
+  const arch::TileOccupancy all =
+      arch::TileOccupancy::synthetic(shape, cfg.rows, cfg.cols, 1.0, fill);
+  expect_plans_equal(got, TileScheduler(cfg).plan(shape, 409, &all),
+                     "all-nonzero occupancy");
+}
+
+TEST(TileSchedulerTest, NamedPaperLayersKeepTheirPlans) {
+  // Every MemoryPlan field of named paper layers on a 16x16 array at
+  // 4 B/cycle and 64 cycles of DRAM latency, 32-bit operands and 64-bit
+  // accumulators, one visit costing L(1) = 46 + t cycles (Eq. 1).  Recorded
+  // from the visit-by-visit walk, without the steady-state jump: an oracle
+  // written alongside the planner could share its mistakes, a recorded
+  // number cannot.  64 MiB holds a_stationary's whole output; 64 KiB makes
+  // it spill.
+  constexpr std::int64_t kMiB64 = std::int64_t{64} << 20;
+  constexpr std::int64_t kKiB64 = std::int64_t{64} << 10;
+  constexpr auto kA = arch::ReuseStrategy::kAStationary;
+  constexpr auto kB = arch::ReuseStrategy::kBStationary;
+  constexpr auto kO = arch::ReuseStrategy::kOutputStationary;
+  struct Pin {
+    const char* layer;
+    gemm::GemmShape shape;  // m, n, t
+    std::int64_t spad_bytes;
+    // strategy, compute, stall, total, read bytes, write bytes, spad peak,
+    // transfers
+    MemoryPlan plan;
+  };
+  const Pin pins[] = {
+      {"ResNet-34 conv5_2_1", {512, 4608, 49}, kMiB64,
+       {kA, 875520, 2370048, 3245568, 10340352, 200704, 209024, 9536}},
+      {"ResNet-34 conv5_2_1", {512, 4608, 49}, kMiB64,
+       {kB, 875520, 9353311, 10228831, 38338560, 200704, 602368, 9280}},
+      {"ResNet-34 conv5_2_1", {512, 4608, 49}, kMiB64,
+       {kO, 875520, 9944032, 10819552, 38338560, 200704, 14592, 18464}},
+      {"ResNet-34 conv5_2_1", {512, 4608, 49}, kKiB64,
+       {kA, 875520, 33222144, 34097664, 67942400, 57802752, 20864, 27904}},
+      {"ResNet-34 conv1", {64, 147, 12544}, kMiB64,
+       {kA, 503600, 3204680, 3708280, 7413504, 6422528, 8030208, 54}},
+      {"ResNet-34 conv1", {64, 147, 12544}, kMiB64,
+       {kB, 503600, 8533496, 9037096, 29541120, 6422528, 3230080, 48}},
+      {"ResNet-34 conv1", {64, 147, 12544}, kMiB64,
+       {kO, 503600, 8543048, 9046648, 29541120, 6422528, 3213312, 84}},
+      {"MobileNet pw13", {1024, 1024, 49}, kMiB64,
+       {kA, 389120, 1080320, 1469440, 4395008, 401408, 409728, 4224}},
+      {"MobileNet pw13", {1024, 1024, 49}, kMiB64,
+       {kB, 389120, 4241503, 4630623, 17039360, 401408, 143616, 4224}},
+      {"MobileNet pw13", {1024, 1024, 49}, kMiB64,
+       {kO, 389120, 4505536, 4894656, 17039360, 401408, 14592, 8256}},
+      {"MobileNet pw13", {1024, 1024, 49}, kKiB64,
+       {kA, 389120, 14629888, 15019008, 29683712, 25690112, 20864, 12288}},
+      {"ConvNeXt s3_b1_pw2", {384, 1536, 196}, kMiB64,
+       {kA, 557568, 638976, 1196544, 3563520, 602112, 629248, 2424}},
+      {"ConvNeXt s3_b1_pw2", {384, 1536, 196}, kMiB64,
+       {kB, 557568, 7558898, 8116466, 31260672, 602112, 246784, 2352}},
+      {"ConvNeXt s3_b1_pw2", {384, 1536, 196}, kMiB64,
+       {kO, 557568, 7710384, 8267952, 31260672, 602112, 52224, 4632}},
+  };
+  for (const Pin& pin : pins) {
+    const arch::ArrayConfig cfg =
+        mem_config(16, pin.spad_bytes, 4, 64, pin.plan.strategy);
+    const std::string where =
+        std::string(pin.layer) + " " +
+        arch::reuse_strategy_name(pin.plan.strategy) + " on " +
+        std::to_string(pin.spad_bytes) + " B";
+    expect_plans_equal(
+        TileScheduler(cfg).plan(pin.shape, 46 + pin.shape.t), pin.plan, where);
+  }
 }
 
 TEST(ProjectedBytesTest, CompulsoryTrafficIsShapeDrivenAndConfigScaled) {
