@@ -231,9 +231,10 @@ TileRunStats SystolicArray::run_tile_asym(const gemm::Mat32& a,
 #endif
       // Transparent reduction through the k_v rows of this group: the
       // chain of 3:2 compressions resolved by the boundary CPA equals the
-      // modular sum of the incoming psum and the k_v products (csa_compress
-      // preserves sum+carry mod 2^64), so the kernel accumulates directly —
-      // bit-exact against arch/pe.
+      // modular sum of the incoming psum and the k_v products (a 3:2
+      // compression preserves sum + carry mod 2^64, which hw_builders_test's
+      // CsaProperty.PreservesSumModuloWidth/64 checks at gate level), so the
+      // kernel accumulates directly.
       gemm::column_mac(act.data() + r0 * cols, w + r0 * cols, cols, k_v,
                        vg > 0 ? psum.data() + (vg - 1) * cols : nullptr, dst,
                        lo, hi);

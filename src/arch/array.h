@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "arch/config.h"
-#include "arch/pe.h"
 #include "gemm/matrix.h"
 #include "gemm/tiling.h"
 

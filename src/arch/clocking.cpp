@@ -124,7 +124,6 @@ StaClockModel::StaClockModel(double anchor_conventional_ps, int input_bits,
   const double raw = sta.run().min_period_ps;
   AF_CHECK(raw > 0, "conventional PE timed at zero delay");
   scale_ = anchor_ps_ / raw;
-  tech_.delay_scale = scale_;
 }
 
 double StaClockModel::raw_collapsed_period_ps(int k) const {

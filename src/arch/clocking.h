@@ -26,8 +26,6 @@
 #include <memory>
 #include <mutex>
 
-#include "hw/cells.h"
-
 namespace af::arch {
 
 // Delay constants of Eq. 5, in picoseconds.
@@ -145,7 +143,6 @@ class StaClockModel : public ClockModel {
   int input_bits_;
   int acc_bits_;
   double scale_ = 1.0;
-  hw::Technology tech_;
   // Lazy STA results; the mutex makes period_ps safe to call from the
   // parallel layer-evaluation path (nn::InferenceRunner with num_threads>1).
   mutable std::mutex cache_mutex_;

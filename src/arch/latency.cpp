@@ -6,13 +6,7 @@
 namespace af::arch {
 
 std::int64_t tile_latency_cycles(int rows, int cols, std::int64_t t, int k) {
-  AF_CHECK(rows > 0 && cols > 0, "array dims must be positive");
-  AF_CHECK(t > 0, "tile T dimension must be positive, got " << t);
-  AF_CHECK(k >= 1, "collapse depth must be >= 1");
-  AF_CHECK(divides(k, rows) && divides(k, cols),
-           "k=" << k << " must divide R=" << rows << " and C=" << cols);
-  // L(k) = R + R/k + C/k + T - 2   (Eq. 3; Eq. 1 when k = 1)
-  return static_cast<std::int64_t>(rows) + rows / k + cols / k + t - 2;
+  return tile_latency_cycles_asym(rows, cols, t, k, k);
 }
 
 std::int64_t tile_latency_cycles_asym(int rows, int cols, std::int64_t t,
@@ -23,6 +17,7 @@ std::int64_t tile_latency_cycles_asym(int rows, int cols, std::int64_t t,
            "k_v=" << k_v << " must divide R=" << rows);
   AF_CHECK(k_h >= 1 && divides(k_h, cols),
            "k_h=" << k_h << " must divide C=" << cols);
+  // L = R + R/k_v + C/k_h + T - 2   (Eq. 3 when k_v == k_h; Eq. 1 at 1)
   return static_cast<std::int64_t>(rows) + rows / k_v + cols / k_h + t - 2;
 }
 

@@ -64,11 +64,11 @@ struct SequentialTiming {
 };
 
 // Technology-level knobs.  `delay_scale` multiplies every cell delay
-// (including clk-to-q and setup); it is the calibration handle described in
-// DESIGN.md §2.  `voltage` feeds the power model.
+// (including clk-to-q and setup); arch::StaClockModel's calibration times
+// its PE netlists at scale 1 and scales the results by the factor that
+// puts the conventional PE on the paper's 500 ps anchor.
 struct Technology {
   double delay_scale = 1.0;
-  double voltage = 0.9;       // volts, nominal 28 nm
   SequentialTiming seq;
 
   double scaled_delay_ps(CellType type, int output_index = 0) const;

@@ -19,11 +19,10 @@
 //   * the DFF cell list, so clock edges latch registers without scanning
 //     the whole design.
 //
-// NetlistSim, Sta and the power helpers all accept a CompiledNetlist so one
-// compilation can be shared across engines.  The compiled view references
-// the source Netlist (for cell names and bus bindings) and snapshots its
-// structure: mutating the Netlist after compiling invalidates the
-// CompiledNetlist.
+// NetlistSim and Sta both accept a CompiledNetlist so one compilation can be
+// shared across engines.  The compiled view references the source Netlist
+// (for cell names and bus bindings) and snapshots its structure: mutating
+// the Netlist after compiling invalidates the CompiledNetlist.
 
 #pragma once
 

@@ -121,8 +121,8 @@ CharacterizedEnergy characterize_energy(
       dff_toggle_fj / (out.lane_cycles *
                        static_cast<double>(options.input_bits +
                                            options.acc_bits));
-  // Clock pin energy per enabled FF bit per cycle: the library constant
-  // power_from_activity charges (data-independent).
+  // Clock pin energy per enabled FF bit per cycle: the library's DFF
+  // switch energy, charged whatever the data.
   out.params.e_clk_bit_fj = cell_info(CellType::kDff).switch_energy_fj;
   double leak_nw = 0.0;
   for (const Cell& cell : nl.cells()) {

@@ -2,12 +2,12 @@
 //
 // Derives the per-op entries of arch::EnergyParams from measured gate-level
 // toggles instead of hand-fit constants: an ArrayFlex PE netlist is driven
-// with random operand streams on NetlistSim's 64-lane gate tape, per-cell
-// toggle counts are priced with the standard-cell switching energies (exactly
-// what hw::power_from_activity does), and each hierarchical group's energy is
-// divided by the number of simulated MAC operations.  This is the
-// simulation-calibrated analog of a SAIF-annotated power characterization run
-// and an alternative to EnergyParams::generic28nm()'s paper-anchored fit.
+// with random operand streams on NetlistSim's 64-lane gate tape, each cell's
+// toggle count is priced at its library switch_energy_fj, and each
+// hierarchical group's energy is divided by the number of simulated MAC
+// operations.  This is the repo's one toggle pricer, and the
+// simulation-calibrated analog of a SAIF-annotated power characterization
+// run: an alternative to EnergyParams::generic28nm()'s paper-anchored fit.
 //
 // The stimulus sequence (cfg + weights latch, one warm-up step, `cycles`
 // streamed steps, a final eval) is what SimEquivalenceTest replays on the
@@ -21,8 +21,8 @@
 //   e_mult_fj, e_csa_fj, e_bypass_mux_fj, e_cpa_fj   — per-op group energy;
 //   e_reg_bit_fj                                     — per latched data bit;
 //   e_clk_bit_fj                                     — DFF clock-pin energy,
-//       taken from the cell library (the same constant power_from_activity
-//       charges per enabled cycle);
+//       the library's DFF switch_energy_fj, charged per enabled FF bit per
+//       cycle whatever the data;
 //   leak_mw_per_pe                                   — summed cell leakage.
 // Glitch factors (a zero-delay simulator evaluates each cell once, so there
 // are no spurious transitions to observe), the accumulator energy (no

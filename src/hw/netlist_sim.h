@@ -3,8 +3,8 @@
 // Used to verify that the datapath builders are logically correct: the
 // generated Wallace multiplier must multiply, the Brent–Kung adder must add,
 // the carry-save column must preserve sums.  Also counts toggles per cell,
-// which feeds the netlist-level power model (the SAIF/VCD analog of the
-// paper's toggle-annotated power numbers).
+// which hw::characterize_energy prices into the PE's per-op energies (the
+// SAIF/VCD analog of the paper's toggle-annotated power numbers).
 //
 // Two engines share one interface:
 //

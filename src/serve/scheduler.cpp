@@ -13,8 +13,8 @@ bool compatible(const Request& head, const Request& r) {
     // executor's business; mode equality is what batch membership needs.)
     // Same engine backend too: a per-request fidelity override must not
     // drag neighbours onto a different engine.  Degrade-uniform as well:
-    // degraded batches may run on a shrunk-scratchpad engine, so a full-
-    // fidelity rider must not be dragged onto it (nor vice versa).
+    // one degraded member sheds the audit of its whole fused run, so a
+    // mixed batch would drop the audit samples of full-fidelity requests.
     return head.decided_k == r.decided_k && head.backend == r.backend &&
            head.degraded == r.degraded;
   }

@@ -158,10 +158,6 @@ struct Server::Shard {
   int index;
   std::shared_ptr<engine::Engine> engine;
   std::shared_ptr<engine::Engine> audit_engine;
-  // Shrunk-scratchpad engine for degrade-mode GEMM batches (see
-  // ServerOptions::degrade_spad_fraction); built lazily on first degraded
-  // batch, null when the knob is off or the memory hierarchy is disabled.
-  std::shared_ptr<engine::Engine> degrade_engine;
   // Per-request fidelity overrides, built lazily and cached.  Touched only
   // by this shard's worker thread.
   std::map<std::string, std::shared_ptr<engine::Engine>> override_engines;
@@ -216,9 +212,6 @@ Server::Server(const arch::ArrayConfig& shard_config, ServerOptions options,
   AF_CHECK(options_.max_retries >= 0, "max_retries must be non-negative");
   AF_CHECK(options_.quarantine_after_faults >= 0,
            "quarantine_after_faults must be non-negative");
-  AF_CHECK(options_.degrade_spad_fraction > 0.0 &&
-               options_.degrade_spad_fraction <= 1.0,
-           "degrade_spad_fraction must be in (0, 1]");
   AF_CHECK(options_.max_batch_bytes >= 0,
            "max_batch_bytes must be non-negative");
   // The control thread exists for either consumer of the pressure window:
@@ -359,7 +352,6 @@ void Server::install_engine(Shard& shard,
           : nullptr;
   // Caches wired to a previous engine go with it.
   shard.override_engines.clear();
-  shard.degrade_engine.reset();
   // A slot re-acquired after retiring while quarantined, or recovered by a
   // probe, starts clean: fault history cleared, routing ban lifted.
   shard.fault_streak = 0;
@@ -377,7 +369,6 @@ void Server::install_engine(Shard& shard,
 void Server::release_shard(Shard& shard) {
   shard.override_engines.clear();
   shard.audit_engine.reset();
-  shard.degrade_engine.reset();
   shard.engine.reset();
   dispatcher_->set_shard_mode(shard.index, 0);
   std::lock_guard<std::mutex> lock(shard_stats_mutex_);
@@ -925,29 +916,7 @@ void Server::prepare_mode(Shard& shard, int k, bool stolen) {
 }
 
 engine::Engine* Server::engine_for(Shard& shard, const Batch& batch) {
-  const Request& head = batch.requests.front();
-  // Degrade-mode footprint shrink: with a memory hierarchy enabled and
-  // degrade_spad_fraction < 1, degraded batches run on an engine whose
-  // scratchpad is scaled down — pressure traffic yields on-chip capacity
-  // (more DRAM traffic, more stall cycles) instead of competing for it.
-  // Batches are degrade-uniform (serve::compatible), so the choice is per
-  // batch; a shape infeasible at the shrunk capacity fails the request
-  // with kInvalidArgument — the documented operator contract.
-  if (head.degraded && options_.degrade_spad_fraction < 1.0 &&
-      shard_config_.mem.enabled) {
-    if (shard.degrade_engine == nullptr) {
-      arch::ArrayConfig degraded_config = shard_config_;
-      degraded_config.mem.spad_bytes = std::max<std::int64_t>(
-          1, static_cast<std::int64_t>(
-                 options_.degrade_spad_fraction *
-                 static_cast<double>(shard_config_.mem.spad_bytes)));
-      engine::EngineBuilder degraded_builder = engine_builder_;
-      degraded_builder.config(degraded_config);
-      shard.degrade_engine = degraded_builder.build(options_.backend);
-    }
-    return shard.degrade_engine.get();
-  }
-  const std::string& override_name = head.backend;
+  const std::string& override_name = batch.requests.front().backend;
   if (override_name.empty() || override_name == shard.engine->name()) {
     return shard.engine.get();
   }

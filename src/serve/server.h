@@ -206,15 +206,6 @@ struct ServerOptions {
   // each probe rebuilds the shard's engine and runs a tiny GEMM; success
   // rejoins the pool.
   int quarantine_after_faults = 0;
-  // Degrade-mode scratchpad shrink: with the memory hierarchy enabled and
-  // this fraction < 1, GEMMs admitted under the "degrade" policy are served
-  // on an engine whose scratchpad holds only this fraction of the
-  // configured spad_bytes — smaller tile footprints, so degraded traffic
-  // competes less for the buffer capacity the full-fidelity stream needs.
-  // The operator must leave enough for the workload's minimum working set;
-  // an infeasible shape fails that request with kInvalidArgument.  1.0
-  // (the default) serves degraded traffic on the regular shard engine.
-  double degrade_spad_fraction = 1.0;
   // Fault-injection knobs forwarded to every shard engine the server
   // builds — only meaningful with backend = "chaos" (the defaults inject
   // nothing).  A quarantine recovery probe rebuilds the engine, which
@@ -532,12 +523,13 @@ class Server {
   void release_shard(Shard& shard);
   // The one install path (acquire_shard and a successful recovery probe):
   // `engine` becomes the shard's serving engine with a fresh audit engine
-  // and no cached override or degrade engines, and the shard starts clean —
+  // and no cached override engines, and the shard starts clean —
   // fault streak cleared, quarantine and routing ban lifted, mode 0.
   void install_engine(Shard& shard, std::shared_ptr<engine::Engine> engine);
   void start_worker(Shard& shard);
-  // The batch's execution engine: the shard default, or the per-request
-  // override built lazily (and cached) on the shard.
+  // The batch's execution engine: the shard default (degraded batches
+  // too), or the per-request override built lazily (and cached) on the
+  // shard.
   engine::Engine* engine_for(Shard& shard, const Batch& batch);
 
   // Control thread: one Pressure sample per tick (the wait window read and
@@ -567,10 +559,9 @@ class Server {
   std::shared_ptr<engine::Engine> admission_engine_;
   // The server-wide CostEstimate memoization cache (engine/cost_cache.h),
   // injected into the admission engine and — through engine_builder_ —
-  // every shard, audit, override and degrade engine: one shape priced
-  // anywhere is priced everywhere.  Keys carry the config/energy
-  // fingerprint, so engines with DIFFERENT wiring (the shrunk-scratchpad
-  // degrade engine) share the map without ever sharing entries.
+  // every shard, audit and override engine: one shape priced anywhere is
+  // priced everywhere.  Keys carry the config/energy fingerprint, so an
+  // entry never answers for an engine wired differently.
   std::shared_ptr<engine::CostCache> cost_cache_;
   // Freelist of batched-path completion slots (see serve/batch_slot.h).
   SlotPool slot_pool_;

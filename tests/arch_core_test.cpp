@@ -1,13 +1,11 @@
-// Core architecture units: config validation, Eq. 1-4 latency model, the
-// CsaPair behavioural arithmetic, and the three clock models.
+// Core architecture units: config validation, Eq. 1-4 latency model, and
+// the three clock models.
 
 #include <gtest/gtest.h>
 
 #include "arch/clocking.h"
 #include "arch/config.h"
 #include "arch/latency.h"
-#include "arch/pe.h"
-#include "util/rng.h"
 
 namespace af::arch {
 namespace {
@@ -97,58 +95,6 @@ TEST(LatencyTest, InvalidArgumentsRejected) {
 TEST(LatencyTest, AbsoluteTime) {
   EXPECT_DOUBLE_EQ(absolute_time_ps(1000, 500.0), 5e5);
   EXPECT_THROW(absolute_time_ps(1, 0.0), Error);
-}
-
-// ---------------------------------------------------------------- CsaPair
-
-TEST(CsaPairTest, CompressPreservesValue) {
-  Rng rng(21);
-  for (int i = 0; i < 2000; ++i) {
-    CsaPair pair;
-    pair.sum = rng.next_in(INT64_MIN / 4, INT64_MAX / 4);
-    pair.carry = rng.next_in(INT64_MIN / 4, INT64_MAX / 4);
-    const std::int64_t addend = rng.next_in(INT64_MIN / 4, INT64_MAX / 4);
-    const std::uint64_t before = static_cast<std::uint64_t>(pair.resolve()) +
-                                 static_cast<std::uint64_t>(addend);
-    const CsaPair after = csa_compress(addend, pair);
-    EXPECT_EQ(static_cast<std::uint64_t>(after.resolve()), before);
-  }
-}
-
-TEST(CsaPairTest, ChainOfCompressionsMatchesSum) {
-  Rng rng(22);
-  for (int trial = 0; trial < 200; ++trial) {
-    CsaPair pair;
-    std::uint64_t expect = 0;
-    for (int i = 0; i < 16; ++i) {
-      const std::int64_t v = rng.next_in(-(1LL << 40), 1LL << 40);
-      expect += static_cast<std::uint64_t>(v);
-      pair = csa_compress(v, pair);
-    }
-    EXPECT_EQ(static_cast<std::uint64_t>(pair.resolve()), expect);
-  }
-}
-
-TEST(CsaPairTest, FullProductExact) {
-  EXPECT_EQ(full_product(INT32_MIN, INT32_MIN),
-            std::int64_t{1} << 62);
-  EXPECT_EQ(full_product(INT32_MAX, -1), -std::int64_t{INT32_MAX});
-  EXPECT_EQ(full_product(0, 12345), 0);
-}
-
-TEST(CsaPairTest, PeComputeIsMacInRedundantForm) {
-  Rng rng(23);
-  for (int i = 0; i < 500; ++i) {
-    const auto a = static_cast<std::int32_t>(rng.next_in(INT32_MIN, INT32_MAX));
-    const auto w = static_cast<std::int32_t>(rng.next_in(INT32_MIN, INT32_MAX));
-    CsaPair in;
-    in.sum = rng.next_in(INT64_MIN / 2, INT64_MAX / 2);
-    const CsaPair out = pe_compute(a, w, in);
-    const std::uint64_t expect =
-        static_cast<std::uint64_t>(in.sum) +
-        static_cast<std::uint64_t>(full_product(a, w));
-    EXPECT_EQ(static_cast<std::uint64_t>(out.resolve()), expect);
-  }
 }
 
 // ------------------------------------------------------------ clock models

@@ -1,13 +1,12 @@
-// Area accounting (Fig. 6's overhead analysis) and netlist-level power.
+// Area accounting (Fig. 6's overhead analysis).  Gate-level energy is
+// tested with its one pricer, characterize_energy, in
+// hw_energy_characterization_test.
 
 #include <gtest/gtest.h>
 
 #include "hw/area.h"
 #include "hw/builders/pe_datapath.h"
-#include "hw/compiled_netlist.h"
 #include "hw/netlist.h"
-#include "hw/netlist_sim.h"
-#include "hw/power.h"
 #include "util/status.h"
 
 namespace af::hw {
@@ -71,105 +70,6 @@ TEST(AreaTest, OverheadRejectsEmptyBaseline) {
   Netlist af;
   build_arrayflex_pe(af, {8, 16});
   EXPECT_THROW(area_overhead(compute_area(empty), compute_area(af)), Error);
-}
-
-TEST(PowerTest, ActivityDrivenPowerCountsToggles) {
-  Netlist nl;
-  const Bus a = nl.new_bus(1);
-  const Bus y = nl.new_bus(1);
-  nl.bind_input("a", a);
-  nl.bind_output("y", y);
-  nl.add_cell(CellType::kInv, "i", {a[0]}, {y[0]});
-
-  // One compilation shared by the simulator and the power query.
-  const CompiledNetlist cn(nl);
-  NetlistSim sim(cn);
-  sim.set_input_u64("a", 0);
-  sim.eval();
-  for (int cycle = 0; cycle < 10; ++cycle) {
-    sim.set_input_u64("a", cycle % 2);
-    sim.eval();
-  }
-  PowerOptions opt;
-  opt.frequency_ghz = 2.0;
-  const PowerBreakdown p =
-      power_from_activity(cn, sim.toggles(), 10, opt);
-  // The input alternates 0,1,0,... starting from a 0 baseline: 9 output
-  // transitions over 10 cycles = alpha 0.9: P = 0.9 * E * f.
-  EXPECT_NEAR(p.dynamic_mw,
-              0.9 * cell_info(CellType::kInv).switch_energy_fj * 2.0 * 1e-3,
-              1e-9);
-  EXPECT_GT(p.leakage_mw, 0.0);
-  EXPECT_EQ(p.clock_mw, 0.0);  // no DFFs
-}
-
-TEST(PowerTest, FactorDrivenPowerUsesGroupOverrides) {
-  Netlist nl;
-  const NetId a = nl.new_net();
-  const NetId y1 = nl.new_net();
-  const NetId y2 = nl.new_net();
-  {
-    ScopedName s(nl, "hot");
-    nl.add_cell(CellType::kInv, "i", {a}, {y1});
-  }
-  {
-    ScopedName s(nl, "cold");
-    nl.add_cell(CellType::kInv, "i", {a}, {y2});
-  }
-  PowerOptions opt;
-  opt.frequency_ghz = 1.0;
-  const PowerBreakdown p =
-      power_from_factors(nl, 0.1, {{"hot", 0.5}, {"cold", 0.0}}, opt);
-  const double e = cell_info(CellType::kInv).switch_energy_fj;
-  EXPECT_NEAR(p.by_group_mw.at("hot"), 0.5 * e * 1e-3, 1e-12);
-  EXPECT_NEAR(p.by_group_mw.at("cold"), 0.0, 1e-12);
-}
-
-TEST(PowerTest, ClockGatingReducesSequentialPower) {
-  Netlist nl;
-  const Bus d = nl.new_bus(8);
-  nl.bind_input("d", d);
-  Bus q(8);
-  for (int i = 0; i < 8; ++i) {
-    q[static_cast<std::size_t>(i)] = nl.new_net();
-    nl.add_cell(CellType::kDff, "ff" + std::to_string(i),
-                {d[static_cast<std::size_t>(i)]},
-                {q[static_cast<std::size_t>(i)]});
-  }
-  PowerOptions enabled;
-  enabled.frequency_ghz = 1.0;
-  enabled.clock_enable_fraction = 1.0;
-  PowerOptions gated = enabled;
-  gated.clock_enable_fraction = 0.25;
-  const PowerBreakdown p_on = power_from_factors(nl, 0.0, {}, enabled);
-  const PowerBreakdown p_off = power_from_factors(nl, 0.0, {}, gated);
-  EXPECT_NEAR(p_off.clock_mw / p_on.clock_mw, 0.25, 1e-9);
-}
-
-TEST(PowerTest, VoltageScalingIsQuadratic) {
-  Netlist nl;
-  const Bus a = nl.new_bus(1);
-  const Bus y = nl.new_bus(1);
-  nl.bind_input("a", a);
-  nl.bind_output("y", y);
-  nl.add_cell(CellType::kInv, "i", {a[0]}, {y[0]});
-  PowerOptions nominal;
-  PowerOptions scaled;
-  scaled.voltage_scale = 0.5;
-  const double p_nom = power_from_factors(nl, 1.0, {}, nominal).dynamic_mw;
-  const double p_half = power_from_factors(nl, 1.0, {}, scaled).dynamic_mw;
-  EXPECT_NEAR(p_half / p_nom, 0.25, 1e-9);
-}
-
-TEST(PowerTest, ArgumentValidation) {
-  Netlist nl;
-  const NetId a = nl.new_net();
-  const NetId y = nl.new_net();
-  nl.add_cell(CellType::kInv, "i", {a}, {y});
-  PowerOptions opt;
-  EXPECT_THROW(power_from_activity(nl, {}, 10, opt), Error);  // size mismatch
-  EXPECT_THROW(power_from_activity(nl, {0}, 0, opt), Error);  // zero cycles
-  EXPECT_THROW(power_from_factors(nl, -0.1, {}, opt), Error);
 }
 
 }  // namespace

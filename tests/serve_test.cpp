@@ -1973,11 +1973,11 @@ TEST_F(ServeTest, MacBacklogPressureTripsRejectAdmissionEndToEnd) {
   expect_backlog_trips_reject(&Pressure::backlog_macs);
 }
 
-TEST_F(ServeTest, DegradeModeServesOnAShrunkScratchpad) {
-  // degrade_spad_fraction < 1: degraded traffic runs on an engine whose
-  // scratchpad is half-sized, where the A-stationary resident plan no
-  // longer fits — so degraded results move strictly MORE than the
-  // compulsory A+B+C traffic while full-fidelity results move exactly it.
+TEST_F(ServeTest, DegradedGemmsArePricedByTheShardsOwnMemoryPlan) {
+  // A degraded GEMM runs on the shard's own engine and memory plan: with
+  // the memory hierarchy on, it moves exactly the compulsory A+B+C traffic
+  // (projected_gemm_bytes), and its cycles, traffic and energy equal those
+  // of a full-fidelity request of the same shape.
   arch::ArrayConfig config = shard16();
   config.mem.enabled = true;
   config.mem.spad_bytes = 12288;
@@ -1990,7 +1990,6 @@ TEST_F(ServeTest, DegradeModeServesOnAShrunkScratchpad) {
   opts.chaos.delay_ms = 20.0;
   opts.overload_policy = "degrade";
   opts.overload_at = {.depth = 1.0};
-  opts.degrade_spad_fraction = 0.5;
   Server server(config, opts);
 
   Rng rng(78);
@@ -2002,21 +2001,27 @@ TEST_F(ServeTest, DegradeModeServesOnAShrunkScratchpad) {
     futures.push_back(server.submit_gemm(
         "bursty", gemm::random_matrix(rng, 8, 64, -10, 10), weights));
   }
-  int degraded = 0;
+  std::vector<GemmResult> degraded;
+  std::vector<GemmResult> full;
   for (auto& f : futures) {
-    const GemmResult r = f.get();
+    GemmResult r = f.get();
     EXPECT_GT(r.cycles, 0);
-    if (r.degraded) {
-      ++degraded;
-      EXPECT_GT(r.dram_bytes, compulsory)
-          << "the shrunk scratchpad did not change the memory plan";
-    } else {
-      EXPECT_EQ(r.dram_bytes, compulsory);
+    EXPECT_EQ(r.dram_bytes, compulsory) << "degraded=" << r.degraded;
+    (r.degraded ? degraded : full).push_back(std::move(r));
+  }
+  ASSERT_GE(degraded.size(), 1u) << "pressure never degraded a request";
+  // The first request meets an empty queue, so it is never degraded.
+  ASSERT_GE(full.size(), 1u);
+  for (const GemmResult& d : degraded) {
+    for (const GemmResult& f : full) {
+      EXPECT_EQ(d.k, f.k);
+      EXPECT_EQ(d.cycles, f.cycles);
+      EXPECT_EQ(d.dram_bytes, f.dram_bytes);
+      EXPECT_EQ(d.energy_pj, f.energy_pj);
     }
   }
-  EXPECT_GE(degraded, 1) << "pressure never degraded a request";
   const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.degraded, degraded);
+  EXPECT_EQ(stats.degraded, static_cast<std::int64_t>(degraded.size()));
   EXPECT_EQ(stats.rejected, 0);  // degrade admits everything
 }
 
