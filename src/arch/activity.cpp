@@ -14,7 +14,6 @@ ActivityCounters predict_tile_activity(const ArrayConfig& config,
 ActivityCounters predict_tile_activity_asym(const ArrayConfig& config,
                                             std::int64_t t, int k_v,
                                             int k_h) {
-  config.validate();
   AF_CHECK(k_v >= 1 && divides(k_v, config.rows),
            "vertical collapse k_v=" << k_v << " must divide R=" << config.rows);
   AF_CHECK(k_h >= 1 && divides(k_h, config.cols),

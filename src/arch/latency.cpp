@@ -24,14 +24,12 @@ std::int64_t tile_latency_cycles_asym(int rows, int cols, std::int64_t t,
 std::int64_t total_latency_cycles_asym(const gemm::GemmShape& shape,
                                        const ArrayConfig& config, int k_v,
                                        int k_h) {
-  config.validate();
   return tile_latency_cycles_asym(config.rows, config.cols, shape.t, k_v, k_h) *
          gemm::tile_count(shape, config.rows, config.cols);
 }
 
 std::int64_t total_latency_cycles(const gemm::GemmShape& shape,
                                   const ArrayConfig& config, int k) {
-  config.validate();
   AF_CHECK(config.supports(k), "mode k=" << k << " not supported by array");
   const std::int64_t per_tile =
       tile_latency_cycles(config.rows, config.cols, shape.t, k);

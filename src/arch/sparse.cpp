@@ -76,7 +76,6 @@ void TileOccupancy::check_grid(const gemm::GemmShape& shape,
 std::int64_t sparse_total_latency_cycles(const gemm::GemmShape& shape,
                                          const ArrayConfig& config, int k,
                                          const TileOccupancy& occupancy) {
-  config.validate();
   AF_CHECK(config.supports(k), "mode k=" << k << " not supported");
   occupancy.check_grid(shape, config.rows, config.cols);
   return tile_latency_cycles(config.rows, config.cols, shape.t, k) *

@@ -5,33 +5,6 @@
 
 namespace af::gemm {
 
-TileGrid::TileGrid(const GemmShape& shape, std::int64_t rows, std::int64_t cols)
-    : shape_(shape), rows_(rows), cols_(cols) {
-  AF_CHECK(rows > 0 && cols > 0, "tile dimensions must be positive");
-  AF_CHECK(shape.m > 0 && shape.n > 0 && shape.t > 0,
-           "GEMM shape must be positive, got M=" << shape.m
-                                                 << " N=" << shape.n
-                                                 << " T=" << shape.t);
-  row_tiles_ = ceil_div(shape.n, rows);
-  col_tiles_ = ceil_div(shape.m, cols);
-}
-
-std::vector<TileCoord> TileGrid::tiles() const {
-  std::vector<TileCoord> out;
-  out.reserve(static_cast<std::size_t>(total_tiles()));
-  for (std::int64_t mt = 0; mt < col_tiles_; ++mt) {
-    for (std::int64_t nt = 0; nt < row_tiles_; ++nt) {
-      TileCoord t;
-      t.n0 = nt * rows_;
-      t.m0 = mt * cols_;
-      t.n_extent = std::min(rows_, shape_.n - t.n0);
-      t.m_extent = std::min(cols_, shape_.m - t.m0);
-      out.push_back(t);
-    }
-  }
-  return out;
-}
-
 std::int64_t tile_count(const GemmShape& shape, std::int64_t rows,
                         std::int64_t cols) {
   AF_CHECK(rows > 0 && cols > 0, "tile dimensions must be positive");

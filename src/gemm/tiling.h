@@ -1,44 +1,15 @@
 // Tiled execution of a GEMM whose spatial dimensions exceed the array
 // (paper Fig. 1(c) and Eq. 2): the N dimension is cut into ⌈N/R⌉ row tiles
 // and M into ⌈M/C⌉ column tiles; partial sums accumulate in the output
-// accumulators below the array.
+// accumulators below the array.  The walks over those tiles live with
+// their users: SystolicArray::run_tiled (arch/array.h) and
+// mem::TileScheduler (mem/tile_scheduler.h).
 
 #pragma once
-
-#include <vector>
 
 #include "gemm/reference.h"
 
 namespace af::gemm {
-
-struct TileCoord {
-  std::int64_t n0 = 0;  // first reduction index of this tile
-  std::int64_t m0 = 0;  // first output column of this tile
-  std::int64_t n_extent = 0;  // valid reduction rows (<= R; edge tiles smaller)
-  std::int64_t m_extent = 0;  // valid output columns (<= C)
-};
-
-class TileGrid {
- public:
-  // Shape of the full GEMM and the array dimensions R (reduction rows) and
-  // C (output columns) of a tile.
-  TileGrid(const GemmShape& shape, std::int64_t rows, std::int64_t cols);
-
-  std::int64_t row_tiles() const { return row_tiles_; }   // along N
-  std::int64_t col_tiles() const { return col_tiles_; }   // along M
-  std::int64_t total_tiles() const { return row_tiles_ * col_tiles_; }
-
-  // Tiles in execution order (weight-stationary: iterate N innermost so the
-  // accumulators finish one output column group before moving on).
-  std::vector<TileCoord> tiles() const;
-
- private:
-  GemmShape shape_;
-  std::int64_t rows_;
-  std::int64_t cols_;
-  std::int64_t row_tiles_;
-  std::int64_t col_tiles_;
-};
 
 // Number of tiles per Eq. 2/4: ⌈N/R⌉ x ⌈M/C⌉.
 std::int64_t tile_count(const GemmShape& shape, std::int64_t rows,

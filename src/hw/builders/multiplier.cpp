@@ -109,7 +109,7 @@ Bus build_booth_multiplier(Netlist& nl, const Bus& a, const Bus& b) {
   // product MSB is worth -s * 2^p (mod 2^wp), which equals !s * 2^p plus the
   // constant -2^p.  We place one inverted sign net per digit and fold all
   // the -2^p constants into a single bit pattern added at the end.
-  BitVec ext_const(wp);
+  std::vector<bool> ext_const(static_cast<std::size_t>(wp), false);
 
   for (int i = 0; i < digits; ++i) {
     ScopedName digit_scope(nl, format("d%d", i));
@@ -165,10 +165,13 @@ Bus build_booth_multiplier(Netlist& nl, const Bus& a, const Bus& b) {
       AF_ASSERT(!top_col.empty() && top_col.back() == sign_net,
                 "sign bit bookkeeping out of sync");
       top_col.back() = sign_inv;
-      // -2^top == ~(2^top) + 1 (mod 2^wp).
-      BitVec minus_pow(wp, 0);
-      minus_pow.set_bit(top, true);
-      ext_const = ext_const.add_mod((~minus_pow).add_mod(BitVec(wp, 1)));
+      // Subtract 2^top (mod 2^wp): the borrow flips bits upward from `top`
+      // and stops at the first bit that was set.
+      for (auto j = static_cast<std::size_t>(top); j < ext_const.size(); ++j) {
+        const bool was_set = ext_const[j];
+        ext_const[j] = !was_set;
+        if (was_set) break;
+      }
     }
     // Two's-complement correction: +1 at the digit's weight when negative.
     if (2 * i < wp) {
@@ -177,10 +180,8 @@ Bus build_booth_multiplier(Netlist& nl, const Bus& a, const Bus& b) {
   }
 
   // Drop the accumulated extension constant into the columns.
-  for (int j = 0; j < wp; ++j) {
-    if (ext_const.bit(j)) {
-      columns[static_cast<std::size_t>(j)].push_back(nl.const1());
-    }
+  for (std::size_t j = 0; j < ext_const.size(); ++j) {
+    if (ext_const[j]) columns[j].push_back(nl.const1());
   }
 
   return reduce_columns(nl, std::move(columns));

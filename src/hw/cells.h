@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <string>
 
-#include "hw/bitvec.h"
 #include "util/status.h"
 
 namespace af::hw {

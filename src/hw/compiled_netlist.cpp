@@ -32,13 +32,51 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl)
                      cell.outputs.end());
   }
 
-  // Levelization.  topo_order() validates acyclicity and driver uniqueness
-  // (via driver_of) before we walk it.
-  const std::vector<int>& topo = nl.topo_order();
-  const std::vector<int>& driver = nl.driver_of();
+  // The driving cell of every net; a net has at most one.
+  std::vector<int> driver(static_cast<std::size_t>(num_nets_), kNoCell);
+  for (int ci = 0; ci < num_cells_; ++ci) {
+    const NetId* out = cell_outputs(ci);
+    for (int o = 0; o < num_cell_outputs(ci); ++o) {
+      int& d = driver[static_cast<std::size_t>(out[o])];
+      AF_CHECK(d == kNoCell, "net " << out[o] << " has multiple drivers");
+      d = ci;
+    }
+  }
+
+  // Kahn's pass over combinational dependencies.  A DFF never waits for its
+  // D input, so it has in-degree 0 and breaks a feedback loop as a register
+  // does.  `order` is the ready list, consumed from the front: every cell
+  // enters it after all of its combinational drivers.
+  std::vector<int> indegree(n_cells, 0);
+  std::vector<std::vector<int>> fanout(n_cells);
+  for (int ci = 0; ci < num_cells_; ++ci) {
+    if (types_[static_cast<std::size_t>(ci)] == CellType::kDff) continue;
+    const NetId* in = cell_inputs(ci);
+    for (int i = 0; i < num_cell_inputs(ci); ++i) {
+      const int src = driver[static_cast<std::size_t>(in[i])];
+      if (src == kNoCell) continue;
+      fanout[static_cast<std::size_t>(src)].push_back(ci);
+      ++indegree[static_cast<std::size_t>(ci)];
+    }
+  }
+  std::vector<int> order;
+  order.reserve(n_cells);
+  for (int ci = 0; ci < num_cells_; ++ci) {
+    if (indegree[static_cast<std::size_t>(ci)] == 0) order.push_back(ci);
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (const int succ : fanout[static_cast<std::size_t>(order[head])]) {
+      if (--indegree[static_cast<std::size_t>(succ)] == 0) {
+        order.push_back(succ);
+      }
+    }
+  }
+  AF_CHECK(order.size() == n_cells, "combinational cycle detected in netlist");
+
+  // Levelization, walking that order.
   level_.assign(n_cells, -1);
   int max_level = 0;
-  for (const int ci : topo) {
+  for (const int ci : order) {
     const CellType type = types_[static_cast<std::size_t>(ci)];
     if (type == CellType::kDff) {
       dff_cells_.push_back(ci);
@@ -49,7 +87,7 @@ CompiledNetlist::CompiledNetlist(const Netlist& nl)
     const int n_in = num_cell_inputs(ci);
     for (int i = 0; i < n_in; ++i) {
       const int src = driver[static_cast<std::size_t>(in[i])];
-      if (src == Netlist::kNoCell) continue;  // primary input
+      if (src == kNoCell) continue;  // primary input
       const int src_lvl = level_[static_cast<std::size_t>(src)];
       // DFF drivers (src_lvl == -1) launch at depth 0, like primary inputs.
       if (src_lvl + 1 > lvl) lvl = src_lvl + 1;

@@ -1,11 +1,11 @@
-// CompiledNetlist: a lowered, immutable view of a Netlist optimized for
-// repeated traversal.
+// CompiledNetlist: a checked, ordered, immutable view of a Netlist optimized
+// for repeated traversal.
 //
-// Netlist stores each cell's pins as per-cell std::vectors and derives the
-// topological order lazily; every engine that walks the design (functional
-// simulation, STA, power) used to chase those heap pointers per cell per
-// query.  CompiledNetlist lowers the structure once into flat
-// structure-of-arrays form:
+// Netlist is a plain builder that stores each cell's pins as per-cell
+// std::vectors.  CompiledNetlist is the one place a design is checked and
+// ordered: it maps every net to its one driver, rejects a combinational
+// cycle with Kahn's pass (a DFF breaks a loop, as a register does), and
+// lowers the structure once into flat structure-of-arrays form:
 //
 //   * contiguous pin tables (one NetId array for all input pins, one for all
 //     output pins, indexed by per-cell offsets);
@@ -45,6 +45,8 @@ struct TapeRun {
 
 class CompiledNetlist {
  public:
+  // Throws af::Error when a net has more than one driver or the netlist has
+  // a combinational cycle.
   explicit CompiledNetlist(const Netlist& nl);
 
   const Netlist& netlist() const { return nl_; }

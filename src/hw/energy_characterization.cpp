@@ -54,7 +54,7 @@ CharacterizedEnergy characterize_energy(
   std::uint64_t lanes[NetlistSim::kLanes];
   const auto drive_random = [&](const char* bus, std::uint64_t mask) {
     for (std::uint64_t& x : lanes) x = rng.next_u64() & mask;
-    sim.set_input_lanes(bus, lanes, NetlistSim::kLanes);
+    sim.set_input_lanes(bus, lanes);
   };
 
   // Normal (opaque) pipeline mode: the steady-state configuration whose

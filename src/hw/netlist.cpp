@@ -1,16 +1,12 @@
 #include "hw/netlist.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "util/status.h"
 
 namespace af::hw {
 
-NetId Netlist::new_net() {
-  invalidate_caches();
-  return next_net_++;
-}
+NetId Netlist::new_net() { return next_net_++; }
 
 Bus Netlist::new_bus(int width) {
   AF_CHECK(width >= 0, "bus width must be non-negative");
@@ -40,7 +36,6 @@ int Netlist::add_cell(CellType type, std::string name,
     full_name += '/';
   }
   full_name += name;
-  invalidate_caches();
   cells_.push_back(Cell{type, std::move(full_name), std::move(inputs),
                         std::move(outputs)});
   return static_cast<int>(cells_.size()) - 1;
@@ -98,72 +93,10 @@ const Bus& Netlist::output(const std::string& name) const {
   return it->second;
 }
 
-const std::vector<int>& Netlist::driver_of() const {
-  if (driver_cache_.size() != static_cast<std::size_t>(next_net_)) {
-    driver_cache_.assign(static_cast<std::size_t>(next_net_), kNoCell);
-    for (int ci = 0; ci < num_cells(); ++ci) {
-      for (const NetId n : cells_[static_cast<std::size_t>(ci)].outputs) {
-        AF_CHECK(driver_cache_[static_cast<std::size_t>(n)] == kNoCell,
-                 "net " << n << " has multiple drivers");
-        driver_cache_[static_cast<std::size_t>(n)] = ci;
-      }
-    }
-  }
-  return driver_cache_;
-}
-
-const std::vector<int>& Netlist::topo_order() const {
-  if (!topo_cache_.empty() || cells_.empty()) return topo_cache_;
-
-  // Kahn's algorithm over combinational dependencies.  DFF outputs are
-  // sequential boundaries: a DFF never waits for its input, so it has
-  // in-degree 0 and breaks feedback loops exactly as registers do in RTL.
-  const auto& driver = driver_of();
-  std::vector<int> indegree(cells_.size(), 0);
-  std::vector<std::vector<int>> fanout(cells_.size());
-  for (int ci = 0; ci < num_cells(); ++ci) {
-    const Cell& c = cells_[static_cast<std::size_t>(ci)];
-    if (c.type == CellType::kDff) continue;  // sequential boundary
-    for (const NetId n : c.inputs) {
-      const int src = driver[static_cast<std::size_t>(n)];
-      if (src != kNoCell) {
-        fanout[static_cast<std::size_t>(src)].push_back(ci);
-        ++indegree[static_cast<std::size_t>(ci)];
-      }
-    }
-  }
-
-  std::deque<int> ready;
-  for (int ci = 0; ci < num_cells(); ++ci) {
-    if (indegree[static_cast<std::size_t>(ci)] == 0) ready.push_back(ci);
-  }
-  topo_cache_.reserve(cells_.size());
-  while (!ready.empty()) {
-    const int ci = ready.front();
-    ready.pop_front();
-    topo_cache_.push_back(ci);
-    for (const int succ : fanout[static_cast<std::size_t>(ci)]) {
-      if (--indegree[static_cast<std::size_t>(succ)] == 0) {
-        ready.push_back(succ);
-      }
-    }
-  }
-  if (topo_cache_.size() != cells_.size()) {
-    topo_cache_.clear();
-    AF_CHECK(false, "combinational cycle detected in netlist");
-  }
-  return topo_cache_;
-}
-
 int Netlist::count_cells(CellType type) const {
   return static_cast<int>(
       std::count_if(cells_.begin(), cells_.end(),
                     [type](const Cell& c) { return c.type == type; }));
-}
-
-void Netlist::invalidate_caches() {
-  driver_cache_.clear();
-  topo_cache_.clear();
 }
 
 }  // namespace af::hw

@@ -1,9 +1,12 @@
-// Gate-level netlist: a DAG of standard cells connected by single-bit nets.
+// Gate-level netlist: standard cells connected by single-bit nets.
 //
 // Datapath builders (hw/builders) emit netlists for the PE's components;
 // the STA engine computes critical paths over them and the area/power models
 // aggregate their cells.  Names use hierarchical "group/leaf" paths so area
 // and power can be attributed per component ("mul/", "cpa/", "csa/", ...).
+//
+// Netlist is an append-only builder with no derived state: it checks each
+// cell's arity and pin range as the cell is added.
 
 #pragma once
 
@@ -18,6 +21,8 @@ namespace af::hw {
 
 using NetId = std::int32_t;
 inline constexpr NetId kNoNet = -1;
+// The driver of a net no cell drives (a primary input or an undriven net).
+inline constexpr int kNoCell = -1;
 
 // A bus is an ordered list of nets, LSB first.
 using Bus = std::vector<NetId>;
@@ -57,6 +62,9 @@ class Netlist {
   void pop_scope();
 
   // --- inspection ---------------------------------------------------------
+  // Cells in the order they were added.  CompiledNetlist
+  // (hw/compiled_netlist.h) checks the whole design (one driver per net, no
+  // combinational cycle) and orders it.
 
   int num_nets() const { return next_net_; }
   const std::vector<Cell>& cells() const { return cells_; }
@@ -67,14 +75,6 @@ class Netlist {
   const Bus& input(const std::string& name) const;
   const Bus& output(const std::string& name) const;
 
-  // Driving cell index per net (kNoCell = primary input / undriven).
-  static constexpr int kNoCell = -1;
-  const std::vector<int>& driver_of() const;
-
-  // Topological order of cell indices; throws af::Error on a combinational
-  // cycle (DFF outputs break cycles, as in real designs).
-  const std::vector<int>& topo_order() const;
-
   // Count of cells of a given type.
   int count_cells(CellType type) const;
 
@@ -82,8 +82,6 @@ class Netlist {
   int num_cells() const { return static_cast<int>(cells_.size()); }
 
  private:
-  void invalidate_caches();
-
   NetId next_net_ = 0;
   std::vector<Cell> cells_;
   std::unordered_map<std::string, Bus> inputs_;
@@ -91,10 +89,6 @@ class Netlist {
   std::vector<std::string> scope_stack_;
   NetId const0_ = kNoNet;
   NetId const1_ = kNoNet;
-
-  // Lazy caches.
-  mutable std::vector<int> driver_cache_;
-  mutable std::vector<int> topo_cache_;
 };
 
 // RAII helper for hierarchical naming scopes.

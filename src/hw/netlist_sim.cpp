@@ -183,44 +183,32 @@ const Bus& NetlistSim::find_bus(const std::string& name) const {
   return out_it->second;
 }
 
-void NetlistSim::set_input(const std::string& bus, const BitVec& value) {
-  const Bus& nets = cn_.netlist().input(bus);
-  AF_CHECK(value.width() == static_cast<int>(nets.size()),
-           "bus '" << bus << "' width " << nets.size()
-                   << " != value width " << value.width());
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    values_[static_cast<std::size_t>(nets[i])] =
-        broadcast(value.bit(static_cast<int>(i)));
-  }
-}
-
 void NetlistSim::set_input_u64(const std::string& bus, std::uint64_t value) {
   const Bus& nets = cn_.netlist().input(bus);
   AF_CHECK(nets.size() <= 64, "bus '" << bus << "' wider than 64 bits");
-  set_input(bus, BitVec(static_cast<int>(nets.size()), value));
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    values_[static_cast<std::size_t>(nets[i])] = broadcast((value >> i) & 1u);
+  }
 }
 
 void NetlistSim::set_input_lanes(const std::string& bus,
-                                 const std::uint64_t* values, int n) {
+                                 std::span<const std::uint64_t> values) {
   AF_CHECK(engine_ == SimEngine::kLevelizedTape,
            "set_input_lanes requires the tape engine");
-  AF_CHECK(n >= 1 && n <= kLanes, "lane count " << n << " out of range");
+  AF_CHECK(!values.empty() && values.size() <= kLanes,
+           "lane count " << values.size() << " out of range");
   const Bus& nets = cn_.netlist().input(bus);
   AF_CHECK(nets.size() <= 64, "bus '" << bus << "' wider than 64 bits");
-  // Row l holds lane l's bus value; lanes beyond n repeat the last vector.
-  // The transpose turns row i into net i's word: bit l of bus bit i.
+  // Row l holds lane l's bus value; lanes beyond values.size() repeat the
+  // last vector.  The transpose turns row i into net i's word: bit l of bus
+  // bit i.
   std::uint64_t rows[kLanes];
-  std::copy(values, values + n, rows);
-  std::fill(rows + n, rows + kLanes, values[n - 1]);
+  const auto supplied = std::copy(values.begin(), values.end(), rows);
+  std::fill(supplied, rows + kLanes, values.back());
   transpose64(rows);
   for (std::size_t i = 0; i < nets.size(); ++i) {
     values_[static_cast<std::size_t>(nets[i])] = rows[i];
   }
-}
-
-void NetlistSim::set_input_lanes(const std::string& bus,
-                                 const std::vector<std::uint64_t>& values) {
-  set_input_lanes(bus, values.data(), static_cast<int>(values.size()));
 }
 
 void NetlistSim::set_active_lanes(int n) {
@@ -293,18 +281,8 @@ void NetlistSim::step() {
   }
 }
 
-BitVec NetlistSim::get(const std::string& bus) const {
-  const Bus& nets = find_bus(bus);
-  BitVec out(static_cast<int>(nets.size()));
-  for (std::size_t i = 0; i < nets.size(); ++i) {
-    out.set_bit(static_cast<int>(i),
-                (values_[static_cast<std::size_t>(nets[i])] & 1u) != 0);
-  }
-  return out;
-}
-
 std::uint64_t NetlistSim::get_u64(const std::string& bus) const {
-  return get(bus).to_u64();
+  return get_u64_lane(bus, 0);
 }
 
 std::uint64_t NetlistSim::get_u64_lane(const std::string& bus,

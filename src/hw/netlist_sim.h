@@ -25,18 +25,20 @@
 //     the entire topological order per eval(), one scalar lane.  Kept as
 //     the equivalence oracle and the baseline for bench_netlist_sim.
 //
-// The scalar API (set_input / get / net_value / set_dff_state) broadcasts
-// to all lanes and reads lane 0, so scalar callers behave identically on
-// both engines, per-cell toggle counts included.
+// A bus value is one std::uint64_t word, LSB first, so every bus read or
+// written as a word is at most 64 bits wide (checked).  The scalar API
+// (set_input_u64 / get_u64 / step, net_value, set_dff_state) broadcasts to
+// all lanes and reads lane 0, so scalar callers behave identically on both
+// engines, per-cell toggle counts included.
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "hw/bitvec.h"
 #include "hw/compiled_netlist.h"
 #include "hw/netlist.h"
 
@@ -77,7 +79,6 @@ class NetlistSim {
   // --- scalar API (value broadcast to every lane; reads observe lane 0) ---
 
   // Assign a primary input bus (LSB-first from the low bits of `value`).
-  void set_input(const std::string& bus, const BitVec& value);
   void set_input_u64(const std::string& bus, std::uint64_t value);
 
   // Re-evaluate combinational logic from the current inputs and DFF states.
@@ -88,7 +89,6 @@ class NetlistSim {
   void step();
 
   // Read an output or any bound bus after eval().
-  BitVec get(const std::string& bus) const;
   std::uint64_t get_u64(const std::string& bus) const;
 
   bool net_value(NetId net) const;
@@ -98,13 +98,11 @@ class NetlistSim {
 
   // --- 64-lane API (tape engine only) ------------------------------------
 
-  // Load `n` (1..64) stimulus vectors onto an input bus: values[l] is the
-  // bus value for lane l.  Lanes n..63 replicate values[n-1], so every lane
-  // carries a vector the caller supplied.
-  void set_input_lanes(const std::string& bus, const std::uint64_t* values,
-                       int n);
+  // Load 1..64 stimulus vectors onto an input bus: values[l] is the bus
+  // value for lane l.  Lanes values.size()..63 replicate values.back(), so
+  // every lane carries a vector the caller supplied.
   void set_input_lanes(const std::string& bus,
-                       const std::vector<std::uint64_t>& values);
+                       std::span<const std::uint64_t> values);
 
   // Number of lanes whose transitions count toward toggles() (default 1, so
   // scalar use matches the reference engine exactly).

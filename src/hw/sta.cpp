@@ -32,8 +32,7 @@ TimingReport Sta::run() const {
   // (undriven or only reachable through excluded cells).
   std::vector<double> arrival(static_cast<std::size_t>(num_nets), kMinusInf);
   // For traceback: which cell propagated the worst arrival to this net.
-  std::vector<int> from_cell(static_cast<std::size_t>(num_nets),
-                             Netlist::kNoCell);
+  std::vector<int> from_cell(static_cast<std::size_t>(num_nets), kNoCell);
 
   for (const auto& [name, bus] : nl.inputs()) {
     for (const NetId n : bus) {
@@ -135,7 +134,7 @@ TimingReport Sta::run() const {
   NetId n = worst_net;
   while (n != kNoNet) {
     const int ci = from_cell[static_cast<std::size_t>(n)];
-    if (ci == Netlist::kNoCell) break;
+    if (ci == kNoCell) break;
     const Cell& cell = nl.cell(ci);
     path.push_back(TimingPathStep{cell.name, cell_type_name(cell.type),
                                   arrival[static_cast<std::size_t>(n)]});

@@ -25,7 +25,11 @@ std::string format(const char* fmt, ...) {
 
 std::string with_commas(std::int64_t value) {
   const bool negative = value < 0;
-  std::string digits = std::to_string(negative ? -value : value);
+  // Negate through the unsigned magnitude: -INT64_MIN does not fit int64.
+  const std::uint64_t magnitude = negative
+                                      ? 0 - static_cast<std::uint64_t>(value)
+                                      : static_cast<std::uint64_t>(value);
+  std::string digits = std::to_string(magnitude);
   std::string out;
   out.reserve(digits.size() + digits.size() / 3 + 1);
   int count = 0;

@@ -123,6 +123,9 @@ TEST(ActivityTest, InvalidModeRejected) {
   const ArrayConfig cfg = make_config(8, 8, 2);
   EXPECT_THROW(predict_tile_activity(cfg, 10, 4), Error);
   EXPECT_THROW(predict_tile_activity(cfg, 0, 1), Error);
+  // 3 divides neither dimension of the 8x8 array.
+  EXPECT_THROW(predict_tile_activity_asym(cfg, 10, 3, 1), Error);
+  EXPECT_THROW(predict_tile_activity_asym(cfg, 10, 1, 3), Error);
 }
 
 }  // namespace

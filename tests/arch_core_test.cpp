@@ -90,6 +90,9 @@ TEST(LatencyTest, InvalidArgumentsRejected) {
   EXPECT_THROW(tile_latency_cycles(128, 128, 10, 3), Error);  // 3 ∤ 128
   ArrayConfig cfg;
   EXPECT_THROW(total_latency_cycles({1, 1, 1}, cfg, 3), Error);
+  // The asymmetric total checks each depth against its own dimension.
+  EXPECT_THROW(total_latency_cycles_asym({1, 1, 1}, cfg, 3, 1), Error);
+  EXPECT_THROW(total_latency_cycles_asym({1, 1, 1}, cfg, 1, 3), Error);
 }
 
 TEST(LatencyTest, AbsoluteTime) {

@@ -223,37 +223,7 @@ TEST(TilingTest, TileCountMatchesEq2) {
   EXPECT_EQ(tile_count({1, 1, 1}, 128, 128), 1);
 }
 
-TEST(TilingTest, GridEnumeratesAllTiles) {
-  const GemmShape shape{300, 200, 10};
-  TileGrid grid(shape, 128, 128);
-  EXPECT_EQ(grid.row_tiles(), 2);
-  EXPECT_EQ(grid.col_tiles(), 3);
-  const auto tiles = grid.tiles();
-  ASSERT_EQ(tiles.size(), 6u);
-  // Edge tiles are clipped.
-  const TileCoord& last = tiles.back();
-  EXPECT_EQ(last.n0, 128);
-  EXPECT_EQ(last.m0, 256);
-  EXPECT_EQ(last.n_extent, 72);
-  EXPECT_EQ(last.m_extent, 44);
-  // Interior tiles are full.
-  EXPECT_EQ(tiles.front().n_extent, 128);
-  EXPECT_EQ(tiles.front().m_extent, 128);
-}
-
-TEST(TilingTest, WeightStationaryOrderIteratesNInnermost) {
-  TileGrid grid({300, 300, 5}, 128, 128);
-  const auto tiles = grid.tiles();
-  // First col_tile's N-tiles come consecutively.
-  EXPECT_EQ(tiles[0].m0, 0);
-  EXPECT_EQ(tiles[1].m0, 0);
-  EXPECT_EQ(tiles[0].n0, 0);
-  EXPECT_EQ(tiles[1].n0, 128);
-}
-
 TEST(TilingTest, DegenerateShapesRejected) {
-  EXPECT_THROW(TileGrid({0, 1, 1}, 128, 128), Error);
-  EXPECT_THROW(TileGrid({1, 1, 1}, 0, 128), Error);
   EXPECT_THROW(tile_count({1, 1, 1}, 0, 1), Error);
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,7 +46,8 @@ void run_lanes(NetlistSim& sim, const StimulusTable& stimulus, Check check) {
         std::min<std::size_t>(NetlistSim::kLanes, total - base));
     for (const auto& [bus, values] : stimulus) {
       ASSERT_EQ(values.size(), total);
-      sim.set_input_lanes(bus, values.data() + base, n);
+      sim.set_input_lanes(bus, std::span(values).subspan(
+                                   base, static_cast<std::size_t>(n)));
     }
     sim.eval();
     for (int l = 0; l < n; ++l) {

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <vector>
 
 #include "hw/netlist.h"
 #include "hw/sta.h"
@@ -43,7 +44,12 @@ Netlist random_dag(Rng& rng, int inputs, int gates) {
 
 // Exhaustive longest path by memoized DFS over the driver graph.
 double brute_force_max_delay(const Netlist& nl, const Technology& tech) {
-  const auto& driver = nl.driver_of();
+  std::vector<int> driver(static_cast<std::size_t>(nl.num_nets()), kNoCell);
+  for (int ci = 0; ci < nl.num_cells(); ++ci) {
+    for (const NetId n : nl.cell(ci).outputs) {
+      driver[static_cast<std::size_t>(n)] = ci;
+    }
+  }
   std::vector<double> memo(static_cast<std::size_t>(nl.num_nets()), -1.0);
   std::function<double(NetId)> arrival = [&](NetId n) -> double {
     if (memo[static_cast<std::size_t>(n)] >= 0.0) {
@@ -51,7 +57,7 @@ double brute_force_max_delay(const Netlist& nl, const Technology& tech) {
     }
     const int ci = driver[static_cast<std::size_t>(n)];
     double t = 0.0;  // primary input
-    if (ci != Netlist::kNoCell) {
+    if (ci != kNoCell) {
       const Cell& cell = nl.cell(ci);
       double worst = 0.0;
       for (const NetId in : cell.inputs) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -119,6 +121,8 @@ TEST(StringsTest, WithCommas) {
   EXPECT_EQ(with_commas(1000), "1,000");
   EXPECT_EQ(with_commas(1234567), "1,234,567");
   EXPECT_EQ(with_commas(-1234567), "-1,234,567");
+  EXPECT_EQ(with_commas(std::numeric_limits<std::int64_t>::min()),
+            "-9,223,372,036,854,775,808");
 }
 
 TEST(StringsTest, Percent) {
